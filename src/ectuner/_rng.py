@@ -1,8 +1,8 @@
 """Seeded random number generation helpers.
 
 All randomness in this package flows through NumPy's PCG64 bit generator so
-that every draw is reproducible from an integer seed, independent of thread
-count and platform.  Only ``Generator.integers`` is used for discrete draws;
+that every draw is reproducible from an integer seed, independent of
+platform.  Only ``Generator.integers`` is used for discrete draws;
 sampling and shuffling are built on top of it explicitly so the draw sequence
 is pinned by this module rather than by NumPy convenience-method internals.
 """
@@ -20,8 +20,8 @@ def make_rng(seed: int) -> np.random.Generator:
 def spawn_rng(seed: int, index: int) -> np.random.Generator:
     """Return an independent per-item stream derived from (seed, index).
 
-    Streams for distinct indices never overlap, so per-item work can be
-    distributed across threads without changing any draw.
+    Streams for distinct indices never overlap, so an item's draws depend
+    only on (seed, index), never on which items came before it.
     """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
 

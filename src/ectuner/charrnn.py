@@ -31,7 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import make_rng, shuffled, spawn_rng
-from .ngram import PerplexityReport
+from .ngram import (
+    ModelFormatError,
+    PerplexityReport,
+    PerplexityUndefinedError,
+    TrainingError,
+)
 from .seqio import ReadSet, sample_reads
 
 MAGIC = b"ATHR"
@@ -40,18 +45,6 @@ VOCAB = "ACGT"
 VOCAB_SIZE = 4
 _CHAR_ID = {c: i for i, c in enumerate(VOCAB)}
 _CHAR_ID["N"] = 4  # masked: zero input, no loss
-
-
-class TrainingError(ValueError):
-    pass
-
-
-class ModelFormatError(ValueError):
-    pass
-
-
-class PerplexityUndefinedError(ValueError):
-    pass
 
 
 @dataclass
@@ -121,7 +114,7 @@ class RnnLm:
     def zero_states(self, batch: int) -> list[np.ndarray]:
         return [np.zeros((batch, self.hidden)) for _ in range(self.n_layers)]
 
-    def score_reads(self, readset: ReadSet, threads: int = 1) -> PerplexityReport:
+    def score_reads(self, readset: ReadSet) -> PerplexityReport:
         return perplexity(self, readset)
 
     # -- persistence ------------------------------------------------------

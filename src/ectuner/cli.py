@@ -78,14 +78,7 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def _rnn_config(cfg: dict) -> charrnn.TrainConfig:
-    return charrnn.TrainConfig(
-        layers=cfg["layers"],
-        hidden=cfg["hidden"],
-        epochs=cfg["epochs"],
-        minibatch=cfg["minibatch"],
-        learning_rate=cfg["learning_rate"],
-        unroll=cfg["unroll"],
-    )
+    return charrnn.TrainConfig(**{key: cfg[key] for key in _RNN_DEFAULTS})
 
 
 def _make_corrector(cfg: dict):
@@ -98,6 +91,30 @@ def _make_corrector(cfg: dict):
         return ecsim.adapter_corrector(adapter)
     return ecsim.builtin_corrector(cfg["solid_min"], cfg["max_edits"])
 
+
+def _check_k_fits(cfg: dict, reads, k: int) -> None:
+    """The built-in corrector passes reads shorter than k through unchanged,
+    so a k above every read would exit cleanly having corrected nothing."""
+    if cfg["adapter_template"] or not reads:
+        return
+    longest = max(len(r.sequence) for r in reads)
+    if k > longest:
+        raise ValueError(
+            f"k={k} exceeds the longest read ({longest} bp); "
+            "the built-in corrector would change nothing"
+        )
+
+
+_NGRAM_DEFAULTS = {
+    "word_len": ngram.DEFAULT_WORD_LEN,
+    "history": ngram.DEFAULT_HISTORY,
+    "p_floor": ngram.DEFAULT_P_FLOOR,
+}
+
+_RNN_DEFAULTS = {
+    key: getattr(charrnn.TrainConfig, key)
+    for key in ("layers", "hidden", "epochs", "minibatch", "learning_rate", "unroll")
+}
 
 _CORRECTOR_DEFAULTS = {
     "solid_min": 3,
@@ -112,23 +129,7 @@ _CORRECTOR_DEFAULTS = {
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg = _resolve(
-        args,
-        {
-            "lm": "ngram",
-            "word_len": ngram.DEFAULT_WORD_LEN,
-            "history": ngram.DEFAULT_HISTORY,
-            "p_floor": ngram.DEFAULT_P_FLOOR,
-            "layers": 2,
-            "hidden": 32,
-            "epochs": 10,
-            "minibatch": 200,
-            "learning_rate": 2e-3,
-            "unroll": 50,
-            "seed": 0,
-            "threads": 1,
-        },
-    )
+    cfg = _resolve(args, {"lm": "ngram", **_NGRAM_DEFAULTS, **_RNN_DEFAULTS, "seed": 0})
     reads = load_reads(args.reads)
     if cfg["lm"] == "ngram":
         if not 4 <= cfg["word_len"] <= 12:
@@ -143,7 +144,6 @@ def cmd_train(args: argparse.Namespace) -> int:
             word_len=cfg["word_len"],
             history=cfg["history"],
             p_floor=cfg["p_floor"],
-            threads=cfg["threads"],
             stats=stats,
         )
         model.save(args.out)
@@ -177,24 +177,21 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_perplexity(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, {"sample_n": None, "seed": 0, "threads": 1})
+    cfg = _resolve(args, {"sample_n": None, "seed": 0})
     model = _load_model(args.model)
     reads = load_reads(args.reads)
     if cfg["sample_n"] is not None:
         reads = sample_reads(reads, cfg["sample_n"], cfg["seed"])
-    report = model.score_reads(reads, threads=cfg["threads"])
+    report = model.score_reads(reads)
     _emit(report.to_dict())
     return 0
 
 
 def cmd_inject(args: argparse.Namespace) -> int:
-    cfg = _resolve(
-        args,
-        {"kind": "substitution", "regime": "low", "seed": 0, "threads": 1},
-    )
+    cfg = _resolve(args, {"kind": "substitution", "regime": "low", "seed": 0})
     reads = load_reads(args.reads)
     spec = InjectionSpec(kind=cfg["kind"], regime=cfg["regime"], seed=cfg["seed"])
-    corrupted, ledger = inject_readset(reads, spec, threads=cfg["threads"])
+    corrupted, ledger = inject_readset(reads, spec)
     write_fastq(corrupted, args.out)
     if args.ledger:
         ledger.to_tsv(args.ledger)
@@ -208,36 +205,18 @@ def cmd_inject(args: argparse.Namespace) -> int:
 
 
 def cmd_correct(args: argparse.Namespace) -> int:
-    cfg = _resolve(
-        args,
-        {
-            "k": None,
-            "param_value": None,
-            "seed": 0,
-            "threads": 1,
-            **_CORRECTOR_DEFAULTS,
-        },
-    )
+    cfg = _resolve(args, {"k": None, "param_value": None, **_CORRECTOR_DEFAULTS})
     reads = load_reads(args.reads)
     if cfg["adapter_template"]:
         value = cfg["param_value"]
         if value is None:
             raise ValueError("--param-value is required with --adapter-template")
-        adapter = ecsim.ToolAdapter(
-            command_template=cfg["adapter_template"],
-            param_name=cfg["adapter_param"],
-            timeout=cfg["timeout"],
-        )
-        corrected = ecsim.run_external(adapter, value, reads)
     else:
-        if cfg["k"] is None:
-            raise ValueError("--k is required for the built-in corrector")
         value = cfg["k"]
-        corrected = ecsim.kspectrum_correct(
-            reads,
-            ecsim.KSpectrumConfig(cfg["k"], cfg["solid_min"], cfg["max_edits"]),
-            threads=cfg["threads"],
-        )
+        if value is None:
+            raise ValueError("--k is required for the built-in corrector")
+        _check_k_fits(cfg, reads, value)
+    corrected = _make_corrector(cfg)(reads, value)
     write_fastq(corrected, args.out)
     changed = sum(
         1 for a, b in zip(reads, corrected) if a.sequence != b.sequence
@@ -253,15 +232,8 @@ def cmd_tune(args: argparse.Namespace) -> int:
         args,
         {
             "lm": "ngram",
-            "word_len": ngram.DEFAULT_WORD_LEN,
-            "history": ngram.DEFAULT_HISTORY,
-            "p_floor": ngram.DEFAULT_P_FLOOR,
-            "layers": 2,
-            "hidden": 32,
-            "epochs": 10,
-            "minibatch": 200,
-            "learning_rate": 2e-3,
-            "unroll": 50,
+            **_NGRAM_DEFAULTS,
+            **_RNN_DEFAULTS,
             "k_min": 9,
             "k_max": 25,
             "delta": 2,
@@ -269,11 +241,11 @@ def cmd_tune(args: argparse.Namespace) -> int:
             "initials": None,
             "sample_n": 2000,
             "seed": 0,
-            "threads": 1,
             **_CORRECTOR_DEFAULTS,
         },
     )
     reads = load_reads(args.reads)
+    _check_k_fits(cfg, reads, cfg["k_max"])
     os.makedirs(args.out_dir, exist_ok=True)
     _say(f"training {cfg['lm']} model on {len(reads)} reads")
     if cfg["lm"] == "ngram":
@@ -282,7 +254,6 @@ def cmd_tune(args: argparse.Namespace) -> int:
             word_len=cfg["word_len"],
             history=cfg["history"],
             p_floor=cfg["p_floor"],
-            threads=cfg["threads"],
         )
     elif cfg["lm"] == "charrnn":
         lm, _ = charrnn.train(reads, _rnn_config(cfg), seed=cfg["seed"])
@@ -312,7 +283,6 @@ def cmd_tune(args: argparse.Namespace) -> int:
         space,
         sample_n=cfg["sample_n"],
         seed=cfg["seed"],
-        threads=cfg["threads"],
     )
     corrected_path = os.path.join(args.out_dir, "corrected.fastq")
     write_fastq(result.corrected, corrected_path)
@@ -344,11 +314,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "k_min": 9,
             "k_max": 25,
             "k_step": 2,
-            "word_len": ngram.DEFAULT_WORD_LEN,
-            "history": ngram.DEFAULT_HISTORY,
-            "p_floor": ngram.DEFAULT_P_FLOOR,
+            **_NGRAM_DEFAULTS,
             "seed": 0,
-            "threads": 1,
             **_CORRECTOR_DEFAULTS,
         },
     )
@@ -359,6 +326,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         values = _int_list(values)
     if values is None:
         values = range(cfg["k_min"], cfg["k_max"] + 1, cfg["k_step"])
+    _check_k_fits(cfg, reads, max(values, default=0))
     ngram_lm = None
     rnn_lm = None
     if args.model:
@@ -374,20 +342,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             word_len=cfg["word_len"],
             history=cfg["history"],
             p_floor=cfg["p_floor"],
-            threads=cfg["threads"],
         )
     if args.rnn_model:
         rnn_lm = charrnn.RnnLm.load(args.rnn_model)
-    corrector = _make_corrector(cfg)
-    report = metrics.sweep(
-        reads,
-        corrector,
-        values,
-        ngram_lm=ngram_lm,
-        rnn_lm=rnn_lm,
-        truth=truth,
-        threads=cfg["threads"],
-    )
+    failure = None
+    try:
+        report = metrics.sweep(
+            reads,
+            _make_corrector(cfg),
+            values,
+            ngram_lm=ngram_lm,
+            rnn_lm=rnn_lm,
+            truth=truth,
+        )
+    except metrics.CorrelationError as exc:
+        # keep every evaluated row; the run still fails below
+        report, failure = exc.report, exc
     sys.stdout.write(report.to_tsv())
     if args.tsv_out:
         with open(args.tsv_out, "w") as fh:
@@ -400,6 +370,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             _write_config(cfg, args.json_out + ".config.json")
     for key, r in sorted(report.correlations.items()):
         _say(f"correlation {key}: {r:+.4f}")
+    if failure is not None:
+        raise failure
     return 0
 
 
@@ -418,7 +390,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with default option values")
     p.add_argument("--seed", type=int, help="PRNG seed (default 0)")
-    p.add_argument("--threads", type=int, help="worker threads (default 1)")
+    p.add_argument("--threads", type=int, help="ignored; kept so old command lines run")
 
 
 def _add_corrector_flags(p: argparse.ArgumentParser) -> None:

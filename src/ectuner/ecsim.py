@@ -24,7 +24,6 @@ import tempfile
 from dataclasses import dataclass
 from typing import Callable
 
-from ._parallel import ordered_map
 from .seqio import Read, ReadSet, load_reads, write_fastq
 
 TMPDIR_ENV = "ATHENA_TMPDIR"
@@ -149,7 +148,6 @@ def kspectrum_correct(
     readset: ReadSet,
     config: KSpectrumConfig,
     spectrum: dict[str, int] | None = None,
-    threads: int = 1,
 ) -> ReadSet:
     """Correct every read against a k-mer spectrum.
 
@@ -158,14 +156,11 @@ def kspectrum_correct(
     """
     if spectrum is None:
         spectrum = kmer_spectrum(readset, config.k)
-    fixed = ordered_map(
-        lambda r: _correct_read(
-            r, config.k, config.solid_min, config.max_edits, spectrum
-        ),
-        list(readset),
-        threads,
+    fixed = tuple(
+        _correct_read(r, config.k, config.solid_min, config.max_edits, spectrum)
+        for r in readset
     )
-    return ReadSet(tuple(fixed), source=f"{readset.source}|kspec:k={config.k}")
+    return ReadSet(fixed, source=f"{readset.source}|kspec:k={config.k}")
 
 
 def builtin_corrector(

@@ -1,8 +1,8 @@
 """Synthetic genomes, clean reads, and seeded error injection.
 
 Error models, applied per read with an independent PCG64 stream derived from
-(seed, read index) so results do not depend on thread count or processing
-order:
+(seed, read index), so each read's draws are pinned by the order below and
+do not depend on any other read:
 
 * deletion of a segment of length d starting at index ~ U{0..l-d}
 * insertion of an i.i.d. uniform ACGT segment of length n at index ~ U{0..l-n}
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import ordered_map
 from ._rng import make_rng, spawn_rng
 from .seqio import Read, ReadSet
 
@@ -197,13 +196,12 @@ def inject_substitution(read: Read, n: int, rng: np.random.Generator) -> Read:
 
 
 def inject_readset(
-    readset: ReadSet, spec: InjectionSpec, threads: int = 1
+    readset: ReadSet, spec: InjectionSpec
 ) -> tuple[ReadSet, ErrorLedger]:
     """Corrupt every read as ``spec`` directs; returns the new set and its ledger."""
     lo, hi = REGIMES[spec.regime]
 
-    def corrupt(item: tuple[int, Read]):
-        idx, read = item
+    def corrupt(idx: int, read: Read):
         rng = spawn_rng(spec.seed, idx)
         kind = spec.kind
         if kind == "mixture":
@@ -211,7 +209,7 @@ def inject_readset(
         count = int(rng.integers(lo, hi + 1))
         return _apply(read, kind, count, rng)
 
-    results = ordered_map(corrupt, list(enumerate(readset)), threads)
+    results = [corrupt(idx, read) for idx, read in enumerate(readset)]
     reads = tuple(r for r, _ in results)
     entries = tuple(e for _, es in results for e in es)
     return (

@@ -19,7 +19,10 @@ from .seqio import ReadSet
 
 
 class CorrelationError(ValueError):
-    pass
+    """A correlation is undefined.  Raised from ``sweep``, it carries the
+    finished ``report``: every row plus the correlations that are defined."""
+
+    report: "SweepReport | None" = None
 
 
 def pearson(xs: Iterable[float], ys: Iterable[float]) -> float:
@@ -87,9 +90,12 @@ def sweep(
     rnn_lm=None,
     truth: ReadSet | None = None,
     external_quality: Mapping[int, float] | None = None,
-    threads: int = 1,
 ) -> SweepReport:
-    """Evaluate every value; one row per distinct value, sorted ascending."""
+    """Evaluate every value; one row per distinct value, sorted ascending.
+
+    When a correlation is undefined, raises the first CorrelationError met,
+    with the report of all rows and the defined correlations attached.
+    """
     if ngram_lm is None and rnn_lm is None:
         raise ValueError("sweep needs at least one language model")
     vals = sorted(set(int(v) for v in values))
@@ -101,12 +107,12 @@ def sweep(
         row = SweepRow(
             value=v,
             perplexity_ngram=(
-                ngram_lm.score_reads(corrected, threads=threads).avg_perplexity
+                ngram_lm.score_reads(corrected).avg_perplexity
                 if ngram_lm is not None
                 else None
             ),
             perplexity_rnn=(
-                rnn_lm.score_reads(corrected, threads=threads).avg_perplexity
+                rnn_lm.score_reads(corrected).avg_perplexity
                 if rnn_lm is not None
                 else None
             ),
@@ -117,6 +123,7 @@ def sweep(
         )
         rows.append(row)
     correlations: dict[str, float] = {}
+    failure: CorrelationError | None = None
     for pp_col in ("perplexity_ngram", "perplexity_rnn"):
         pps = [getattr(r, pp_col) for r in rows]
         if pps[0] is None:
@@ -126,5 +133,12 @@ def sweep(
             if quals[0] is None:
                 continue
             key = f"{pp_col.removeprefix('perplexity_')}_vs_{qual_col}"
-            correlations[key] = pearson(pps, quals)
-    return SweepReport(rows=tuple(rows), correlations=correlations)
+            try:
+                correlations[key] = pearson(pps, quals)
+            except CorrelationError as exc:
+                failure = failure or exc
+    report = SweepReport(rows=tuple(rows), correlations=correlations)
+    if failure is not None:
+        failure.report = report
+        raise failure
+    return report

@@ -44,7 +44,6 @@ import struct
 from dataclasses import dataclass
 from typing import Iterable
 
-from ._parallel import chunked, ordered_map
 from .segmenter import SegmentStats, WordSequence, segment_corpus
 from .seqio import ReadSet
 
@@ -166,15 +165,6 @@ class NgramModel:
                     self.totals[o][g] = self.totals[o].get(g, 0) + 1
             self.m_train += len(packed)
 
-    def _merge(self, other: "NgramModel") -> None:
-        for o in range(self.history + 1):
-            for g, cont in other.counts[o].items():
-                mine = self.counts[o].setdefault(g, {})
-                for w, c in cont.items():
-                    mine[w] = mine.get(w, 0) + c
-                self.totals[o][g] = self.totals[o].get(g, 0) + other.totals[o][g]
-        self.m_train += other.m_train
-
     @property
     def vocab_size(self) -> int:
         root = self.counts[0].get(())
@@ -238,18 +228,16 @@ class NgramModel:
             n += len(packed)
         return neg_log, n
 
-    def perplexity(
-        self, corpus: Iterable[WordSequence], threads: int = 1
-    ) -> PerplexityReport:
+    def perplexity(self, corpus: Iterable[WordSequence]) -> PerplexityReport:
         """Average per-word perplexity exp(mean -ln p) over the corpus.
 
         Word i of a run is conditioned on its min(h, i-1) predecessors.
-        Per-read sums are reduced with exact summation, so the result does
-        not depend on thread count.
+        Per-read sums are reduced with exact summation, which fixes the
+        digits of the result.
         """
         seqs = list(corpus)
         skipped = sum(ws.skipped for ws in seqs)
-        parts = ordered_map(self._score_sequence, seqs, threads)
+        parts = [self._score_sequence(ws) for ws in seqs]
         total = math.fsum(p[0] for p in parts)
         m = sum(p[1] for p in parts)
         if m == 0:
@@ -261,12 +249,10 @@ class NgramModel:
             sum_neg_log_prob=total,
         )
 
-    def score_reads(self, readset: ReadSet, threads: int = 1) -> PerplexityReport:
+    def score_reads(self, readset: ReadSet) -> PerplexityReport:
         """Segment ``readset`` with the model's own word length and score it."""
         stats = SegmentStats()
-        return self.perplexity(
-            segment_corpus(readset, self.word_len, stats), threads=threads
-        )
+        return self.perplexity(segment_corpus(readset, self.word_len, stats))
 
     # -- persistence ------------------------------------------------------
 
@@ -351,7 +337,6 @@ def train(
     corpus: Iterable[WordSequence],
     history: int = DEFAULT_HISTORY,
     p_floor: float = DEFAULT_P_FLOOR,
-    threads: int = 1,
 ) -> NgramModel:
     """Count all (history, word) events of the corpus at orders 0..history."""
     seqs = list(corpus)
@@ -359,18 +344,8 @@ def train(
     if first_word is None:
         raise TrainingError("empty corpus: no words to train on")
     model = NgramModel(word_len=len(first_word), history=history, p_floor=p_floor)
-    if threads <= 1:
-        for ws in seqs:
-            model._count_sequence(ws)
-    else:
-        def count_chunk(chunk) -> NgramModel:
-            part = NgramModel(model.word_len, history, p_floor)
-            for ws in chunk:
-                part._count_sequence(ws)
-            return part
-
-        for part in ordered_map(count_chunk, chunked(seqs, threads), threads):
-            model._merge(part)
+    for ws in seqs:
+        model._count_sequence(ws)
     return model
 
 
@@ -379,13 +354,9 @@ def train_reads(
     word_len: int = DEFAULT_WORD_LEN,
     history: int = DEFAULT_HISTORY,
     p_floor: float = DEFAULT_P_FLOOR,
-    threads: int = 1,
     stats: SegmentStats | None = None,
 ) -> NgramModel:
     """Segment ``readset`` and train; the usual entry point."""
     return train(
-        segment_corpus(readset, word_len, stats),
-        history=history,
-        p_floor=p_floor,
-        threads=threads,
+        segment_corpus(readset, word_len, stats), history=history, p_floor=p_floor
     )

@@ -130,13 +130,12 @@ def evaluate_point(
     sample: ReadSet,
     value: int,
     memo: dict[int, float] | None = None,
-    threads: int = 1,
 ) -> float:
     """Perplexity of the sample corrected at ``value`` (memoized)."""
     if memo is not None and value in memo:
         return memo[value]
     corrected = corrector(sample, value)
-    result = lm.score_reads(corrected, threads=threads).avg_perplexity
+    result = lm.score_reads(corrected).avg_perplexity
     if memo is not None:
         memo[value] = result
     return result
@@ -161,7 +160,6 @@ def tune(
     space: SearchSpace,
     sample_n: int,
     seed: int = 0,
-    threads: int = 1,
 ) -> TuneResult:
     """Find the parameter minimizing sample perplexity, then correct fully.
 
@@ -174,7 +172,7 @@ def tune(
     memo: dict[int, float] = {}
 
     def objective(value: int) -> float:
-        return evaluate_point(lm, corrector, sample, value, threads=threads)
+        return evaluate_point(lm, corrector, sample, value)
 
     searches = tuple(
         climb(objective, start, space, memo) for start in space.start_points()

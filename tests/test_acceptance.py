@@ -67,7 +67,7 @@ def corruption_scenario(genome, tmp_path_factory):
     """Substitution/low corruption at 60x coverage, shared by gates 2 and 3."""
     clean = sample_clean_reads(genome, 60_000, 50, seed=102)
     spec = InjectionSpec("substitution", "low", seed=103)
-    corrupted, _ = inject_readset(clean, spec, threads=8)
+    corrupted, _ = inject_readset(clean, spec)
     base = tmp_path_factory.mktemp("scenario")
     reads_path = str(base / "corrupted.fastq")
     write_fastq(corrupted, reads_path)
@@ -80,12 +80,12 @@ def sweep_results(corruption_scenario):
     t0 = time.monotonic()
     corrupted = corruption_scenario["corrupted"]
     clean = corruption_scenario["clean"]
-    lm = ngram.train_reads(corrupted, word_len=7, history=3, threads=8)
+    lm = ngram.train_reads(corrupted, word_len=7, history=3)
     rows = {}
     for k in GRID:
         config = ecsim.KSpectrumConfig(k, solid_min=3, max_edits=2)
-        corrected = ecsim.kspectrum_correct(corrupted, config, threads=8)
-        pp = lm.score_reads(corrected, threads=8).avg_perplexity
+        corrected = ecsim.kspectrum_correct(corrupted, config)
+        pp = lm.score_reads(corrected).avg_perplexity
         gain = ecsim.ec_gain(corrupted, corrected, clean)
         rows[k] = (pp, gain)
     return {"rows": rows, "elapsed": time.monotonic() - t0}
@@ -94,14 +94,14 @@ def sweep_results(corruption_scenario):
 def test_gate_1_perplexity_rises_with_error_rate(genome):
     t0 = time.monotonic()
     clean = sample_clean_reads(genome, 20_000, 50, seed=102)
-    lm = ngram.train_reads(clean, word_len=7, history=3, threads=4)
-    pp_clean = lm.score_reads(clean, threads=4).avg_perplexity
+    lm = ngram.train_reads(clean, word_len=7, history=3)
+    pp_clean = lm.score_reads(clean).avg_perplexity
     pp = {}
     for kind in KINDS:
         for regime in ("low", "high"):
             spec = InjectionSpec(kind, regime, seed=103)
-            corrupted, _ = inject_readset(clean, spec, threads=4)
-            pp[kind, regime] = lm.score_reads(corrupted, threads=4).avg_perplexity
+            corrupted, _ = inject_readset(clean, spec)
+            pp[kind, regime] = lm.score_reads(corrupted).avg_perplexity
     for kind in KINDS:
         assert pp_clean < pp[kind, "low"] < pp[kind, "high"], (kind, pp_clean, pp)
     assert pp["insertion", "high"] > pp["deletion", "high"]
@@ -210,7 +210,7 @@ def test_gate_6_injection_accounting_and_replay():
     clean = sample_clean_reads(genome, 10_000, 50, seed=62)
     for regime in ("low", "high"):
         spec = InjectionSpec("mixture", regime, seed=63)
-        corrupted, ledger = inject_readset(clean, spec, threads=4)
+        corrupted, ledger = inject_readset(clean, spec)
         delta = {}
         for e in ledger.entries:
             delta[e.read_id] = (

