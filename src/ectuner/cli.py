@@ -105,6 +105,31 @@ def _check_k_fits(cfg: dict, reads, k: int) -> None:
         )
 
 
+def _train_lm(cfg: dict, reads, stats: SegmentStats | None = None):
+    """Train the language model ``cfg`` names (n-gram unless ``lm`` says
+    charrnn); returns the model and the char-RNN's per-epoch history, or
+    None for an n-gram."""
+    kind = cfg.get("lm", "ngram")
+    if kind == "ngram":
+        if not 4 <= cfg["word_len"] <= 12:
+            raise ValueError(f"word length must be in 4..12, got {cfg['word_len']}")
+        if cfg["word_len"] < 5:
+            _say(f"warning: word length {cfg['word_len']} below 5 loses context")
+        if not 0 <= cfg["history"] <= 5:
+            raise ValueError(f"history must be in 0..5, got {cfg['history']}")
+        model = ngram.train_reads(
+            reads,
+            word_len=cfg["word_len"],
+            history=cfg["history"],
+            p_floor=cfg["p_floor"],
+            stats=stats,
+        )
+        return model, None
+    if kind == "charrnn":
+        return charrnn.train(reads, _rnn_config(cfg), seed=cfg["seed"])
+    raise ValueError(f"unknown language model kind {kind!r}")
+
+
 _NGRAM_DEFAULTS = {
     "word_len": ngram.DEFAULT_WORD_LEN,
     "history": ngram.DEFAULT_HISTORY,
@@ -131,22 +156,10 @@ _CORRECTOR_DEFAULTS = {
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve(args, {"lm": "ngram", **_NGRAM_DEFAULTS, **_RNN_DEFAULTS, "seed": 0})
     reads = load_reads(args.reads)
+    stats = SegmentStats()
+    model, history = _train_lm(cfg, reads, stats)
+    model.save(args.out)
     if cfg["lm"] == "ngram":
-        if not 4 <= cfg["word_len"] <= 12:
-            raise ValueError(f"word length must be in 4..12, got {cfg['word_len']}")
-        if cfg["word_len"] < 5:
-            _say(f"warning: word length {cfg['word_len']} below 5 loses context")
-        if not 0 <= cfg["history"] <= 5:
-            raise ValueError(f"history must be in 0..5, got {cfg['history']}")
-        stats = SegmentStats()
-        model = ngram.train_reads(
-            reads,
-            word_len=cfg["word_len"],
-            history=cfg["history"],
-            p_floor=cfg["p_floor"],
-            stats=stats,
-        )
-        model.save(args.out)
         summary = {
             "lm": "ngram",
             "model": args.out,
@@ -156,9 +169,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             "skipped_words": stats.skipped_words,
             "vocab_size": model.vocab_size,
         }
-    elif cfg["lm"] == "charrnn":
-        model, history = charrnn.train(reads, _rnn_config(cfg), seed=cfg["seed"])
-        model.save(args.out)
+    else:
         summary = {
             "lm": "charrnn",
             "model": args.out,
@@ -168,8 +179,6 @@ def cmd_train(args: argparse.Namespace) -> int:
             "final_train_loss": history[-1]["train_loss"],
             "best_val_loss": min(h["val_loss"] for h in history),
         }
-    else:
-        raise ValueError(f"unknown language model kind {cfg['lm']!r}")
     _write_config(cfg, args.out + ".config.json")
     _emit(summary)
     _say(f"trained {cfg['lm']} model on {len(reads)} reads -> {args.out}")
@@ -246,19 +255,9 @@ def cmd_tune(args: argparse.Namespace) -> int:
     )
     reads = load_reads(args.reads)
     _check_k_fits(cfg, reads, cfg["k_max"])
-    os.makedirs(args.out_dir, exist_ok=True)
     _say(f"training {cfg['lm']} model on {len(reads)} reads")
-    if cfg["lm"] == "ngram":
-        lm = ngram.train_reads(
-            reads,
-            word_len=cfg["word_len"],
-            history=cfg["history"],
-            p_floor=cfg["p_floor"],
-        )
-    elif cfg["lm"] == "charrnn":
-        lm, _ = charrnn.train(reads, _rnn_config(cfg), seed=cfg["seed"])
-    else:
-        raise ValueError(f"unknown language model kind {cfg['lm']!r}")
+    lm, _ = _train_lm(cfg, reads)
+    os.makedirs(args.out_dir, exist_ok=True)
     initials = cfg["initials"]
     if isinstance(initials, str):
         initials = _int_list(initials)
@@ -315,7 +314,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "k_max": 25,
             "k_step": 2,
             **_NGRAM_DEFAULTS,
-            "seed": 0,
             **_CORRECTOR_DEFAULTS,
         },
     )
@@ -337,12 +335,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             rnn_lm = model
     else:
         _say(f"training n-gram model on {len(reads)} reads")
-        ngram_lm = ngram.train_reads(
-            reads,
-            word_len=cfg["word_len"],
-            history=cfg["history"],
-            p_floor=cfg["p_floor"],
-        )
+        ngram_lm, _ = _train_lm(cfg, reads)
     if args.rnn_model:
         rnn_lm = charrnn.RnnLm.load(args.rnn_model)
     failure = None

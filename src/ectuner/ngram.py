@@ -1,10 +1,10 @@
 """Word-level n-gram language model with interpolated Witten-Bell smoothing.
 
-Reads are segmented into fixed-length words; each read is one sentence.  For
-training, every sentence run is padded with ``h`` synthetic start markers (one
-sentence per gap-free run), so each word is counted as a prediction target
-exactly once at every order 0..h.  Markers are never prediction targets and
-there is no end marker.
+Reads are segmented into fixed-length words; each gap-free run of words is
+one sentence.  Word i of a run is conditioned on its min(h, i) predecessors in
+that run, and training counts exactly the (history, word) events that scoring
+looks up: each word at orders 0..min(h, i).  There are no start or end
+markers.
 
 Probability of a word w after history g (most recent word last) is
 
@@ -30,10 +30,15 @@ can interoperate:
     then for each order o = 0..history:
         n_histories u64
         per history (sorted by token values):
-            tokens  o * u32   (start marker = 0xFFFFFFFF)
+            tokens  o * u32
             n_words u64
             per continuation (sorted by word value): word u32, count u64
     sha256 digest (32 bytes) of everything before it
+
+A file holds only histories that occur in the training reads.  Files from
+older versions also hold start-marker histories (token 0xFFFFFFFF); they load
+as plain tokens that no lookup matches, because word codes stay below
+4**word_len, so such files score and re-save exactly as they did.
 """
 
 from __future__ import annotations
@@ -42,15 +47,13 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .segmenter import SegmentStats, WordSequence, segment_corpus
 from .seqio import ReadSet
 
 MAGIC = b"ATHN"
 VERSION = 1
-START = -1
-_START_U32 = 0xFFFFFFFF
 _BASE_CODE = {"A": 0, "C": 1, "G": 2, "T": 3}
 _LN2 = math.log(2.0)
 
@@ -141,29 +144,38 @@ class NgramModel:
 
     # -- training ---------------------------------------------------------
 
-    def _count_sequence(self, ws: WordSequence) -> None:
+    def _events(
+        self, ws: WordSequence, error: type[ValueError]
+    ) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """Yield (word, history) for every word of ``ws``, both packed.
+
+        The history is the word's min(h, i) predecessors in its run, oldest
+        first.  A word of the wrong length raises ``error``.
+        """
         h = self.history
         for run in ws.runs:
-            packed = []
             for w in run:
                 if len(w) != self.word_len:
-                    raise TrainingError(
+                    raise error(
                         f"read {ws.read_id!r}: word {w!r} has length {len(w)}, "
                         f"model expects {self.word_len}"
                     )
-                packed.append(pack_word(w))
-            tokens = [START] * h + packed
+            packed = [pack_word(w) for w in run]
             for i, w in enumerate(packed):
-                pos = h + i
-                for o in range(h + 1):
-                    g = tuple(tokens[pos - o : pos])
-                    cont = self.counts[o].get(g)
-                    if cont is None:
-                        self.counts[o][g] = {w: 1}
-                    else:
-                        cont[w] = cont.get(w, 0) + 1
-                    self.totals[o][g] = self.totals[o].get(g, 0) + 1
-            self.m_train += len(packed)
+                yield w, tuple(packed[max(0, i - h) : i])
+
+    def _count_sequence(self, ws: WordSequence) -> None:
+        for w, hist in self._events(ws, TrainingError):
+            n = len(hist)
+            for o in range(n + 1):
+                g = hist[n - o :]
+                cont = self.counts[o].get(g)
+                if cont is None:
+                    self.counts[o][g] = {w: 1}
+                else:
+                    cont[w] = cont.get(w, 0) + 1
+                self.totals[o][g] = self.totals[o].get(g, 0) + 1
+            self.m_train += 1
 
     @property
     def vocab_size(self) -> int:
@@ -210,28 +222,17 @@ class NgramModel:
         )
 
     def _score_sequence(self, ws: WordSequence) -> tuple[float, int]:
-        h = self.history
         neg_log = 0.0
         n = 0
-        for run in ws.runs:
-            for w in run:
-                if len(w) != self.word_len:
-                    raise ValueError(
-                        f"read {ws.read_id!r}: word length {len(w)} does not "
-                        f"match model word length {self.word_len}"
-                    )
-            packed = [pack_word(w) for w in run]
-            for i, w in enumerate(packed):
-                o = min(h, i)
-                p = self._prob_packed(w, tuple(packed[i - o : i]))
-                neg_log += -math.log(p)
-            n += len(packed)
+        for w, hist in self._events(ws, ValueError):
+            neg_log += -math.log(self._prob_packed(w, hist))
+            n += 1
         return neg_log, n
 
     def perplexity(self, corpus: Iterable[WordSequence]) -> PerplexityReport:
         """Average per-word perplexity exp(mean -ln p) over the corpus.
 
-        Word i of a run is conditioned on its min(h, i-1) predecessors.
+        Word i of a run (from 0) is conditioned on its min(h, i) predecessors.
         Per-read sums are reduced with exact summation, which fixes the
         digits of the result.
         """
@@ -271,9 +272,9 @@ class NgramModel:
         for o in range(self.history + 1):
             table = self.counts[o]
             buf += struct.pack("<Q", len(table))
-            for g in sorted(table, key=_hist_sort_key):
+            for g in sorted(table):
                 for tok in g:
-                    buf += struct.pack("<I", _START_U32 if tok == START else tok)
+                    buf += struct.pack("<I", tok)
                 cont = table[g]
                 buf += struct.pack("<Q", len(cont))
                 for w in sorted(cont):
@@ -308,9 +309,8 @@ class NgramModel:
                 (n_hist,) = struct.unpack_from("<Q", payload, off)
                 off += 8
                 for _ in range(n_hist):
-                    toks = struct.unpack_from(f"<{o}I", payload, off) if o else ()
+                    g = struct.unpack_from(f"<{o}I", payload, off) if o else ()
                     off += 4 * o
-                    g = tuple(START if t == _START_U32 else t for t in toks)
                     (n_words,) = struct.unpack_from("<Q", payload, off)
                     off += 8
                     cont: dict[int, int] = {}
@@ -327,10 +327,6 @@ class NgramModel:
         if off != len(payload):
             raise ModelFormatError(f"{path}: trailing bytes after count tables")
         return model
-
-
-def _hist_sort_key(g: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(_START_U32 if t == START else t for t in g)
 
 
 def train(

@@ -129,16 +129,9 @@ def evaluate_point(
     corrector: Callable[[ReadSet, int], ReadSet],
     sample: ReadSet,
     value: int,
-    memo: dict[int, float] | None = None,
 ) -> float:
-    """Perplexity of the sample corrected at ``value`` (memoized)."""
-    if memo is not None and value in memo:
-        return memo[value]
-    corrected = corrector(sample, value)
-    result = lm.score_reads(corrected).avg_perplexity
-    if memo is not None:
-        memo[value] = result
-    return result
+    """Perplexity of the sample corrected at ``value``."""
+    return lm.score_reads(corrector(sample, value)).avg_perplexity
 
 
 @dataclass(frozen=True)

@@ -12,23 +12,19 @@ from collections import defaultdict
 
 from ectuner.segmenter import WordSequence
 
-START = "<s>"
-
 
 def oracle_counts(train_seqs, h):
     """Brute-force (history, word) occurrence counting at orders 0..h.
 
-    Each gap-free run is padded with h start markers; every word is the
-    prediction target exactly once per order.
+    Word i of a gap-free run (from 0) is counted once at each order
+    0..min(h, i), after the o words before it in the run.
     """
     counts = [defaultdict(dict) for _ in range(h + 1)]
     for ws in train_seqs:
         for run in ws.runs:
-            toks = [START] * h + list(run)
-            for i in range(h, len(toks)):
-                w = toks[i]
-                for o in range(h + 1):
-                    g = tuple(toks[i - o : i])
+            for i, w in enumerate(run):
+                for o in range(min(h, i) + 1):
+                    g = tuple(run[i - o : i])
                     cont = counts[o][g]
                     cont[w] = cont.get(w, 0) + 1
     return counts

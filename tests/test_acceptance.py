@@ -19,6 +19,7 @@ Gate list:
 
 from __future__ import annotations
 
+import glob
 import json
 import math
 import os
@@ -268,8 +269,13 @@ def test_gate_7_thread_count_never_changes_output_bytes(tmp_path, capsys):
         assert main(["perplexity", "--model", model, "--reads", bad,
                      *common]) == 0
         stdouts[threads] = capsys.readouterr().out
-        # resolved-config files are excluded: they record the differing
-        # --threads flag itself
+        # resolved configs do not record --threads, so they are compared too
+        configs = {
+            os.path.relpath(path, d): path
+            for path in glob.glob(str(d / "**" / "*config.json"), recursive=True)
+        }
+        # train, inject, correct, tune and sweep each write one
+        assert len(configs) == 5, sorted(configs)
         outputs[threads] = {
             name: open(path, "rb").read()
             for name, path in [
@@ -281,9 +287,11 @@ def test_gate_7_thread_count_never_changes_output_bytes(tmp_path, capsys):
                 ("trace", os.path.join(tuned, "search.json")),
                 ("sweep_tsv", sweep_tsv),
                 ("sweep_json", sweep_json),
+                *sorted(configs.items()),
             ]
         }
     assert stdouts["1"] == stdouts["8"]
+    assert outputs["1"].keys() == outputs["8"].keys()
     for name in outputs["1"]:
         assert outputs["1"][name] == outputs["8"][name], name
 

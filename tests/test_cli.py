@@ -333,6 +333,43 @@ def test_k_above_every_read_exits_1_before_any_output(
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (["--word-len", "13"], "word length must be in 4..12"),
+        (["--word-len", "3"], "word length must be in 4..12"),
+        (["--history", "7"], "history must be in 0..5"),
+    ],
+    ids=["word-len-13", "word-len-3", "history-7"],
+)
+@pytest.mark.parametrize(
+    "command, out_flag",
+    [("train", "--out"), ("tune", "--out-dir"), ("sweep", "--json-out")],
+    ids=["train", "tune", "sweep"],
+)
+def test_ngram_bounds_exit_1_before_any_output(
+    clean_fastq, tmp_path, capsys, command, out_flag, bad, message
+):
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main([command, "--reads", clean_fastq, *bad, out_flag, str(out / "result")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
+
+
+def test_sweep_config_records_no_seed(clean_fastq, tmp_path, capsys):
+    # a sweep draws no random numbers, so --seed is accepted and not recorded
+    json_out = str(tmp_path / "sweep.json")
+    assert main(["sweep", "--reads", clean_fastq, "--values", "9,11,13",
+                 "--json-out", json_out, "--seed", "4"]) == 0
+    capsys.readouterr()
+    with open(json_out + ".config.json") as fh:
+        assert "seed" not in json.load(fh)
+
+
 def test_eval_reports_gain(tmp_path, capsys):
     from ectuner.seqio import Read, ReadSet
 

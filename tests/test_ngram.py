@@ -36,10 +36,7 @@ def _model_counts_as_strings(model):
     for o in range(model.history + 1):
         table = {}
         for g, cont in model.counts[o].items():
-            key = tuple(
-                "<s>" if t == ngram.START else unpack_word(t, model.word_len)
-                for t in g
-            )
+            key = tuple(unpack_word(t, model.word_len) for t in g)
             table[key] = {
                 unpack_word(w, model.word_len): c for w, c in cont.items()
             }
@@ -58,10 +55,7 @@ def test_direct_counting_single_repeated_word():
     model = ngram.train([seq("AAAAAAA", "AAAAAAA")], history=1)
     tables = _model_counts_as_strings(model)
     assert tables[0] == {(): {"AAAAAAA": 2}}
-    assert tables[1] == {
-        ("<s>",): {"AAAAAAA": 1},
-        ("AAAAAAA",): {"AAAAAAA": 1},
-    }
+    assert tables[1] == {("AAAAAAA",): {"AAAAAAA": 1}}
     assert model.vocab_size == 1
     assert model.m_train == 2
 
@@ -182,7 +176,6 @@ def test_normalization_over_vocab_plus_one_unseen():
             tuple(unpack_word(t, word_len) for t in g)
             for o in range(1, h + 1)
             for g in model.counts[o]
-            if ngram.START not in g
         ]
         novel = tuple([unseen] * h)[: h or 0]
         hists = seen_hists + ([novel] if h else [])
@@ -202,13 +195,11 @@ def test_count_table_internal_consistency():
         for g, cont in model.counts[o].items():
             assert sum(cont.values()) == model.totals[o][g]
             mass += model.totals[o][g]
-        # start padding makes every word a target exactly once per order
-        assert mass == model.m_train
+        # every word with at least o predecessors in its run is a target once
+        assert mass == sum(max(0, len(run) - o) for ws in TOY3 for run in ws.runs)
     # a history's event total never exceeds the lower-order event that formed it
     for o in range(1, model.history + 1):
         for g, cont in model.counts[o].items():
-            if ngram.START in g:
-                continue
             lower = model.counts[o - 1].get(g[:-1], {})
             assert sum(cont.values()) <= lower.get(g[-1], 0)
 
@@ -321,6 +312,32 @@ def test_save_is_byte_deterministic(tmp_path):
     model.save(str(p1))
     model.save(str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_marker_histories_from_older_files_load_score_and_resave_unchanged(tmp_path):
+    # Older files pad every run with start markers, written as 0xFFFFFFFF;
+    # these are the histories that padding gave the toy corpus.
+    marker = 0xFFFFFFFF
+    a, c = pack_word("A"), pack_word("C")
+    padded = ngram.train(TOY3, history=2)
+    for o, g, cont in [
+        (1, (marker,), {a: 2, c: 1}),
+        (2, (marker, marker), {a: 2, c: 1}),
+        (2, (marker, a), {a: 1, c: 1}),
+        (2, (marker, c), {a: 1}),
+    ]:
+        padded.counts[o][g] = cont
+        padded.totals[o][g] = sum(cont.values())
+    old_path = tmp_path / "old.athn"
+    padded.save(str(old_path))
+    old = NgramModel.load(str(old_path))
+    assert old.counts == padded.counts
+    plain = ngram.train(TOY3, history=2)
+    score = (*TOY3, seq("G", "T", "A", "C"))
+    assert old.perplexity(score) == plain.perplexity(score)
+    resaved = tmp_path / "resaved.athn"
+    old.save(str(resaved))
+    assert resaved.read_bytes() == old_path.read_bytes()
 
 
 def test_load_rejects_corruption(tmp_path):

@@ -18,7 +18,6 @@ from ectuner.tuner import (
     SearchResult,
     SearchSpace,
     climb,
-    evaluate_point,
     tune,
 )
 
@@ -167,18 +166,6 @@ def _tagging_corrector(log):
         return ReadSet(readset.reads, source=f"k={value}")
 
     return correct
-
-
-def test_evaluate_point_memoizes():
-    log = []
-    corrector = _tagging_corrector(log)
-    lm = _LandscapeLm(lambda k: float(k))
-    sample = ReadSet((Read("r", "ACGT"),), source="s")
-    memo = {}
-    a = evaluate_point(lm, corrector, sample, 11, memo)
-    b = evaluate_point(lm, corrector, sample, 11, memo)
-    assert a == b == 11.0
-    assert len(log) == 1
 
 
 def test_tune_runs_restarts_with_shared_memo_and_corrects_fully():
