@@ -94,15 +94,17 @@ def _make_corrector(cfg: dict):
 
 def _check_k_fits(cfg: dict, reads, k: int) -> None:
     """The built-in corrector passes reads shorter than k through unchanged,
-    so a k above every read would exit cleanly having corrected nothing."""
-    if cfg["adapter_template"] or not reads:
+    so a k above every read would exit cleanly having corrected nothing; and
+    its packed k-mers bound k too."""
+    if cfg["adapter_template"]:
         return
-    longest = max(len(r.sequence) for r in reads)
+    longest = max((len(r.sequence) for r in reads), default=k)
     if k > longest:
         raise ValueError(
             f"k={k} exceeds the longest read ({longest} bp); "
             "the built-in corrector would change nothing"
         )
+    ecsim.check_k(k)
 
 
 def _train_lm(cfg: dict, reads, stats: SegmentStats | None = None):
@@ -306,6 +308,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    # a model file fixes its own n-gram settings, so none are resolved
     cfg = _resolve(
         args,
         {
@@ -313,7 +316,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "k_min": 9,
             "k_max": 25,
             "k_step": 2,
-            **_NGRAM_DEFAULTS,
+            **({} if args.model else _NGRAM_DEFAULTS),
             **_CORRECTOR_DEFAULTS,
         },
     )
@@ -324,7 +327,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         values = _int_list(values)
     if values is None:
         values = range(cfg["k_min"], cfg["k_max"] + 1, cfg["k_step"])
-    _check_k_fits(cfg, reads, max(values, default=0))
+    if values:
+        _check_k_fits(cfg, reads, max(values))
     ngram_lm = None
     rnn_lm = None
     if args.model:

@@ -8,6 +8,13 @@ smallest resulting k-mer).  At most ``max_edits`` replacements are applied
 per read, after which scanning stops.  Read lengths never change, so
 indel-corrupted reads flow through with their lengths intact.
 
+Reads are packed once per call into one flat ``uint8`` array of base codes
+(A=0, C=1, G=2, T=3; any other character 4, which no solid k-mer contains),
+read after read, with a code-4 separator after each so no window spans two
+reads.  A k-mer is the 2k-bit number its codes spell, first base most
+significant, so k is at most 32 and numeric order is string order.  The corrector advances every
+read through the same scan position together, one position per round.
+
 External tools run through a command template with ``{input}``, ``{output}``
 and exactly one tunable placeholder (``{k}`` or ``{GL}``).  Exchange happens
 via temporary files, never pipes; the environment variable ``ATHENA_TMPDIR``
@@ -21,13 +28,22 @@ import shlex
 import shutil
 import subprocess
 import tempfile
+from collections.abc import Mapping, ValuesView
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .seqio import Read, ReadSet, load_reads, write_fastq
 
 TMPDIR_ENV = "ATHENA_TMPDIR"
+MAX_K = 32
 _ACGT = frozenset("ACGT")
+_DIGITS = str.maketrans("ACGT", "0123")
+_LETTERS = np.frombuffer(b"ACGT", np.uint8)
+_CODE = np.full(256, 4, np.uint8)
+_CODE[_LETTERS] = np.arange(4)
+_NO_CODE = np.uint64(np.iinfo(np.uint64).max)
 
 
 class GainUndefinedError(ValueError):
@@ -49,33 +65,93 @@ class SpectrumStats:
     kmers: int = 0
 
 
+def check_k(k: int) -> None:
+    """Raise ValueError unless the built-in corrector can use k-mers of size k."""
+    if k <= 0:
+        raise ValueError(f"k must be positive, got {k}")
+    if k > MAX_K:
+        raise ValueError(f"k={k} exceeds the built-in corrector's limit of {MAX_K}")
+
+
+def _chars(readset: ReadSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every read's characters as code points end to end, each read followed
+    by a newline (so no window spans two reads), with each read's start and
+    length."""
+    lengths = np.fromiter((len(r) for r in readset), np.int64, len(readset))
+    starts = np.cumsum(lengths + 1) - lengths - 1
+    text = "".join(r.sequence + "\n" for r in readset)
+    if text.isascii():
+        return np.frombuffer(text.encode("ascii"), np.uint8), starts, lengths
+    chars = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), "<u4")
+    return chars, starts, lengths
+
+
+def _shifts(k: int) -> np.ndarray:
+    """Bit offset of each window position's code, first position highest."""
+    return 2 * np.arange(k - 1, -1, -1, dtype=np.uint64)
+
+
+class KmerSpectrum(Mapping[str, int]):
+    """Read-only ``{k-mer: count}`` mapping over sorted k-mer codes."""
+
+    def __init__(self, k: int, codes: np.ndarray, counts: np.ndarray) -> None:
+        self.k = k
+        self.codes = codes
+        self.counts = counts
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __iter__(self):
+        k = self.k
+        for start in range(0, len(self.codes), 4096):
+            chunk = (self.codes[start : start + 4096, None] >> _shifts(k)) & 3
+            text = _LETTERS[chunk].tobytes().decode("ascii")
+            yield from (text[i : i + k] for i in range(0, len(text), k))
+
+    def __getitem__(self, kmer: str) -> int:
+        if isinstance(kmer, str) and len(kmer) == self.k and _ACGT.issuperset(kmer):
+            code = np.uint64(int(kmer.translate(_DIGITS), 4))
+            i = int(np.searchsorted(self.codes, code))
+            if i < len(self.codes) and self.codes[i] == code:
+                return int(self.counts[i])
+        raise KeyError(kmer)
+
+    # the generic view would decode and look up every key one at a time
+    def values(self) -> ValuesView:
+        return _Values(self)
+
+
+class _Values(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping.counts.tolist())
+
+
 def kmer_spectrum(
     readset: ReadSet, k: int, stats: SpectrumStats | None = None
-) -> dict[str, int]:
+) -> KmerSpectrum:
     """Counts of every ACGT-only k-mer over all overlapping windows.
 
     Reads shorter than k contribute nothing (tallied on ``stats``).
     """
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
-    spectrum: dict[str, int] = {}
-    for read in readset:
-        seq = read.sequence
-        if len(seq) < k:
-            if stats is not None:
-                stats.short_reads += 1
-            continue
-        if stats is not None:
-            stats.reads += 1
-        clean = _ACGT.issuperset(seq)
-        for i in range(len(seq) - k + 1):
-            kmer = seq[i : i + k]
-            if not clean and not _ACGT.issuperset(kmer):
-                continue
-            spectrum[kmer] = spectrum.get(kmer, 0) + 1
-            if stats is not None:
-                stats.kmers += 1
-    return spectrum
+    check_k(k)
+    chars, _, lengths = _chars(readset)
+    bases = _CODE.take(chars, mode="clip")
+    windows = max(len(bases) - k + 1, 0)
+    kmers = np.zeros(windows, np.uint64)
+    broken = np.zeros(windows, bool)
+    low = bases & 3
+    for j in range(k):
+        kmers <<= 2
+        kmers |= low[j : j + windows]
+        broken |= bases[j : j + windows] == 4
+    kmers = kmers[~broken]
+    if stats is not None:
+        long_reads = int(np.count_nonzero(lengths >= k))
+        stats.reads += long_reads
+        stats.short_reads += len(lengths) - long_reads
+        stats.kmers += len(kmers)
+    return KmerSpectrum(k, *np.unique(kmers, return_counts=True))
 
 
 def solid_threshold_for_coverage(coverage: float) -> int:
@@ -90,77 +166,165 @@ class KSpectrumConfig:
     max_edits: int = 2
 
     def __post_init__(self) -> None:
-        if self.k <= 0:
-            raise ValueError(f"k must be positive, got {self.k}")
+        check_k(self.k)
         if self.solid_min < 1:
             raise ValueError(f"solid threshold must be >= 1, got {self.solid_min}")
         if self.max_edits < 0:
             raise ValueError(f"max_edits must be >= 0, got {self.max_edits}")
 
 
-def _correct_read(
-    read: Read, k: int, solid_min: int, max_edits: int, spectrum: dict[str, int]
-) -> Read:
-    seq = read.sequence
-    if len(seq) < k or max_edits == 0:
-        return read
-    edits = 0
-    i = 0
-    end = len(seq) - k
-    while i <= end:
-        kmer = seq[i : i + k]
-        if spectrum.get(kmer, 0) >= solid_min:
-            i += 1
-            continue
-        best_count = 0
-        best_kmer = None
-        best_pos = -1
-        best_base = ""
-        for p in range(k):
-            cur = kmer[p]
-            head, tail = kmer[:p], kmer[p + 1 :]
-            for b in "ACGT":
-                if b == cur:
-                    continue
-                cand = head + b + tail
-                c = spectrum.get(cand, 0)
-                if c < solid_min:
-                    continue
-                if c > best_count or (
-                    c == best_count and best_kmer is not None and cand < best_kmer
-                ):
-                    best_count = c
-                    best_kmer = cand
-                    best_pos = i + p
-                    best_base = b
-        if best_kmer is not None:
-            seq = seq[:best_pos] + best_base + seq[best_pos + 1 :]
-            edits += 1
-            if edits >= max_edits:
-                break
-        i += 1
-    if edits == 0:
-        return read
-    return Read(read.id, seq, read.quality)
+def _spectrum_arrays(spectrum: Mapping, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted k-mer codes and their counts; every key must be an ACGT k-mer
+    and every count an integer."""
+    if isinstance(spectrum, KmerSpectrum) and spectrum.k == k:
+        return spectrum.codes, spectrum.counts
+    kmers = list(spectrum)
+    counts = [spectrum[kmer] for kmer in kmers]
+    for kmer, count in zip(kmers, counts):
+        if not (isinstance(kmer, str) and len(kmer) == k and _ACGT.issuperset(kmer)):
+            raise ValueError(f"spectrum key {kmer!r} is not a {k}-mer over ACGT")
+        if not isinstance(count, (int, np.integer)):
+            raise ValueError(f"spectrum count {count!r} of {kmer!r} is not an integer")
+    codes = np.array([int(kmer.translate(_DIGITS), 4) for kmer in kmers], np.uint64)
+    counts = np.array(counts, np.int64)
+    order = np.argsort(codes)
+    return codes[order], counts[order]
+
+
+class _SolidCounts:
+    """Counts of solid k-mers, looked up for many codes at once (0 if absent).
+
+    Most queried codes are absent, so a table of occupied hash slots, at
+    most one in 16 set, rules most of them out before the binary search."""
+
+    def __init__(self, codes: np.ndarray, counts: np.ndarray, solid_min: int) -> None:
+        solid = counts >= solid_min
+        self.codes = codes[solid]
+        self.counts = counts[solid]
+        bits = max(10, (16 * len(self.codes)).bit_length())
+        self.shift = np.uint64(64 - bits)
+        self.occupied = np.zeros(1 << bits, bool)
+        self.occupied[self._slot(self.codes)] = True
+
+    def _slot(self, codes: np.ndarray) -> np.ndarray:
+        return (codes * np.uint64(0x9E3779B97F4A7C15)) >> self.shift
+
+    def __call__(self, query: np.ndarray) -> np.ndarray:
+        flat = query.ravel()
+        found = np.zeros(len(flat), np.int64)
+        maybe = np.flatnonzero(self.occupied[self._slot(flat)])
+        i = np.searchsorted(self.codes, flat[maybe])
+        np.minimum(i, len(self.codes) - 1, out=i)
+        hit = self.codes[i] == flat[maybe]
+        found[maybe[hit]] = self.counts[i[hit]]
+        return found.reshape(query.shape)
+
+
+def _correct_packed(
+    bases: np.ndarray,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    k: int,
+    max_edits: int,
+    solid: _SolidCounts,
+) -> np.ndarray:
+    """Run the scan over every read at once, round i examining window i of
+    each read still scanning.  Edits are written into ``bases``; returns the
+    position in ``bases`` of every edit, in the order they were made."""
+    scanning = (lengths >= k) & (max_edits > 0)
+    at = starts[scanning]  # where each scanning read's current window starts
+    stop = at + lengths[scanning] - k
+    offsets = np.arange(k)
+    shifts = _shifts(k)
+    kmers = np.zeros(len(at), np.uint64)
+    broken = np.zeros(len(at), np.int64)  # unknown bases in the window
+    for j in range(k):
+        column = bases[at + j]
+        kmers <<= 2
+        kmers |= column & 3
+        broken += column == 4
+    edits = np.zeros(len(at), np.int64)
+    keep = ~(np.uint64(3) << shifts)
+    placed = np.arange(4, dtype=np.uint64) << shifts[:, None]  # (k, 4)
+    width_mask = np.uint64((1 << 2 * k) - 1)
+    edited = []
+    while len(at):
+        insolid = (broken > 0) | (solid(kmers) == 0)
+        # a window with two unknown bases has no solid single-base neighbour
+        weak = np.flatnonzero(insolid & (broken <= 1))
+        if len(weak):
+            best_count = np.empty(len(weak), np.int64)
+            best_kmer = np.empty(len(weak), np.uint64)
+            best_at = np.empty(len(weak), np.intp)
+            # reads in blocks, so a block's k * 4 candidates stay small
+            step = max(1, 16384 // k)
+            for s in range(0, len(weak), step):
+                block = weak[s : s + step]
+                cand = (kmers[block, None] & keep)[:, :, None] | placed
+                count = solid(cand)
+                # the unchanged base gives the window itself, insolid; with
+                # an unknown base, only offsets replacing it can be solid
+                window = bases[at[block, None] + offsets]
+                count[broken[block, None] > (window == 4)] = 0
+                count = count.reshape(len(block), -1)
+                cand = cand.reshape(len(block), -1)
+                # highest count, then smallest code: the smallest k-mer.  At
+                # k = 32 the all-T code equals _NO_CODE, so the winner is
+                # picked among the ties, not by argmin over the masked codes
+                top = count.max(axis=1)
+                tie = count == top[:, None]
+                key = np.where(tie, cand, _NO_CODE)
+                j = (tie & (key == key.min(axis=1)[:, None])).argmax(axis=1)
+                best_count[s : s + step] = top
+                best_kmer[s : s + step] = cand[np.arange(len(block)), j]
+                best_at[s : s + step] = j // 4
+            hit = np.flatnonzero(best_count > 0)
+            fix = weak[hit]
+            pos = at[fix] + best_at[hit]
+            broken[fix] -= bases[pos] == 4
+            bases[pos] = (best_kmer[hit] >> shifts[best_at[hit]]) & 3
+            kmers[fix] = best_kmer[hit]
+            edits[fix] += 1
+            edited.append(pos)
+        at += 1
+        live = (edits < max_edits) & (at <= stop)
+        at, stop, kmers, broken, edits = (
+            a[live] for a in (at, stop, kmers, broken, edits)
+        )
+        incoming = bases[at + k - 1]
+        kmers = ((kmers << 2) | (incoming & 3)) & width_mask
+        broken += incoming == 4
+        broken -= bases[at - 1] == 4
+    return np.concatenate(edited) if edited else np.empty(0, np.int64)
 
 
 def kspectrum_correct(
     readset: ReadSet,
     config: KSpectrumConfig,
-    spectrum: dict[str, int] | None = None,
+    spectrum: Mapping[str, int] | None = None,
 ) -> ReadSet:
     """Correct every read against a k-mer spectrum.
 
     The spectrum defaults to the one counted from ``readset`` itself; pass one
-    explicitly to correct a subsample against fuller counts.
+    explicitly to correct a subsample against fuller counts.  An explicit
+    spectrum must map k-mers over ACGT to integer counts.
     """
     if spectrum is None:
         spectrum = kmer_spectrum(readset, config.k)
-    fixed = tuple(
-        _correct_read(r, config.k, config.solid_min, config.max_edits, spectrum)
-        for r in readset
-    )
-    return ReadSet(fixed, source=f"{readset.source}|kspec:k={config.k}")
+    solid = _SolidCounts(*_spectrum_arrays(spectrum, config.k), config.solid_min)
+    chars, starts, lengths = _chars(readset)
+    bases = _CODE.take(chars, mode="clip")
+    pos = _correct_packed(bases, starts, lengths, config.k, config.max_edits, solid)
+    chars = chars.copy()
+    chars[pos] = _LETTERS[bases[pos]]
+    encoding = "ascii" if chars.itemsize == 1 else "utf-32-le"
+    text = chars.tobytes().decode(encoding, "surrogatepass")
+    reads = list(readset)
+    for row in np.unique(np.searchsorted(starts, pos, side="right") - 1).tolist():
+        read = reads[row]
+        start = int(starts[row])
+        reads[row] = Read(read.id, text[start : start + len(read)], read.quality)
+    return ReadSet(tuple(reads), source=f"{readset.source}|kspec:k={config.k}")
 
 
 def builtin_corrector(
@@ -291,9 +455,6 @@ def ec_gain(original: ReadSet, corrected: ReadSet, truth: ReadSet) -> float:
             f"read counts differ: original {len(original)}, "
             f"corrected {len(corrected)}, truth {len(truth)}"
         )
-    tp = 0
-    fp = 0
-    errors = 0
     for orig, corr, true in zip(original, corrected, truth):
         if orig.id != corr.id or orig.id != true.id:
             raise AlignmentError(
@@ -304,13 +465,11 @@ def ec_gain(original: ReadSet, corrected: ReadSet, truth: ReadSet) -> float:
                 f"read {orig.id!r}: lengths differ "
                 f"({len(orig)}/{len(corr)}/{len(true)})"
             )
-        for o, c, t in zip(orig.sequence, corr.sequence, true.sequence):
-            if o != t:
-                errors += 1
-                if c == t:
-                    tp += 1
-            elif c != t:
-                fp += 1
+    o, c, t = (_chars(readset)[0] for readset in (original, corrected, truth))
+    wrong = o != t
+    errors = int(np.count_nonzero(wrong))
     if errors == 0:
         raise GainUndefinedError("no erroneous bases; gain is undefined")
+    tp = int(np.count_nonzero(wrong & (c == t)))
+    fp = int(np.count_nonzero(~wrong & (c != t)))
     return (tp - fp) / errors

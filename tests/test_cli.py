@@ -334,6 +334,31 @@ def test_k_above_every_read_exits_1_before_any_output(
 
 
 @pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("correct", ["--k", "33", "--out"]),
+        ("tune", ["--k-max", "33", "--out-dir"]),
+        ("sweep", ["--values", "9,33", "--json-out"]),
+    ],
+    ids=["correct", "tune", "sweep"],
+)
+def test_k_above_packing_limit_exits_1_before_any_output(
+    tmp_path, capsys, command, flags
+):
+    reads = str(tmp_path / "reads50.fastq")
+    genome = generate_genome(1500, seed=7)
+    write_fastq(sample_clean_reads(genome, n=300, read_len=50, seed=8), reads)
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main([command, "--reads", reads, *flags, str(out / "result")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "k=33 exceeds the built-in corrector's limit of 32" in captured.err
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "bad, message",
     [
         (["--word-len", "13"], "word length must be in 4..12"),
@@ -368,6 +393,24 @@ def test_sweep_config_records_no_seed(clean_fastq, tmp_path, capsys):
     capsys.readouterr()
     with open(json_out + ".config.json") as fh:
         assert "seed" not in json.load(fh)
+
+
+def test_sweep_config_under_model_records_no_ngram_settings(
+    clean_fastq, tmp_path, capsys
+):
+    # the model file fixes word length, history and floor; the defaults
+    # (word length 7, history 3) were never used
+    model = str(tmp_path / "w4h5.ngram")
+    assert main(["train", "--reads", clean_fastq, "--out", model,
+                 "--word-len", "4", "--history", "5"]) == 0
+    json_out = str(tmp_path / "sweep.json")
+    assert main(["sweep", "--reads", clean_fastq, "--model", model,
+                 "--values", "9,11,13", "--json-out", json_out]) == 0
+    capsys.readouterr()
+    with open(json_out + ".config.json") as fh:
+        cfg = json.load(fh)
+    assert not {"word_len", "history", "p_floor"} & set(cfg)
+    assert cfg["values"] == "9,11,13"
 
 
 def test_eval_reports_gain(tmp_path, capsys):

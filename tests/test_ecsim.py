@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import os
+import random
 import sys
+from collections.abc import Mapping
 
 import pytest
 
@@ -25,22 +27,18 @@ from ectuner.ecsim import (
 from ectuner.injector import InjectionSpec, generate_genome, inject_readset, sample_clean_reads
 from ectuner.seqio import Read, ReadSet
 
-
-def _naive_spectrum(reads, k):
-    counts = {}
-    for r in reads:
-        for i in range(len(r.sequence) - k + 1):
-            kmer = r.sequence[i : i + k]
-            if set(kmer) <= set("ACGT"):
-                counts[kmer] = counts.get(kmer, 0) + 1
-    return counts
+from ecsim_oracles import (
+    oracle_correct_read,
+    oracle_gain_counts,
+    oracle_spectrum,
+)
 
 
 def test_kmer_spectrum_matches_naive_recount():
     genome = generate_genome(500, seed=1)
     rs = sample_clean_reads(genome, 80, 30, seed=2)
     for k in (3, 7, 15):
-        assert kmer_spectrum(rs, k) == _naive_spectrum(rs, k)
+        assert kmer_spectrum(rs, k) == oracle_spectrum(rs, k)
 
 
 def test_kmer_spectrum_skips_n_windows_and_short_reads():
@@ -53,6 +51,8 @@ def test_kmer_spectrum_skips_n_windows_and_short_reads():
     assert stats.kmers == 2
     with pytest.raises(ValueError):
         kmer_spectrum(rs, 0)
+    with pytest.raises(ValueError, match="limit of 32"):
+        kmer_spectrum(rs, 33)
 
 
 def test_solid_threshold_heuristic():
@@ -69,6 +69,92 @@ def test_kspectrum_config_validation():
         KSpectrumConfig(k=5, solid_min=0)
     with pytest.raises(ValueError):
         KSpectrumConfig(k=5, max_edits=-1)
+    assert KSpectrumConfig(k=32).k == 32
+    limit = "k=33 exceeds the built-in corrector's limit of 32"
+    with pytest.raises(ValueError, match=limit):
+        KSpectrumConfig(k=33)
+
+
+def _messy_reads(rng, genome, n):
+    """Ragged reads drawn from ``genome`` with substitutions, Ns and some
+    characters no file would hold (lower case, punctuation, non-ASCII)."""
+    reads = []
+    for i in range(n):
+        length = rng.randint(0, 60)
+        start = rng.randint(0, len(genome) - length)
+        seq = list(genome[start : start + length])
+        for j in range(length):
+            draw = rng.random()
+            if draw < 0.03:
+                seq[j] = rng.choice("ACGT")
+            elif draw < 0.04:
+                seq[j] = "N"
+            elif draw < 0.045:
+                seq[j] = rng.choice(["a", "t", "n", "X", "?", "\u00e9", "\U0001f600"])
+        reads.append(Read(f"r{i}", "".join(seq)))
+    return ReadSet(tuple(reads))
+
+
+@pytest.mark.parametrize("k", [1, 3, 7, 21, 32])
+def test_packed_corrector_matches_scalar_oracle(k):
+    rng = random.Random(k)
+    genome = generate_genome(300, seed=k)
+    reads = _messy_reads(rng, genome, 80)
+    deep = sample_clean_reads(genome, 200, 40, seed=k + 1)
+    assert kmer_spectrum(reads, k) == oracle_spectrum(reads, k)
+    assert kmer_spectrum(deep, k) == oracle_spectrum(deep, k)
+    spectra = [
+        (None, oracle_spectrum(reads, k)),
+        (oracle_spectrum(deep, k), oracle_spectrum(deep, k)),
+        (kmer_spectrum(deep, k), oracle_spectrum(deep, k)),
+    ]
+    for solid_min in range(1, 6):
+        for max_edits in range(4):
+            config = KSpectrumConfig(k, solid_min, max_edits)
+            for given, counts in spectra:
+                fixed = kspectrum_correct(reads, config, spectrum=given)
+                for read, got in zip(reads, fixed):
+                    want = oracle_correct_read(read, k, solid_min, max_edits, counts)
+                    assert got.sequence == want.sequence
+                    assert (got is read) == (want is read)
+
+
+def test_all_t_32mer_wins_a_tie_break_alone():
+    # the all-T 32-mer has the largest code a 64-bit k-mer can take
+    spectrum = {"T" * 32: 5}
+    config = KSpectrumConfig(32, solid_min=1, max_edits=1)
+    for first in "CA":
+        read = Read("r", first + "T" * 31)
+        fixed = kspectrum_correct(ReadSet((read,)), config, spectrum=spectrum)
+        want = oracle_correct_read(read, 32, 1, 1, spectrum)
+        assert fixed[0].sequence == want.sequence == "T" * 32
+
+
+def test_explicit_spectrum_must_map_acgt_kmers_to_integers():
+    rs = ReadSet((Read("r", "NAACAAA"),))
+    config = KSpectrumConfig(k=3, solid_min=1)
+    # an N key would otherwise match the read's N window
+    for spectrum in ({"NAA": 5}, {"AAA": 5, "AAAA": 5}, {"AaA": 5}):
+        with pytest.raises(ValueError, match="not a 3-mer over ACGT"):
+            kspectrum_correct(rs, config, spectrum=spectrum)
+    with pytest.raises(ValueError, match="not a 3-mer over ACGT"):
+        kspectrum_correct(rs, config, spectrum=kmer_spectrum(rs, 4))
+    # counts are compared as integers, so a fraction would be truncated
+    with pytest.raises(ValueError, match="count 2.5 of 'AAA' is not an integer"):
+        kspectrum_correct(rs, config, spectrum={"AAA": 2.5})
+    fixed = kspectrum_correct(rs, config, spectrum={"AAA": 5})
+    assert fixed[0].sequence == "AAAAAAA"
+
+
+def test_kmer_spectrum_is_a_read_only_mapping():
+    rs = ReadSet((Read("a", "ACGTACGA"), Read("b", "ACGT")))
+    spec = kmer_spectrum(rs, 4)
+    assert isinstance(spec, Mapping)
+    assert list(spec) == sorted(spec)
+    assert spec["ACGT"] == 2 and "CGTA" in spec and "AAAA" not in spec
+    assert "acgt" not in spec and 7 not in spec
+    assert sum(spec.values()) == 6
+    assert dict(spec.items()) == {"ACGT": 2, "CGTA": 1, "GTAC": 1, "TACG": 1, "ACGA": 1}
 
 
 def test_single_error_is_restored_against_deep_spectrum():
@@ -157,6 +243,38 @@ def test_ec_gain_hand_cases():
     assert ec_gain(orig, ReadSet((Read("r", "ACGA"),)), truth) == -1.0
     # fix the error but break a good base: (1 - 1) / 1
     assert ec_gain(orig, ReadSet((Read("r", "AAGA"),)), truth) == 0.0
+
+
+def test_ec_gain_matches_base_by_base_count():
+    rng = random.Random(9)
+    genome = generate_genome(300, seed=9)
+    truth = _messy_reads(rng, genome, 60)
+
+    def mutate(rs):
+        return ReadSet(tuple(
+            Read(r.id, "".join(
+                rng.choice("ACGTNa\u00e9") if rng.random() < 0.1 else ch
+                for ch in r.sequence
+            ))
+            for r in rs
+        ))
+
+    original = mutate(truth)
+    corrected = mutate(original)
+    tp, fp, errors = oracle_gain_counts(original, corrected, truth)
+    assert ec_gain(original, corrected, truth) == (tp - fp) / errors
+
+
+def test_ec_gain_reports_the_first_misaligned_read():
+    a = ReadSet((Read("r1", "ACGT"), Read("r2", "ACGT"), Read("r3", "ACGT")))
+    long2 = ReadSet((Read("r1", "ACGT"), Read("r2", "ACGTT"), Read("x", "ACGT")))
+    with pytest.raises(AlignmentError, match=r"read 'r2': lengths differ \(4/5/4\)"):
+        ec_gain(a, long2, a)
+    renamed2 = ReadSet((Read("r1", "ACGT"), Read("x", "ACGT"), Read("r3", "ACGTT")))
+    with pytest.raises(AlignmentError, match="read id mismatch: 'r2' / 'r2' / 'x'"):
+        ec_gain(a, a, renamed2)
+    with pytest.raises(AlignmentError, match="counts differ: original 3, corrected 2"):
+        ec_gain(a, ReadSet(a.reads[:2]), a)
 
 
 def test_ec_gain_alignment_errors():
