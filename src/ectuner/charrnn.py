@@ -37,14 +37,11 @@ from .ngram import (
     PerplexityUndefinedError,
     TrainingError,
 )
-from .seqio import ReadSet, sample_reads
+from .seqio import CODE_TABLE, VALID_CHARS, ReadSet, sample_reads
 
 MAGIC = b"ATHR"
 VERSION = 1
-VOCAB = "ACGT"
 VOCAB_SIZE = 4
-_CHAR_ID = {c: i for i, c in enumerate(VOCAB)}
-_CHAR_ID["N"] = 4  # masked: zero input, no loss
 
 
 @dataclass
@@ -158,11 +155,11 @@ class RnnLm:
 
 
 def encode(seq: str) -> np.ndarray:
-    try:
-        return np.array([_CHAR_ID[c] for c in seq], dtype=np.int64)
-    except KeyError:
-        bad = sorted(set(seq) - set(_CHAR_ID))
-        raise ValueError(f"sequence contains characters outside ACGTN: {bad}") from None
+    """Base codes of an ACGTN sequence; N is 4 (zero input, no loss)."""
+    bad = set(seq) - VALID_CHARS
+    if bad:
+        raise ValueError(f"sequence contains characters outside ACGTN: {sorted(bad)}")
+    return CODE_TABLE[np.frombuffer(seq.encode("ascii"), np.uint8)].astype(np.int64)
 
 
 def _one_hot(ids: np.ndarray) -> np.ndarray:

@@ -70,11 +70,15 @@ def _load_model(path: str):
     raise ValueError(f"{path}: not a recognized model file")
 
 
-def _int_list(text: str) -> tuple[int, ...]:
+def _int_list(value) -> tuple[int, ...] | None:
+    """Integers from a flag's comma-separated text or a config file's list."""
+    if value is None:
+        return None
+    parts = value.split(",") if isinstance(value, str) else value
     try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
+        return tuple(int(part) for part in parts if str(part).strip())
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}")
+        raise ValueError(f"expected comma-separated integers: {value!r}") from None
 
 
 def _rnn_config(cfg: dict) -> charrnn.TrainConfig:
@@ -90,6 +94,25 @@ def _make_corrector(cfg: dict):
         )
         return ecsim.adapter_corrector(adapter)
     return ecsim.builtin_corrector(cfg["solid_min"], cfg["max_edits"])
+
+
+def _check_min(cfg: dict, key: str, least: int) -> None:
+    """Exit before any work when a flag's value is below ``least``."""
+    if cfg[key] is not None and cfg[key] < least:
+        flag = "--" + key.replace("_", "-")
+        raise ValueError(f"{flag} must be >= {least}, got {cfg[key]}")
+
+
+def _search_space(cfg: dict) -> tuner.SearchSpace:
+    """The tune search space, each bad value reported by its flag."""
+    for key, least in (("k_max", cfg["k_min"]), ("delta", 1), ("iter_max", 0)):
+        _check_min(cfg, key, least)
+    initials = _int_list(cfg["initials"])
+    lo, hi = cfg["k_min"], cfg["k_max"]
+    for k in initials or ():
+        if not lo <= k <= hi:
+            raise ValueError(f"--initials {k} is outside --k-min..--k-max [{lo}, {hi}]")
+    return tuner.SearchSpace(lo, hi, cfg["delta"], cfg["iter_max"], initials)
 
 
 def _check_k_fits(cfg: dict, reads, k: int) -> None:
@@ -119,14 +142,8 @@ def _train_lm(cfg: dict, reads, stats: SegmentStats | None = None):
             _say(f"warning: word length {cfg['word_len']} below 5 loses context")
         if not 0 <= cfg["history"] <= 5:
             raise ValueError(f"history must be in 0..5, got {cfg['history']}")
-        model = ngram.train_reads(
-            reads,
-            word_len=cfg["word_len"],
-            history=cfg["history"],
-            p_floor=cfg["p_floor"],
-            stats=stats,
-        )
-        return model, None
+        settings = {key: cfg[key] for key in _NGRAM_DEFAULTS}
+        return ngram.train_reads(reads, stats=stats, **settings), None
     if kind == "charrnn":
         return charrnn.train(reads, _rnn_config(cfg), seed=cfg["seed"])
     raise ValueError(f"unknown language model kind {kind!r}")
@@ -143,12 +160,22 @@ _RNN_DEFAULTS = {
     for key in ("layers", "hidden", "epochs", "minibatch", "learning_rate", "unroll")
 }
 
-_CORRECTOR_DEFAULTS = {
-    "solid_min": 3,
-    "max_edits": 2,
-    "adapter_template": None,
-    "adapter_param": "k",
-    "timeout": None,
+_CORRECTOR_DEFAULTS = {"solid_min": 3, "max_edits": 2, "adapter_template": None,
+                       "adapter_param": "k", "timeout": None}
+
+_K_RANGE = {"k_min": 9, "k_max": 25}
+
+# every subcommand's resolved options; --help reads its defaults from here
+_DEFAULTS = {
+    "train": {"lm": "ngram", **_NGRAM_DEFAULTS, **_RNN_DEFAULTS, "seed": 0},
+    "perplexity": {"sample_n": None, "seed": 0},
+    "inject": {"kind": "substitution", "regime": "low", "seed": 0},
+    "correct": {"k": None, "param_value": None, **_CORRECTOR_DEFAULTS},
+    "tune": {"lm": "ngram", **_NGRAM_DEFAULTS, **_RNN_DEFAULTS, **_K_RANGE,
+             "delta": 2, "iter_max": 30, "initials": None, "sample_n": 2000,
+             "seed": 0, **_CORRECTOR_DEFAULTS},
+    "sweep": {"values": None, **_K_RANGE, "k_step": 2, **_NGRAM_DEFAULTS,
+              **_CORRECTOR_DEFAULTS},
 }
 
 
@@ -156,7 +183,7 @@ _CORRECTOR_DEFAULTS = {
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, {"lm": "ngram", **_NGRAM_DEFAULTS, **_RNN_DEFAULTS, "seed": 0})
+    cfg = _resolve(args, _DEFAULTS["train"])
     reads = load_reads(args.reads)
     stats = SegmentStats()
     model, history = _train_lm(cfg, reads, stats)
@@ -188,7 +215,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_perplexity(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, {"sample_n": None, "seed": 0})
+    cfg = _resolve(args, _DEFAULTS["perplexity"])
+    _check_min(cfg, "sample_n", 1)
     model = _load_model(args.model)
     reads = load_reads(args.reads)
     if cfg["sample_n"] is not None:
@@ -199,7 +227,7 @@ def cmd_perplexity(args: argparse.Namespace) -> int:
 
 
 def cmd_inject(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, {"kind": "substitution", "regime": "low", "seed": 0})
+    cfg = _resolve(args, _DEFAULTS["inject"])
     reads = load_reads(args.reads)
     spec = InjectionSpec(kind=cfg["kind"], regime=cfg["regime"], seed=cfg["seed"])
     corrupted, ledger = inject_readset(reads, spec)
@@ -216,7 +244,7 @@ def cmd_inject(args: argparse.Namespace) -> int:
 
 
 def cmd_correct(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, {"k": None, "param_value": None, **_CORRECTOR_DEFAULTS})
+    cfg = _resolve(args, _DEFAULTS["correct"])
     reads = load_reads(args.reads)
     if cfg["adapter_template"]:
         value = cfg["param_value"]
@@ -239,39 +267,14 @@ def cmd_correct(args: argparse.Namespace) -> int:
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
-    cfg = _resolve(
-        args,
-        {
-            "lm": "ngram",
-            **_NGRAM_DEFAULTS,
-            **_RNN_DEFAULTS,
-            "k_min": 9,
-            "k_max": 25,
-            "delta": 2,
-            "iter_max": 30,
-            "initials": None,
-            "sample_n": 2000,
-            "seed": 0,
-            **_CORRECTOR_DEFAULTS,
-        },
-    )
+    cfg = _resolve(args, _DEFAULTS["tune"])
+    space = _search_space(cfg)
+    _check_min(cfg, "sample_n", 1)
     reads = load_reads(args.reads)
     _check_k_fits(cfg, reads, cfg["k_max"])
     _say(f"training {cfg['lm']} model on {len(reads)} reads")
     lm, _ = _train_lm(cfg, reads)
     os.makedirs(args.out_dir, exist_ok=True)
-    initials = cfg["initials"]
-    if isinstance(initials, str):
-        initials = _int_list(initials)
-    elif isinstance(initials, list):
-        initials = tuple(int(v) for v in initials)
-    space = tuner.SearchSpace(
-        lower=cfg["k_min"],
-        upper=cfg["k_max"],
-        step=cfg["delta"],
-        iter_max=cfg["iter_max"],
-        initials=initials,
-    )
     corrector = _make_corrector(cfg)
     _say(
         f"searching [{space.lower}, {space.upper}] step {space.step} "
@@ -309,26 +312,20 @@ def cmd_tune(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     # a model file fixes its own n-gram settings, so none are resolved
-    cfg = _resolve(
-        args,
-        {
-            "values": None,
-            "k_min": 9,
-            "k_max": 25,
-            "k_step": 2,
-            **({} if args.model else _NGRAM_DEFAULTS),
-            **_CORRECTOR_DEFAULTS,
-        },
-    )
+    defaults = _DEFAULTS["sweep"]
+    if args.model:
+        defaults = {k: v for k, v in defaults.items() if k not in _NGRAM_DEFAULTS}
+    cfg = _resolve(args, defaults)
+    values = _int_list(cfg["values"])
+    if values is None:
+        _check_min(cfg, "k_step", 1)
+        _check_min(cfg, "k_max", cfg["k_min"])
+        values = range(cfg["k_min"], cfg["k_max"] + 1, cfg["k_step"])
+    if not values:
+        raise ValueError("--values lists no parameter values")
     reads = load_reads(args.reads)
     truth = load_reads(args.truth) if args.truth else None
-    values = cfg["values"]
-    if isinstance(values, str):
-        values = _int_list(values)
-    if values is None:
-        values = range(cfg["k_min"], cfg["k_max"] + 1, cfg["k_step"])
-    if values:
-        _check_k_fits(cfg, reads, max(values))
+    _check_k_fits(cfg, reads, max(values))
     ngram_lm = None
     rnn_lm = None
     if args.model:
@@ -386,38 +383,38 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with default option values")
-    p.add_argument("--seed", type=int, help="PRNG seed (default 0)")
+    p.add_argument("--seed", type=int, help="PRNG seed")
     p.add_argument("--threads", type=int, help="ignored; kept so old command lines run")
 
 
 def _add_corrector_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--solid-min", type=int, dest="solid_min",
-                   help="solid k-mer count threshold (default 3)")
+                   help="solid k-mer count threshold")
     p.add_argument("--max-edits", type=int, dest="max_edits",
-                   help="edit budget per read (default 2)")
+                   help="edit budget per read")
     p.add_argument("--adapter-template", dest="adapter_template",
                    help="external tool command with {input} {output} and {k} or {GL}")
     p.add_argument("--adapter-param", dest="adapter_param", choices=("k", "GL"),
-                   help="which placeholder the tool takes (default k)")
+                   help="which placeholder the tool takes")
     p.add_argument("--timeout", type=float, help="external tool timeout in seconds")
 
 
 def _add_ngram_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--word-len", type=int, dest="word_len",
-                   help="segment word length (default 7)")
-    p.add_argument("--history", type=int, help="words of history (default 3)")
+                   help="segment word length")
+    p.add_argument("--history", type=int, help="words of history")
     p.add_argument("--p-floor", type=float, dest="p_floor",
-                   help="probability floor (default 1e-7)")
+                   help="probability floor")
 
 
 def _add_rnn_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--layers", type=int, help="recurrent layers (default 2)")
-    p.add_argument("--hidden", type=int, help="neurons per layer (default 32)")
-    p.add_argument("--epochs", type=int, help="training epochs (default 10)")
-    p.add_argument("--minibatch", type=int, help="reads per batch (default 200)")
+    p.add_argument("--layers", type=int, help="recurrent layers")
+    p.add_argument("--hidden", type=int, help="neurons per layer")
+    p.add_argument("--epochs", type=int, help="training epochs")
+    p.add_argument("--minibatch", type=int, help="reads per batch")
     p.add_argument("--learning-rate", type=float, dest="learning_rate",
-                   help="SGD learning rate (default 2e-3)")
-    p.add_argument("--unroll", type=int, help="BPTT unroll length (default 50)")
+                   help="SGD learning rate")
+    p.add_argument("--unroll", type=int, help="BPTT unroll length")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -430,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a language model on reads")
     p.add_argument("--reads", required=True)
     p.add_argument("--out", required=True, help="model file to write")
-    p.add_argument("--lm", choices=("ngram", "charrnn"))
+    p.add_argument("--lm", choices=("ngram", "charrnn"), help="language model")
     _add_ngram_flags(p)
     _add_rnn_flags(p)
     _add_common(p)
@@ -448,9 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reads", required=True)
     p.add_argument("--out", required=True, help="corrupted FASTQ to write")
     p.add_argument("--ledger", help="TSV ledger of applied changes")
-    p.add_argument("--kind",
+    p.add_argument("--kind", help="error kind",
                    choices=("deletion", "insertion", "substitution", "mixture"))
-    p.add_argument("--regime", choices=("low", "high"))
+    p.add_argument("--regime", choices=("low", "high"), help="error rate regime")
     _add_common(p)
     p.set_defaults(func=cmd_inject)
 
@@ -467,15 +464,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tune", help="search for the best correction parameter")
     p.add_argument("--reads", required=True)
     p.add_argument("--out-dir", required=True, dest="out_dir")
-    p.add_argument("--lm", choices=("ngram", "charrnn"))
-    p.add_argument("--k-min", type=int, dest="k_min")
-    p.add_argument("--k-max", type=int, dest="k_max")
-    p.add_argument("--delta", type=int, help="neighbor step size (default 2)")
+    p.add_argument("--lm", choices=("ngram", "charrnn"), help="language model")
+    p.add_argument("--k-min", type=int, dest="k_min", help="smallest value")
+    p.add_argument("--k-max", type=int, dest="k_max", help="largest value")
+    p.add_argument("--delta", type=int, help="neighbor step size")
     p.add_argument("--iter-max", type=int, dest="iter_max",
-                   help="move budget per restart (default 30)")
+                   help="move budget per restart")
     p.add_argument("--initials", help="comma-separated starting values")
     p.add_argument("--sample-n", type=int, dest="sample_n",
-                   help="search sample size (default 2000)")
+                   help="search sample size")
     _add_ngram_flags(p)
     _add_rnn_flags(p)
     _add_corrector_flags(p)
@@ -489,9 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rnn-model", dest="rnn_model",
                    help="additional RNN model to score with")
     p.add_argument("--values", help="comma-separated parameter values")
-    p.add_argument("--k-min", type=int, dest="k_min")
-    p.add_argument("--k-max", type=int, dest="k_max")
-    p.add_argument("--k-step", type=int, dest="k_step")
+    p.add_argument("--k-min", type=int, dest="k_min", help="smallest grid value")
+    p.add_argument("--k-max", type=int, dest="k_max", help="largest grid value")
+    p.add_argument("--k-step", type=int, dest="k_step", help="grid step")
     p.add_argument("--tsv-out", dest="tsv_out")
     p.add_argument("--json-out", dest="json_out")
     _add_ngram_flags(p)
@@ -506,6 +503,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_eval)
 
+    for name, p in sub.choices.items():
+        for action in p._actions:
+            default = _DEFAULTS.get(name, {}).get(action.dest)
+            if default is not None:
+                action.help = f"{action.help} (default {default})"
     return parser
 
 

@@ -8,12 +8,12 @@ smallest resulting k-mer).  At most ``max_edits`` replacements are applied
 per read, after which scanning stops.  Read lengths never change, so
 indel-corrupted reads flow through with their lengths intact.
 
-Reads are packed once per call into one flat ``uint8`` array of base codes
-(A=0, C=1, G=2, T=3; any other character 4, which no solid k-mer contains),
-read after read, with a code-4 separator after each so no window spans two
-reads.  A k-mer is the 2k-bit number its codes spell, first base most
-significant, so k is at most 32 and numeric order is string order.  The corrector advances every
-read through the same scan position together, one position per round.
+Reads are packed once per call into one flat ``uint8`` array of the base
+codes in ``seqio`` (any character but ACGT is 4, which no solid k-mer
+contains), read after read, with a code-4 separator after each so no window
+spans two reads.  A k-mer is the 2k-bit number its codes spell, so k is at
+most 32.  The corrector advances every read through the same scan position
+together, one position per round.
 
 External tools run through a command template with ``{input}``, ``{output}``
 and exactly one tunable placeholder (``{k}`` or ``{GL}``).  Exchange happens
@@ -34,16 +34,12 @@ from typing import Callable
 
 import numpy as np
 
-from .seqio import Read, ReadSet, load_reads, write_fastq
+from .seqio import ACGT, CODE_TABLE, LETTERS, Read, ReadSet, decode_words
+from .seqio import encode_word, load_reads, pack_reads, write_fastq
 
 TMPDIR_ENV = "ATHENA_TMPDIR"
 MAX_K = 32
-_ACGT = frozenset("ACGT")
-_DIGITS = str.maketrans("ACGT", "0123")
-_LETTERS = np.frombuffer(b"ACGT", np.uint8)
-_CODE = np.full(256, 4, np.uint8)
-_CODE[_LETTERS] = np.arange(4)
-_NO_CODE = np.uint64(np.iinfo(np.uint64).max)
+_NO_KMER = np.uint64(np.iinfo(np.uint64).max)
 
 
 class GainUndefinedError(ValueError):
@@ -73,24 +69,6 @@ def check_k(k: int) -> None:
         raise ValueError(f"k={k} exceeds the built-in corrector's limit of {MAX_K}")
 
 
-def _chars(readset: ReadSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every read's characters as code points end to end, each read followed
-    by a newline (so no window spans two reads), with each read's start and
-    length."""
-    lengths = np.fromiter((len(r) for r in readset), np.int64, len(readset))
-    starts = np.cumsum(lengths + 1) - lengths - 1
-    text = "".join(r.sequence + "\n" for r in readset)
-    if text.isascii():
-        return np.frombuffer(text.encode("ascii"), np.uint8), starts, lengths
-    chars = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), "<u4")
-    return chars, starts, lengths
-
-
-def _shifts(k: int) -> np.ndarray:
-    """Bit offset of each window position's code, first position highest."""
-    return 2 * np.arange(k - 1, -1, -1, dtype=np.uint64)
-
-
 class KmerSpectrum(Mapping[str, int]):
     """Read-only ``{k-mer: count}`` mapping over sorted k-mer codes."""
 
@@ -103,15 +81,11 @@ class KmerSpectrum(Mapping[str, int]):
         return len(self.codes)
 
     def __iter__(self):
-        k = self.k
-        for start in range(0, len(self.codes), 4096):
-            chunk = (self.codes[start : start + 4096, None] >> _shifts(k)) & 3
-            text = _LETTERS[chunk].tobytes().decode("ascii")
-            yield from (text[i : i + k] for i in range(0, len(text), k))
+        return decode_words(self.codes, self.k)
 
     def __getitem__(self, kmer: str) -> int:
-        if isinstance(kmer, str) and len(kmer) == self.k and _ACGT.issuperset(kmer):
-            code = np.uint64(int(kmer.translate(_DIGITS), 4))
+        if isinstance(kmer, str) and len(kmer) == self.k and ACGT.issuperset(kmer):
+            code = np.uint64(encode_word(kmer))
             i = int(np.searchsorted(self.codes, code))
             if i < len(self.codes) and self.codes[i] == code:
                 return int(self.counts[i])
@@ -135,8 +109,8 @@ def kmer_spectrum(
     Reads shorter than k contribute nothing (tallied on ``stats``).
     """
     check_k(k)
-    chars, _, lengths = _chars(readset)
-    bases = _CODE.take(chars, mode="clip")
+    chars, _, lengths = pack_reads(readset)
+    bases = CODE_TABLE.take(chars, mode="clip")
     windows = max(len(bases) - k + 1, 0)
     kmers = np.zeros(windows, np.uint64)
     broken = np.zeros(windows, bool)
@@ -181,11 +155,11 @@ def _spectrum_arrays(spectrum: Mapping, k: int) -> tuple[np.ndarray, np.ndarray]
     kmers = list(spectrum)
     counts = [spectrum[kmer] for kmer in kmers]
     for kmer, count in zip(kmers, counts):
-        if not (isinstance(kmer, str) and len(kmer) == k and _ACGT.issuperset(kmer)):
+        if not (isinstance(kmer, str) and len(kmer) == k and ACGT.issuperset(kmer)):
             raise ValueError(f"spectrum key {kmer!r} is not a {k}-mer over ACGT")
         if not isinstance(count, (int, np.integer)):
             raise ValueError(f"spectrum count {count!r} of {kmer!r} is not an integer")
-    codes = np.array([int(kmer.translate(_DIGITS), 4) for kmer in kmers], np.uint64)
+    codes = np.array([encode_word(kmer) for kmer in kmers], np.uint64)
     counts = np.array(counts, np.int64)
     order = np.argsort(codes)
     return codes[order], counts[order]
@@ -235,7 +209,7 @@ def _correct_packed(
     at = starts[scanning]  # where each scanning read's current window starts
     stop = at + lengths[scanning] - k
     offsets = np.arange(k)
-    shifts = _shifts(k)
+    shifts = 2 * np.arange(k - 1, -1, -1, dtype=np.uint64)  # first base highest
     kmers = np.zeros(len(at), np.uint64)
     broken = np.zeros(len(at), np.int64)  # unknown bases in the window
     for j in range(k):
@@ -269,11 +243,11 @@ def _correct_packed(
                 count = count.reshape(len(block), -1)
                 cand = cand.reshape(len(block), -1)
                 # highest count, then smallest code: the smallest k-mer.  At
-                # k = 32 the all-T code equals _NO_CODE, so the winner is
+                # k = 32 the all-T code equals _NO_KMER, so the winner is
                 # picked among the ties, not by argmin over the masked codes
                 top = count.max(axis=1)
                 tie = count == top[:, None]
-                key = np.where(tie, cand, _NO_CODE)
+                key = np.where(tie, cand, _NO_KMER)
                 j = (tie & (key == key.min(axis=1)[:, None])).argmax(axis=1)
                 best_count[s : s + step] = top
                 best_kmer[s : s + step] = cand[np.arange(len(block)), j]
@@ -312,11 +286,11 @@ def kspectrum_correct(
     if spectrum is None:
         spectrum = kmer_spectrum(readset, config.k)
     solid = _SolidCounts(*_spectrum_arrays(spectrum, config.k), config.solid_min)
-    chars, starts, lengths = _chars(readset)
-    bases = _CODE.take(chars, mode="clip")
+    chars, starts, lengths = pack_reads(readset)
+    bases = CODE_TABLE.take(chars, mode="clip")
     pos = _correct_packed(bases, starts, lengths, config.k, config.max_edits, solid)
     chars = chars.copy()
-    chars[pos] = _LETTERS[bases[pos]]
+    chars[pos] = LETTERS[bases[pos]]
     encoding = "ascii" if chars.itemsize == 1 else "utf-32-le"
     text = chars.tobytes().decode(encoding, "surrogatepass")
     reads = list(readset)
@@ -465,7 +439,7 @@ def ec_gain(original: ReadSet, corrected: ReadSet, truth: ReadSet) -> float:
                 f"read {orig.id!r}: lengths differ "
                 f"({len(orig)}/{len(corr)}/{len(true)})"
             )
-    o, c, t = (_chars(readset)[0] for readset in (original, corrected, truth))
+    o, c, t = (pack_reads(readset)[0] for readset in (original, corrected, truth))
     wrong = o != t
     errors = int(np.count_nonzero(wrong))
     if errors == 0:

@@ -27,9 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import make_rng, spawn_rng
-from .seqio import Read, ReadSet
-
-_BASES = "ACGT"
+from .seqio import BASES, LETTERS, Read, ReadSet
 
 KINDS = ("deletion", "insertion", "substitution")
 REGIMES = {"low": (1, 5), "high": (6, 10)}
@@ -104,7 +102,7 @@ def generate_genome(length: int, seed: int) -> str:
     if length <= 0:
         raise ValueError(f"genome length must be positive, got {length}")
     ids = make_rng(seed).integers(0, 4, size=length)
-    return np.frombuffer(b"ACGT", dtype=np.uint8)[ids].tobytes().decode("ascii")
+    return LETTERS[ids].tobytes().decode("ascii")
 
 
 def sample_clean_reads(genome: str, n: int, read_len: int, seed: int) -> ReadSet:
@@ -139,7 +137,7 @@ def _insert(seq: str, n: int, rng: np.random.Generator) -> tuple[str, list]:
     if not 0 < n <= l:
         raise ValueError(f"insertion length {n} invalid for read of length {l}")
     i = int(rng.integers(0, l - n + 1))
-    segment = "".join(_BASES[b] for b in rng.integers(0, 4, size=n))
+    segment = LETTERS[rng.integers(0, 4, size=n)].tobytes().decode("ascii")
     return seq[:i] + segment + seq[i:], [("insertion", i, "", segment)]
 
 
@@ -151,7 +149,7 @@ def _substitute(seq: str, n: int, rng: np.random.Generator) -> tuple[str, list]:
     edits = []
     for _ in range(n):
         pos = int(rng.integers(0, l))
-        base = _BASES[int(rng.integers(0, 4))]
+        base = BASES[int(rng.integers(0, 4))]
         if chars[pos] != base:
             edits.append(("substitution", pos, chars[pos], base))
             chars[pos] = base

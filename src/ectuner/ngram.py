@@ -1,10 +1,10 @@
 """Word-level n-gram language model with interpolated Witten-Bell smoothing.
 
-Reads are segmented into fixed-length words; each gap-free run of words is
-one sentence.  Word i of a run is conditioned on its min(h, i) predecessors in
-that run, and training counts exactly the (history, word) events that scoring
-looks up: each word at orders 0..min(h, i).  There are no start or end
-markers.
+Reads are segmented into fixed-length words, packed as 2-bit codes (see
+``seqio``); each gap-free run of words is one sentence.  Word i of a run is
+conditioned on its min(h, i) predecessors in that run, and training counts
+exactly the (history, word) events that scoring looks up: each word at orders
+0..min(h, i).  There are no start or end markers.
 
 Probability of a word w after history g (most recent word last) is
 
@@ -22,7 +22,7 @@ can interoperate:
 
     magic     4s   = b"ATHN"
     version   u32  = 1
-    word_len  u32
+    word_len  u32  (at most 16, so a word code fits a u32)
     history   u32
     smoothing u8   = 1 (interpolated Witten-Bell)
     p_floor   f64
@@ -49,12 +49,12 @@ import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .segmenter import SegmentStats, WordSequence, segment_corpus
-from .seqio import ReadSet
+from .segmenter import SegmentStats, WordSequence, segment_reads
+from .seqio import ReadSet, encode_word
 
 MAGIC = b"ATHN"
 VERSION = 1
-_BASE_CODE = {"A": 0, "C": 1, "G": 2, "T": 3}
+MAX_WORD_LEN = 16
 _LN2 = math.log(2.0)
 
 DEFAULT_WORD_LEN = 7
@@ -74,24 +74,21 @@ class ModelFormatError(ValueError):
     pass
 
 
-def pack_word(word: str) -> int:
-    """Encode an ACGT word as a 2-bit-per-base integer, first base high."""
-    code = 0
-    try:
-        for ch in word:
-            code = (code << 2) | _BASE_CODE[ch]
-    except KeyError:
-        raise ValueError(f"word {word!r} contains characters outside ACGT") from None
-    return code
-
-
-def unpack_word(code: int, word_len: int) -> str:
-    bases = "ACGT"
+def _word_runs(
+    corpus: Iterable[WordSequence], word_len: int, error: type[ValueError]
+) -> list[list[list[int]]]:
+    """The runs of word codes of each hand-built sequence; a word of the
+    wrong length raises ``error``."""
     out = []
-    for _ in range(word_len):
-        out.append(bases[code & 3])
-        code >>= 2
-    return "".join(reversed(out))
+    for ws in corpus:
+        bad = [w for w in ws.words if len(w) != word_len]
+        if bad:
+            raise error(
+                f"read {ws.read_id!r}: word {bad[0]!r} has length {len(bad[0])}, "
+                f"model expects {word_len}"
+            )
+        out.append([[encode_word(w) for w in run] for run in ws.runs])
+    return out
 
 
 @dataclass
@@ -131,8 +128,10 @@ class NgramModel:
     ) -> None:
         if history < 0:
             raise TrainingError(f"history length must be >= 0, got {history}")
-        if word_len <= 0:
-            raise TrainingError(f"word length must be positive, got {word_len}")
+        if not 0 < word_len <= MAX_WORD_LEN:
+            raise TrainingError(
+                f"word length must be in 1..{MAX_WORD_LEN}, got {word_len}"
+            )
         self.word_len = word_len
         self.history = history
         self.p_floor = p_floor
@@ -144,38 +143,30 @@ class NgramModel:
 
     # -- training ---------------------------------------------------------
 
-    def _events(
-        self, ws: WordSequence, error: type[ValueError]
-    ) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """Yield (word, history) for every word of ``ws``, both packed.
-
-        The history is the word's min(h, i) predecessors in its run, oldest
-        first.  A word of the wrong length raises ``error``.
-        """
+    def _events(self, runs: list[list[int]]) -> Iterator[tuple[int, tuple]]:
+        """Yield (word, history) for every word of one read's runs; the
+        history is the word's min(h, i) predecessors in its run, oldest
+        first."""
         h = self.history
-        for run in ws.runs:
-            for w in run:
-                if len(w) != self.word_len:
-                    raise error(
-                        f"read {ws.read_id!r}: word {w!r} has length {len(w)}, "
-                        f"model expects {self.word_len}"
-                    )
-            packed = [pack_word(w) for w in run]
-            for i, w in enumerate(packed):
-                yield w, tuple(packed[max(0, i - h) : i])
+        for run in runs:
+            for i, w in enumerate(run):
+                yield w, tuple(run[max(0, i - h) : i])
 
-    def _count_sequence(self, ws: WordSequence) -> None:
-        for w, hist in self._events(ws, TrainingError):
-            n = len(hist)
-            for o in range(n + 1):
-                g = hist[n - o :]
-                cont = self.counts[o].get(g)
-                if cont is None:
-                    self.counts[o][g] = {w: 1}
-                else:
-                    cont[w] = cont.get(w, 0) + 1
-                self.totals[o][g] = self.totals[o].get(g, 0) + 1
-            self.m_train += 1
+    def _count(self, reads: list[list[list[int]]]) -> None:
+        for runs in reads:
+            for w, hist in self._events(runs):
+                n = len(hist)
+                for o in range(n + 1):
+                    g = hist[n - o :]
+                    cont = self.counts[o].get(g)
+                    if cont is None:
+                        self.counts[o][g] = {w: 1}
+                    else:
+                        cont[w] = cont.get(w, 0) + 1
+                    self.totals[o][g] = self.totals[o].get(g, 0) + 1
+                self.m_train += 1
+        if self.m_train == 0:
+            raise TrainingError("empty corpus: no words to train on")
 
     @property
     def vocab_size(self) -> int:
@@ -218,31 +209,23 @@ class NgramModel:
                 f"word {word!r} has length {len(word)}, model expects {self.word_len}"
             )
         return self._prob_packed(
-            pack_word(word), tuple(pack_word(w) for w in history)
+            encode_word(word), tuple(encode_word(w) for w in history)
         )
 
-    def _score_sequence(self, ws: WordSequence) -> tuple[float, int]:
-        neg_log = 0.0
-        n = 0
-        for w, hist in self._events(ws, ValueError):
-            neg_log += -math.log(self._prob_packed(w, hist))
-            n += 1
-        return neg_log, n
-
-    def perplexity(self, corpus: Iterable[WordSequence]) -> PerplexityReport:
-        """Average per-word perplexity exp(mean -ln p) over the corpus.
-
-        Word i of a run (from 0) is conditioned on its min(h, i) predecessors.
-        Per-read sums are reduced with exact summation, which fixes the
-        digits of the result.
-        """
-        seqs = list(corpus)
-        skipped = sum(ws.skipped for ws in seqs)
-        parts = [self._score_sequence(ws) for ws in seqs]
-        total = math.fsum(p[0] for p in parts)
-        m = sum(p[1] for p in parts)
+    def _score(self, reads: list[list[list[int]]], skipped: int) -> PerplexityReport:
+        """Per-read sums are reduced with exact summation, which fixes the
+        digits of the result."""
+        sums = []
+        m = 0
+        for runs in reads:
+            neg_log = 0.0
+            for w, hist in self._events(runs):
+                neg_log += -math.log(self._prob_packed(w, hist))
+                m += 1
+            sums.append(neg_log)
         if m == 0:
             raise PerplexityUndefinedError("no scoreable words in corpus")
+        total = math.fsum(sums)
         return PerplexityReport(
             avg_perplexity=math.exp(total / m),
             scored_words=m,
@@ -250,10 +233,20 @@ class NgramModel:
             sum_neg_log_prob=total,
         )
 
+    def perplexity(self, corpus: Iterable[WordSequence]) -> PerplexityReport:
+        """Average per-word perplexity exp(mean -ln p) over the corpus.
+
+        Word i of a run (from 0) is conditioned on its min(h, i) predecessors.
+        """
+        seqs = list(corpus)
+        runs = _word_runs(seqs, self.word_len, ValueError)
+        return self._score(runs, sum(ws.skipped for ws in seqs))
+
     def score_reads(self, readset: ReadSet) -> PerplexityReport:
         """Segment ``readset`` with the model's own word length and score it."""
         stats = SegmentStats()
-        return self.perplexity(segment_corpus(readset, self.word_len, stats))
+        runs = segment_reads(readset, self.word_len, stats)
+        return self._score(runs, stats.skipped_words)
 
     # -- persistence ------------------------------------------------------
 
@@ -340,8 +333,7 @@ def train(
     if first_word is None:
         raise TrainingError("empty corpus: no words to train on")
     model = NgramModel(word_len=len(first_word), history=history, p_floor=p_floor)
-    for ws in seqs:
-        model._count_sequence(ws)
+    model._count(_word_runs(seqs, model.word_len, TrainingError))
     return model
 
 
@@ -353,6 +345,6 @@ def train_reads(
     stats: SegmentStats | None = None,
 ) -> NgramModel:
     """Segment ``readset`` and train; the usual entry point."""
-    return train(
-        segment_corpus(readset, word_len, stats), history=history, p_floor=p_floor
-    )
+    model = NgramModel(word_len=word_len, history=history, p_floor=p_floor)
+    model._count(segment_reads(readset, word_len, stats))
+    return model

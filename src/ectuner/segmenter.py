@@ -2,18 +2,18 @@
 
 A read is cut into consecutive non-overlapping words of ``word_len`` bases
 starting at offset 0; a trailing partial word is dropped.  Words containing
-'N' are excluded and tallied.  Consecutive kept words form runs; an excluded
-word breaks the run, so downstream consumers can avoid conditioning across
-the gap.
+any character but ACGT are excluded and tallied.  Consecutive kept words form
+runs; an excluded word breaks the run, so downstream consumers can avoid
+conditioning across the gap.  Words are the codes of ``seqio.encode_word``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .seqio import Read, ReadSet
+import numpy as np
 
-WORD_CHARS = frozenset("ACGT")
+from .seqio import CODE_TABLE, ReadSet, pack_reads
 
 
 @dataclass(frozen=True)
@@ -42,44 +42,36 @@ class SegmentStats:
     skipped_words: int = 0
 
 
-def segment_read(read: Read, word_len: int) -> WordSequence:
-    seq = read.sequence
+def segment_reads(
+    readset: ReadSet, word_len: int, stats: SegmentStats | None = None
+) -> list[list[list[int]]]:
+    """The runs of word codes of each read, in read order; a read shorter
+    than ``word_len`` has none (and is tallied on ``stats`` when given)."""
     if word_len <= 0:
         raise ValueError(f"word length must be positive, got {word_len}")
-    if word_len > len(seq):
-        raise ValueError(
-            f"word length {word_len} exceeds read {read.id!r} length {len(seq)}"
-        )
-    runs: list[tuple[str, ...]] = []
-    current: list[str] = []
-    skipped = 0
-    for i in range(len(seq) // word_len):
-        word = seq[i * word_len : (i + 1) * word_len]
-        if WORD_CHARS.issuperset(word):
-            current.append(word)
-        else:
-            skipped += 1
-            if current:
-                runs.append(tuple(current))
-                current = []
-    if current:
-        runs.append(tuple(current))
-    return WordSequence(read_id=read.id, runs=tuple(runs), skipped=skipped)
-
-
-def segment_corpus(
-    readset: ReadSet, word_len: int, stats: SegmentStats | None = None
-):
-    """Yield a WordSequence per read; reads shorter than ``word_len`` are
-    skipped (and tallied on ``stats`` when given)."""
-    for read in readset:
-        if len(read.sequence) < word_len:
-            if stats is not None:
-                stats.short_reads += 1
-            continue
-        ws = segment_read(read, word_len)
-        if stats is not None:
-            stats.reads += 1
-            stats.words += sum(len(run) for run in ws.runs)
-            stats.skipped_words += ws.skipped
-        yield ws
+    chars, starts, lengths = pack_reads(readset)
+    bases = CODE_TABLE.take(chars, mode="clip")
+    n_words = lengths // word_len
+    row = np.repeat(np.arange(len(lengths)), n_words)  # each word's read
+    first = np.cumsum(n_words) - n_words  # each read's first word
+    at = starts[row] + word_len * (np.arange(len(row)) - first[row])
+    codes = np.zeros(len(at), np.int64)
+    kept = np.ones(len(at), bool)
+    for j in range(word_len):
+        column = bases[at + j]
+        codes = (codes << 2) | (column & 3)
+        kept &= column != 4
+    if stats is not None:
+        long_reads = int(np.count_nonzero(n_words))
+        stats.reads += long_reads
+        stats.short_reads += len(lengths) - long_reads
+        stats.words += int(np.count_nonzero(kept))
+        stats.skipped_words += int(np.count_nonzero(~kept))
+    # a run opens at each kept word that does not follow a kept word of its read
+    opens = kept & ~np.r_[False, kept[:-1] & (row[1:] == row[:-1])]
+    words = codes[kept].tolist()
+    bounds = np.flatnonzero(opens[kept]).tolist()
+    out: list[list[list[int]]] = [[] for _ in range(len(lengths))]
+    for r, a, b in zip(row[opens].tolist(), bounds, bounds[1:] + [len(words)]):
+        out[r].append(words[a:b])
+    return out

@@ -1,9 +1,13 @@
-"""FASTQ/FASTA ingest, emission, and seeded subsampling.
+"""FASTQ/FASTA ingest, emission, seeded subsampling, and the base code.
 
 Sequences are normalized to upper case on ingest and validated against the
 alphabet {A, C, G, T, N}.  Files whose name ends in ``.gz`` are read and
 written gzip-compressed (with a fixed mtime of 0 so identical content yields
 identical bytes).
+
+Every module that packs bases uses the one code here: A=0, C=1, G=2, T=3,
+any other character 4.  A word of ACGT bases is the number its 2-bit codes
+spell, first base most significant, so numeric order is string order.
 """
 
 from __future__ import annotations
@@ -13,9 +17,18 @@ import io
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from ._rng import make_rng, sample_indices
 
-VALID_CHARS = frozenset("ACGTN")
+BASES = "ACGT"
+VALID_CHARS = frozenset(BASES + "N")
+LETTERS = np.frombuffer(BASES.encode("ascii"), np.uint8)  # code -> letter
+# code point -> code; take(..., mode="clip") sends code points above 255 to 4
+CODE_TABLE = np.full(256, 4, np.uint8)
+CODE_TABLE[LETTERS] = np.arange(4)
+ACGT = frozenset(BASES)
+_BASE_DIGIT = str.maketrans(BASES, "0123")
 
 
 class ParseError(ValueError):
@@ -69,6 +82,36 @@ class ReadSet:
 
     def __getitem__(self, i: int) -> Read:
         return self.reads[i]
+
+
+def encode_word(word: str) -> int:
+    """The code of an ACGT word (0 for the empty word)."""
+    if not ACGT.issuperset(word):
+        raise ValueError(f"word {word!r} contains characters outside ACGT")
+    return int(word.translate(_BASE_DIGIT) or "0", 4)
+
+
+def decode_words(codes, length: int) -> Iterator[str]:
+    """The words of ``length`` bases that ``codes`` encode, in order."""
+    shifts = np.arange(2 * length - 2, -1, -2, dtype=np.uint64)
+    codes = np.asarray(codes, np.uint64)
+    for start in range(0, len(codes), 4096):
+        chunk = (codes[start : start + 4096, None] >> shifts) & 3
+        text = LETTERS[chunk].tobytes().decode("ascii")
+        yield from (text[i : i + length] for i in range(0, len(text), length))
+
+
+def pack_reads(readset: ReadSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every read's characters as code points end to end, each read followed
+    by a newline (so no window spans two reads), with each read's start and
+    length."""
+    lengths = np.fromiter((len(r) for r in readset), np.int64, len(readset))
+    starts = np.cumsum(lengths + 1) - lengths - 1
+    text = "".join(r.sequence + "\n" for r in readset)
+    if text.isascii():
+        return np.frombuffer(text.encode("ascii"), np.uint8), starts, lengths
+    chars = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), "<u4")
+    return chars, starts, lengths
 
 
 def _open_text(path: str, mode: str):
@@ -206,6 +249,8 @@ def sample_reads(readset: ReadSet, n: int, seed: int) -> ReadSet:
 
     ``n`` greater than the population returns the whole set unchanged.
     """
+    if n < 0:
+        raise ValueError(f"sample size must be >= 0, got {n}")
     if n >= len(readset):
         return readset
     rng = make_rng(seed)

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written from the mathematical definitions,
 with plain string words and dict counting, so a bug in the packed production
-code cannot hide in a shared helper.
+code cannot hide in a shared helper.  The string segmenter is the reference
+for the packed one in ``ectuner.segmenter``.
 """
 
 from __future__ import annotations
@@ -11,6 +12,54 @@ import math
 from collections import defaultdict
 
 from ectuner.segmenter import WordSequence
+
+_ACGT = frozenset("ACGT")
+
+
+def oracle_segment_read(read, word_len):
+    """Cut a read into non-overlapping words from offset 0, dropping a
+    trailing partial word; a word with any character but ACGT is skipped and
+    breaks the run."""
+    seq = read.sequence
+    if word_len <= 0:
+        raise ValueError(f"word length must be positive, got {word_len}")
+    if word_len > len(seq):
+        raise ValueError(
+            f"word length {word_len} exceeds read {read.id!r} length {len(seq)}"
+        )
+    runs = []
+    current = []
+    skipped = 0
+    for i in range(len(seq) // word_len):
+        word = seq[i * word_len : (i + 1) * word_len]
+        if _ACGT.issuperset(word):
+            current.append(word)
+        else:
+            skipped += 1
+            if current:
+                runs.append(tuple(current))
+                current = []
+    if current:
+        runs.append(tuple(current))
+    return WordSequence(read_id=read.id, runs=tuple(runs), skipped=skipped)
+
+
+def oracle_segment_corpus(readset, word_len, stats=None):
+    """A WordSequence per read; reads shorter than ``word_len`` are skipped
+    (and tallied on ``stats`` when given)."""
+    out = []
+    for read in readset:
+        if len(read.sequence) < word_len:
+            if stats is not None:
+                stats.short_reads += 1
+            continue
+        ws = oracle_segment_read(read, word_len)
+        if stats is not None:
+            stats.reads += 1
+            stats.words += sum(len(run) for run in ws.runs)
+            stats.skipped_words += ws.skipped
+        out.append(ws)
+    return out
 
 
 def oracle_counts(train_seqs, h):

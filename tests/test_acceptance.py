@@ -42,8 +42,8 @@ from ectuner.injector import (
     sample_clean_reads,
 )
 from ectuner.metrics import pearson
-from ectuner.ngram import NgramModel, pack_word
-from ectuner.seqio import Read, ReadSet, write_fastq
+from ectuner.ngram import NgramModel
+from ectuner.seqio import Read, ReadSet, encode_word, write_fastq
 from ectuner.tuner import (
     TERM_BOUNDARY,
     TERM_ITERATION_BUDGET,
@@ -146,7 +146,7 @@ def test_gate_4_perplexity_matches_product_form():
     # a hand-built uniform model over the four single-base words scores 4
     model = NgramModel(word_len=1, history=0)
     big = 10**12
-    words = [pack_word(b) for b in "ACGT"]
+    words = [encode_word(b) for b in "ACGT"]
     model.counts[0][()] = {w: big for w in words}
     model.totals[0][()] = 4 * big
     model.m_train = 4 * big

@@ -47,6 +47,17 @@ def test_encode_maps_alphabet():
         encode("ACXT")
 
 
+def test_encode_keeps_dtype_and_rejects_everything_outside_acgtn():
+    ids = encode("TTNAG")
+    assert ids.dtype == np.int64 and ids.tolist() == [3, 3, 4, 0, 2]
+    assert encode("").tolist() == []
+    for bad, chars in [("acgt", "['a', 'c', 'g', 't']"), ("ACé", "['é']"),
+                       ("A C", "[' ']"), ("N\n", "['\\n']")]:
+        with pytest.raises(ValueError) as exc:
+            encode(bad)
+        assert str(exc.value) == f"sequence contains characters outside ACGTN: {chars}"
+
+
 def test_forward_matches_scalar_arithmetic():
     model = RnnLm.init(layers=1, hidden=2, seed=0)
     U = [[0.1, -0.2, 0.3, 0.0], [0.05, 0.0, -0.1, 0.2]]

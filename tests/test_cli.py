@@ -15,7 +15,7 @@ import sys
 import pytest
 
 import ectuner
-from ectuner.cli import main
+from ectuner.cli import build_parser, main
 from ectuner.injector import ErrorLedger, generate_genome, sample_clean_reads
 from ectuner.seqio import load_reads, write_fastq
 
@@ -411,6 +411,91 @@ def test_sweep_config_under_model_records_no_ngram_settings(
         cfg = json.load(fh)
     assert not {"word_len", "history", "p_floor"} & set(cfg)
     assert cfg["values"] == "9,11,13"
+
+
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("perplexity", ["--sample-n", "-3"], "--sample-n must be >= 1, got -3"),
+        ("perplexity", ["--sample-n", "0"], "--sample-n must be >= 1, got 0"),
+        ("tune", ["--sample-n", "0"], "--sample-n must be >= 1, got 0"),
+        ("tune", ["--sample-n", "-3"], "--sample-n must be >= 1, got -3"),
+        ("tune", ["--k-min", "25", "--k-max", "9"], "--k-max must be >= 25, got 9"),
+        ("tune", ["--delta", "0"], "--delta must be >= 1, got 0"),
+        ("tune", ["--iter-max", "-1"], "--iter-max must be >= 0, got -1"),
+        ("tune", ["--initials", "5"], "--initials 5 is outside --k-min..--k-max"),
+        ("tune", ["--initials", "9,x"], "expected comma-separated integers"),
+        ("sweep", ["--k-step", "0"], "--k-step must be >= 1, got 0"),
+        ("sweep", ["--k-min", "25", "--k-max", "9"], "--k-max must be >= 25, got 9"),
+        ("sweep", ["--values", ","], "--values lists no parameter values"),
+    ],
+    ids=[
+        "perplexity-sample-n-negative", "perplexity-sample-n-0",
+        "tune-sample-n-0", "tune-sample-n-negative", "tune-k-range", "tune-delta-0",
+        "tune-iter-max-negative", "tune-initials-outside", "tune-initials-not-int",
+        "sweep-k-step-0", "sweep-k-range", "sweep-no-values",
+    ],
+)
+def test_bad_search_settings_exit_1_before_any_work(
+    clean_fastq, tmp_path, capsys, command, flags, message
+):
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "perplexity":
+        target = ["--model", str(out / "missing.model")]  # never opened
+    else:
+        out_flag = "--out-dir" if command == "tune" else "--json-out"
+        target = [out_flag, str(out / "result")]
+    rc = main([command, "--reads", clean_fastq, *flags, *target])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "training" not in captured.err
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
+
+
+def _subparser(command):
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    return sub.choices[command]
+
+
+def _help_defaults(command):
+    """(dest, text) for every "(default X)" in a subcommand's --help."""
+    parser = _subparser(command)
+    text = parser.format_help()
+    found = []
+    for action in parser._actions:
+        if action.help and "(default " in action.help:
+            value = action.help.split("(default ", 1)[1].rstrip(")")
+            found.append((action.dest, value))
+            assert f"(default {value})" in " ".join(text.split())
+    return found
+
+
+@pytest.mark.parametrize("command", ["train", "tune", "sweep"])
+def test_help_defaults_match_resolved_defaults(clean_fastq, tmp_path, capsys, command):
+    out = str(tmp_path / "result")
+    argv = {
+        "train": ["--out", out],
+        "tune": ["--out-dir", out],
+        "sweep": ["--json-out", out],
+    }[command]
+    assert main([command, "--reads", clean_fastq, *argv]) == 0
+    capsys.readouterr()
+    config = out + "/config.json" if command == "tune" else out + ".config.json"
+    with open(config) as fh:
+        resolved = json.load(fh)
+    shown = _help_defaults(command)
+    assert len(shown) >= {"train": 10, "tune": 19, "sweep": 9}[command]
+    for dest, value in shown:
+        assert dest in resolved, dest
+        assert value == str(resolved[dest]), (dest, value, resolved[dest])
+    # and every resolved default with a flag is shown
+    flags = {action.dest for action in _subparser(command)._actions}
+    for key, value in resolved.items():
+        if key in flags and value is not None:
+            assert (key, str(value)) in shown, key
 
 
 def test_eval_reports_gain(tmp_path, capsys):

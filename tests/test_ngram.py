@@ -14,11 +14,9 @@ from ectuner.ngram import (
     NgramModel,
     PerplexityUndefinedError,
     TrainingError,
-    pack_word,
-    unpack_word,
 )
 from ectuner.segmenter import WordSequence
-from ectuner.seqio import Read, ReadSet
+from ectuner.seqio import Read, ReadSet, decode_words, encode_word
 
 from ngram_oracles import (
     SMALL_CORPORA,
@@ -26,8 +24,14 @@ from ngram_oracles import (
     assert_product_form_matches,
     oracle_counts,
     oracle_prob,
+    oracle_segment_corpus,
     seq,
 )
+
+
+def unencode_word(code, word_len):
+    (word,) = decode_words([code], word_len)
+    return word
 
 
 def _model_counts_as_strings(model):
@@ -36,19 +40,12 @@ def _model_counts_as_strings(model):
     for o in range(model.history + 1):
         table = {}
         for g, cont in model.counts[o].items():
-            key = tuple(unpack_word(t, model.word_len) for t in g)
+            key = tuple(unencode_word(t, model.word_len) for t in g)
             table[key] = {
-                unpack_word(w, model.word_len): c for w, c in cont.items()
+                unencode_word(w, model.word_len): c for w, c in cont.items()
             }
         out.append(table)
     return out
-
-
-def test_pack_unpack_round_trip():
-    for word in ("A", "ACGT", "TTTTTTT", "GCGCGCA"):
-        assert unpack_word(pack_word(word), len(word)) == word
-    with pytest.raises(ValueError):
-        pack_word("ACN")
 
 
 def test_direct_counting_single_repeated_word():
@@ -157,7 +154,7 @@ def test_normalization_over_vocab_plus_one_unseen():
             sentences.append(seq(*words))
         model = ngram.train(sentences, history=h)
         vocab = {
-            unpack_word(w, word_len) for w in model.counts[0][()]
+            unencode_word(w, word_len) for w in model.counts[0][()]
         }
         unseen = next(
             (
@@ -173,7 +170,7 @@ def test_normalization_over_vocab_plus_one_unseen():
         assert unseen is not None
         seen_hists = [()]
         seen_hists += [
-            tuple(unpack_word(t, word_len) for t in g)
+            tuple(unencode_word(t, word_len) for t in g)
             for o in range(1, h + 1)
             for g in model.counts[o]
         ]
@@ -220,7 +217,7 @@ def test_perplexity_of_single_word_corpus_is_one():
 def test_uniform_vocab_of_four_scores_four():
     model = NgramModel(word_len=1, history=0)
     big = 10**12
-    words = [pack_word(b) for b in "ACGT"]
+    words = [encode_word(b) for b in "ACGT"]
     model.counts[0][()] = {w: big for w in words}
     model.totals[0][()] = 4 * big
     model.m_train = 4 * big
@@ -265,6 +262,50 @@ def test_train_rejects_empty_corpus():
         NgramModel(word_len=3, history=-1)
     with pytest.raises(TrainingError):
         NgramModel(word_len=0, history=2)
+
+
+def test_word_len_above_file_limit_is_rejected(tmp_path):
+    reads = ReadSet((Read("r", "ACGT" * 10),))
+    with pytest.raises(TrainingError, match="word length must be in 1..16, got 17"):
+        ngram.train_reads(reads, word_len=17, history=1)
+    with pytest.raises(TrainingError):
+        NgramModel(word_len=17, history=0)
+    with pytest.raises(TrainingError):
+        ngram.train([seq("A" * 17)])
+    # the largest word code at the limit still fits the file's u32
+    model = ngram.train_reads(ReadSet((Read("t", "T" * 32),)), word_len=16, history=1)
+    path = str(tmp_path / "w16.athn")
+    model.save(path)
+    assert NgramModel.load(path).counts == model.counts
+
+
+@pytest.mark.parametrize(
+    "word_len, history", [(1, 0), (3, 2), (4, 5), (7, 3), (12, 1), (16, 2)]
+)
+def test_read_training_and_scoring_match_string_segmentation(
+    word_len, history, tmp_path
+):
+    rng = random.Random(word_len * 10 + history)
+    alphabet = "ACGT" * 10 + "N" + "a" + "é"
+
+    def reads(n):
+        return ReadSet(tuple(
+            Read(f"r{i}", "".join(rng.choices(alphabet, k=rng.randint(0, 60))))
+            for i in range(n)
+        ))
+
+    train_set, score_set = reads(80), reads(40)
+    packed = ngram.train_reads(train_set, word_len=word_len, history=history)
+    oracle = ngram.train(oracle_segment_corpus(train_set, word_len), history=history)
+    packed.save(str(tmp_path / "packed.athn"))
+    oracle.save(str(tmp_path / "oracle.athn"))
+    packed_bytes = (tmp_path / "packed.athn").read_bytes()
+    assert packed_bytes == (tmp_path / "oracle.athn").read_bytes()
+    # the same per-read sums in the same order give the same digits; a read
+    # shorter than the word adds an empty sum, which exact summation ignores
+    assert packed.score_reads(score_set) == packed.perplexity(
+        oracle_segment_corpus(score_set, word_len)
+    )
 
 
 def test_monotone_response_to_substitution_rate():
@@ -318,7 +359,7 @@ def test_marker_histories_from_older_files_load_score_and_resave_unchanged(tmp_p
     # Older files pad every run with start markers, written as 0xFFFFFFFF;
     # these are the histories that padding gave the toy corpus.
     marker = 0xFFFFFFFF
-    a, c = pack_word("A"), pack_word("C")
+    a, c = encode_word("A"), encode_word("C")
     padded = ngram.train(TOY3, history=2)
     for o, g, cont in [
         (1, (marker,), {a: 2, c: 1}),

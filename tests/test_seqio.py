@@ -12,9 +12,12 @@ from ectuner.seqio import (
     FastqParseError,
     Read,
     ReadSet,
+    decode_words,
+    encode_word,
     iter_fasta,
     iter_fastq,
     load_reads,
+    pack_reads,
     read_fastq,
     sample_reads,
     write_fasta,
@@ -175,6 +178,13 @@ def test_sample_reads_oversized_request_returns_whole_set():
     assert sample_reads(rs, 50, seed=0) is rs
 
 
+def test_sample_reads_rejects_negative_sizes():
+    rs = ReadSet(tuple(Read(f"r{i}", "ACGT") for i in range(5)))
+    with pytest.raises(ValueError, match="sample size must be >= 0, got -3"):
+        sample_reads(rs, -3, seed=0)
+    assert len(sample_reads(rs, 0, seed=0)) == 0
+
+
 def test_sample_reads_is_roughly_uniform():
     rs = ReadSet(tuple(Read(f"r{i}", "ACGT") for i in range(20)))
     hits = [0] * 20
@@ -192,3 +202,34 @@ def test_fastq_iterator_streams_many_records(tmp_path):
     path.write_text(_fastq_text([(f"r{i}", "ACGT", "IIII") for i in range(n)]))
     count = sum(1 for _ in iter_fastq(str(path)))
     assert count == n
+
+
+def test_pack_unpack_round_trip():
+    for word in ("A", "ACGT", "TTTTTTT", "GCGCGCA", "TGCA" * 8):
+        assert list(decode_words([encode_word(word)], len(word))) == [word]
+    assert encode_word("ACGT") == 0b00011011
+    assert encode_word("") == 0
+    # int() would read these as base-4 digits, spaces or separators
+    for bad in ("ACN", "acgt", "A_C", " AC", "A3", "A\u0663"):
+        with pytest.raises(ValueError, match="outside ACGT"):
+            encode_word(bad)
+
+
+def test_code_order_is_string_order():
+    words = ["".join(p) for p in __import__("itertools").product("ACGT", repeat=3)]
+    codes = [encode_word(w) for w in words]
+    assert codes == sorted(codes) == list(range(64))
+    assert list(decode_words(codes, 3)) == words
+    # more than one decoding block
+    many = [encode_word(w) for w in words] * 200
+    assert list(decode_words(many, 3)) == words * 200
+
+
+def test_pack_reads_separates_reads_and_keeps_code_points():
+    reads = ReadSet((Read("a", "ACN"), Read("b", ""), Read("c", "Té")))
+    chars, starts, lengths = pack_reads(reads)
+    assert starts.tolist() == [0, 4, 5]
+    assert lengths.tolist() == [3, 0, 2]
+    assert "".join(map(chr, chars.tolist())) == "ACN\n\nTé\n"
+    chars, starts, lengths = pack_reads(ReadSet(()))
+    assert len(chars) == len(starts) == len(lengths) == 0
