@@ -41,12 +41,34 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
+# what a config file may give a key whose default is None (else an int)
+_NULLABLE = {"adapter_template": (str,), "timeout": (int, float),
+             "initials": (str, list), "values": (str, list)}
+
+
+def _check_type(path: str, key: str, value, default) -> None:
+    """A config file value must have its default's type; an int stands for a
+    float, and null is taken only where the default is None."""
+    if value is None and default is None:
+        return
+    if default is None:
+        accepted = _NULLABLE.get(key, (int,))
+    else:
+        accepted = (int, float) if isinstance(default, float) else (type(default),)
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        names = " or ".join(t.__name__ for t in accepted)
+        raise ValueError(f"{path}: {key} must be {names}, got {value!r}")
+
+
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     """flags > config file > defaults, for the keys in ``defaults``."""
-    file_cfg = _load_config_file(getattr(args, "config", None))
+    path = getattr(args, "config", None)
+    file_cfg = _load_config_file(path)
     resolved = {}
     for key, default in defaults.items():
         cli_val = getattr(args, key, None)
+        if key in file_cfg:
+            _check_type(path, key, file_cfg[key], default)
         if cli_val is not None:
             resolved[key] = cli_val
         elif key in file_cfg:
@@ -115,19 +137,21 @@ def _search_space(cfg: dict) -> tuner.SearchSpace:
     return tuner.SearchSpace(lo, hi, cfg["delta"], cfg["iter_max"], initials)
 
 
-def _check_k_fits(cfg: dict, reads, k: int) -> None:
+def _check_k_fits(cfg: dict, reads, values) -> None:
     """The built-in corrector passes reads shorter than k through unchanged,
     so a k above every read would exit cleanly having corrected nothing; and
-    its packed k-mers bound k too."""
+    its packed k-mers bound k too.  Checking the smallest and the largest
+    value checks every k in ``values``, before any work."""
     if cfg["adapter_template"]:
         return
-    longest = max((len(r.sequence) for r in reads), default=k)
-    if k > longest:
-        raise ValueError(
-            f"k={k} exceeds the longest read ({longest} bp); "
-            "the built-in corrector would change nothing"
-        )
-    ecsim.check_k(k)
+    longest = max((len(r.sequence) for r in reads), default=max(values))
+    for k in (min(values), max(values)):
+        if k > longest:
+            raise ValueError(
+                f"k={k} exceeds the longest read ({longest} bp); "
+                "the built-in corrector would change nothing"
+            )
+        ecsim.check_k(k)
 
 
 def _train_lm(cfg: dict, reads, stats: SegmentStats | None = None):
@@ -254,7 +278,7 @@ def cmd_correct(args: argparse.Namespace) -> int:
         value = cfg["k"]
         if value is None:
             raise ValueError("--k is required for the built-in corrector")
-        _check_k_fits(cfg, reads, value)
+        _check_k_fits(cfg, reads, (value,))
     corrected = _make_corrector(cfg)(reads, value)
     write_fastq(corrected, args.out)
     changed = sum(
@@ -271,7 +295,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
     space = _search_space(cfg)
     _check_min(cfg, "sample_n", 1)
     reads = load_reads(args.reads)
-    _check_k_fits(cfg, reads, cfg["k_max"])
+    _check_k_fits(cfg, reads, (cfg["k_min"], cfg["k_max"]))
     _say(f"training {cfg['lm']} model on {len(reads)} reads")
     lm, _ = _train_lm(cfg, reads)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -325,7 +349,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("--values lists no parameter values")
     reads = load_reads(args.reads)
     truth = load_reads(args.truth) if args.truth else None
-    _check_k_fits(cfg, reads, max(values))
+    _check_k_fits(cfg, reads, values)
     ngram_lm = None
     rnn_lm = None
     if args.model:

@@ -17,6 +17,18 @@ relative frequency with a uniform distribution over the vocabulary plus one
 unseen-word symbol, so unseen words receive an even share of the reserved
 mass.  All results are floored at ``p_floor``.
 
+In memory each order keeps sorted integer arrays (``_Order``), the sorted
+tables of KenLM: a history's key is the index of its suffix (the history less
+its oldest word) in the order below, times 2**32, plus its oldest word, and an
+event's key is its history's index times 2**32 plus the word.  Training counts
+each order with one ``np.unique``; scoring finds every word's history at order
+o from its history at order o-1, with one ``searchsorted`` per table.  The
+probabilities come from the same float64 operations, in the same order, as
+evaluating one word at a time.  The logarithm is ``math.log`` per word,
+because ``np.log`` can differ in the last bit; each read's sum runs left to
+right, and the reads are reduced with ``math.fsum``, so a perplexity is
+reproducible to the last digit.
+
 Model file format (little-endian), documented so alternate implementations
 can interoperate:
 
@@ -47,15 +59,18 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .segmenter import SegmentStats, WordSequence, segment_reads
+import numpy as np
+
+from .segmenter import SegmentStats, WordSequence, Words, segment_reads
 from .seqio import ReadSet, encode_word
 
 MAGIC = b"ATHN"
 VERSION = 1
 MAX_WORD_LEN = 16
 _LN2 = math.log(2.0)
+_LOW = 0xFFFFFFFF
 
 DEFAULT_WORD_LEN = 7
 DEFAULT_HISTORY = 3
@@ -74,21 +89,114 @@ class ModelFormatError(ValueError):
     pass
 
 
-def _word_runs(
+def _flatten(
     corpus: Iterable[WordSequence], word_len: int, error: type[ValueError]
-) -> list[list[list[int]]]:
-    """The runs of word codes of each hand-built sequence; a word of the
-    wrong length raises ``error``."""
-    out = []
-    for ws in corpus:
-        bad = [w for w in ws.words if len(w) != word_len]
-        if bad:
-            raise error(
-                f"read {ws.read_id!r}: word {bad[0]!r} has length {len(bad[0])}, "
-                f"model expects {word_len}"
-            )
-        out.append([[encode_word(w) for w in run] for run in ws.runs])
-    return out
+) -> Words:
+    """The words of hand-built sequences as ``segment_reads`` lays them out;
+    a word of the wrong length raises ``error``."""
+    codes, read, pos = [], [], []
+    for r, ws in enumerate(corpus):
+        for run in ws.runs:
+            for i, w in enumerate(run):
+                if len(w) != word_len:
+                    raise error(
+                        f"read {ws.read_id!r}: word {w!r} has length {len(w)}, "
+                        f"model expects {word_len}"
+                    )
+                codes.append(encode_word(w))
+                read.append(r)
+                pos.append(i)
+    return Words(*(np.array(a, np.int64) for a in (codes, read, pos)))
+
+
+def _find(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """The index of each query in the sorted ``keys``, or -1 where absent.
+    The queries are searched in sorted order, which keeps the search in
+    cache and is several times faster than searching them as they come."""
+    if len(keys) == 0:
+        return np.full(len(queries), -1, np.int64)
+    order = np.argsort(queries)
+    ordered = queries[order]
+    j = np.minimum(np.searchsorted(keys, ordered), len(keys) - 1)
+    found = np.empty(len(queries), np.int64)
+    found[order] = np.where(keys[j] == ordered, j, -1)
+    return found
+
+
+@dataclass
+class _Order:
+    """The count tables of one order, indexed by chained keys.
+
+    ``hist`` holds the sorted keys of the order's histories: the index of the
+    history's suffix (the history less its oldest word) in the order below,
+    times 2**32, plus its oldest word.  Order 0 has the one empty history,
+    key 0.  Each history has its event ``total`` and its ``distinct`` words;
+    a history with no words holds no counts and is kept only so that longer
+    histories can chain through it.  ``events`` holds the sorted keys history
+    index * 2**32 + word, with their ``count``.
+    """
+
+    hist: np.ndarray
+    total: np.ndarray
+    distinct: np.ndarray
+    events: np.ndarray
+    count: np.ndarray
+
+
+def _index(levels: list[tuple[np.ndarray, ...]]) -> list[_Order]:
+    """Chained tables from per-order (token rows, totals, words per row,
+    words, counts): rows in any order, each row's words together.  Totals
+    of None are the sums of each row's counts."""
+    tables: list[_Order] = []
+    hists = []
+    for o, (rows, total, n_words, words, counts) in enumerate(levels):
+        if o == 0:
+            hist = np.zeros(1, np.int64)  # the one empty history
+            own = np.zeros(len(rows), np.int64)
+        else:
+            # every history of order >= o chains through its last o words
+            # here; each key is built from the most recent word back
+            tails = np.vstack([r[:, -o:] for r, *_ in levels[o:]])
+            keys = tails[:, -1]
+            for q in range(2, o + 1):
+                keys = (_find(hists[q - 1], keys) << 32) | tails[:, -q]
+            hist, index = np.unique(keys, return_inverse=True)
+            own = index[: len(rows)]
+        hists.append(hist)
+        if np.any(n_words == 0):
+            raise ModelFormatError("history without words in count tables")
+        distinct = np.zeros(len(hist), np.int64)
+        distinct[own] = n_words
+        if np.count_nonzero(distinct) != len(own):
+            raise ModelFormatError("duplicate history in count tables")
+        if total is None:
+            total = np.add.reduceat(counts, np.cumsum(n_words) - n_words)
+        tally = np.zeros(len(hist), np.int64)
+        tally[own] = total
+        events = (np.repeat(own, n_words) << 32) | words
+        order = np.argsort(events)
+        events = events[order]
+        if np.any(events[1:] == events[:-1]):
+            raise ModelFormatError("duplicate word in count tables")
+        tables.append(_Order(hist, tally, distinct, events, counts[order]))
+    return tables
+
+
+def _spans(starts: np.ndarray, lengths: np.ndarray, step: int = 1) -> np.ndarray:
+    """The ranges starts[i], starts[i] + step, ... of lengths[i] values each,
+    one after another."""
+    first = np.cumsum(lengths) - lengths
+    at = np.repeat(starts - step * first, lengths)
+    return at + step * np.arange(len(at))
+
+
+def _token_rows(tables: list[_Order]) -> list[np.ndarray]:
+    """Every history of each order as a row of word codes, oldest first."""
+    rows = [np.zeros((1, 0), np.int64)]
+    for t in tables[1:]:
+        suffix = rows[-1][t.hist >> 32]
+        rows.append(np.column_stack([t.hist & _LOW, suffix]))
+    return rows
 
 
 @dataclass
@@ -115,9 +223,12 @@ class PerplexityReport:
 class NgramModel:
     """Count tables plus the smoothing configuration.
 
-    ``counts[o]`` maps a packed history tuple (length o, oldest first) to a
-    dict of packed word -> count; ``totals[o]`` caches the per-history event
-    sum used for the Witten-Bell lambda.
+    The tables are one ``_Order`` per order 0..history.  ``counts`` and
+    ``totals`` give a dict view for hand-built models: ``counts[o]`` maps a
+    history tuple of word codes (length o, oldest first) to a dict of word ->
+    count, and ``totals[o]`` maps it to the event sum used for the
+    Witten-Bell lambda.  Once the view is read the dicts are the model, and
+    every later score or save indexes them afresh.
     """
 
     def __init__(
@@ -136,65 +247,119 @@ class NgramModel:
         self.history = history
         self.p_floor = p_floor
         self.m_train = 0
-        self.counts: list[dict[tuple[int, ...], dict[int, int]]] = [
-            {} for _ in range(history + 1)
-        ]
-        self.totals: list[dict[tuple[int, ...], int]] = [{} for _ in range(history + 1)]
+        # a new model starts as empty dicts; training or loading sets tables
+        self._tables: list[_Order] | None = None
+        self._dicts: tuple[list[dict], list[dict]] | None = (
+            [{} for _ in range(history + 1)],
+            [{} for _ in range(history + 1)],
+        )
 
-    # -- training ---------------------------------------------------------
+    # -- count tables -----------------------------------------------------
 
-    def _events(self, runs: list[list[int]]) -> Iterator[tuple[int, tuple]]:
-        """Yield (word, history) for every word of one read's runs; the
-        history is the word's min(h, i) predecessors in its run, oldest
-        first."""
-        h = self.history
-        for run in runs:
-            for i, w in enumerate(run):
-                yield w, tuple(run[max(0, i - h) : i])
-
-    def _count(self, reads: list[list[list[int]]]) -> None:
-        for runs in reads:
-            for w, hist in self._events(runs):
-                n = len(hist)
-                for o in range(n + 1):
-                    g = hist[n - o :]
-                    cont = self.counts[o].get(g)
-                    if cont is None:
-                        self.counts[o][g] = {w: 1}
-                    else:
-                        cont[w] = cont.get(w, 0) + 1
-                    self.totals[o][g] = self.totals[o].get(g, 0) + 1
-                self.m_train += 1
-        if self.m_train == 0:
+    def _count(self, words: Words) -> None:
+        """Count every word at orders 0..min(h, its position in its run)."""
+        codes, pos = words.codes, words.pos
+        if len(codes) == 0:
             raise TrainingError("empty corpus: no words to train on")
+        hid = np.zeros(len(codes), np.int64)  # each word's history index
+        tables = []
+        for o in range(self.history + 1):
+            at = np.flatnonzero(pos >= o)
+            if o == 0:
+                hist = np.zeros(1, np.int64)
+            else:
+                hist, hid[at] = np.unique(
+                    (hid[at] << 32) | codes[at - o], return_inverse=True
+                )
+            # counted through the inverse, as the histories are: every table
+            # sorts with the one argsort kernel, since each further numpy sort
+            # kernel (np.sort, np.lexsort) adds 128-256 KB of resident code
+            events, which = np.unique((hid[at] << 32) | codes[at], return_inverse=True)
+            count = np.bincount(which)
+            total = np.bincount(hid[at], minlength=len(hist))
+            distinct = np.bincount(events >> 32, minlength=len(hist))
+            tables.append(_Order(hist, total, distinct, events, count))
+        self._tables = tables
+        self._dicts = None
+        self.m_train = len(codes)
+
+    def _current(self) -> list[_Order]:
+        """The tables, indexed afresh from the dict view when it was read."""
+        if self._dicts is None:
+            return self._tables
+        levels = []
+        for o, (table, totals) in enumerate(zip(*self._dicts)):
+            conts = list(table.values())
+            levels.append((
+                np.array(list(table), np.int64).reshape(len(table), o),
+                np.array([totals[g] for g in table], np.int64),
+                np.array([len(c) for c in conts], np.int64),
+                np.array([w for c in conts for w in c], np.int64),
+                np.array([n for c in conts for n in c.values()], np.int64),
+            ))
+        return _index(levels)
+
+    def _view(self) -> tuple[list[dict], list[dict]]:
+        """The dict view; from here on the dicts are the model."""
+        if self._dicts is None:
+            counts, totals = [], []
+            for t, rows in zip(self._tables, _token_rows(self._tables)):
+                ids = np.flatnonzero(t.distinct).tolist()
+                keys = [tuple(row) for row in rows[ids].tolist()]
+                owner = (t.events >> 32).tolist()
+                words = (t.events & _LOW).tolist()
+                conts = {i: {} for i in ids}
+                for i, w, c in zip(owner, words, t.count.tolist()):
+                    conts[i][w] = c
+                counts.append({g: conts[i] for g, i in zip(keys, ids)})
+                totals.append(dict(zip(keys, t.total[ids].tolist())))
+            self._dicts = (counts, totals)
+            self._tables = None
+        return self._dicts
+
+    @property
+    def counts(self) -> list[dict[tuple[int, ...], dict[int, int]]]:
+        return self._view()[0]
+
+    @property
+    def totals(self) -> list[dict[tuple[int, ...], int]]:
+        return self._view()[1]
 
     @property
     def vocab_size(self) -> int:
-        root = self.counts[0].get(())
-        return 0 if root is None else len(root)
+        root = self._current()[0]
+        return int(root.distinct[0])
 
     # -- scoring ----------------------------------------------------------
 
-    def _prob_packed(self, word: int, hist: tuple[int, ...]) -> float:
-        root = self.counts[0].get(())
-        if root is None:
+    def _probs(self, tables: list[_Order], codes: np.ndarray, pos: np.ndarray):
+        """The probability of each word after its min(h, pos) predecessors,
+        with the same float64 operations in the same order as evaluating
+        one word at a time: the order-0 estimate, then each order up to the
+        history's length whose history holds counts."""
+        root = tables[0]
+        m, v = int(root.total[0]), int(root.distinct[0])
+        if v == 0:
             raise PerplexityUndefinedError("model has no training counts")
-        m = self.totals[0][()]
-        v = len(root)
         lam0 = m / (m + v)
-        p = lam0 * (root.get(word, 0) / m) + (1.0 - lam0) / (v + 1)
-        n = len(hist)
-        for o in range(1, n + 1):
-            g = hist[n - o :]
-            cont = self.counts[o].get(g)
-            if cont is None:
-                continue
-            total = self.totals[o][g]
-            lam = total / (total + len(cont))
-            p = lam * (cont.get(word, 0) / total) + (1.0 - lam) * p
-        if p < self.p_floor:
-            return self.p_floor
-        return p
+        j = _find(root.events, codes)
+        p = lam0 * (np.where(j >= 0, root.count[j], 0) / m) + (1.0 - lam0) / (v + 1)
+        hid = np.zeros(len(codes), np.int64)
+        at = np.arange(len(codes))  # words whose history chains this far
+        for o in range(1, self.history + 1):
+            t = tables[o]
+            at = at[pos[at] >= o]
+            j = _find(t.hist, (hid[at] << 32) | codes[at - o])
+            at, j = at[j >= 0], j[j >= 0]
+            hid[at] = j
+            at_o = at[t.distinct[hid[at]] > 0]
+            g = hid[at_o]
+            total = t.total[g]
+            lam = total / (total + t.distinct[g])
+            j = _find(t.events, (g << 32) | codes[at_o])
+            c = np.where(j >= 0, t.count[j], 0)
+            p[at_o] = lam * (c / total) + (1.0 - lam) * p[at_o]
+        return np.where(p < self.p_floor, self.p_floor, p)
 
     def prob(self, word: str, history: tuple[str, ...] = ()) -> float:
         """Smoothed probability of ``word`` after ``history`` (most recent
@@ -208,24 +373,36 @@ class NgramModel:
             raise ValueError(
                 f"word {word!r} has length {len(word)}, model expects {self.word_len}"
             )
-        return self._prob_packed(
-            encode_word(word), tuple(encode_word(w) for w in history)
-        )
+        codes = np.array([encode_word(w) for w in (*history, word)], np.int64)
+        p = self._probs(self._current(), codes, np.arange(len(codes)))
+        return float(p[-1])
 
-    def _score(self, reads: list[list[list[int]]], skipped: int) -> PerplexityReport:
+    def _read_sums(self, words: Words) -> np.ndarray:
+        """Each read's sum of -ln p over its words, for the reads that have
+        words.  ``math.log`` is taken per word (``np.log`` may differ in the
+        last bit), and each read's sum is accumulated word by word, left to
+        right."""
+        p = self._probs(self._current(), words.codes, words.pos)
+        neg_log = -np.fromiter(map(math.log, p.tolist()), np.float64, len(p))
+        read = words.read
+        opens = np.r_[True, read[1:] != read[:-1]]
+        starts = np.flatnonzero(opens)
+        group = np.cumsum(opens) - 1
+        rank = np.arange(len(read)) - starts[group]
+        order = np.argsort(rank)
+        sums = np.zeros(len(starts))
+        cuts = np.searchsorted(rank[order], np.arange(1, rank.max() + 1))
+        for step in np.split(order, cuts):  # each read's next word
+            sums[group[step]] += neg_log[step]
+        return sums
+
+    def _score(self, words: Words, skipped: int) -> PerplexityReport:
         """Per-read sums are reduced with exact summation, which fixes the
         digits of the result."""
-        sums = []
-        m = 0
-        for runs in reads:
-            neg_log = 0.0
-            for w, hist in self._events(runs):
-                neg_log += -math.log(self._prob_packed(w, hist))
-                m += 1
-            sums.append(neg_log)
+        m = len(words.codes)
         if m == 0:
             raise PerplexityUndefinedError("no scoreable words in corpus")
-        total = math.fsum(sums)
+        total = math.fsum(self._read_sums(words).tolist())
         return PerplexityReport(
             avg_perplexity=math.exp(total / m),
             scored_words=m,
@@ -239,18 +416,22 @@ class NgramModel:
         Word i of a run (from 0) is conditioned on its min(h, i) predecessors.
         """
         seqs = list(corpus)
-        runs = _word_runs(seqs, self.word_len, ValueError)
-        return self._score(runs, sum(ws.skipped for ws in seqs))
+        words = _flatten(seqs, self.word_len, ValueError)
+        return self._score(words, sum(ws.skipped for ws in seqs))
 
     def score_reads(self, readset: ReadSet) -> PerplexityReport:
         """Segment ``readset`` with the model's own word length and score it."""
         stats = SegmentStats()
-        runs = segment_reads(readset, self.word_len, stats)
-        return self._score(runs, stats.skipped_words)
+        words = segment_reads(readset, self.word_len, stats)
+        return self._score(words, stats.skipped_words)
 
     # -- persistence ------------------------------------------------------
 
     def save(self, path: str) -> None:
+        """Write the file format above.  Records are laid out in 32-bit
+        units: a history is its o tokens and a u64 word count, each of its
+        words a u32 word and a u64 count."""
+        tables = self._current()
         buf = bytearray()
         buf += MAGIC
         buf += struct.pack(
@@ -262,16 +443,29 @@ class NgramModel:
             self.p_floor,
             self.m_train,
         )
-        for o in range(self.history + 1):
-            table = self.counts[o]
-            buf += struct.pack("<Q", len(table))
-            for g in sorted(table):
-                for tok in g:
-                    buf += struct.pack("<I", tok)
-                cont = table[g]
-                buf += struct.pack("<Q", len(cont))
-                for w in sorted(cont):
-                    buf += struct.pack("<IQ", w, cont[w])
+        for o, (t, rows) in enumerate(zip(tables, _token_rows(tables))):
+            ids = np.flatnonzero(t.distinct)
+            # token order, oldest word first, by ranks (not np.lexsort, see _count)
+            rank = np.zeros(len(ids), np.int64)
+            for c in range(o):
+                rank = np.unique((rank << 32) | rows[ids, c], return_inverse=True)[1]
+            ids = ids[np.argsort(rank)]
+            n = t.distinct[ids]
+            # each history's words lie together in ``events``, in word order
+            ev = _spans((np.cumsum(t.distinct) - t.distinct)[ids], n)
+            size = o + 2 + 3 * n
+            starts = np.cumsum(size) - size
+            out = np.zeros(int(size.sum()), "<u4")
+            out[starts[:, None] + np.arange(o + 2)] = np.column_stack(
+                [rows[ids], n & _LOW, n >> 32]
+            )
+            count = t.count[ev]
+            # a record's words follow its o tokens and u64 count, 3 units each
+            out[_spans(starts + o + 2, n, 3)[:, None] + np.arange(3)] = np.column_stack(
+                [t.events[ev] & _LOW, count & _LOW, count >> 32]
+            )
+            buf += struct.pack("<Q", len(ids))
+            buf += out.tobytes()
         digest = hashlib.sha256(bytes(buf)).digest()
         with open(path, "wb") as fh:
             fh.write(bytes(buf))
@@ -286,39 +480,46 @@ class NgramModel:
         payload, digest = blob[:-32], blob[-32:]
         if hashlib.sha256(payload).digest() != digest:
             raise ModelFormatError(f"{path}: checksum mismatch (corrupt or truncated)")
-        off = 4
+        off = struct.calcsize("<4s III B d Q")
         version, word_len, history, smooth_tag, p_floor, m_train = struct.unpack_from(
-            "<III B d Q", payload, off
+            "<III B d Q", payload, 4
         )
-        off += struct.calcsize("<III B d Q")
         if version != VERSION:
             raise ModelFormatError(f"{path}: unsupported version {version}")
         if smooth_tag != 1:
             raise ModelFormatError(f"{path}: unknown smoothing tag {smooth_tag}")
         model = cls(word_len=word_len, history=history, p_floor=p_floor)
         model.m_train = m_train
+        if (len(payload) - off) % 4:
+            raise ModelFormatError(f"{path}: truncated model file")
+        units = np.frombuffer(payload, "<u4", offset=off).astype(np.int64)
+        # the one sequential step: each record's length is in its header,
+        # read through a native-order view that indexes as Python ints
+        head = memoryview(units.astype(np.uint32))
+        at = 0
+        levels = []
         try:
             for o in range(history + 1):
-                (n_hist,) = struct.unpack_from("<Q", payload, off)
-                off += 8
+                n_hist = head[at] | head[at + 1] << 32
+                at += 2
+                starts = []
                 for _ in range(n_hist):
-                    g = struct.unpack_from(f"<{o}I", payload, off) if o else ()
-                    off += 4 * o
-                    (n_words,) = struct.unpack_from("<Q", payload, off)
-                    off += 8
-                    cont: dict[int, int] = {}
-                    total = 0
-                    for _ in range(n_words):
-                        w, c = struct.unpack_from("<IQ", payload, off)
-                        off += 12
-                        cont[w] = c
-                        total += c
-                    model.counts[o][g] = cont
-                    model.totals[o][g] = total
-        except struct.error as exc:
+                    starts.append(at)
+                    at += o + 2 + 3 * (head[at + o] | head[at + o + 1] << 32)
+                starts = np.array(starts, np.int64)
+                rows = units[starts[:, None] + np.arange(o)]
+                n = units[starts + o] | units[starts + o + 1] << 32
+                ev = _spans(starts + o + 2, n, 3)
+                counts = units[ev + 1] | units[ev + 2] << 32
+                levels.append((rows, None, n, units[ev], counts))
+        except IndexError as exc:
             raise ModelFormatError(f"{path}: truncated model file") from exc
-        if off != len(payload):
+        if at != len(units):
             raise ModelFormatError(f"{path}: trailing bytes after count tables")
+        try:
+            model._tables, model._dicts = _index(levels), None
+        except ModelFormatError as exc:
+            raise ModelFormatError(f"{path}: {exc}") from None
         return model
 
 
@@ -333,7 +534,7 @@ def train(
     if first_word is None:
         raise TrainingError("empty corpus: no words to train on")
     model = NgramModel(word_len=len(first_word), history=history, p_floor=p_floor)
-    model._count(_word_runs(seqs, model.word_len, TrainingError))
+    model._count(_flatten(seqs, model.word_len, TrainingError))
     return model
 
 

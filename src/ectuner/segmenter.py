@@ -4,12 +4,14 @@ A read is cut into consecutive non-overlapping words of ``word_len`` bases
 starting at offset 0; a trailing partial word is dropped.  Words containing
 any character but ACGT are excluded and tallied.  Consecutive kept words form
 runs; an excluded word breaks the run, so downstream consumers can avoid
-conditioning across the gap.  Words are the codes of ``seqio.encode_word``.
+conditioning across the gap.  Words are the codes of ``seqio.encode_word``,
+returned flat with each word's read and position in its run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,11 +44,20 @@ class SegmentStats:
     skipped_words: int = 0
 
 
+class Words(NamedTuple):
+    """The kept words of a read set, flat and in read order: each word's
+    code, the index of its read and its position in its run (from 0)."""
+
+    codes: np.ndarray
+    read: np.ndarray
+    pos: np.ndarray
+
+
 def segment_reads(
     readset: ReadSet, word_len: int, stats: SegmentStats | None = None
-) -> list[list[list[int]]]:
-    """The runs of word codes of each read, in read order; a read shorter
-    than ``word_len`` has none (and is tallied on ``stats`` when given)."""
+) -> Words:
+    """The words of every read; a read shorter than ``word_len`` has none
+    (and is tallied on ``stats`` when given)."""
     if word_len <= 0:
         raise ValueError(f"word length must be positive, got {word_len}")
     chars, starts, lengths = pack_reads(readset)
@@ -68,10 +79,7 @@ def segment_reads(
         stats.words += int(np.count_nonzero(kept))
         stats.skipped_words += int(np.count_nonzero(~kept))
     # a run opens at each kept word that does not follow a kept word of its read
-    opens = kept & ~np.r_[False, kept[:-1] & (row[1:] == row[:-1])]
-    words = codes[kept].tolist()
-    bounds = np.flatnonzero(opens[kept]).tolist()
-    out: list[list[list[int]]] = [[] for _ in range(len(lengths))]
-    for r, a, b in zip(row[opens].tolist(), bounds, bounds[1:] + [len(words)]):
-        out[r].append(words[a:b])
-    return out
+    opens = (kept & ~np.r_[False, kept[:-1] & (row[1:] == row[:-1])])[kept]
+    run_start = np.flatnonzero(opens)
+    pos = np.arange(len(opens)) - run_start[np.cumsum(opens) - 1]
+    return Words(codes[kept], row[kept], pos)

@@ -3,15 +3,22 @@
 Everything here is deliberately written from the mathematical definitions,
 with plain string words and dict counting, so a bug in the packed production
 code cannot hide in a shared helper.  The string segmenter is the reference
-for the packed one in ``ectuner.segmenter``.
+for the packed one in ``ectuner.segmenter``, and ``DictNgramModel`` (the
+dict-of-dicts model the array tables replaced) is the reference for
+``ectuner.ngram.NgramModel``: the same counts, probabilities, per-read sums
+and file bytes.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+import struct
 from collections import defaultdict
 
+from ectuner.ngram import MAGIC, VERSION, PerplexityReport, PerplexityUndefinedError
 from ectuner.segmenter import WordSequence
+from ectuner.seqio import encode_word
 
 _ACGT = frozenset("ACGT")
 
@@ -205,3 +212,125 @@ def assert_product_form_matches(model, score_seqs, rel=1e-9):
         math.exp(report.sum_neg_log_prob / report.scored_words),
         rel_tol=1e-12,
     )
+
+
+def oracle_read_runs(seqs):
+    """Each WordSequence's runs as lists of word codes."""
+    return [[[encode_word(w) for w in run] for run in ws.runs] for ws in seqs]
+
+
+class DictNgramModel:
+    """The n-gram model on dict-of-dicts count tables, walked one event at a
+    time.  ``counts[o]`` maps a history tuple of word codes (length o, oldest
+    first) to a dict of word -> count; ``totals[o]`` holds each history's
+    event sum.  Reads are lists of runs of word codes."""
+
+    def __init__(self, word_len, history, p_floor=1e-7):
+        self.word_len = word_len
+        self.history = history
+        self.p_floor = p_floor
+        self.m_train = 0
+        self.counts = [{} for _ in range(history + 1)]
+        self.totals = [{} for _ in range(history + 1)]
+
+    def _events(self, runs):
+        h = self.history
+        for run in runs:
+            for i, w in enumerate(run):
+                yield w, tuple(run[max(0, i - h) : i])
+
+    def count(self, reads):
+        for runs in reads:
+            for w, hist in self._events(runs):
+                n = len(hist)
+                for o in range(n + 1):
+                    g = hist[n - o :]
+                    cont = self.counts[o].setdefault(g, {})
+                    cont[w] = cont.get(w, 0) + 1
+                    self.totals[o][g] = self.totals[o].get(g, 0) + 1
+                self.m_train += 1
+        return self
+
+    def prob(self, word, hist):
+        root = self.counts[0].get(())
+        if root is None:
+            raise PerplexityUndefinedError("model has no training counts")
+        m = self.totals[0][()]
+        v = len(root)
+        lam0 = m / (m + v)
+        p = lam0 * (root.get(word, 0) / m) + (1.0 - lam0) / (v + 1)
+        n = len(hist)
+        for o in range(1, n + 1):
+            g = hist[n - o :]
+            cont = self.counts[o].get(g)
+            if cont is None:
+                continue
+            total = self.totals[o][g]
+            lam = total / (total + len(cont))
+            p = lam * (cont.get(word, 0) / total) + (1.0 - lam) * p
+        return self.p_floor if p < self.p_floor else p
+
+    def read_sums(self, reads):
+        """Each read's -ln p sum, summed left to right; reads without words
+        are left out."""
+        sums = []
+        for runs in reads:
+            neg_log = 0.0
+            events = list(self._events(runs))
+            for w, hist in events:
+                neg_log += -math.log(self.prob(w, hist))
+            if events:
+                sums.append(neg_log)
+        return sums
+
+    def score(self, reads, skipped=0):
+        sums = self.read_sums(reads)
+        m = sum(len(run) for runs in reads for run in runs)
+        if m == 0:
+            raise PerplexityUndefinedError("no scoreable words in corpus")
+        total = math.fsum(sums)
+        return PerplexityReport(math.exp(total / m), m, skipped, total)
+
+    def to_bytes(self):
+        buf = bytearray(MAGIC)
+        buf += struct.pack(
+            "<III B d Q", VERSION, self.word_len, self.history, 1, self.p_floor,
+            self.m_train,
+        )
+        for table in self.counts:
+            buf += struct.pack("<Q", len(table))
+            for g in sorted(table):
+                for tok in g:
+                    buf += struct.pack("<I", tok)
+                cont = table[g]
+                buf += struct.pack("<Q", len(cont))
+                for w in sorted(cont):
+                    buf += struct.pack("<IQ", w, cont[w])
+        return bytes(buf) + hashlib.sha256(bytes(buf)).digest()
+
+    @classmethod
+    def from_bytes(cls, blob):
+        payload = blob[:-32]
+        version, word_len, history, _, p_floor, m_train = struct.unpack_from(
+            "<III B d Q", payload, 4
+        )
+        model = cls(word_len, history, p_floor)
+        model.m_train = m_train
+        off = 4 + struct.calcsize("<III B d Q")
+        for o in range(history + 1):
+            (n_hist,) = struct.unpack_from("<Q", payload, off)
+            off += 8
+            for _ in range(n_hist):
+                g = struct.unpack_from(f"<{o}I", payload, off)
+                off += 4 * o
+                (n_words,) = struct.unpack_from("<Q", payload, off)
+                off += 8
+                cont = {}
+                for _ in range(n_words):
+                    w, c = struct.unpack_from("<IQ", payload, off)
+                    off += 12
+                    cont[w] = c
+                model.counts[o][g] = cont
+                model.totals[o][g] = sum(cont.values())
+        assert off == len(payload)
+        return model

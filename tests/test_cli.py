@@ -428,12 +428,15 @@ def test_sweep_config_under_model_records_no_ngram_settings(
         ("sweep", ["--k-step", "0"], "--k-step must be >= 1, got 0"),
         ("sweep", ["--k-min", "25", "--k-max", "9"], "--k-max must be >= 25, got 9"),
         ("sweep", ["--values", ","], "--values lists no parameter values"),
+        ("tune", ["--k-min", "0"], "k must be positive, got 0"),
+        ("sweep", ["--values", "0,9,11"], "k must be positive, got 0"),
     ],
     ids=[
         "perplexity-sample-n-negative", "perplexity-sample-n-0",
         "tune-sample-n-0", "tune-sample-n-negative", "tune-k-range", "tune-delta-0",
         "tune-iter-max-negative", "tune-initials-outside", "tune-initials-not-int",
-        "sweep-k-step-0", "sweep-k-range", "sweep-no-values",
+        "sweep-k-step-0", "sweep-k-range", "sweep-no-values", "tune-k-min-0",
+        "sweep-value-0",
     ],
 )
 def test_bad_search_settings_exit_1_before_any_work(
@@ -453,6 +456,57 @@ def test_bad_search_settings_exit_1_before_any_work(
     assert "training" not in captured.err
     assert captured.out == ""
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, values, message",
+    [
+        ("perplexity", {"sample_n": "50"}, "sample_n must be int, got '50'"),
+        ("train", {"history": 2.5}, "history must be int, got 2.5"),
+        ("train", {"seed": True}, "seed must be int, got True"),
+        ("train", {"word_len": None}, "word_len must be int, got None"),
+        ("train", {"p_floor": "0"}, "p_floor must be int or float, got '0'"),
+        ("tune", {"timeout": "5"}, "timeout must be int or float, got '5'"),
+        ("sweep", {"values": 9}, "values must be str or list, got 9"),
+        ("inject", {"kind": 1}, "kind must be str, got 1"),
+    ],
+    ids=["sample-n-str", "history-float", "seed-bool", "word-len-null",
+         "p-floor-str", "timeout-str", "values-int", "kind-int"],
+)
+def test_config_values_are_type_checked_before_any_work(
+    clean_fastq, tmp_path, capsys, command, values, message
+):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(values))
+    out = tmp_path / "out"
+    out.mkdir()
+    target = {"perplexity": ["--model", str(out / "missing.model")],
+              "tune": ["--out-dir", str(out / "tune")],
+              "sweep": ["--json-out", str(out / "sweep.json")]}.get(
+                  command, ["--out", str(out / "result")])
+    rc = main([command, "--reads", clean_fastq, *target, "--config", str(cfg_path)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("ectuner: ")
+    assert message in captured.err
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
+
+
+def test_config_takes_an_int_for_a_float_and_null_for_a_none_default(
+    clean_fastq, tmp_path, capsys
+):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"p_floor": 0, "sample_n": None}))
+    model = str(tmp_path / "lm.model")
+    assert main(["train", "--reads", clean_fastq, "--out", model,
+                 "--config", str(cfg_path)]) == 0
+    with open(model + ".config.json") as fh:
+        assert json.load(fh)["p_floor"] == 0
+    capsys.readouterr()
+    assert main(["perplexity", "--model", model, "--reads", clean_fastq,
+                 "--config", str(cfg_path)]) == 0
+    assert _stdout_json(capsys)["scored_words"] > 0
 
 
 def _subparser(command):

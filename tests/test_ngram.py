@@ -15,18 +15,23 @@ from ectuner.ngram import (
     PerplexityUndefinedError,
     TrainingError,
 )
-from ectuner.segmenter import WordSequence
+from ectuner.segmenter import SegmentStats, WordSequence, segment_reads
 from ectuner.seqio import Read, ReadSet, decode_words, encode_word
 
 from ngram_oracles import (
     SMALL_CORPORA,
     TOY3,
+    DictNgramModel,
     assert_product_form_matches,
     oracle_counts,
     oracle_prob,
+    oracle_read_runs,
     oracle_segment_corpus,
     seq,
 )
+
+# a masked divide by zero or NaN in the array code must fail, not pass
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def unencode_word(code, word_len):
@@ -441,3 +446,146 @@ def test_report_log2_field():
         "sum_neg_log_prob",
         "sum_neg_log2_prob",
     }
+
+
+# -- the array tables against the dict-of-dicts oracle ------------------------
+
+
+def _reads(rng, n, max_len, alphabet="ACGT" * 12 + "N"):
+    return ReadSet(tuple(
+        Read(f"r{i}", "".join(rng.choices(alphabet, k=rng.randint(1, max_len))))
+        for i in range(n)
+    ))
+
+
+def _oracle_runs(readset, word_len):
+    stats = SegmentStats()
+    seqs = oracle_segment_corpus(readset, word_len, stats)
+    return oracle_read_runs(seqs), stats.skipped_words
+
+
+def _assert_matches_oracle(model, oracle, score_set, tmp_path):
+    """Equal file bytes, per-read sums and reports, compared with ==; a model
+    loaded from the oracle's bytes scores and re-saves the same way."""
+    path = tmp_path / "model.ngram"
+    model.save(str(path))
+    want_bytes = oracle.to_bytes()
+    assert path.read_bytes() == want_bytes
+    runs, skipped = _oracle_runs(score_set, model.word_len)
+    want_sums = oracle.read_sums(runs)
+    want_report = oracle.score(runs, skipped).to_dict()
+    path.write_bytes(want_bytes)
+    loaded = NgramModel.load(str(path))
+    for m in (model, loaded):
+        words = segment_reads(score_set, m.word_len)
+        assert m._read_sums(words).tolist() == want_sums
+        assert m.score_reads(score_set).to_dict() == want_report
+    loaded.save(str(path))
+    assert path.read_bytes() == want_bytes
+
+
+@pytest.mark.parametrize("word_len", [1, 4, 7, 16])
+@pytest.mark.parametrize("history", range(6))
+def test_array_tables_match_dict_oracle(word_len, history, tmp_path):
+    rng = random.Random(100 * word_len + history)
+    # N splits runs, and reads run from shorter than a word to many words
+    train_set = _reads(rng, 60, 12 * word_len)
+    score_set = _reads(rng, 30, 12 * word_len)
+    model = ngram.train_reads(train_set, word_len=word_len, history=history)
+    oracle = DictNgramModel(word_len, history)
+    oracle.count(_oracle_runs(train_set, word_len)[0])
+    assert model.m_train == oracle.m_train
+    _assert_matches_oracle(model, oracle, score_set, tmp_path)
+
+
+def test_simulated_reads_match_dict_oracle(tmp_path):
+    # a model scoring the reads it was trained on gives probabilities whose
+    # np.log differs from math.log in the last bit for some words, so the
+    # per-read sums below also pin the choice of logarithm
+    genome = injector.generate_genome(3_000, seed=71)
+    clean = injector.sample_clean_reads(genome, 1_500, 50, seed=72)
+    noisy, _ = injector.inject_readset(
+        clean, injector.InjectionSpec("substitution", "low", seed=73)
+    )
+    model = ngram.train_reads(noisy, word_len=7, history=3)
+    oracle = DictNgramModel(7, 3)
+    oracle.count(_oracle_runs(noisy, 7)[0])
+    _assert_matches_oracle(model, oracle, noisy, tmp_path)
+
+
+@pytest.mark.parametrize("word_len, history", [(4, 5), (7, 3), (1, 4)])
+def test_empty_higher_orders_match_dict_oracle(word_len, history, tmp_path):
+    # one-word runs, and runs shorter than the history: the top orders hold
+    # no histories at all
+    rng = random.Random(word_len)
+    one_word = ReadSet(tuple(
+        Read(f"r{i}", "".join(rng.choices("ACGT", k=word_len)) + "N" * word_len)
+        for i in range(40)
+    ))
+    short_runs = _reads(rng, 40, 2 * word_len + 1)
+    for train_set in (one_word, short_runs):
+        model = ngram.train_reads(train_set, word_len=word_len, history=history)
+        oracle = DictNgramModel(word_len, history)
+        oracle.count(_oracle_runs(train_set, word_len)[0])
+        assert len(oracle.counts[history]) == 0
+        _assert_matches_oracle(model, oracle, _reads(rng, 20, 8 * word_len), tmp_path)
+
+
+@pytest.mark.parametrize("word_len", [2, 16])
+def test_marker_histories_match_dict_oracle(word_len, tmp_path):
+    # older files also hold start-marker histories, token 0xFFFFFFFF; at
+    # word_len 16 that is also the code of the all-T word
+    rng = random.Random(7)
+    train_set = ReadSet(_reads(rng, 30, 6 * word_len).reads + (
+        Read("t", "T" * 4 * word_len),
+    ))
+    oracle = DictNgramModel(word_len, history=2)
+    runs = _oracle_runs(train_set, word_len)[0]
+    oracle.count(runs)
+    # padding each run with markers gave word i its padded history at orders
+    # above i
+    marker, h = 0xFFFFFFFF, 2
+    for read in runs:
+        for run in read:
+            for i, w in enumerate(run[:h]):
+                padded = (marker,) * (h - i) + tuple(run[:i])
+                for o in range(i + 1, h + 1):
+                    g = padded[h - o :]
+                    cont = oracle.counts[o].setdefault(g, {})
+                    cont[w] = cont.get(w, 0) + 1
+                    oracle.totals[o][g] = oracle.totals[o].get(g, 0) + 1
+    path = tmp_path / "old.ngram"
+    path.write_bytes(oracle.to_bytes())
+    model = NgramModel.load(str(path))
+    score_set = ReadSet(_reads(rng, 20, 6 * word_len).reads + (
+        Read("t", "T" * 5 * word_len),
+    ))
+    _assert_matches_oracle(model, oracle, score_set, tmp_path)
+
+
+def test_history_without_its_suffix_matches_dict_oracle(tmp_path):
+    # a hand-built model may hold a history whose suffix it lacks: the order
+    # of the missing suffix is skipped and the longer history still applies
+    a, c, g, t = (encode_word(b) for b in "ACGT")
+    tables = [
+        {(): {a: 5, c: 3, g: 2, t: 1}},
+        {(a,): {c: 2, g: 1}},
+        # the suffixes (c,) and (g,) are missing
+        {(a, c): {g: 2}, (t, g): {a: 1}},
+        # (a, c) and (t, g) are there, but (t, t) and (t,) are not
+        {(g, a, c): {a: 1, t: 1}, (c, t, g): {a: 3}, (t, t, t): {a: 1}},
+    ]
+    oracle = DictNgramModel(word_len=1, history=3)
+    viewed = NgramModel(word_len=1, history=3)
+    for model in (oracle, viewed):
+        for o, table in enumerate(tables):
+            model.counts[o].update(table)
+            model.totals[o].update({h: sum(n.values()) for h, n in table.items()})
+        model.m_train = 11
+    path = tmp_path / "hand.ngram"
+    path.write_bytes(oracle.to_bytes())
+    score_set = ReadSet(tuple(Read(f"s{i}", s) for i, s in enumerate(
+        ["GACGAC", "TGAC", "CTGA", "TTTTA", "AGTGA", "CCCC"]
+    )))
+    _assert_matches_oracle(NgramModel.load(str(path)), oracle, score_set, tmp_path)
+    _assert_matches_oracle(viewed, oracle, score_set, tmp_path)

@@ -13,10 +13,21 @@ from ectuner.seqio import Read, ReadSet, decode_words, encode_word
 from ngram_oracles import oracle_segment_corpus
 
 
+def _runs_per_read(words, n_reads):
+    """The flat words of ``segment_reads`` as each read's runs of codes."""
+    out = [[] for _ in range(n_reads)]
+    for code, read, pos in zip(*(a.tolist() for a in words)):
+        if pos == 0:
+            out[read].append([])
+        out[read][-1].append(code)
+    return out
+
+
 def _segment(seq, word_len):
     """Runs of one read as words, through the packed segmenter."""
     stats = SegmentStats()
-    (runs,) = segment_reads(ReadSet((Read("r", seq),)), word_len, stats)
+    words = segment_reads(ReadSet((Read("r", seq),)), word_len, stats)
+    (runs,) = _runs_per_read(words, 1)
     words = tuple(tuple(decode_words(run, word_len)) for run in runs)
     return words, stats.skipped_words
 
@@ -66,7 +77,7 @@ def test_segment_rejects_bad_word_length():
         segment_reads(reads, -2)
     # a read shorter than the word has no runs and is tallied
     stats = SegmentStats()
-    assert segment_reads(reads, 5, stats) == [[]]
+    assert _runs_per_read(segment_reads(reads, 5, stats), 1) == [[]]
     assert stats == SegmentStats(short_reads=1)
 
 
@@ -91,7 +102,7 @@ def test_segment_corpus_skips_short_reads_and_tallies():
         )
     )
     stats = SegmentStats()
-    reads = segment_reads(rs, 4, stats)
+    reads = _runs_per_read(segment_reads(rs, 4, stats), len(rs))
     acgt = encode_word("ACGT")
     assert reads == [[[acgt, acgt]], [], [[acgt]], [[acgt]]]
     assert stats.reads == 3
@@ -102,8 +113,8 @@ def test_segment_corpus_skips_short_reads_and_tallies():
 
 def test_segment_corpus_without_stats_object():
     rs = ReadSet((Read("a", "ACGTACGT"),))
-    assert segment_reads(rs, 4) == [[[encode_word("ACGT")] * 2]]
-    assert segment_reads(ReadSet(()), 4) == []
+    assert _runs_per_read(segment_reads(rs, 4), 1) == [[[encode_word("ACGT")] * 2]]
+    assert all(len(a) == 0 for a in segment_reads(ReadSet(()), 4))
 
 
 def _random_reads(rng, n):
@@ -126,7 +137,7 @@ def test_packed_segmentation_matches_string_oracle(word_len):
         if trial % 3 == 0:
             reads = ReadSet(tuple(Read(r.id, r.sequence.upper()) for r in reads))
         got_stats, want_stats = SegmentStats(), SegmentStats()
-        got = segment_reads(reads, word_len, got_stats)
+        got = _runs_per_read(segment_reads(reads, word_len, got_stats), len(reads))
         want = iter(oracle_segment_corpus(reads, word_len, want_stats))
         for read, runs in zip(reads, got, strict=True):
             if len(read) < word_len:
