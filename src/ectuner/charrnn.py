@@ -10,6 +10,21 @@ time with plain SGD and global gradient-norm clipping.  'N' characters
 contribute a zero input vector and are excluded from the loss.  All math is
 float64 numpy; given a seed, training is bit-reproducible.
 
+Training and scoring work on packed reads: ``seqio.pack_reads`` lays reads
+end to end, and each batch's (T, B) input and target codes are cut out of
+the packed codes by index arithmetic, padded with 'N' past each read's end.
+Training packs its read set once.  Scoring packs and scores one block of
+reads at a time, through a forward pass that keeps only the current states
+and each step's target probability, so a block of B reads of at most T + 1
+characters needs O(B * T) memory, never the (T, B, H) state sequence or the
+(T, B, 4) distributions, whatever the size of the read set.  Its scores are
+bit-identical to the full forward pass used in training: layer 0's input
+term is a row of [U_0^T; 0], equal to the one-hot product because each of
+that product's terms is a multiply by 1 or by 0; the softmax adds its four
+columns as numpy's last-axis sum does, ((e0 + e1) + e2) + e3; and each
+read's negative log-probabilities, then the reads' sums, are added with
+``math.fsum``.
+
 Model file format (little-endian):
 
     magic    4s  = b"ATHR"
@@ -37,7 +52,7 @@ from .ngram import (
     PerplexityUndefinedError,
     TrainingError,
 )
-from .seqio import CODE_TABLE, VALID_CHARS, ReadSet, sample_reads
+from .seqio import CODE_TABLE, VALID_CHARS, ReadSet, pack_reads, sample_reads
 
 MAGIC = b"ATHR"
 VERSION = 1
@@ -78,6 +93,8 @@ class RnnLm:
         """Uniform init in [-r, r] with r = sqrt(1/fan_in), per matrix."""
         if layers < 1:
             raise TrainingError(f"need at least one layer, got {layers}")
+        if hidden < 1:
+            raise TrainingError(f"need at least one hidden unit, got {hidden}")
         rng = make_rng(seed)
 
         def uniform(rows: int, cols: int) -> np.ndarray:
@@ -141,6 +158,8 @@ class RnnLm:
             raise ModelFormatError(f"{path}: unsupported version {version}")
         if vocab != VOCAB_SIZE:
             raise ModelFormatError(f"{path}: unsupported vocabulary size {vocab}")
+        if layers < 1 or hidden < 1:
+            raise ModelFormatError(f"{path}: {layers} layers of {hidden} hidden units")
         model = cls.init(layers, hidden, seed=0)
         off = 20
         for p in model.params():
@@ -163,17 +182,34 @@ def encode(seq: str) -> np.ndarray:
 
 
 def _one_hot(ids: np.ndarray) -> np.ndarray:
-    """(B,) int ids -> (B, 4); id 4 ('N') maps to the zero vector."""
-    x = np.zeros((ids.shape[0], VOCAB_SIZE))
-    valid = ids < VOCAB_SIZE
-    x[np.nonzero(valid)[0], ids[valid]] = 1.0
-    return x
+    """int ids of any shape -> one more axis of 4; id 4 ('N') maps to the
+    zero vector."""
+    return (ids[..., None] == np.arange(VOCAB_SIZE)).astype(float)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def _input_rows(model: RnnLm) -> np.ndarray:
+    """Row c is layer 0's input term for code c: column c of U_0, and zeros
+    for 'N'.  Equal bit for bit to the one-hot product, whose every term is a
+    multiply by 1 or by 0."""
+    return np.vstack([model.Us[0].T, np.zeros(model.hidden)])
+
+
+def _step(model: RnnLm, rows: np.ndarray, cur: list[np.ndarray]) -> np.ndarray:
+    """Advance every layer's state in ``cur`` by one step, from layer 0's
+    gathered input rows; returns the top layer's new state."""
+    inp = rows
+    for l in range(model.n_layers):
+        if l:
+            inp = inp @ model.Us[l].T
+        cur[l] = np.tanh(inp + cur[l] @ model.Ws[l].T + model.bs[l])
+        inp = cur[l]
+    return inp
 
 
 def _forward_chunk(model: RnnLm, x_ids: np.ndarray, states: list[np.ndarray]):
@@ -186,15 +222,13 @@ def _forward_chunk(model: RnnLm, x_ids: np.ndarray, states: list[np.ndarray]):
     L, H = model.n_layers, model.hidden
     s_seq = [np.empty((T, B, H)) for _ in range(L)]
     probs = np.empty((T, B, VOCAB_SIZE))
+    rows = _input_rows(model)
     cur = [s.copy() for s in states]
     for t in range(T):
-        inp = _one_hot(x_ids[t])
+        top = _step(model, rows[x_ids[t]], cur)
         for l in range(L):
-            a = inp @ model.Us[l].T + cur[l] @ model.Ws[l].T + model.bs[l]
-            cur[l] = np.tanh(a)
             s_seq[l][t] = cur[l]
-            inp = cur[l]
-        probs[t] = _softmax(inp @ model.V.T + model.c)
+        probs[t] = _softmax(top @ model.V.T + model.c)
     return probs, s_seq, cur
 
 
@@ -209,6 +243,7 @@ def _backward_chunk(model, x_ids, targets, mask, states, probs, s_seq, loss_scal
     gc = np.zeros_like(model.c)
     dnext = [np.zeros((B, model.hidden)) for _ in range(L)]
     rows = np.arange(B)
+    one_hot = _one_hot(x_ids)
     for t in reversed(range(T)):
         dy = probs[t].copy()
         tgt = np.where(mask[t], targets[t], 0)
@@ -222,7 +257,7 @@ def _backward_chunk(model, x_ids, targets, mask, states, probs, s_seq, loss_scal
             s_t = s_seq[l][t]
             s_prev = s_seq[l][t - 1] if t > 0 else states[l]
             draw = (dabove + dnext[l]) * (1.0 - s_t * s_t)
-            inp = _one_hot(x_ids[t]) if l == 0 else s_seq[l - 1][t]
+            inp = one_hot[t] if l == 0 else s_seq[l - 1][t]
             gUs[l] += draw.T @ inp
             gWs[l] += draw.T @ s_prev
             gbs[l] += draw.sum(axis=0)
@@ -243,21 +278,34 @@ def _clip(grads: list[np.ndarray], max_norm: float) -> None:
             g *= scale
 
 
-def _batch_arrays(seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pad encoded reads to a (T, B) input/target pair with a loss mask."""
-    B = len(seqs)
-    T = max(len(s) for s in seqs) - 1
-    x = np.full((T, B), 4, dtype=np.int64)
-    y = np.full((T, B), 4, dtype=np.int64)
-    mask = np.zeros((T, B))
-    for b, s in enumerate(seqs):
-        n = len(s) - 1
-        if n <= 0:
-            continue
-        x[:n, b] = s[:-1]
-        y[:n, b] = s[1:]
-        mask[:n, b] = (s[1:] < VOCAB_SIZE).astype(float)
-    return x, y, mask
+def _pack(readset: ReadSet):
+    """The base codes of every read end to end, each read followed by a code-4
+    separator, with each read's start and length.
+
+    Raises ``encode``'s ValueError for the first read that holds a character
+    outside ACGTN.
+    """
+    chars, starts, lengths = pack_reads(readset)
+    codes = CODE_TABLE.take(chars, mode="clip")
+    outside = (codes == 4) & (chars != ord("N"))
+    outside[starts + lengths] = False
+    if outside.any():
+        first = np.searchsorted(starts, outside.argmax(), "right") - 1
+        encode(readset[first].sequence)  # raises with the characters named
+    return codes, starts, lengths
+
+
+def _block(packed, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(T, B) input and target codes of reads ``idx``, padded with 4 past
+    each read's end, and the loss mask of the transitions to ACGT."""
+    codes, starts, lengths = packed
+    n = lengths[idx] - 1
+    steps = np.arange(n.max())[:, None]
+    pos = starts[idx] + steps
+    inside = steps < n
+    x = np.where(inside, codes.take(pos, mode="clip"), 4)
+    y = np.where(inside, codes.take(pos + 1, mode="clip"), 4)
+    return x, y, (y < VOCAB_SIZE).astype(float)
 
 
 def _masked_ce(probs: np.ndarray, targets: np.ndarray, mask: np.ndarray) -> float:
@@ -268,13 +316,13 @@ def _masked_ce(probs: np.ndarray, targets: np.ndarray, mask: np.ndarray) -> floa
     return float((nll * mask).sum())
 
 
-def _run_batch(model, seqs, config, update: bool):
-    """One pass over a batch of encoded reads; optionally apply SGD steps.
+def _run_batch(model, block, config, update: bool):
+    """One pass over a (x, y, mask) block of reads; optionally apply SGD steps.
 
     Returns (summed masked CE, masked count). States carry across unroll
     chunks within the batch and reset between batches.
     """
-    x, y, mask = _batch_arrays(seqs)
+    x, y, mask = block
     T, B = x.shape
     states = model.zero_states(B)
     loss_sum = 0.0
@@ -312,15 +360,14 @@ def train(
     order = shuffled(spawn_rng(seed, 0), len(reads))
     n_train = int(len(reads) * config.train_frac)
     n_val = int(len(reads) * config.val_frac)
-    train_reads = [reads[i] for i in order[:n_train]]
-    val_reads = [reads[i] for i in order[n_train : n_train + n_val]]
-    if len(train_reads) < config.minibatch:
+    if n_train < config.minibatch:
         raise TrainingError(
-            f"training split has {len(train_reads)} reads; "
+            f"training split has {n_train} reads; "
             f"minibatch of {config.minibatch} cannot be filled"
         )
-    encoded = [encode(r.sequence) for r in train_reads]
-    val_encoded = [encode(r.sequence) for r in val_reads]
+    # the training reads in split order, then the validation reads
+    packed = _pack(ReadSet(tuple(reads[i] for i in order[: n_train + n_val])))
+    val_block = _block(packed, np.arange(n_train, n_train + n_val)) if n_val else None
 
     model = RnnLm.init(config.layers, config.hidden, seed=seed)
     epoch_rng = spawn_rng(seed, 1)
@@ -328,17 +375,17 @@ def train(
     best_val = math.inf
     history: list[dict] = []
     for epoch in range(config.epochs):
-        perm = shuffled(epoch_rng, len(encoded))
+        perm = np.array(shuffled(epoch_rng, n_train))
         loss_sum = 0.0
         count = 0.0
-        for start in range(0, len(perm), config.minibatch):
-            batch = [encoded[i] for i in perm[start : start + config.minibatch]]
-            ls, n = _run_batch(model, batch, config, update=True)
+        for start in range(0, n_train, config.minibatch):
+            batch = perm[start : start + config.minibatch]
+            ls, n = _run_batch(model, _block(packed, batch), config, update=True)
             loss_sum += ls
             count += n
         train_loss = loss_sum / count if count else math.nan
-        if val_encoded:
-            vl, vn = _run_batch(model, val_encoded, config, update=False)
+        if val_block is not None:
+            vl, vn = _run_batch(model, val_block, config, update=False)
             val_loss = vl / vn if vn else math.nan
         else:
             val_loss = train_loss
@@ -368,47 +415,64 @@ def forward(model: RnnLm, seq: str) -> np.ndarray:
     return probs[:, 0, :]
 
 
+def _score_block(model: RnnLm, x: np.ndarray, y: np.ndarray, mask: np.ndarray):
+    """Each (T, B) position's negative log-probability of its target, and 0
+    where ``mask`` is 0.
+
+    Only the current states and each step's target probability are kept.
+    The softmax runs on the four logit columns, summing them in the order
+    ``e.sum(axis=-1)`` takes, so every value equals ``_forward_chunk``'s.
+    """
+    T, B = x.shape
+    rows = _input_rows(model)
+    cur = model.zero_states(B)
+    cols = np.arange(B)
+    tgt = np.minimum(y, VOCAB_SIZE - 1)  # masked positions read any column
+    p = np.empty((T, B))
+    for t in range(T):
+        top = _step(model, rows[x[t]], cur)
+        logits = (top @ model.V.T + model.c).T
+        top_logit = np.maximum(np.maximum(logits[0], logits[1]),
+                               np.maximum(logits[2], logits[3]))
+        e = np.exp(logits - top_logit)
+        p[t] = e[tgt[t], cols] / (((e[0] + e[1]) + e[2]) + e[3])
+    # in place, so the block holds one (T, B) float array at a time
+    np.maximum(p, 1e-300, out=p)
+    np.log(p, out=p)
+    np.negative(p, out=p)
+    p[mask == 0] = 0.0
+    return p
+
+
 def perplexity(
     model: RnnLm,
     readset: ReadSet,
     sample_n: int | None = None,
     seed: int = 0,
-    batch: int = 256,
+    batch: int = 512,
 ) -> PerplexityReport:
     """exp(mean cross-entropy) over next-character predictions.
 
     When ``sample_n`` is given, scores a uniform without-replacement sample.
-    Positions whose target character is 'N' are excluded and tallied.
+    Positions whose target character is 'N' are excluded and tallied.  Reads
+    are scored ``batch`` at a time.
     """
     if sample_n is not None:
         readset = sample_reads(readset, sample_n, seed)
+    reads = tuple(r for r in readset if len(r.sequence) >= 2)
     per_read: list[float] = []
     scored = 0
     skipped = 0
-    chunk: list[np.ndarray] = []
-
-    def flush() -> None:
-        nonlocal scored, skipped
-        if not chunk:
-            return
-        x, y, mask = _batch_arrays(chunk)
-        probs, _, _ = _forward_chunk(model, x, model.zero_states(len(chunk)))
-        tgt = np.where(mask > 0, y, 0)
-        p = np.take_along_axis(probs, tgt[..., None], axis=-1)[..., 0]
-        nll = np.where(mask > 0, -np.log(np.maximum(p, 1e-300)), 0.0)
-        for b, s in enumerate(chunk):
-            per_read.append(math.fsum(nll[: len(s) - 1, b]))
-        scored += int(mask.sum())
-        skipped += int(sum((s[1:] >= VOCAB_SIZE).sum() for s in chunk))
-        chunk.clear()
-
-    for r in readset:
-        if len(r.sequence) < 2:
-            continue
-        chunk.append(encode(r.sequence))
-        if len(chunk) >= batch:
-            flush()
-    flush()
+    for start in range(0, len(reads), batch):
+        # packing block by block keeps memory O(batch * T) on any read set
+        block = ReadSet(reads[start : start + batch])
+        packed = _pack(block)
+        x, y, mask = _block(packed, np.arange(len(block)))
+        nll = _score_block(model, x, y, mask)
+        per_read += [math.fsum(row.tolist()) for row in nll.T]
+        n = int(mask.sum())
+        scored += n
+        skipped += int((packed[2] - 1).sum()) - n
     if scored == 0:
         raise PerplexityUndefinedError("no scoreable character transitions")
     total = math.fsum(per_read)

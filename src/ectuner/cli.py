@@ -61,9 +61,16 @@ def _check_type(path: str, key: str, value, default) -> None:
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """flags > config file > defaults, for the keys in ``defaults``."""
+    """flags > config file > defaults, for the keys in ``defaults``.
+
+    A config file key that no subcommand resolves is refused, so a misspelt
+    key cannot silently do nothing; one of another subcommand's keys is
+    taken and ignored, so one file can serve several commands."""
     path = getattr(args, "config", None)
     file_cfg = _load_config_file(path)
+    unknown = sorted(set(file_cfg) - _KNOWN_KEYS)
+    if unknown:
+        raise ValueError(f"{path}: unknown key {', '.join(unknown)}")
     resolved = {}
     for key, default in defaults.items():
         cli_val = getattr(args, key, None)
@@ -76,6 +83,7 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         else:
             resolved[key] = default
     return resolved
+
 
 def _write_config(resolved: dict, path: str) -> None:
     with open(path, "w") as fh:
@@ -203,11 +211,24 @@ _DEFAULTS = {
 }
 
 
+# every key a config file may hold; "threads" is what --threads was
+# recorded as before it was ignored
+_KNOWN_KEYS = {key for table in _DEFAULTS.values() for key in table} | {"threads"}
+
+
+def _check_rnn(cfg: dict) -> None:
+    """Exit before any work when a char-RNN size or loop count is below 1."""
+    if cfg["lm"] == "charrnn":
+        for key in ("layers", "hidden", "epochs", "minibatch", "unroll"):
+            _check_min(cfg, key, 1)
+
+
 # -- subcommands ----------------------------------------------------------
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _DEFAULTS["train"])
+    _check_rnn(cfg)
     reads = load_reads(args.reads)
     stats = SegmentStats()
     model, history = _train_lm(cfg, reads, stats)
@@ -294,6 +315,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _DEFAULTS["tune"])
     space = _search_space(cfg)
     _check_min(cfg, "sample_n", 1)
+    _check_rnn(cfg)
     reads = load_reads(args.reads)
     _check_k_fits(cfg, reads, (cfg["k_min"], cfg["k_max"]))
     _say(f"training {cfg['lm']} model on {len(reads)} reads")

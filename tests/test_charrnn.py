@@ -3,8 +3,10 @@ training behavior, and persistence."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -191,6 +193,8 @@ def test_train_rejects_degenerate_input():
         train(small, TrainConfig(minibatch=200))
     with pytest.raises(TrainingError):
         RnnLm.init(layers=0, hidden=4)
+    with pytest.raises(TrainingError):
+        RnnLm.init(layers=1, hidden=0)
 
 
 def test_perplexity_masks_n_targets():
@@ -268,6 +272,16 @@ def test_load_rejects_corruption(tmp_path):
     trunc.write_bytes(blob[:25])
     with pytest.raises(ModelFormatError):
         RnnLm.load(str(trunc))
+
+
+@pytest.mark.parametrize("layers,hidden", [(0, 3), (1, 0), (0, 0)])
+def test_load_rejects_a_header_without_layers_or_units(tmp_path, layers, hidden):
+    payload = charrnn.MAGIC + struct.pack("<IIII", charrnn.VERSION, layers, hidden, 4)
+    path = tmp_path / "empty.athr"
+    path.write_bytes(payload + hashlib.sha256(payload).digest())
+    with pytest.raises(ModelFormatError) as exc:
+        RnnLm.load(str(path))
+    assert str(exc.value) == f"{path}: {layers} layers of {hidden} hidden units"
 
 
 def test_model_file_magic_differs_from_ngram():

@@ -509,6 +509,53 @@ def test_config_takes_an_int_for_a_float_and_null_for_a_none_default(
     assert _stdout_json(capsys)["scored_words"] > 0
 
 
+@pytest.mark.parametrize("command", ["train", "tune"])
+@pytest.mark.parametrize("flag", ["--layers", "--hidden", "--epochs", "--minibatch",
+                                  "--unroll"])
+def test_charrnn_settings_below_1_exit_1_before_any_read_is_loaded(
+    tmp_path, capsys, command, flag
+):
+    out = tmp_path / "out"
+    out.mkdir()
+    target = ["--out-dir", str(out / "tune")] if command == "tune" else [
+        "--out", str(out / "lm.rnn")]
+    # the reads do not exist, so loading them first would exit 2
+    rc = main([command, "--reads", str(tmp_path / "missing.fastq"), *target,
+               "--lm", "charrnn", flag, "0"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"ectuner: {flag} must be >= 1, got 0\n"
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["train", "perplexity"])
+def test_config_key_no_subcommand_knows_exits_1(clean_fastq, tmp_path, capsys, command):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"sampel_n": 50, "seed": 1, "hiden": 8}))
+    out = tmp_path / "out"
+    out.mkdir()
+    target = ["--model", str(out / "missing.model")] if command == "perplexity" else [
+        "--out", str(out / "lm.model")]
+    rc = main([command, "--reads", clean_fastq, *target, "--config", str(cfg_path)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"ectuner: {cfg_path}: unknown key hiden, sampel_n\n"
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
+
+
+def test_config_takes_another_commands_keys_and_old_threads(clean_fastq, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"threads": 4, "k_min": 11, "kind": "deletion"}))
+    model = str(tmp_path / "lm.model")
+    assert main(["train", "--reads", clean_fastq, "--out", model,
+                 "--config", str(cfg_path)]) == 0
+    with open(model + ".config.json") as fh:
+        resolved = json.load(fh)
+    assert not {"threads", "k_min", "kind"} & set(resolved)
+
+
 def _subparser(command):
     sub = next(a for a in build_parser()._actions if a.dest == "command")
     return sub.choices[command]
