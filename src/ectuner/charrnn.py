@@ -52,7 +52,7 @@ from .ngram import (
     PerplexityUndefinedError,
     TrainingError,
 )
-from .seqio import CODE_TABLE, VALID_CHARS, ReadSet, pack_reads, sample_reads
+from .seqio import VALID_CHARS, ReadSet, base_codes, pack_reads, sample_reads
 
 MAGIC = b"ATHR"
 VERSION = 1
@@ -178,7 +178,7 @@ def encode(seq: str) -> np.ndarray:
     bad = set(seq) - VALID_CHARS
     if bad:
         raise ValueError(f"sequence contains characters outside ACGTN: {sorted(bad)}")
-    return CODE_TABLE[np.frombuffer(seq.encode("ascii"), np.uint8)].astype(np.int64)
+    return base_codes(np.frombuffer(seq.encode("ascii"), np.uint8)).astype(np.int64)
 
 
 def _one_hot(ids: np.ndarray) -> np.ndarray:
@@ -286,7 +286,7 @@ def _pack(readset: ReadSet):
     outside ACGTN.
     """
     chars, starts, lengths = pack_reads(readset)
-    codes = CODE_TABLE.take(chars, mode="clip")
+    codes = base_codes(chars)
     outside = (codes == 4) & (chars != ord("N"))
     outside[starts + lengths] = False
     if outside.any():

@@ -116,13 +116,19 @@ def _rnn_config(cfg: dict) -> charrnn.TrainConfig:
 
 
 def _make_corrector(cfg: dict):
+    """The corrector ``cfg`` names, its settings checked; the commands build
+    it before loading any read."""
     if cfg["adapter_template"]:
+        if cfg["timeout"] is not None and cfg["timeout"] <= 0:
+            raise ValueError(f"--timeout must be > 0, got {cfg['timeout']}")
         adapter = ecsim.ToolAdapter(
             command_template=cfg["adapter_template"],
             param_name=cfg["adapter_param"],
             timeout=cfg["timeout"],
         )
         return ecsim.adapter_corrector(adapter)
+    _check_min(cfg, "solid_min", 1)
+    _check_min(cfg, "max_edits", 0)
     return ecsim.builtin_corrector(cfg["solid_min"], cfg["max_edits"])
 
 
@@ -290,7 +296,7 @@ def cmd_inject(args: argparse.Namespace) -> int:
 
 def cmd_correct(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _DEFAULTS["correct"])
-    reads = load_reads(args.reads)
+    corrector = _make_corrector(cfg)
     if cfg["adapter_template"]:
         value = cfg["param_value"]
         if value is None:
@@ -299,8 +305,9 @@ def cmd_correct(args: argparse.Namespace) -> int:
         value = cfg["k"]
         if value is None:
             raise ValueError("--k is required for the built-in corrector")
-        _check_k_fits(cfg, reads, (value,))
-    corrected = _make_corrector(cfg)(reads, value)
+    reads = load_reads(args.reads)
+    _check_k_fits(cfg, reads, (value,))
+    corrected = corrector(reads, value)
     write_fastq(corrected, args.out)
     changed = sum(
         1 for a, b in zip(reads, corrected) if a.sequence != b.sequence
@@ -316,12 +323,12 @@ def cmd_tune(args: argparse.Namespace) -> int:
     space = _search_space(cfg)
     _check_min(cfg, "sample_n", 1)
     _check_rnn(cfg)
+    corrector = _make_corrector(cfg)
     reads = load_reads(args.reads)
     _check_k_fits(cfg, reads, (cfg["k_min"], cfg["k_max"]))
     _say(f"training {cfg['lm']} model on {len(reads)} reads")
     lm, _ = _train_lm(cfg, reads)
     os.makedirs(args.out_dir, exist_ok=True)
-    corrector = _make_corrector(cfg)
     _say(
         f"searching [{space.lower}, {space.upper}] step {space.step} "
         f"from {space.start_points()}"
@@ -357,10 +364,15 @@ def cmd_tune(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    # a model file fixes its own n-gram settings, so none are resolved
+    # a model file fixes its own n-gram settings, so none are resolved, and
+    # a flag setting one would be ignored
     defaults = _DEFAULTS["sweep"]
     if args.model:
         defaults = {k: v for k, v in defaults.items() if k not in _NGRAM_DEFAULTS}
+        for key in _NGRAM_DEFAULTS:
+            if getattr(args, key) is not None:
+                flag = "--" + key.replace("_", "-")
+                raise ValueError(f"{flag} is fixed by the --model file")
     cfg = _resolve(args, defaults)
     values = _int_list(cfg["values"])
     if values is None:
@@ -369,6 +381,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         values = range(cfg["k_min"], cfg["k_max"] + 1, cfg["k_step"])
     if not values:
         raise ValueError("--values lists no parameter values")
+    corrector = _make_corrector(cfg)
     reads = load_reads(args.reads)
     truth = load_reads(args.truth) if args.truth else None
     _check_k_fits(cfg, reads, values)
@@ -389,7 +402,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         report = metrics.sweep(
             reads,
-            _make_corrector(cfg),
+            corrector,
             values,
             ngram_lm=ngram_lm,
             rnn_lm=rnn_lm,

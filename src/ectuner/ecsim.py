@@ -13,7 +13,8 @@ codes in ``seqio`` (any character but ACGT is 4, which no solid k-mer
 contains), read after read, with a code-4 separator after each so no window
 spans two reads.  A k-mer is the 2k-bit number its codes spell, so k is at
 most 32.  The corrector advances every read through the same scan position
-together, one position per round.
+together, one position per round.  A spectrum is a ``KmerSpectrum``: the
+sorted codes of every distinct k-mer and their counts.
 
 External tools run through a command template with ``{input}``, ``{output}``
 and exactly one tunable placeholder (``{k}`` or ``{GL}``).  Exchange happens
@@ -28,14 +29,13 @@ import shlex
 import shutil
 import subprocess
 import tempfile
-from collections.abc import Mapping, ValuesView
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .seqio import ACGT, CODE_TABLE, LETTERS, Read, ReadSet, decode_words
-from .seqio import encode_word, load_reads, pack_reads, write_fastq
+from .seqio import LETTERS, Read, ReadSet, base_codes, load_reads, pack_reads
+from .seqio import write_fastq
 
 TMPDIR_ENV = "ATHENA_TMPDIR"
 MAX_K = 32
@@ -54,13 +54,6 @@ class AdapterError(RuntimeError):
     pass
 
 
-@dataclass
-class SpectrumStats:
-    reads: int = 0
-    short_reads: int = 0
-    kmers: int = 0
-
-
 def check_k(k: int) -> None:
     """Raise ValueError unless the built-in corrector can use k-mers of size k."""
     if k <= 0:
@@ -69,48 +62,30 @@ def check_k(k: int) -> None:
         raise ValueError(f"k={k} exceeds the built-in corrector's limit of {MAX_K}")
 
 
-class KmerSpectrum(Mapping[str, int]):
-    """Read-only ``{k-mer: count}`` mapping over sorted k-mer codes."""
+@dataclass(frozen=True, eq=False)
+class KmerSpectrum:
+    """The distinct ACGT k-mers of a read set as sorted ``uint64`` codes
+    (``seqio.encode_word``'s), with their ``int64`` counts.
 
-    def __init__(self, k: int, codes: np.ndarray, counts: np.ndarray) -> None:
-        self.k = k
-        self.codes = codes
-        self.counts = counts
+    There is no ``==``: numpy arrays make dataclass equality ambiguous."""
+
+    k: int
+    codes: np.ndarray
+    counts: np.ndarray
 
     def __len__(self) -> int:
         return len(self.codes)
 
-    def __iter__(self):
-        return decode_words(self.codes, self.k)
-
-    def __getitem__(self, kmer: str) -> int:
-        if isinstance(kmer, str) and len(kmer) == self.k and ACGT.issuperset(kmer):
-            code = np.uint64(encode_word(kmer))
-            i = int(np.searchsorted(self.codes, code))
-            if i < len(self.codes) and self.codes[i] == code:
-                return int(self.counts[i])
-        raise KeyError(kmer)
-
-    # the generic view would decode and look up every key one at a time
-    def values(self) -> ValuesView:
-        return _Values(self)
+    def values(self) -> list[int]:
+        """The counts, as Python ints, in code order."""
+        return self.counts.tolist()
 
 
-class _Values(ValuesView):
-    def __iter__(self):
-        return iter(self._mapping.counts.tolist())
-
-
-def kmer_spectrum(
-    readset: ReadSet, k: int, stats: SpectrumStats | None = None
-) -> KmerSpectrum:
-    """Counts of every ACGT-only k-mer over all overlapping windows.
-
-    Reads shorter than k contribute nothing (tallied on ``stats``).
-    """
+def kmer_spectrum(readset: ReadSet, k: int) -> KmerSpectrum:
+    """Counts of every ACGT-only k-mer over all overlapping windows; reads
+    shorter than k contribute nothing."""
     check_k(k)
-    chars, _, lengths = pack_reads(readset)
-    bases = CODE_TABLE.take(chars, mode="clip")
+    bases = base_codes(pack_reads(readset)[0])
     windows = max(len(bases) - k + 1, 0)
     kmers = np.zeros(windows, np.uint64)
     broken = np.zeros(windows, bool)
@@ -119,13 +94,7 @@ def kmer_spectrum(
         kmers <<= 2
         kmers |= low[j : j + windows]
         broken |= bases[j : j + windows] == 4
-    kmers = kmers[~broken]
-    if stats is not None:
-        long_reads = int(np.count_nonzero(lengths >= k))
-        stats.reads += long_reads
-        stats.short_reads += len(lengths) - long_reads
-        stats.kmers += len(kmers)
-    return KmerSpectrum(k, *np.unique(kmers, return_counts=True))
+    return KmerSpectrum(k, *np.unique(kmers[~broken], return_counts=True))
 
 
 def solid_threshold_for_coverage(coverage: float) -> int:
@@ -145,24 +114,6 @@ class KSpectrumConfig:
             raise ValueError(f"solid threshold must be >= 1, got {self.solid_min}")
         if self.max_edits < 0:
             raise ValueError(f"max_edits must be >= 0, got {self.max_edits}")
-
-
-def _spectrum_arrays(spectrum: Mapping, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted k-mer codes and their counts; every key must be an ACGT k-mer
-    and every count an integer."""
-    if isinstance(spectrum, KmerSpectrum) and spectrum.k == k:
-        return spectrum.codes, spectrum.counts
-    kmers = list(spectrum)
-    counts = [spectrum[kmer] for kmer in kmers]
-    for kmer, count in zip(kmers, counts):
-        if not (isinstance(kmer, str) and len(kmer) == k and ACGT.issuperset(kmer)):
-            raise ValueError(f"spectrum key {kmer!r} is not a {k}-mer over ACGT")
-        if not isinstance(count, (int, np.integer)):
-            raise ValueError(f"spectrum count {count!r} of {kmer!r} is not an integer")
-    codes = np.array([encode_word(kmer) for kmer in kmers], np.uint64)
-    counts = np.array(counts, np.int64)
-    order = np.argsort(codes)
-    return codes[order], counts[order]
 
 
 class _SolidCounts:
@@ -275,19 +226,21 @@ def _correct_packed(
 def kspectrum_correct(
     readset: ReadSet,
     config: KSpectrumConfig,
-    spectrum: Mapping[str, int] | None = None,
+    spectrum: KmerSpectrum | None = None,
 ) -> ReadSet:
     """Correct every read against a k-mer spectrum.
 
     The spectrum defaults to the one counted from ``readset`` itself; pass one
     explicitly to correct a subsample against fuller counts.  An explicit
-    spectrum must map k-mers over ACGT to integer counts.
+    spectrum must be a ``KmerSpectrum`` of ``config.k``.
     """
     if spectrum is None:
         spectrum = kmer_spectrum(readset, config.k)
-    solid = _SolidCounts(*_spectrum_arrays(spectrum, config.k), config.solid_min)
+    elif not (isinstance(spectrum, KmerSpectrum) and spectrum.k == config.k):
+        raise ValueError(f"spectrum must be a KmerSpectrum of k={config.k}")
+    solid = _SolidCounts(spectrum.codes, spectrum.counts, config.solid_min)
     chars, starts, lengths = pack_reads(readset)
-    bases = CODE_TABLE.take(chars, mode="clip")
+    bases = base_codes(chars)
     pos = _correct_packed(bases, starts, lengths, config.k, config.max_edits, solid)
     chars = chars.copy()
     chars[pos] = LETTERS[bases[pos]]
@@ -320,12 +273,12 @@ class ToolAdapter:
     """How to invoke an external corrector.
 
     ``command_template`` must mention ``{input}``, ``{output}``, and the one
-    tunable placeholder named by ``param_name``.
+    tunable placeholder named by ``param_name``; a ``timeout``, in seconds,
+    must be positive.
     """
 
     command_template: str
     param_name: str = "k"
-    workdir: str | None = None
     timeout: float | None = None
 
     def __post_init__(self) -> None:
@@ -337,17 +290,19 @@ class ToolAdapter:
         other = "{GL}" if self.param_name == "k" else "{k}"
         if other in self.command_template:
             raise ValueError(f"command template mixes {other} with {self.param_name}")
+        if self.timeout is not None and self.timeout <= 0:
+            raise ValueError(f"timeout must be positive, got {self.timeout}")
 
 
 def run_external(adapter: ToolAdapter, value: int, readset: ReadSet) -> ReadSet:
     """Materialize reads, run the tool, parse its output.
 
-    The working files live under ``ATHENA_TMPDIR`` (or the adapter's workdir,
-    or the system default).  On success temporaries are removed; on failure
-    the directory is kept, with captured stdout/stderr beside the files, and
-    its path is included in the raised AdapterError.
+    The working files live under ``ATHENA_TMPDIR`` (or the system default).
+    On success temporaries are removed; on failure the directory is kept,
+    with captured stdout/stderr beside the files, and its path is included
+    in the raised AdapterError.
     """
-    base = adapter.workdir or os.environ.get(TMPDIR_ENV) or None
+    base = os.environ.get(TMPDIR_ENV) or None
     tmpdir = tempfile.mkdtemp(prefix="ectuner-", dir=base)
     in_path = os.path.join(tmpdir, "input.fastq")
     out_path = os.path.join(tmpdir, "output.fastq")

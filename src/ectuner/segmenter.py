@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .seqio import CODE_TABLE, ReadSet, pack_reads
+from .seqio import ReadSet, base_codes, pack_reads
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ def segment_reads(
     if word_len <= 0:
         raise ValueError(f"word length must be positive, got {word_len}")
     chars, starts, lengths = pack_reads(readset)
-    bases = CODE_TABLE.take(chars, mode="clip")
+    bases = base_codes(chars)
     n_words = lengths // word_len
     row = np.repeat(np.arange(len(lengths)), n_words)  # each word's read
     first = np.cumsum(n_words) - n_words  # each read's first word

@@ -24,7 +24,7 @@ from ._rng import make_rng, sample_indices
 BASES = "ACGT"
 VALID_CHARS = frozenset(BASES + "N")
 LETTERS = np.frombuffer(BASES.encode("ascii"), np.uint8)  # code -> letter
-# code point -> code; take(..., mode="clip") sends code points above 255 to 4
+# code point -> code, for code points up to 255; base_codes takes any
 CODE_TABLE = np.full(256, 4, np.uint8)
 CODE_TABLE[LETTERS] = np.arange(4)
 ACGT = frozenset(BASES)
@@ -112,6 +112,16 @@ def pack_reads(readset: ReadSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return np.frombuffer(text.encode("ascii"), np.uint8), starts, lengths
     chars = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), "<u4")
     return chars, starts, lengths
+
+
+def base_codes(chars: np.ndarray) -> np.ndarray:
+    """The base code of every code point in ``chars``, as ``pack_reads``
+    gives them; a code point above 255 is never a base, so it gets 4.  A
+    ``uint8`` array indexes the table itself, where ``take`` would first copy
+    it into an 8-byte index."""
+    if chars.dtype == np.uint8:
+        return CODE_TABLE[chars]
+    return CODE_TABLE[np.minimum(chars, 255)]
 
 
 def _open_text(path: str, mode: str):

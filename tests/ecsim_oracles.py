@@ -3,14 +3,34 @@
 These are the string-and-dict versions of ``ecsim.kmer_spectrum``,
 ``ecsim.kspectrum_correct`` and ``ecsim.ec_gain``, one read and one character
 at a time, so a bug in the packed production code cannot hide in a shared
-helper.
+helper.  ``spectrum_of`` and ``as_dict`` carry a ``{k-mer: count}`` dict to a
+``KmerSpectrum`` and back, through the word code of ``seqio``.
 """
 
 from __future__ import annotations
 
-from ectuner.seqio import Read, ReadSet
+import numpy as np
+
+from ectuner.ecsim import KmerSpectrum
+from ectuner.seqio import Read, ReadSet, decode_words, encode_word
 
 _ACGT = frozenset("ACGT")
+
+
+def spectrum_of(counts: dict[str, int], k: int) -> KmerSpectrum:
+    """The spectrum holding ``counts``, whose keys must be k-mers over ACGT."""
+    for kmer in counts:
+        if len(kmer) != k:
+            raise ValueError(f"{kmer!r} is not a {k}-mer")
+    codes = np.array([encode_word(kmer) for kmer in counts], np.uint64)
+    values = np.array(list(counts.values()), np.int64)
+    order = np.argsort(codes)
+    return KmerSpectrum(k, codes[order], values[order])
+
+
+def as_dict(spectrum: KmerSpectrum) -> dict[str, int]:
+    """``spectrum`` as a ``{k-mer: count}`` dict."""
+    return dict(zip(decode_words(spectrum.codes, spectrum.k), spectrum.values()))
 
 
 def oracle_spectrum(readset: ReadSet, k: int) -> dict[str, int]:

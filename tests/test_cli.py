@@ -413,6 +413,69 @@ def test_sweep_config_under_model_records_no_ngram_settings(
     assert cfg["values"] == "9,11,13"
 
 
+@pytest.mark.parametrize("flag", ["--word-len", "--history", "--p-floor"])
+def test_sweep_under_model_rejects_the_ngram_flags_it_would_ignore(
+    clean_fastq, tmp_path, capsys, flag
+):
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["sweep", "--reads", clean_fastq, "--values", "9,11",
+               "--model", str(out / "missing.ngram"),  # never opened
+               "--json-out", str(out / "sweep.json"), flag, "5"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"ectuner: {flag} is fixed by the --model file\n"
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
+
+
+_TOOL = "cp {input} {output} {k}"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--solid-min", "0"], "--solid-min must be >= 1, got 0"),
+        (["--max-edits", "-1"], "--max-edits must be >= 0, got -1"),
+        (["--adapter-template", "cp {input} {k}"],
+         "command template is missing {output}"),
+        (["--adapter-template", _TOOL, "--timeout", "0"],
+         "--timeout must be > 0, got 0.0"),
+        (["--adapter-template", _TOOL, "--timeout", "-1"],
+         "--timeout must be > 0, got -1.0"),
+    ],
+    ids=["solid-min-0", "max-edits-negative", "template-without-output",
+         "timeout-0", "timeout-negative"],
+)
+@pytest.mark.parametrize(
+    "command, target",
+    [
+        ("correct", ["--k", "9", "--param-value", "9", "--out"]),
+        ("tune", ["--out-dir"]),
+        ("sweep", ["--json-out"]),
+    ],
+    ids=["correct", "tune", "sweep"],
+)
+def test_bad_corrector_settings_exit_1_before_any_read_is_loaded(
+    tmp_path, capsys, monkeypatch, command, target, flags, message
+):
+    tool_tmp = tmp_path / "tool-tmp"
+    tool_tmp.mkdir()
+    monkeypatch.setenv("ATHENA_TMPDIR", str(tool_tmp))
+    out = tmp_path / "out"
+    out.mkdir()
+    # the reads do not exist, so loading them first would exit 2
+    rc = main([command, "--reads", str(tmp_path / "missing.fastq"), *flags,
+               *target, str(out / "result")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"ectuner: {message}\n"
+    assert "training" not in captured.err
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
+    assert list(tool_tmp.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "command, flags, message",
     [

@@ -5,16 +5,16 @@ from __future__ import annotations
 import os
 import random
 import sys
-from collections.abc import Mapping
 
+import numpy as np
 import pytest
 
 from ectuner.ecsim import (
     AdapterError,
     AlignmentError,
     GainUndefinedError,
+    KmerSpectrum,
     KSpectrumConfig,
-    SpectrumStats,
     ToolAdapter,
     adapter_corrector,
     builtin_corrector,
@@ -28,9 +28,11 @@ from ectuner.injector import InjectionSpec, generate_genome, inject_readset, sam
 from ectuner.seqio import Read, ReadSet
 
 from ecsim_oracles import (
+    as_dict,
     oracle_correct_read,
     oracle_gain_counts,
     oracle_spectrum,
+    spectrum_of,
 )
 
 
@@ -38,17 +40,12 @@ def test_kmer_spectrum_matches_naive_recount():
     genome = generate_genome(500, seed=1)
     rs = sample_clean_reads(genome, 80, 30, seed=2)
     for k in (3, 7, 15):
-        assert kmer_spectrum(rs, k) == oracle_spectrum(rs, k)
+        assert as_dict(kmer_spectrum(rs, k)) == oracle_spectrum(rs, k)
 
 
 def test_kmer_spectrum_skips_n_windows_and_short_reads():
     rs = ReadSet((Read("a", "ACGNACG"), Read("b", "AC")))
-    stats = SpectrumStats()
-    spec = kmer_spectrum(rs, 3, stats)
-    assert spec == {"ACG": 2}
-    assert stats.reads == 1
-    assert stats.short_reads == 1
-    assert stats.kmers == 2
+    assert as_dict(kmer_spectrum(rs, 3)) == {"ACG": 2}
     with pytest.raises(ValueError):
         kmer_spectrum(rs, 0)
     with pytest.raises(ValueError, match="limit of 32"):
@@ -101,11 +98,11 @@ def test_packed_corrector_matches_scalar_oracle(k):
     genome = generate_genome(300, seed=k)
     reads = _messy_reads(rng, genome, 80)
     deep = sample_clean_reads(genome, 200, 40, seed=k + 1)
-    assert kmer_spectrum(reads, k) == oracle_spectrum(reads, k)
-    assert kmer_spectrum(deep, k) == oracle_spectrum(deep, k)
+    assert as_dict(kmer_spectrum(reads, k)) == oracle_spectrum(reads, k)
+    assert as_dict(kmer_spectrum(deep, k)) == oracle_spectrum(deep, k)
     spectra = [
         (None, oracle_spectrum(reads, k)),
-        (oracle_spectrum(deep, k), oracle_spectrum(deep, k)),
+        (spectrum_of(oracle_spectrum(deep, k), k), oracle_spectrum(deep, k)),
         (kmer_spectrum(deep, k), oracle_spectrum(deep, k)),
     ]
     for solid_min in range(1, 6):
@@ -121,40 +118,41 @@ def test_packed_corrector_matches_scalar_oracle(k):
 
 def test_all_t_32mer_wins_a_tie_break_alone():
     # the all-T 32-mer has the largest code a 64-bit k-mer can take
-    spectrum = {"T" * 32: 5}
+    counts = {"T" * 32: 5}
+    spectrum = spectrum_of(counts, 32)
+    assert spectrum.codes.tolist() == [2**64 - 1]
     config = KSpectrumConfig(32, solid_min=1, max_edits=1)
     for first in "CA":
         read = Read("r", first + "T" * 31)
         fixed = kspectrum_correct(ReadSet((read,)), config, spectrum=spectrum)
-        want = oracle_correct_read(read, 32, 1, 1, spectrum)
+        want = oracle_correct_read(read, 32, 1, 1, counts)
         assert fixed[0].sequence == want.sequence == "T" * 32
 
 
-def test_explicit_spectrum_must_map_acgt_kmers_to_integers():
+def test_explicit_spectrum_must_be_a_kmer_spectrum_of_the_same_k():
     rs = ReadSet((Read("r", "NAACAAA"),))
     config = KSpectrumConfig(k=3, solid_min=1)
-    # an N key would otherwise match the read's N window
-    for spectrum in ({"NAA": 5}, {"AAA": 5, "AAAA": 5}, {"AaA": 5}):
-        with pytest.raises(ValueError, match="not a 3-mer over ACGT"):
+    for spectrum in ({"AAA": 5}, kmer_spectrum(rs, 4)):
+        with pytest.raises(ValueError, match="must be a KmerSpectrum of k=3"):
             kspectrum_correct(rs, config, spectrum=spectrum)
-    with pytest.raises(ValueError, match="not a 3-mer over ACGT"):
-        kspectrum_correct(rs, config, spectrum=kmer_spectrum(rs, 4))
-    # counts are compared as integers, so a fraction would be truncated
-    with pytest.raises(ValueError, match="count 2.5 of 'AAA' is not an integer"):
-        kspectrum_correct(rs, config, spectrum={"AAA": 2.5})
-    fixed = kspectrum_correct(rs, config, spectrum={"AAA": 5})
+    fixed = kspectrum_correct(rs, config, spectrum=spectrum_of({"AAA": 5}, 3))
     assert fixed[0].sequence == "AAAAAAA"
 
 
-def test_kmer_spectrum_is_a_read_only_mapping():
+def test_kmer_spectrum_is_sorted_codes_and_counts():
     rs = ReadSet((Read("a", "ACGTACGA"), Read("b", "ACGT")))
     spec = kmer_spectrum(rs, 4)
-    assert isinstance(spec, Mapping)
-    assert list(spec) == sorted(spec)
-    assert spec["ACGT"] == 2 and "CGTA" in spec and "AAAA" not in spec
-    assert "acgt" not in spec and 7 not in spec
-    assert sum(spec.values()) == 6
-    assert dict(spec.items()) == {"ACGT": 2, "CGTA": 1, "GTAC": 1, "TACG": 1, "ACGA": 1}
+    assert spec.k == 4
+    assert spec.codes.dtype == np.uint64 and spec.counts.dtype == np.int64
+    assert np.all(spec.codes[1:] > spec.codes[:-1])
+    assert len(spec) == 5
+    assert spec.values() == [1, 2, 1, 1, 1]
+    assert all(type(c) is int for c in spec.values())
+    assert as_dict(spec) == {"ACGA": 1, "ACGT": 2, "CGTA": 1, "GTAC": 1, "TACG": 1}
+    # arrays make field-wise equality ambiguous, so a spectrum is only itself
+    assert KmerSpectrum.__eq__ is object.__eq__
+    empty = kmer_spectrum(ReadSet((Read("s", "AC"),)), 4)
+    assert len(empty) == 0 and empty.values() == []
 
 
 def test_single_error_is_restored_against_deep_spectrum():
@@ -180,7 +178,7 @@ def test_max_edits_caps_corrections():
     # corrector exactly one solid replacement per broken window
     bad = "AACAAAAAACAAAAAACAAA"
     rs = ReadSet((Read("e", bad),))
-    spectrum = {"AAAAA": 10}
+    spectrum = spectrum_of({"AAAAA": 10}, 5)
 
     capped = kspectrum_correct(
         rs, KSpectrumConfig(k=5, solid_min=3, max_edits=2), spectrum=spectrum
@@ -200,11 +198,11 @@ def test_max_edits_caps_corrections():
 
 def test_tie_breaks_choose_lexicographically_smallest():
     rs = ReadSet((Read("r", "AAA"),))
-    spectrum = {"AAC": 5, "CAA": 5}
+    spectrum = spectrum_of({"AAC": 5, "CAA": 5}, 3)
     fixed = kspectrum_correct(rs, KSpectrumConfig(k=3, solid_min=3), spectrum=spectrum)
     assert fixed[0].sequence == "AAC"
 
-    spectrum = {"AAC": 5, "CAA": 9}
+    spectrum = spectrum_of({"AAC": 5, "CAA": 9}, 3)
     fixed = kspectrum_correct(rs, KSpectrumConfig(k=3, solid_min=3), spectrum=spectrum)
     assert fixed[0].sequence == "CAA"
 
@@ -298,6 +296,10 @@ def test_adapter_template_validation():
     with pytest.raises(ValueError):
         ToolAdapter("tool {input} {output} {q}", param_name="q")
     ToolAdapter("tool {input} {output} --gl {GL}", param_name="GL")
+    ToolAdapter("tool {input} {output} {k}", timeout=0.5)
+    for timeout in (0, -1.0):
+        with pytest.raises(ValueError, match="timeout must be positive"):
+            ToolAdapter("tool {input} {output} {k}", timeout=timeout)
 
 
 def test_identity_shell_adapter_round_trips(tmp_path, monkeypatch):

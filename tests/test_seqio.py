@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gzip
 
+import numpy as np
 import pytest
 
 from ectuner import seqio
@@ -12,6 +13,7 @@ from ectuner.seqio import (
     FastqParseError,
     Read,
     ReadSet,
+    base_codes,
     decode_words,
     encode_word,
     iter_fasta,
@@ -233,3 +235,13 @@ def test_pack_reads_separates_reads_and_keeps_code_points():
     assert "".join(map(chr, chars.tolist())) == "ACN\n\nTé\n"
     chars, starts, lengths = pack_reads(ReadSet(()))
     assert len(chars) == len(starts) == len(lengths) == 0
+
+
+def test_base_codes_send_everything_but_acgt_to_4():
+    # the low bytes of \u0141\u0143\u0147\u0154 spell ACGT
+    for seq in ("ACGTNacgt-", "ACGT\u00e9\U0001f600\u0141\u0143\u0147\u0154N"):
+        chars = pack_reads(ReadSet((Read("r", seq),)))[0]
+        codes = base_codes(chars)
+        assert codes.dtype == np.uint8
+        want = ["ACGT".index(ch) if ch in "ACGT" else 4 for ch in seq + "\n"]
+        assert codes.tolist() == want
