@@ -279,8 +279,8 @@ def cmd_perplexity(args: argparse.Namespace) -> int:
 
 def cmd_inject(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _DEFAULTS["inject"])
-    reads = load_reads(args.reads)
     spec = InjectionSpec(kind=cfg["kind"], regime=cfg["regime"], seed=cfg["seed"])
+    reads = load_reads(args.reads)
     corrupted, ledger = inject_readset(reads, spec)
     write_fastq(corrupted, args.out)
     if args.ledger:

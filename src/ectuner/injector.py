@@ -17,7 +17,15 @@ whose inverse replay restores the original reads exactly.
 Draw order per read (for independent re-derivation): mixture kind first if
 applicable, then the count, then the kind's own draws as listed above; the
 insertion segment is drawn as one vector after its index, substitution draws
-alternate position then base.
+alternate position then base.  Every draw is ``Generator.integers`` on the
+read's stream ``spawn_rng(seed, index)``.
+
+``inject_readset`` follows this protocol for a whole block of reads at once:
+``_rng.StreamBlock`` computes each read's draws from raw PCG64 words as
+NumPy would (SeedSequence, PCG64 XSL-RR, Lemire bounded integers on 32-bit
+halves, low half first), so every corrupted read and ledger entry is the one
+the per-read calls would give; ``tests/injector_oracles.py`` keeps the
+per-read path as the reference.
 """
 
 from __future__ import annotations
@@ -26,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import make_rng, spawn_rng
-from .seqio import BASES, LETTERS, Read, ReadSet
+from ._rng import StreamBlock, make_rng
+from .seqio import BASES, LETTERS, Read, ReadSet, pack_reads
 
 KINDS = ("deletion", "insertion", "substitution")
 REGIMES = {"low": (1, 5), "high": (6, 10)}
@@ -95,6 +103,8 @@ class InjectionSpec:
             raise ValueError(f"unknown error kind {self.kind!r}")
         if self.regime not in REGIMES:
             raise ValueError(f"unknown rate regime {self.regime!r}")
+        if self.seed < 0:
+            raise ValueError(f"injection seed must be >= 0, got {self.seed}")
 
 
 def generate_genome(length: int, seed: int) -> str:
@@ -121,42 +131,24 @@ def sample_clean_reads(genome: str, n: int, read_len: int, seed: int) -> ReadSet
     return ReadSet(reads, source="synthetic")
 
 
-# -- single-read edits --------------------------------------------------------
-
-
-def _delete(seq: str, d: int, rng: np.random.Generator) -> tuple[str, list]:
-    l = len(seq)
-    if not 0 < d <= l:
-        raise ValueError(f"deletion length {d} invalid for read of length {l}")
-    i = int(rng.integers(0, l - d + 1))
-    return seq[:i] + seq[i + d :], [("deletion", i, seq[i : i + d], "")]
-
-
-def _insert(seq: str, n: int, rng: np.random.Generator) -> tuple[str, list]:
-    l = len(seq)
-    if not 0 < n <= l:
-        raise ValueError(f"insertion length {n} invalid for read of length {l}")
-    i = int(rng.integers(0, l - n + 1))
-    segment = LETTERS[rng.integers(0, 4, size=n)].tobytes().decode("ascii")
-    return seq[:i] + segment + seq[i:], [("insertion", i, "", segment)]
+# -- edits --------------------------------------------------------------------
 
 
 def _substitute(seq: str, n: int, rng: np.random.Generator) -> tuple[str, list]:
-    l = len(seq)
+    """n position/base draw pairs on one sequence, with replacement across
+    positions, all from one broadcast ``integers`` call (the same draws, in
+    the same order, as 2n scalar calls)."""
     if n <= 0:
         raise ValueError(f"substitution count must be positive, got {n}")
+    draws = rng.integers(0, np.tile([len(seq), 4], n)).tolist()
     chars = list(seq)
     edits = []
-    for _ in range(n):
-        pos = int(rng.integers(0, l))
-        base = BASES[int(rng.integers(0, 4))]
+    for pos, code in zip(draws[0::2], draws[1::2]):
+        base = BASES[code]
         if chars[pos] != base:
             edits.append(("substitution", pos, chars[pos], base))
             chars[pos] = base
     return "".join(chars), edits
-
-
-_EDIT_FNS = {"deletion": _delete, "insertion": _insert, "substitution": _substitute}
 
 
 def _adjust_quality(kind: str, quality: str | None, pos: int, n: int) -> str | None:
@@ -167,53 +159,119 @@ def _adjust_quality(kind: str, quality: str | None, pos: int, n: int) -> str | N
     return quality[:pos] + "I" * n + quality[pos:]
 
 
-def _apply(read: Read, kind: str, count: int, rng: np.random.Generator):
-    seq, edits = _EDIT_FNS[kind](read.sequence, count, rng)
-    qual = read.quality
-    for k, pos, orig, obs in edits:
-        if k != "substitution":
-            qual = _adjust_quality(k, qual, pos, max(len(orig), len(obs)))
-    return Read(read.id, seq, qual), [
-        LedgerEntry(read.id, pos, k, orig, obs) for k, pos, orig, obs in edits
-    ]
-
-
-def inject_deletion(read: Read, d: int, rng: np.random.Generator) -> Read:
-    """Remove a window of d bases at a uniform index (one integer draw)."""
-    return _apply(read, "deletion", d, rng)[0]
-
-
-def inject_insertion(read: Read, n: int, rng: np.random.Generator) -> Read:
-    """Insert n uniform bases at a uniform index (index draw, then vector)."""
-    return _apply(read, "insertion", n, rng)[0]
-
-
-def inject_substitution(read: Read, n: int, rng: np.random.Generator) -> Read:
-    """n position/base draw pairs, with replacement across positions."""
-    return _apply(read, "substitution", n, rng)[0]
+# reads per block: bounds the block's arrays to a few hundred kB at any read count
+_BLOCK = 1024
+_INS, _SUB = KINDS.index("insertion"), KINDS.index("substitution")
 
 
 def inject_readset(
     readset: ReadSet, spec: InjectionSpec
 ) -> tuple[ReadSet, ErrorLedger]:
-    """Corrupt every read as ``spec`` directs; returns the new set and its ledger."""
-    lo, hi = REGIMES[spec.regime]
+    """Corrupt every read as ``spec`` directs; returns the new set and its ledger.
 
-    def corrupt(idx: int, read: Read):
-        rng = spawn_rng(spec.seed, idx)
-        kind = spec.kind
-        if kind == "mixture":
-            kind = KINDS[int(rng.integers(0, 3))]
-        count = int(rng.integers(lo, hi + 1))
-        return _apply(read, kind, count, rng)
-
-    results = [corrupt(idx, read) for idx, read in enumerate(readset)]
-    reads = tuple(r for r, _ in results)
-    entries = tuple(e for _, es in results for e in es)
+    Reads are corrupted a block at a time, every read's draws taken from its
+    own stream as the module docstring lays out.  A read too short for its
+    edit (an indel longer than the read, or a substitution into an empty
+    read) raises ``ValueError`` naming it.
+    """
+    reads: list[Read] = []
+    entries: list[LedgerEntry] = []
+    for first in range(0, len(readset), _BLOCK):
+        block_reads, block_entries = _inject_block(
+            readset.reads[first : first + _BLOCK], first, spec
+        )
+        reads += block_reads
+        entries += block_entries
     return (
-        ReadSet(reads, source=f"{readset.source}|{spec.kind}:{spec.regime}"),
-        ErrorLedger(entries),
+        ReadSet(tuple(reads), source=f"{readset.source}|{spec.kind}:{spec.regime}"),
+        ErrorLedger(tuple(entries)),
     )
+
+
+def _inject_block(
+    reads: tuple[Read, ...], first: int, spec: InjectionSpec
+) -> tuple[list[Read], list[LedgerEntry]]:
+    """Corrupt the reads with indices ``first, first + 1, ...``: each draw of
+    the protocol is taken for every read that makes it at once."""
+    lo, hi = REGIMES[spec.regime]
+    n = len(reads)
+    every = np.arange(n)
+    # 2 + 2 * hi 32-bit draws cover every read unless Lemire rejects one
+    streams = StreamBlock(spec.seed, every + first, hi + 1)
+    if spec.kind == "mixture":
+        kinds = streams.integers(every, 3)
+    else:
+        kinds = np.full(n, KINDS.index(spec.kind))
+    counts = lo + streams.integers(every, hi - lo + 1)
+    lengths = np.fromiter((len(r.sequence) for r in reads), np.int64, n)
+    short = lengths < np.where(kinds == _SUB, 1, counts)
+    if short.any():
+        r = int(np.argmax(short))
+        raise ValueError(
+            f"read {reads[r].id!r} of length {lengths[r]} is too short for "
+            f"{KINDS[kinds[r]]} count {counts[r]}"
+        )
+
+    indel = np.flatnonzero(kinds != _SUB)
+    at = np.zeros(n, np.int64)
+    at[indel] = streams.integers(indel, lengths[indel] - counts[indel] + 1)
+    ins = np.flatnonzero(kinds == _INS)
+    segments = np.zeros((len(ins), hi), np.int64)
+    for slot in range(hi):
+        rows = counts[ins] > slot
+        segments[rows, slot] = streams.integers(ins[rows], 4)
+    segment_text = LETTERS[segments].tobytes().decode("ascii")
+    segment = {
+        r: segment_text[j * hi : j * hi + c]
+        for j, (r, c) in enumerate(zip(ins.tolist(), counts[ins].tolist()))
+    }
+
+    sub = np.flatnonzero(kinds == _SUB)
+    chars, starts, _ = pack_reads(ReadSet(reads))
+    chars = chars.copy()
+    changed = []  # per slot: rows, positions, old and new code points
+    for slot in range(hi):
+        rows = sub[counts[sub] > slot]
+        pos = streams.integers(rows, lengths[rows])
+        new = LETTERS[streams.integers(rows, 4)]
+        where = starts[rows] + pos
+        old = chars[where]
+        hit = old != new
+        # applied slot by slot, so a repeated position sees the earlier change
+        chars[where[hit]] = new[hit]
+        changed.append((rows[hit], pos[hit], old[hit], new[hit]))
+    rows, pos, old, new = (np.concatenate(a) for a in zip(*changed))
+    # each read's substitutions, in application order, at bounds[r]:bounds[r + 1]
+    by_read = np.argsort(rows, kind="stable")
+    bounds = np.searchsorted(rows[by_read], np.arange(n + 1)).tolist()
+    pos, old, new = (a[by_read].tolist() for a in (pos, old, new))
+    text = chars.tobytes().decode(
+        "ascii" if chars.dtype == np.uint8 else "utf-32-le", "surrogatepass"
+    )
+
+    out, entries = [], []
+    for r, (read, kind, i, c) in enumerate(
+        zip(reads, kinds.tolist(), at.tolist(), counts.tolist())
+    ):
+        seq = read.sequence
+        if kind == _SUB:
+            changes = range(bounds[r], bounds[r + 1])
+            entries += (
+                LedgerEntry(read.id, pos[k], "substitution", chr(old[k]), chr(new[k]))
+                for k in changes
+            )
+            if changes:
+                s = int(starts[r])
+                read = Read(read.id, text[s : s + len(seq)], read.quality)
+        else:
+            if kind == _INS:
+                edit, seq = ("", segment[r]), seq[:i] + segment[r] + seq[i:]
+            else:
+                edit, seq = (seq[i : i + c], ""), seq[:i] + seq[i + c :]
+            entries.append(LedgerEntry(read.id, i, KINDS[kind], *edit))
+            read = Read(read.id, seq, _adjust_quality(KINDS[kind], read.quality, i, c))
+        out.append(read)
+    return out, entries
 
 
 def revert(corrupted: ReadSet, ledger: ErrorLedger) -> ReadSet:

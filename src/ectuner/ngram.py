@@ -49,8 +49,10 @@ can interoperate:
 
 A file holds only histories that occur in the training reads.  Files from
 older versions also hold start-marker histories (token 0xFFFFFFFF); they load
-as plain tokens that no lookup matches, because word codes stay below
-4**word_len, so such files score and re-save exactly as they did.
+as plain tokens, so such files score and re-save exactly as they did.  Below
+word_len 16 no lookup matches a marker, because word codes stay below
+4**word_len; at word_len 16, 0xFFFFFFFF is also the code of the all-T word,
+so a marker history is matched wherever the preceding word is 16 T's.
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ LETTERS = np.frombuffer(BASES.encode("ascii"), np.uint8)  # code -> letter
 CODE_TABLE = np.full(256, 4, np.uint8)
 CODE_TABLE[LETTERS] = np.arange(4)
 ACGT = frozenset(BASES)
+_CODE_CHUNK = 1 << 13
 _BASE_DIGIT = str.maketrans(BASES, "0123")
 
 
@@ -116,12 +117,16 @@ def pack_reads(readset: ReadSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def base_codes(chars: np.ndarray) -> np.ndarray:
     """The base code of every code point in ``chars``, as ``pack_reads``
-    gives them; a code point above 255 is never a base, so it gets 4.  A
-    ``uint8`` array indexes the table itself, where ``take`` would first copy
-    it into an 8-byte index."""
-    if chars.dtype == np.uint8:
-        return CODE_TABLE[chars]
-    return CODE_TABLE[np.minimum(chars, 255)]
+    gives them; a code point above 255 is never a base, so it gets 4.  The
+    table lookup runs a chunk at a time, so ``take``'s 8-byte copy of its
+    index stays a fixed size however long ``chars`` is."""
+    out = np.empty(len(chars), np.uint8)
+    for start in range(0, len(chars), _CODE_CHUNK):
+        chunk = chars[start : start + _CODE_CHUNK]
+        if chars.dtype != np.uint8:
+            chunk = np.minimum(chunk, 255)
+        CODE_TABLE.take(chunk, out=out[start : start + _CODE_CHUNK])
+    return out
 
 
 def _open_text(path: str, mode: str):

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -17,7 +18,7 @@ import pytest
 import ectuner
 from ectuner.cli import build_parser, main
 from ectuner.injector import ErrorLedger, generate_genome, sample_clean_reads
-from ectuner.seqio import load_reads, write_fastq
+from ectuner.seqio import Read, load_reads, write_fastq
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +158,30 @@ def test_inject_writes_fastq_ledger_and_config(clean_fastq, tmp_path, capsys):
         cfg = json.load(fh)
     assert cfg["kind"] == "substitution"
     assert cfg["seed"] == 11
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--kind", "deletion", "--regime", "high"],
+         r"read 'short' of length 4 is too short for deletion count (6|7|8|9|10)"),
+        (["--kind", "insertion", "--regime", "high"],
+         r"read 'short' of length 4 is too short for insertion count (6|7|8|9|10)"),
+        (["--seed", "-1"], r"injection seed must be >= 0, got -1"),
+    ],
+)
+def test_inject_failure_exits_1_and_writes_nothing(tmp_path, capsys, flags, message):
+    reads = str(tmp_path / "in.fastq")
+    write_fastq(
+        [Read("long", "ACGTACGTACGT"), Read("short", "ACGT"), Read("last", "ACGTACGTACGT")],
+        reads,
+    )
+    out = tmp_path / "bad.fastq"
+    rc = main(["inject", "--reads", reads, "--out", str(out),
+               "--ledger", str(tmp_path / "changes.tsv"), *flags])
+    assert rc == 1
+    assert re.fullmatch(f"ectuner: {message}\n", capsys.readouterr().err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.fastq"]
 
 
 def test_correct_requires_k_for_builtin(clean_fastq, tmp_path, capsys):

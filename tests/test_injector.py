@@ -1,11 +1,14 @@
-"""Error-injection checks: documented draw protocol, length accounting,
-ledger round-trips, and exact reversal."""
+"""Error-injection checks: documented draw protocol, block injection against
+the per-read oracle, length accounting, ledger round-trips, and exact
+reversal."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+import injector_oracles as oracle
+from ectuner import injector
 from ectuner._rng import make_rng, spawn_rng
 from ectuner.injector import (
     KINDS,
@@ -16,14 +19,13 @@ from ectuner.injector import (
     LedgerReplayError,
     _substitute,
     generate_genome,
-    inject_deletion,
-    inject_insertion,
     inject_readset,
-    inject_substitution,
     revert,
     sample_clean_reads,
 )
 from ectuner.seqio import Read, ReadSet
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 _BASES = "ACGT"
 
@@ -98,25 +100,74 @@ def test_inject_readset_matches_documented_protocol(kind, regime):
 
 
 def test_single_edit_helpers_edit_quality():
-    rng = spawn_rng(0, 0)
     read = Read("q", "ACGTACGTAC", "0123456789")
-    out = inject_deletion(read, 3, rng)
-    assert len(out.sequence) == 7
-    assert len(out.quality) == 7
-    # deleted window removes the matching quality slice
-    kept = [read.quality[i] for i, _ in enumerate(read.sequence)]
-    assert set(out.quality) <= set(kept)
+    for kind in KINDS:
+        for seed in range(20):
+            (out,), ledger = inject_readset(ReadSet((read,)), InjectionSpec(kind, "low", seed))
+            assert len(out.quality) == len(out.sequence)
+            if kind == "substitution":
+                assert out.quality == read.quality
+                continue
+            (e,) = ledger.entries
+            if kind == "deletion":
+                # the deleted window removes the matching quality slice
+                n = len(e.original)
+                assert out.quality == read.quality[: e.position] + read.quality[e.position + n :]
+            else:
+                n = len(e.observed)
+                assert out.quality == read.quality[: e.position] + "I" * n + read.quality[e.position :]
 
-    rng = spawn_rng(0, 1)
-    out = inject_insertion(read, 4, rng)
-    assert len(out.sequence) == 14
-    assert len(out.quality) == 14
-    assert out.quality.count("I") >= 4
 
-    rng = spawn_rng(0, 2)
-    out = inject_substitution(read, 5, rng)
-    assert len(out.sequence) == 10
-    assert out.quality == read.quality
+def _mixed_reads(min_len: int) -> ReadSet:
+    """Reads with quality strings or none, N and other non-ACGT characters,
+    and lengths from ``min_len`` (edit spans of 1) up to 90."""
+    genome = generate_genome(3000, seed=40)
+    quals = "".join(chr(c) for c in range(33, 74)) * 4
+    reads = []
+    for i in range(160):
+        n = min_len + (i * 7) % (91 - min_len) if i % 4 else min_len
+        seq = genome[11 * i : 11 * i + n]
+        if i % 3 == 0:
+            seq = seq[: n // 2] + "N" + seq[n // 2 + 1 :]
+        if i % 29 == 5:
+            seq = "\u00e9" + seq[1:]
+        reads.append(Read(f"m{i}", seq, quals[i % 41 : i % 41 + n] if i % 2 else None))
+    return ReadSet(tuple(reads))
+
+
+@pytest.mark.parametrize("kind", ["deletion", "insertion", "substitution", "mixture"])
+@pytest.mark.parametrize("regime", ["low", "high"])
+@pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+def test_block_injection_equals_the_per_read_oracle(monkeypatch, kind, regime, seed):
+    # a small block size puts block boundaries inside the read set
+    monkeypatch.setattr(injector, "_BLOCK", 37)
+    spec = InjectionSpec(kind, regime, seed)
+    for readset in (_mixed_reads(REGIMES[regime][1]), _mixed_reads(1)):
+        if kind != "substitution" and len(readset[0]) == 1:
+            continue
+        corrupted, ledger = inject_readset(readset, spec)
+        want_reads, want_entries = oracle.inject_readset(readset, spec)
+        assert corrupted.reads == tuple(want_reads)
+        assert ledger.entries == tuple(want_entries)
+
+
+def test_block_injection_equals_the_oracle_across_default_blocks():
+    genome = generate_genome(5000, seed=41)
+    clean = sample_clean_reads(genome, 4500, 20, seed=42)
+    spec = InjectionSpec("mixture", "high", seed=43)
+    corrupted, ledger = inject_readset(clean, spec)
+    want_reads, want_entries = oracle.inject_readset(clean, spec)
+    assert corrupted.reads == tuple(want_reads)
+    assert ledger.entries == tuple(want_entries)
+
+
+def test_broadcast_substitute_equals_scalar_draws():
+    for seq, n in (("A", 7), ("ACGTN", 12), ("\u00e9" * 3, 4), ("ACGT" * 500, 300)):
+        fast, slow = make_rng(50), make_rng(50)
+        assert _substitute(seq, n, fast) == oracle.substitute(seq, n, slow)
+        assert fast.bit_generator.state == slow.bit_generator.state
+    with pytest.raises(ValueError):
+        _substitute("", 3, make_rng(51))
 
 
 def test_length_accounting_over_randomized_reads():
@@ -163,9 +214,9 @@ def test_substitution_changes_three_quarters_of_draws():
 def test_substitution_positions_use_full_range():
     rng = make_rng(20)
     read = Read("r", "A" * 50)
-    out = inject_substitution(read, 500, rng)
+    out, _ = _substitute(read.sequence, 500, rng)
     # with 500 draws every position is hit with overwhelming probability
-    changed = {i for i, (a, b) in enumerate(zip(read.sequence, out.sequence)) if a != b}
+    changed = {i for i, (a, b) in enumerate(zip(read.sequence, out)) if a != b}
     assert min(changed) < 5
     assert max(changed) >= 45
 
@@ -260,13 +311,24 @@ def test_injection_spec_validation():
 
 
 def test_oversized_edit_counts_raise():
-    rng = make_rng(33)
-    with pytest.raises(ValueError):
-        inject_deletion(Read("r", "ACGT"), 5, rng)
-    with pytest.raises(ValueError):
-        inject_insertion(Read("r", "ACGT"), 5, rng)
-    with pytest.raises(ValueError):
-        inject_substitution(Read("r", "ACGT"), 0, rng)
+    ok = Read("ok", "ACGTACGTAC")
+    for kind, read, count in (
+        ("deletion", Read("short", "ACGT"), "5"),
+        ("insertion", Read("short", "ACGT"), "5"),
+        ("substitution", Read("empty", ""), "[1-5]"),
+    ):
+        spec = InjectionSpec(kind, "low" if kind == "substitution" else "high", seed=33)
+        pattern = rf"read '{read.id}' of length {len(read)} is too short for {kind} count {count}"
+        if kind != "substitution":
+            # the high regime draws at least 6, so read length 4 never fits
+            pattern = pattern.replace(count, "(6|7|8|9|10)")
+        with pytest.raises(ValueError, match=pattern):
+            inject_readset(ReadSet((ok, read, ok)), spec)
+
+
+def test_negative_seed_is_refused():
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        InjectionSpec("substitution", "low", seed=-1)
 
 
 def test_injection_seed_changes_output():
