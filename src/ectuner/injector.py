@@ -227,27 +227,30 @@ def _inject_block(
     }
 
     sub = np.flatnonzero(kinds == _SUB)
-    chars, starts, _ = pack_reads(ReadSet(reads))
-    chars = chars.copy()
-    changed = []  # per slot: rows, positions, old and new code points
-    for slot in range(hi):
-        rows = sub[counts[sub] > slot]
-        pos = streams.integers(rows, lengths[rows])
-        new = LETTERS[streams.integers(rows, 4)]
-        where = starts[rows] + pos
-        old = chars[where]
-        hit = old != new
-        # applied slot by slot, so a repeated position sees the earlier change
-        chars[where[hit]] = new[hit]
-        changed.append((rows[hit], pos[hit], old[hit], new[hit]))
-    rows, pos, old, new = (np.concatenate(a) for a in zip(*changed))
     # each read's substitutions, in application order, at bounds[r]:bounds[r + 1]
-    by_read = np.argsort(rows, kind="stable")
-    bounds = np.searchsorted(rows[by_read], np.arange(n + 1)).tolist()
-    pos, old, new = (a[by_read].tolist() for a in (pos, old, new))
-    text = chars.tobytes().decode(
-        "ascii" if chars.dtype == np.uint8 else "utf-32-le", "surrogatepass"
-    )
+    bounds, pos, old, new = [0] * (n + 1), [], [], []
+    if sub.size:
+        chars, starts, _ = pack_reads(ReadSet(reads))
+        chars = chars.copy()
+        changed = []  # per slot: rows, positions, old and new code points
+        for slot in range(hi):
+            rows = sub[counts[sub] > slot]
+            pos = streams.integers(rows, lengths[rows])
+            new = LETTERS[streams.integers(rows, 4)]
+            where = starts[rows] + pos
+            old = chars[where]
+            hit = old != new
+            # applied slot by slot, so a repeated position sees the earlier change
+            chars[where[hit]] = new[hit]
+            changed.append((rows[hit], pos[hit], old[hit], new[hit]))
+        rows, pos, old, new = (np.concatenate(a) for a in zip(*changed))
+        by_read = np.argsort(rows, kind="stable")
+        bounds = np.searchsorted(rows[by_read], np.arange(n + 1)).tolist()
+        pos, old, new = (a[by_read].tolist() for a in (pos, old, new))
+        text = chars.tobytes().decode(
+            "ascii" if chars.dtype == np.uint8 else "utf-32-le", "surrogatepass"
+        )
+        starts = starts.tolist()
 
     out, entries = [], []
     for r, (read, kind, i, c) in enumerate(
@@ -261,7 +264,7 @@ def _inject_block(
                 for k in changes
             )
             if changes:
-                s = int(starts[r])
+                s = starts[r]
                 read = Read(read.id, text[s : s + len(seq)], read.quality)
         else:
             if kind == _INS:

@@ -324,6 +324,8 @@ def test_oversized_edit_counts_raise():
             pattern = pattern.replace(count, "(6|7|8|9|10)")
         with pytest.raises(ValueError, match=pattern):
             inject_readset(ReadSet((ok, read, ok)), spec)
+    with pytest.raises(ValueError, match="substitution count must be positive"):
+        _substitute("ACGT", 0, make_rng(33))
 
 
 def test_negative_seed_is_refused():
