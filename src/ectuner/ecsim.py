@@ -16,6 +16,16 @@ most 32.  The corrector advances every read through the same scan position
 together, one position per round.  A spectrum is a ``KmerSpectrum``: the
 sorted codes of every distinct k-mer and their counts.
 
+Most weak windows have no solid neighbour at all, so the search first checks
+the window's halves: with h = k // 2, its head is its first h bases and its
+tail its last k - h.  A replacement at offset h or later leaves the head as it
+is, so it can only be solid if some solid k-mer starts with that head; one
+before h leaves the tail, which some solid k-mer must then end with.  The
+candidates of a half that fails this test could only count 0, so they are
+never looked up, and a window whose halves both fail is not searched.  An
+unknown base is no exception: only its own offset can be fixed, and the other
+half of the window is all ACGT.
+
 External tools run through a command template with ``{input}``, ``{output}``
 and exactly one tunable placeholder (``{k}`` or ``{GL}``).  Exchange happens
 via temporary files, never pipes; the environment variable ``ATHENA_TMPDIR``
@@ -120,9 +130,13 @@ class _SolidCounts:
     """Counts of solid k-mers, looked up for many codes at once (0 if absent).
 
     Most queried codes are absent, so a table of occupied hash slots, at
-    most one in 16 set, rules most of them out before the binary search."""
+    most one in 16 set, rules most of them out before the binary search.
+    ``heads`` and ``tails`` hold the distinct first ``k // 2`` and last
+    ``k - k // 2`` bases of the solid k-mers, as codes."""
 
-    def __init__(self, codes: np.ndarray, counts: np.ndarray, solid_min: int) -> None:
+    def __init__(
+        self, codes: np.ndarray, counts: np.ndarray, solid_min: int, k: int
+    ) -> None:
         solid = counts >= solid_min
         self.codes = codes[solid]
         self.counts = counts[solid]
@@ -130,6 +144,10 @@ class _SolidCounts:
         self.shift = np.uint64(64 - bits)
         self.occupied = np.zeros(1 << bits, bool)
         self.occupied[self._slot(self.codes)] = True
+        self.head_shift = np.uint64(2 * (k - k // 2))
+        self.tail_mask = np.uint64((1 << 2 * (k - k // 2)) - 1)
+        self.heads = _sorted_set(self.codes >> self.head_shift)
+        self.tails = _sorted_set(self.codes & self.tail_mask)
 
     def _slot(self, codes: np.ndarray) -> np.ndarray:
         return (codes * np.uint64(0x9E3779B97F4A7C15)) >> self.shift
@@ -144,6 +162,32 @@ class _SolidCounts:
         found[maybe[hit]] = self.counts[i[hit]]
         return found.reshape(query.shape)
 
+    def halves(self, kmers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Whether each k-mer's head, and its tail, starts or ends a solid k-mer."""
+        return (
+            _contains(self.heads, kmers >> self.head_shift),
+            _contains(self.tails, kmers & self.tail_mask),
+        )
+
+
+def _sorted_set(values: np.ndarray) -> np.ndarray:
+    """The distinct ``values``, ascending, as ``np.unique`` gives them; on
+    the halves of solid k-mers, sorting and dropping repeats is over ten
+    times faster than its hashing."""
+    values = np.sort(values)
+    first = np.ones(len(values), bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
+
+
+def _contains(table: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Membership of each ``query`` value in the sorted array ``table``."""
+    if not len(table):
+        return np.zeros(len(query), bool)
+    i = np.searchsorted(table, query)
+    np.minimum(i, len(table) - 1, out=i)
+    return table[i] == query
+
 
 def _correct_packed(
     bases: np.ndarray,
@@ -155,7 +199,9 @@ def _correct_packed(
 ) -> np.ndarray:
     """Run the scan over every read at once, round i examining window i of
     each read still scanning.  Edits are written into ``bases``; returns the
-    position in ``bases`` of every edit, in the order they were made."""
+    position in ``bases`` of every edit, in the order they were made.
+    Each half of a window's offsets is searched only if the half that its
+    replacements keep passes ``solid.halves`` (see the module docstring)."""
     scanning = (lengths >= k) & (max_edits > 0)
     at = starts[scanning]  # where each scanning read's current window starts
     stop = at + lengths[scanning] - k
@@ -172,37 +218,39 @@ def _correct_packed(
     keep = ~(np.uint64(3) << shifts)
     placed = np.arange(4, dtype=np.uint64) << shifts[:, None]  # (k, 4)
     width_mask = np.uint64((1 << 2 * k) - 1)
+    # the offsets whose replacement keeps the tail, and those keeping the head
+    spans = (offsets[: k // 2], offsets[k // 2 :])
     edited = []
     while len(at):
         insolid = (broken > 0) | (solid(kmers) == 0)
         # a window with two unknown bases has no solid single-base neighbour
         weak = np.flatnonzero(insolid & (broken <= 1))
         if len(weak):
-            best_count = np.empty(len(weak), np.int64)
-            best_kmer = np.empty(len(weak), np.uint64)
-            best_at = np.empty(len(weak), np.intp)
-            # reads in blocks, so a block's k * 4 candidates stay small
-            step = max(1, 16384 // k)
-            for s in range(0, len(weak), step):
-                block = weak[s : s + step]
-                cand = (kmers[block, None] & keep)[:, :, None] | placed
-                count = solid(cand)
-                # the unchanged base gives the window itself, insolid; with
-                # an unknown base, only offsets replacing it can be solid
-                window = bases[at[block, None] + offsets]
-                count[broken[block, None] > (window == 4)] = 0
-                count = count.reshape(len(block), -1)
-                cand = cand.reshape(len(block), -1)
-                # highest count, then smallest code: the smallest k-mer.  At
-                # k = 32 the all-T code equals _NO_KMER, so the winner is
-                # picked among the ties, not by argmin over the masked codes
-                top = count.max(axis=1)
-                tie = count == top[:, None]
-                key = np.where(tie, cand, _NO_KMER)
-                j = (tie & (key == key.min(axis=1)[:, None])).argmax(axis=1)
-                best_count[s : s + step] = top
-                best_kmer[s : s + step] = cand[np.arange(len(block)), j]
-                best_at[s : s + step] = j // 4
+            best_count = np.zeros(len(weak), np.int64)
+            best_kmer = np.zeros(len(weak), np.uint64)
+            best_at = np.zeros(len(weak), np.intp)
+            head_ok, tail_ok = solid.halves(kmers[weak])
+            for span, passing in zip(spans, (tail_ok, head_ok)):
+                if not len(span):
+                    continue
+                units = np.flatnonzero(passing)
+                # units in blocks, so a block's candidates stay small
+                step = max(1, 16384 // len(span))
+                for s in range(0, len(units), step):
+                    unit = units[s : s + step]
+                    w = weak[unit]
+                    count, kmer, j = _best_replacement(
+                        solid, bases, at[w], kmers[w], broken[w], span, keep, placed
+                    )
+                    # the two halves' candidates differ, so ranking them by
+                    # count, then code, never meets a tie of equal codes
+                    better = (count > best_count[unit]) | (
+                        (count == best_count[unit]) & (kmer < best_kmer[unit])
+                    )
+                    unit = unit[better]
+                    best_count[unit] = count[better]
+                    best_kmer[unit] = kmer[better]
+                    best_at[unit] = j[better]
             hit = np.flatnonzero(best_count > 0)
             fix = weak[hit]
             pos = at[fix] + best_at[hit]
@@ -223,6 +271,37 @@ def _correct_packed(
     return np.concatenate(edited) if edited else np.empty(0, np.int64)
 
 
+def _best_replacement(
+    solid: _SolidCounts,
+    bases: np.ndarray,
+    at: np.ndarray,
+    kmers: np.ndarray,
+    broken: np.ndarray,
+    span: np.ndarray,
+    keep: np.ndarray,
+    placed: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The solid count, code and offset of the best single-base replacement
+    at the offsets ``span`` of each window (highest count, then smallest
+    code), for windows starting at ``at`` with codes ``kmers`` and ``broken``
+    unknown bases.  A window with no solid replacement there gets count 0."""
+    cand = (kmers[:, None] & keep[span])[:, :, None] | placed[span]
+    count = solid(cand)
+    # the unchanged base gives the window itself, insolid; with an unknown
+    # base, only offsets replacing it can be solid
+    window = bases[at[:, None] + span]
+    count[broken[:, None] > (window == 4)] = 0
+    count = count.reshape(len(kmers), -1)
+    cand = cand.reshape(len(kmers), -1)
+    # at k = 32 the all-T code equals _NO_KMER, so the winner is picked
+    # among the ties, not by argmin over the masked codes
+    top = count.max(axis=1)
+    tie = count == top[:, None]
+    key = np.where(tie, cand, _NO_KMER)
+    j = (tie & (key == key.min(axis=1)[:, None])).argmax(axis=1)
+    return top, cand[np.arange(len(kmers)), j], span[j // 4]
+
+
 def kspectrum_correct(
     readset: ReadSet,
     config: KSpectrumConfig,
@@ -238,7 +317,7 @@ def kspectrum_correct(
         spectrum = kmer_spectrum(readset, config.k)
     elif not (isinstance(spectrum, KmerSpectrum) and spectrum.k == config.k):
         raise ValueError(f"spectrum must be a KmerSpectrum of k={config.k}")
-    solid = _SolidCounts(spectrum.codes, spectrum.counts, config.solid_min)
+    solid = _SolidCounts(spectrum.codes, spectrum.counts, config.solid_min, config.k)
     chars, starts, lengths = pack_reads(readset)
     bases = base_codes(chars)
     pos = _correct_packed(bases, starts, lengths, config.k, config.max_edits, solid)

@@ -169,7 +169,8 @@ def iter_fastq(path: str) -> Iterator[Read]:
                 raise FastqParseError(
                     f"line {lineno}: expected '@' header, got {header[:40]!r}"
                 )
-            read_id = header[1:].split()[0] if len(header) > 1 else ""
+            words = header[1:].split()  # none for a blank id
+            read_id = words[0] if words else ""
             if not read_id:
                 raise FastqParseError(f"line {lineno}: empty read id")
             seq = fh.readline()
@@ -211,7 +212,8 @@ def iter_fasta(path: str) -> Iterator[Read]:
                         "".join(parts), read_id, start_line, FastaParseError
                     )
                     yield Read(read_id, seq)
-                read_id = line[1:].split()[0] if len(line) > 1 else ""
+                words = line[1:].split()
+                read_id = words[0] if words else ""
                 if not read_id:
                     raise FastaParseError(f"line {lineno}: empty record id")
                 start_line = lineno

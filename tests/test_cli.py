@@ -184,6 +184,22 @@ def test_inject_failure_exits_1_and_writes_nothing(tmp_path, capsys, flags, mess
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.fastq"]
 
 
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("in.fastq", "@r1\nACGT\n+\nIIII\n@  \nACGT\n+\nIIII\n", "line 5: empty read id"),
+        ("in.fasta", ">r1\nACGT\n>\t\nACGT\n", "line 3: empty record id"),
+    ],
+)
+def test_blank_read_id_exits_1_and_writes_nothing(tmp_path, capsys, name, text, message):
+    (tmp_path / name).write_text(text)
+    rc = main(["correct", "--reads", str(tmp_path / name), "--k", "3",
+               "--out", str(tmp_path / "fixed.fastq")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"ectuner: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
 def test_correct_requires_k_for_builtin(clean_fastq, tmp_path, capsys):
     rc = main(["correct", "--reads", clean_fastq, "--out", str(tmp_path / "o")])
     assert rc == 1

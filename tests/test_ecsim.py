@@ -35,6 +35,9 @@ from ecsim_oracles import (
     spectrum_of,
 )
 
+# a uint64 shift or cast slip in the packed corrector warns; make it fail
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def test_kmer_spectrum_matches_naive_recount():
     genome = generate_genome(500, seed=1)
@@ -92,7 +95,7 @@ def _messy_reads(rng, genome, n):
     return ReadSet(tuple(reads))
 
 
-@pytest.mark.parametrize("k", [1, 3, 7, 21, 32])
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 16, 21, 32])
 def test_packed_corrector_matches_scalar_oracle(k):
     rng = random.Random(k)
     genome = generate_genome(300, seed=k)
@@ -127,6 +130,77 @@ def test_all_t_32mer_wins_a_tie_break_alone():
         fixed = kspectrum_correct(ReadSet((read,)), config, spectrum=spectrum)
         want = oracle_correct_read(read, 32, 1, 1, counts)
         assert fixed[0].sequence == want.sequence == "T" * 32
+
+
+def _corrected(sequence, counts, k, solid_min=3, max_edits=1):
+    """The corrected sequence, checked against the scalar oracle first."""
+    read = Read("r", sequence)
+    config = KSpectrumConfig(k, solid_min, max_edits)
+    fixed = kspectrum_correct(ReadSet((read,)), config, spectrum=spectrum_of(counts, k))
+    want = oracle_correct_read(read, k, solid_min, max_edits, counts)
+    assert fixed[0].sequence == want.sequence
+    return fixed[0].sequence
+
+
+# The search looks at offsets below h = k // 2 only when the window's tail
+# (its last k - h bases) ends a solid k-mer, and at offsets from h on only
+# when its head (its first h bases) starts one.  For k = 8 the window
+# ACGT|TGCA has head ACGT and tail TGCA.
+
+
+def test_only_neighbour_differing_in_the_head_is_found():
+    assert _corrected("ACGTTGCA", {"ACCTTGCA": 5}, 8) == "ACCTTGCA"
+    assert _corrected("ACGTTGCA", {"TCGTTGCA": 5}, 8) == "TCGTTGCA"
+
+
+def test_only_neighbour_differing_in_the_tail_is_found():
+    assert _corrected("ACGTTGCA", {"ACGTTGGA": 5}, 8) == "ACGTTGGA"
+    assert _corrected("ACGTTGCA", {"ACGTTGCT": 5}, 8) == "ACGTTGCT"
+
+
+def test_ties_across_halves_go_to_the_smallest_code():
+    # the head-half neighbour is the smaller code
+    counts = {"ACCTTGCA": 5, "ACGTTGAA": 5}
+    assert _corrected("ACGTTGCA", counts, 8) == "ACCTTGCA"
+    # the tail-half neighbour is the smaller code
+    counts = {"ATGTTGCA": 5, "ACGTTGAA": 5}
+    assert _corrected("ACGTTGCA", counts, 8) == "ACGTTGAA"
+    # a higher count beats a smaller code, from either half
+    counts = {"ACCTTGCA": 5, "ACGTTGGA": 6}
+    assert _corrected("ACGTTGCA", counts, 8) == "ACGTTGGA"
+    counts = {"ACTTTGCA": 6, "ACGTTGAA": 5}
+    assert _corrected("ACGTTGCA", counts, 8) == "ACTTTGCA"
+
+
+def test_an_unknown_base_is_the_only_offset_fixed_in_either_half():
+    # the N reads as A in the packed code, so ACATTGCT is a single
+    # replacement of the coded window, at an offset the N rules out
+    counts = {"ACATTGCA": 5, "ACGTTGCA": 7, "ACATTGCT": 9}
+    assert _corrected("ACNTTGCA", counts, 8) == "ACGTTGCA"
+    counts = {"ACGTTGCA": 5, "ACGTTGGA": 7, "TCGTTGAA": 9}
+    assert _corrected("ACGTTGNA", counts, 8) == "ACGTTGGA"
+    # with the N in one half, no neighbour in the other is ever taken
+    assert _corrected("ACNTTGCA", {"ACATTGCT": 9}, 8) == "ACNTTGCA"
+    assert _corrected("ACGTTGNA", {"TCGTTGAA": 9}, 8) == "ACGTTGNA"
+
+
+@pytest.mark.parametrize("k", [7, 8, 9])
+def test_the_offsets_either_side_of_the_split_are_fixed(k):
+    window = "ACGTTGCAT"[:k]
+    h = k // 2
+    for p in (h - 1, h):
+        fixed = window[:p] + ("A" if window[p] != "A" else "C") + window[p + 1 :]
+        assert _corrected(window, {fixed: 5}, k) == fixed
+        assert _corrected(window + "GG", {fixed: 5}, k) == fixed + "GG"
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 32])
+def test_a_spectrum_with_no_solid_kmer_changes_nothing(k):
+    window = ("ACGTTGCA" * 4)[:k]
+    assert _corrected(window + "C", {}, k) == window + "C"
+    near = "C" + window[1:] if window[0] != "C" else "A" + window[1:]
+    assert _corrected(window, {near: 2}, k) == window
+    assert _corrected("N" + window, {near: 2}, k) == "N" + window
 
 
 def test_explicit_spectrum_must_be_a_kmer_spectrum_of_the_same_k():

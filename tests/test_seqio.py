@@ -82,6 +82,8 @@ def test_fastq_header_id_stops_at_whitespace(tmp_path):
         ("@r1\nACGT\n+\nIII\n", "quality length"),
         ("@r1\n\n+\n\n", "empty sequence"),
         ("@\nACGT\n+\nIIII\n", "empty read id"),
+        ("@  \nACGT\n+\nIIII\n", "empty read id"),
+        ("@\t \nACGT\n+\nIIII\n", "empty read id"),
     ],
 )
 def test_fastq_malformed_records_raise(tmp_path, text, fragment):
@@ -117,6 +119,18 @@ def test_fasta_rejects_data_before_header(tmp_path):
     path.write_text("ACGT\n>late\nACGT\n")
     with pytest.raises(FastaParseError):
         list(iter_fasta(str(path)))
+
+
+def test_blank_header_ids_raise_with_their_line(tmp_path):
+    fastq = tmp_path / "blank.fastq"
+    fastq.write_text(_fastq_text([("r1", "ACGT", "IIII")]) + "@  \nACGT\n+\nIIII\n")
+    with pytest.raises(FastqParseError, match=r"^line 5: empty read id$"):
+        list(iter_fastq(str(fastq)))
+    for header in (">", ">  ", ">\t"):
+        fasta = tmp_path / "blank.fasta"
+        fasta.write_text(f">r1\nACGT\n{header}\nGG\n")
+        with pytest.raises(FastaParseError, match=r"^line 3: empty record id$"):
+            list(iter_fasta(str(fasta)))
 
 
 def test_fasta_write_wraps_lines(tmp_path):
