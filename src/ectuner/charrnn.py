@@ -10,11 +10,10 @@ time with plain SGD and global gradient-norm clipping.  'N' characters
 contribute a zero input vector and are excluded from the loss.  All math is
 float64 numpy; given a seed, training is bit-reproducible.
 
-Training and scoring work on packed reads: ``seqio.pack_reads`` lays reads
-end to end, and each batch's (T, B) input and target codes are cut out of
-the packed codes by index arithmetic, padded with 'N' past each read's end.
-Training packs its read set once.  Scoring packs and scores one block of
-reads at a time, through a forward pass that keeps only the current states
+Training and scoring read a ``seqio.ReadSet``'s packed base codes: each
+batch's (T, B) input and target codes are cut out of them by index
+arithmetic, padded with 'N' past each read's end.  Scoring takes one block
+of reads at a time, through a forward pass that keeps only the current states
 and each step's target probability, so a block of B reads of at most T + 1
 characters needs O(B * T) memory, never the (T, B, H) state sequence or the
 (T, B, 4) distributions, whatever the size of the read set.  Its scores are
@@ -52,7 +51,7 @@ from .ngram import (
     PerplexityUndefinedError,
     TrainingError,
 )
-from .seqio import VALID_CHARS, ReadSet, base_codes, pack_reads, sample_reads
+from .seqio import VALID_CHARS, ReadSet, base_codes, sample_reads
 
 MAGIC = b"ATHR"
 VERSION = 1
@@ -278,28 +277,11 @@ def _clip(grads: list[np.ndarray], max_norm: float) -> None:
             g *= scale
 
 
-def _pack(readset: ReadSet):
-    """The base codes of every read end to end, each read followed by a code-4
-    separator, with each read's start and length.
-
-    Raises ``encode``'s ValueError for the first read that holds a character
-    outside ACGTN.
-    """
-    chars, starts, lengths = pack_reads(readset)
-    codes = base_codes(chars)
-    outside = (codes == 4) & (chars != ord("N"))
-    outside[starts + lengths] = False
-    if outside.any():
-        first = np.searchsorted(starts, outside.argmax(), "right") - 1
-        encode(readset[first].sequence)  # raises with the characters named
-    return codes, starts, lengths
-
-
-def _block(packed, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _block(readset: ReadSet, idx: np.ndarray):
     """(T, B) input and target codes of reads ``idx``, padded with 4 past
     each read's end, and the loss mask of the transitions to ACGT."""
-    codes, starts, lengths = packed
-    n = lengths[idx] - 1
+    codes, starts = readset.codes, readset.starts
+    n = readset.lengths[idx] - 1
     steps = np.arange(n.max())[:, None]
     pos = starts[idx] + steps
     inside = steps < n
@@ -351,23 +333,23 @@ def train(
     """Train on a 90/5/5 read split; returns the best-validation parameters.
 
     The per-epoch history carries mean train and validation loss (nats per
-    character).
+    character); a validation split with no transition to ACGT reports the
+    train loss.  A training split with none raises ``TrainingError``.
     """
     config = config or TrainConfig()
-    reads = [r for r in readset if len(r.sequence) >= 2]
-    if not reads:
+    rows = np.flatnonzero(readset.lengths >= 2)
+    if not len(rows):
         raise TrainingError("no reads of length >= 2 to train on")
-    order = shuffled(spawn_rng(seed, 0), len(reads))
-    n_train = int(len(reads) * config.train_frac)
-    n_val = int(len(reads) * config.val_frac)
+    # the training reads in split order, then the validation reads
+    rows = rows[shuffled(spawn_rng(seed, 0), len(rows))]
+    n_train = int(len(rows) * config.train_frac)
+    n_val = int(len(rows) * config.val_frac)
     if n_train < config.minibatch:
         raise TrainingError(
             f"training split has {n_train} reads; "
             f"minibatch of {config.minibatch} cannot be filled"
         )
-    # the training reads in split order, then the validation reads
-    packed = _pack(ReadSet(tuple(reads[i] for i in order[: n_train + n_val])))
-    val_block = _block(packed, np.arange(n_train, n_train + n_val)) if n_val else None
+    val_block = _block(readset, rows[n_train : n_train + n_val]) if n_val else None
 
     model = RnnLm.init(config.layers, config.hidden, seed=seed)
     epoch_rng = spawn_rng(seed, 1)
@@ -379,16 +361,16 @@ def train(
         loss_sum = 0.0
         count = 0.0
         for start in range(0, n_train, config.minibatch):
-            batch = perm[start : start + config.minibatch]
-            ls, n = _run_batch(model, _block(packed, batch), config, update=True)
+            batch = rows[perm[start : start + config.minibatch]]
+            ls, n = _run_batch(model, _block(readset, batch), config, update=True)
             loss_sum += ls
             count += n
-        train_loss = loss_sum / count if count else math.nan
+        if not count:
+            raise TrainingError("no scoreable character transitions")
+        train_loss = val_loss = loss_sum / count
         if val_block is not None:
             vl, vn = _run_batch(model, val_block, config, update=False)
-            val_loss = vl / vn if vn else math.nan
-        else:
-            val_loss = train_loss
+            val_loss = vl / vn if vn else train_loss
         history.append(
             {"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss}
         )
@@ -459,20 +441,19 @@ def perplexity(
     """
     if sample_n is not None:
         readset = sample_reads(readset, sample_n, seed)
-    reads = tuple(r for r in readset if len(r.sequence) >= 2)
+    rows = np.flatnonzero(readset.lengths >= 2)
     per_read: list[float] = []
     scored = 0
     skipped = 0
-    for start in range(0, len(reads), batch):
-        # packing block by block keeps memory O(batch * T) on any read set
-        block = ReadSet(reads[start : start + batch])
-        packed = _pack(block)
-        x, y, mask = _block(packed, np.arange(len(block)))
+    for start in range(0, len(rows), batch):
+        # block by block keeps memory O(batch * T) on any read set
+        idx = rows[start : start + batch]
+        x, y, mask = _block(readset, idx)
         nll = _score_block(model, x, y, mask)
         per_read += [math.fsum(row.tolist()) for row in nll.T]
         n = int(mask.sum())
         scored += n
-        skipped += int((packed[2] - 1).sum()) - n
+        skipped += int((readset.lengths[idx] - 1).sum()) - n
     if scored == 0:
         raise PerplexityUndefinedError("no scoreable character transitions")
     total = math.fsum(per_read)

@@ -158,7 +158,7 @@ def _check_k_fits(cfg: dict, reads, values) -> None:
     value checks every k in ``values``, before any work."""
     if cfg["adapter_template"]:
         return
-    longest = max((len(r.sequence) for r in reads), default=max(values))
+    longest = int(reads.lengths.max()) if len(reads) else max(values)
     for k in (min(values), max(values)):
         if k > longest:
             raise ValueError(
@@ -254,7 +254,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             "lm": "charrnn",
             "model": args.out,
             "reads": len(reads),
-            "chars": sum(len(r.sequence) for r in reads),
+            "chars": int(reads.lengths.sum()),
             "epochs": len(history),
             "final_train_loss": history[-1]["train_loss"],
             "best_val_loss": min(h["val_loss"] for h in history),
@@ -309,9 +309,7 @@ def cmd_correct(args: argparse.Namespace) -> int:
     _check_k_fits(cfg, reads, (value,))
     corrected = corrector(reads, value)
     write_fastq(corrected, args.out)
-    changed = sum(
-        1 for a, b in zip(reads, corrected) if a.sequence != b.sequence
-    )
+    changed = reads.changed_reads(corrected)
     _write_config(cfg, args.out + ".config.json")
     _emit({"reads": len(corrected), "value": value, "changed_reads": changed})
     _say(f"corrected {changed}/{len(corrected)} reads at value {value}")

@@ -8,13 +8,13 @@ smallest resulting k-mer).  At most ``max_edits`` replacements are applied
 per read, after which scanning stops.  Read lengths never change, so
 indel-corrupted reads flow through with their lengths intact.
 
-Reads are packed once per call into one flat ``uint8`` array of the base
-codes in ``seqio`` (any character but ACGT is 4, which no solid k-mer
-contains), read after read, with a code-4 separator after each so no window
-spans two reads.  A k-mer is the 2k-bit number its codes spell, so k is at
-most 32.  The corrector advances every read through the same scan position
-together, one position per round.  A spectrum is a ``KmerSpectrum``: the
-sorted codes of every distinct k-mer and their counts.
+The corrector and the spectrum read a ``seqio.ReadSet``'s packed base codes
+directly: N is code 4, which no solid k-mer contains, and the code-4
+separator after each read keeps windows from spanning two reads.  A k-mer is
+the 2k-bit number its codes spell, so k is at most 32.  The corrector
+advances every read through the same scan position together, one position
+per round.  A spectrum is a ``KmerSpectrum``: the sorted codes of every
+distinct k-mer and their counts.
 
 Most weak windows have no solid neighbour at all, so the search first checks
 the window's halves: with h = k // 2, its head is its first h bases and its
@@ -44,8 +44,7 @@ from typing import Callable
 
 import numpy as np
 
-from .seqio import LETTERS, Read, ReadSet, base_codes, load_reads, pack_reads
-from .seqio import write_fastq
+from .seqio import ReadSet, load_reads, write_fastq
 
 TMPDIR_ENV = "ATHENA_TMPDIR"
 MAX_K = 32
@@ -95,7 +94,7 @@ def kmer_spectrum(readset: ReadSet, k: int) -> KmerSpectrum:
     """Counts of every ACGT-only k-mer over all overlapping windows; reads
     shorter than k contribute nothing."""
     check_k(k)
-    bases = base_codes(pack_reads(readset)[0])
+    bases = readset.codes
     windows = max(len(bases) - k + 1, 0)
     kmers = np.zeros(windows, np.uint64)
     broken = np.zeros(windows, bool)
@@ -105,11 +104,6 @@ def kmer_spectrum(readset: ReadSet, k: int) -> KmerSpectrum:
         kmers |= low[j : j + windows]
         broken |= bases[j : j + windows] == 4
     return KmerSpectrum(k, *np.unique(kmers[~broken], return_counts=True))
-
-
-def solid_threshold_for_coverage(coverage: float) -> int:
-    """Heuristic solid-count threshold: one tenth of coverage, at least 2."""
-    return max(2, round(coverage / 10))
 
 
 @dataclass(frozen=True)
@@ -196,10 +190,9 @@ def _correct_packed(
     k: int,
     max_edits: int,
     solid: _SolidCounts,
-) -> np.ndarray:
+) -> None:
     """Run the scan over every read at once, round i examining window i of
-    each read still scanning.  Edits are written into ``bases``; returns the
-    position in ``bases`` of every edit, in the order they were made.
+    each read still scanning.  Edits are written into ``bases``.
     Each half of a window's offsets is searched only if the half that its
     replacements keep passes ``solid.halves`` (see the module docstring)."""
     scanning = (lengths >= k) & (max_edits > 0)
@@ -220,7 +213,6 @@ def _correct_packed(
     width_mask = np.uint64((1 << 2 * k) - 1)
     # the offsets whose replacement keeps the tail, and those keeping the head
     spans = (offsets[: k // 2], offsets[k // 2 :])
-    edited = []
     while len(at):
         insolid = (broken > 0) | (solid(kmers) == 0)
         # a window with two unknown bases has no solid single-base neighbour
@@ -258,7 +250,6 @@ def _correct_packed(
             bases[pos] = (best_kmer[hit] >> shifts[best_at[hit]]) & 3
             kmers[fix] = best_kmer[hit]
             edits[fix] += 1
-            edited.append(pos)
         at += 1
         live = (edits < max_edits) & (at <= stop)
         at, stop, kmers, broken, edits = (
@@ -268,7 +259,6 @@ def _correct_packed(
         kmers = ((kmers << 2) | (incoming & 3)) & width_mask
         broken += incoming == 4
         broken -= bases[at - 1] == 4
-    return np.concatenate(edited) if edited else np.empty(0, np.int64)
 
 
 def _best_replacement(
@@ -318,19 +308,11 @@ def kspectrum_correct(
     elif not (isinstance(spectrum, KmerSpectrum) and spectrum.k == config.k):
         raise ValueError(f"spectrum must be a KmerSpectrum of k={config.k}")
     solid = _SolidCounts(spectrum.codes, spectrum.counts, config.solid_min, config.k)
-    chars, starts, lengths = pack_reads(readset)
-    bases = base_codes(chars)
-    pos = _correct_packed(bases, starts, lengths, config.k, config.max_edits, solid)
-    chars = chars.copy()
-    chars[pos] = LETTERS[bases[pos]]
-    encoding = "ascii" if chars.itemsize == 1 else "utf-32-le"
-    text = chars.tobytes().decode(encoding, "surrogatepass")
-    reads = list(readset)
-    for row in np.unique(np.searchsorted(starts, pos, side="right") - 1).tolist():
-        read = reads[row]
-        start = int(starts[row])
-        reads[row] = Read(read.id, text[start : start + len(read)], read.quality)
-    return ReadSet(tuple(reads), source=f"{readset.source}|kspec:k={config.k}")
+    bases = readset.codes.copy()
+    _correct_packed(
+        bases, readset.starts, readset.lengths, config.k, config.max_edits, solid
+    )
+    return readset.with_codes(bases)
 
 
 def builtin_corrector(
@@ -426,9 +408,7 @@ def run_external(adapter: ToolAdapter, value: int, readset: ReadSet) -> ReadSet:
         )
     corrected = load_reads(out_path)
     shutil.rmtree(tmpdir, ignore_errors=True)
-    return ReadSet(
-        corrected.reads, source=f"{readset.source}|tool:{adapter.param_name}={value}"
-    )
+    return corrected
 
 
 def adapter_corrector(adapter: ToolAdapter) -> Callable[[ReadSet, int], ReadSet]:
@@ -463,17 +443,16 @@ def ec_gain(original: ReadSet, corrected: ReadSet, truth: ReadSet) -> float:
             f"read counts differ: original {len(original)}, "
             f"corrected {len(corrected)}, truth {len(truth)}"
         )
-    for orig, corr, true in zip(original, corrected, truth):
-        if orig.id != corr.id or orig.id != true.id:
-            raise AlignmentError(
-                f"read id mismatch: {orig.id!r} / {corr.id!r} / {true.id!r}"
-            )
-        if not (len(orig) == len(corr) == len(true)):
-            raise AlignmentError(
-                f"read {orig.id!r}: lengths differ "
-                f"({len(orig)}/{len(corr)}/{len(true)})"
-            )
-    o, c, t = (pack_reads(readset)[0] for readset in (original, corrected, truth))
+    sets = (original, corrected, truth)
+    same_lengths = all(np.array_equal(original.lengths, s.lengths) for s in sets)
+    if not (same_lengths and original.ids == corrected.ids == truth.ids):
+        lengths = zip(*(s.lengths.tolist() for s in sets))
+        for (a, b, c), (la, lb, lc) in zip(zip(*(s.ids for s in sets)), lengths):
+            if not a == b == c:
+                raise AlignmentError(f"read id mismatch: {a!r} / {b!r} / {c!r}")
+            if not la == lb == lc:
+                raise AlignmentError(f"read {a!r}: lengths differ ({la}/{lb}/{lc})")
+    o, c, t = (s.codes for s in sets)
     wrong = o != t
     errors = int(np.count_nonzero(wrong))
     if errors == 0:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import StreamBlock, make_rng
-from .seqio import BASES, LETTERS, Read, ReadSet, pack_reads
+from .seqio import BASES, LETTERS, Read, ReadSet
 
 KINDS = ("deletion", "insertion", "substitution")
 REGIMES = {"low": (1, 5), "high": (6, 10)}
@@ -124,11 +124,10 @@ def sample_clean_reads(genome: str, n: int, read_len: int, seed: int) -> ReadSet
     if read_len <= 0 or n < 0:
         raise ValueError("read length must be positive and n non-negative")
     starts = make_rng(seed).integers(0, len(genome) - read_len + 1, size=n)
-    reads = tuple(
+    return ReadSet(
         Read(id=f"r{i}", sequence=genome[s : s + read_len])
-        for i, s in enumerate(starts)
+        for i, s in enumerate(starts.tolist())
     )
-    return ReadSet(reads, source="synthetic")
 
 
 # -- edits --------------------------------------------------------------------
@@ -177,19 +176,15 @@ def inject_readset(
     reads: list[Read] = []
     entries: list[LedgerEntry] = []
     for first in range(0, len(readset), _BLOCK):
-        block_reads, block_entries = _inject_block(
-            readset.reads[first : first + _BLOCK], first, spec
-        )
+        block = readset.take(range(first, min(first + _BLOCK, len(readset))))
+        block_reads, block_entries = _inject_block(block, first, spec)
         reads += block_reads
         entries += block_entries
-    return (
-        ReadSet(tuple(reads), source=f"{readset.source}|{spec.kind}:{spec.regime}"),
-        ErrorLedger(tuple(entries)),
-    )
+    return ReadSet(reads), ErrorLedger(tuple(entries))
 
 
 def _inject_block(
-    reads: tuple[Read, ...], first: int, spec: InjectionSpec
+    reads: ReadSet, first: int, spec: InjectionSpec
 ) -> tuple[list[Read], list[LedgerEntry]]:
     """Corrupt the reads with indices ``first, first + 1, ...``: each draw of
     the protocol is taken for every read that makes it at once."""
@@ -203,12 +198,12 @@ def _inject_block(
     else:
         kinds = np.full(n, KINDS.index(spec.kind))
     counts = lo + streams.integers(every, hi - lo + 1)
-    lengths = np.fromiter((len(r.sequence) for r in reads), np.int64, n)
+    lengths = reads.lengths
     short = lengths < np.where(kinds == _SUB, 1, counts)
     if short.any():
         r = int(np.argmax(short))
         raise ValueError(
-            f"read {reads[r].id!r} of length {lengths[r]} is too short for "
+            f"read {reads.ids[r]!r} of length {lengths[r]} is too short for "
             f"{KINDS[kinds[r]]} count {counts[r]}"
         )
 
@@ -227,30 +222,12 @@ def _inject_block(
     }
 
     sub = np.flatnonzero(kinds == _SUB)
-    # each read's substitutions, in application order, at bounds[r]:bounds[r + 1]
-    bounds, pos, old, new = [0] * (n + 1), [], [], []
-    if sub.size:
-        chars, starts, _ = pack_reads(ReadSet(reads))
-        chars = chars.copy()
-        changed = []  # per slot: rows, positions, old and new code points
-        for slot in range(hi):
-            rows = sub[counts[sub] > slot]
-            pos = streams.integers(rows, lengths[rows])
-            new = LETTERS[streams.integers(rows, 4)]
-            where = starts[rows] + pos
-            old = chars[where]
-            hit = old != new
-            # applied slot by slot, so a repeated position sees the earlier change
-            chars[where[hit]] = new[hit]
-            changed.append((rows[hit], pos[hit], old[hit], new[hit]))
-        rows, pos, old, new = (np.concatenate(a) for a in zip(*changed))
-        by_read = np.argsort(rows, kind="stable")
-        bounds = np.searchsorted(rows[by_read], np.arange(n + 1)).tolist()
-        pos, old, new = (a[by_read].tolist() for a in (pos, old, new))
-        text = chars.tobytes().decode(
-            "ascii" if chars.dtype == np.uint8 else "utf-32-le", "surrogatepass"
-        )
-        starts = starts.tolist()
+    # each read's substitution draws, slot by slot
+    pos, new = np.zeros((n, hi), np.int64), np.zeros((n, hi), np.int64)
+    for slot in range(hi):
+        rows = sub[counts[sub] > slot]
+        pos[rows, slot] = streams.integers(rows, lengths[rows])
+        new[rows, slot] = streams.integers(rows, 4)
 
     out, entries = [], []
     for r, (read, kind, i, c) in enumerate(
@@ -258,14 +235,16 @@ def _inject_block(
     ):
         seq = read.sequence
         if kind == _SUB:
-            changes = range(bounds[r], bounds[r + 1])
-            entries += (
-                LedgerEntry(read.id, pos[k], "substitution", chr(old[k]), chr(new[k]))
-                for k in changes
-            )
-            if changes:
-                s = starts[r]
-                read = Read(read.id, text[s : s + len(seq)], read.quality)
+            # applied in order, so a repeated position sees the earlier change
+            chars = list(seq)
+            for p, code in zip(pos[r, :c].tolist(), new[r, :c].tolist()):
+                base = BASES[code]
+                if chars[p] != base:
+                    entries.append(
+                        LedgerEntry(read.id, p, "substitution", chars[p], base)
+                    )
+                    chars[p] = base
+            read = Read(read.id, "".join(chars), read.quality)
         else:
             if kind == _INS:
                 edit, seq = ("", segment[r]), seq[:i] + segment[r] + seq[i:]
@@ -314,4 +293,4 @@ def revert(corrupted: ReadSet, ledger: ErrorLedger) -> ReadSet:
         if qual is not None and (had_indel or len(qual) != len(seq)):
             qual = "I" * len(seq)
         out.append(Read(read.id, seq, qual))
-    return ReadSet(tuple(out), source=f"{corrupted.source}|reverted")
+    return ReadSet(out)

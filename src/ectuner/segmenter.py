@@ -2,10 +2,11 @@
 
 A read is cut into consecutive non-overlapping words of ``word_len`` bases
 starting at offset 0; a trailing partial word is dropped.  Words containing
-any character but ACGT are excluded and tallied.  Consecutive kept words form
+N are excluded and tallied.  Consecutive kept words form
 runs; an excluded word breaks the run, so downstream consumers can avoid
 conditioning across the gap.  Words are the codes of ``seqio.encode_word``,
-returned flat with each word's read and position in its run.
+cut from a ``seqio.ReadSet``'s packed base codes and returned flat with each
+word's read and position in its run.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .seqio import ReadSet, base_codes, pack_reads
+from .seqio import ReadSet
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,7 @@ def segment_reads(
     (and is tallied on ``stats`` when given)."""
     if word_len <= 0:
         raise ValueError(f"word length must be positive, got {word_len}")
-    chars, starts, lengths = pack_reads(readset)
-    bases = base_codes(chars)
+    bases, starts, lengths = readset.codes, readset.starts, readset.lengths
     n_words = lengths // word_len
     row = np.repeat(np.arange(len(lengths)), n_words)  # each word's read
     first = np.cumsum(n_words) - n_words  # each read's first word

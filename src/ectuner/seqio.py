@@ -1,13 +1,16 @@
-"""FASTQ/FASTA ingest, emission, seeded subsampling, and the base code.
+"""FASTQ/FASTA ingest, emission, seeded subsampling, and the packed read set.
 
 Sequences are normalized to upper case on ingest and validated against the
 alphabet {A, C, G, T, N}.  Files whose name ends in ``.gz`` are read and
 written gzip-compressed (with a fixed mtime of 0 so identical content yields
 identical bytes).
 
-Every module that packs bases uses the one code here: A=0, C=1, G=2, T=3,
-any other character 4.  A word of ACGT bases is the number its 2-bit codes
-spell, first base most significant, so numeric order is string order.
+A ``ReadSet`` keeps its reads packed: one flat ``uint8`` array of base codes
+(A=0, C=1, G=2, T=3, N=4), read after read, with a code-4 separator after
+each so no window spans two reads, and each read's start and length.  Other
+modules read these arrays; this one alone builds them or turns codes back
+into text.  A word of ACGT bases is the number its 2-bit codes spell, first
+base most significant, so numeric order is string order.
 """
 
 from __future__ import annotations
@@ -23,12 +26,12 @@ from ._rng import make_rng, sample_indices
 
 BASES = "ACGT"
 VALID_CHARS = frozenset(BASES + "N")
-LETTERS = np.frombuffer(BASES.encode("ascii"), np.uint8)  # code -> letter
-# code point -> code, for code points up to 255; base_codes takes any
-CODE_TABLE = np.full(256, 4, np.uint8)
-CODE_TABLE[LETTERS] = np.arange(4)
+LETTERS = np.frombuffer(b"ACGTN", np.uint8)  # code -> letter
+CODE_TABLE = np.full(256, 4, np.uint8)  # byte -> code; anything but ACGT is 4
+CODE_TABLE[LETTERS[:4]] = np.arange(4)
 ACGT = frozenset(BASES)
 _CODE_CHUNK = 1 << 13
+_ROW_BLOCK = 4096  # reads decoded at a time
 _BASE_DIGIT = str.maketrans(BASES, "0123")
 
 
@@ -49,8 +52,8 @@ class Read:
     """A single sequencing read.
 
     ``quality`` is optional; when present it must be exactly as long as the
-    sequence.  Alphabet checks happen at the file boundary (parse/write), not
-    here, so degenerate in-memory reads (e.g. fully deleted) stay usable.
+    sequence.  Alphabet checks happen when reads are parsed or packed into a
+    ``ReadSet``, not here; an empty sequence (a fully deleted read) is valid.
     """
 
     id: str
@@ -68,21 +71,100 @@ class Read:
         return len(self.sequence)
 
 
-@dataclass(frozen=True)
 class ReadSet:
-    """An ordered collection of reads with a provenance label."""
+    """An ordered collection of reads, packed as the module docstring lays
+    out: ``codes``, ``starts`` and ``lengths``, with each read's ``ids`` and
+    ``qualities`` (None for a read without one).
 
-    reads: tuple[Read, ...]
-    source: str = ""
+    ``ReadSet(reads)`` packs an iterable of ``Read`` objects once, refusing a
+    read with any character outside ACGTN.  Iterating, indexing and
+    ``reads`` make ``Read`` objects back from the arrays."""
+
+    def __init__(self, reads: Iterable[Read] = ()) -> None:
+        ids, seqs, quals = [], [], []
+        for read in reads:
+            ids.append(read.id)
+            seqs.append(read.sequence)
+            quals.append(read.quality)
+        lengths = np.fromiter(map(len, seqs), np.int64, len(seqs))
+        starts = np.cumsum(lengths + 1) - lengths - 1
+        # N is code 4, so it serves as the separator; a character outside
+        # ASCII becomes one "?", which keeps every position
+        text = "N".join(seqs) + "N" if seqs else ""
+        chars = np.frombuffer(text.encode("ascii", "replace"), np.uint8)
+        codes = base_codes(chars)
+        outside = (codes == 4) & (chars != ord("N"))
+        if outside.any():
+            row = int(np.searchsorted(starts, outside.argmax(), "right")) - 1
+            raise ValueError(
+                f"read {ids[row]!r} contains characters outside ACGTN: "
+                f"{sorted(set(seqs[row]) - VALID_CHARS)}"
+            )
+        self._set(codes, starts, lengths, tuple(ids), tuple(quals))
+
+    def _set(self, codes, starts, lengths, ids, qualities) -> "ReadSet":
+        for array in (codes, starts, lengths):
+            array.flags.writeable = False  # shared between sets
+        self.codes, self.starts, self.lengths = codes, starts, lengths
+        self.ids, self.qualities = ids, qualities
+        return self
 
     def __len__(self) -> int:
-        return len(self.reads)
-
-    def __iter__(self) -> Iterator[Read]:
-        return iter(self.reads)
+        return len(self.ids)
 
     def __getitem__(self, i: int) -> Read:
-        return self.reads[i]
+        return self.take([range(len(self))[i]]).reads[0]
+
+    def __iter__(self) -> Iterator[Read]:
+        return (Read(*row) for row in self._rows())
+
+    @property
+    def reads(self) -> tuple[Read, ...]:
+        return tuple(self)
+
+    def _rows(self) -> Iterator[tuple[str, str, str | None]]:
+        """Each read's id, sequence and quality, decoded a block at a time."""
+        for first in range(0, len(self), _ROW_BLOCK):
+            rows = slice(first, first + _ROW_BLOCK)
+            starts, lengths = self.starts[rows], self.lengths[rows]
+            text = LETTERS[self.codes[starts[0] : starts[-1] + lengths[-1]]]
+            text = text.tobytes().decode("ascii")
+            for read_id, start, stop, quality in zip(
+                self.ids[rows], (starts - starts[0]).tolist(),
+                (starts - starts[0] + lengths).tolist(), self.qualities[rows],
+            ):
+                yield read_id, text[start:stop], quality
+
+    def take(self, rows) -> "ReadSet":
+        """The reads at ``rows``, in that order."""
+        rows = np.asarray(rows, np.intp)
+        lengths = self.lengths[rows]
+        starts = np.cumsum(lengths + 1) - lengths - 1
+        # each read's codes and its separator, moved from its old start
+        moved = np.repeat(self.starts[rows] - starts, lengths + 1)
+        codes = self.codes[moved + np.arange(len(moved))]
+        picked = rows.tolist()
+        ids = tuple(self.ids[i] for i in picked)
+        quals = tuple(self.qualities[i] for i in picked)
+        return object.__new__(ReadSet)._set(codes, starts, lengths, ids, quals)
+
+    def with_codes(self, codes: np.ndarray) -> "ReadSet":
+        """The same reads, ids and qualities with ``codes`` in place of this
+        set's codes, in the same layout."""
+        return object.__new__(ReadSet)._set(
+            codes, self.starts, self.lengths, self.ids, self.qualities
+        )
+
+    def changed_reads(self, other: "ReadSet") -> int:
+        """How many reads differ in sequence from the read at the same
+        position of ``other``, over the positions both sets have."""
+        n = min(len(self), len(other))
+        a, b = self, other
+        if len(a) != len(b) or not np.array_equal(a.lengths, b.lengths):
+            rows = np.flatnonzero(a.lengths[:n] == b.lengths[:n])
+            a, b = a.take(rows), b.take(rows)
+        same = np.logical_and.reduceat(a.codes == b.codes, a.starts) if len(a) else ()
+        return n - int(np.count_nonzero(same))
 
 
 def encode_word(word: str) -> int:
@@ -102,30 +184,14 @@ def decode_words(codes, length: int) -> Iterator[str]:
         yield from (text[i : i + length] for i in range(0, len(text), length))
 
 
-def pack_reads(readset: ReadSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every read's characters as code points end to end, each read followed
-    by a newline (so no window spans two reads), with each read's start and
-    length."""
-    lengths = np.fromiter((len(r) for r in readset), np.int64, len(readset))
-    starts = np.cumsum(lengths + 1) - lengths - 1
-    text = "".join(r.sequence + "\n" for r in readset)
-    if text.isascii():
-        return np.frombuffer(text.encode("ascii"), np.uint8), starts, lengths
-    chars = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), "<u4")
-    return chars, starts, lengths
-
-
 def base_codes(chars: np.ndarray) -> np.ndarray:
-    """The base code of every code point in ``chars``, as ``pack_reads``
-    gives them; a code point above 255 is never a base, so it gets 4.  The
+    """The base code of every byte in the ``uint8`` array ``chars``.  The
     table lookup runs a chunk at a time, so ``take``'s 8-byte copy of its
     index stays a fixed size however long ``chars`` is."""
     out = np.empty(len(chars), np.uint8)
     for start in range(0, len(chars), _CODE_CHUNK):
-        chunk = chars[start : start + _CODE_CHUNK]
-        if chars.dtype != np.uint8:
-            chunk = np.minimum(chunk, 255)
-        CODE_TABLE.take(chunk, out=out[start : start + _CODE_CHUNK])
+        stop = start + _CODE_CHUNK
+        CODE_TABLE.take(chars[start:stop], out=out[start:stop])
     return out
 
 
@@ -230,11 +296,11 @@ def iter_fasta(path: str) -> Iterator[Read]:
 
 
 def read_fastq(path: str) -> ReadSet:
-    return ReadSet(tuple(iter_fastq(path)), source=path)
+    return ReadSet(iter_fastq(path))
 
 
 def read_fasta(path: str) -> ReadSet:
-    return ReadSet(tuple(iter_fasta(path)), source=path)
+    return ReadSet(iter_fasta(path))
 
 
 def load_reads(path: str) -> ReadSet:
@@ -247,10 +313,11 @@ def load_reads(path: str) -> ReadSet:
 
 def write_fastq(reads: Iterable[Read], path: str) -> None:
     """Write FASTQ; reads without quality get a constant 'I' string."""
+    readset = reads if isinstance(reads, ReadSet) else ReadSet(reads)
     with _open_text(path, "w") as fh:
-        for r in reads:
-            qual = r.quality if r.quality is not None else "I" * len(r.sequence)
-            fh.write(f"@{r.id}\n{r.sequence}\n+\n{qual}\n")
+        for read_id, seq, qual in readset._rows():
+            qual = "I" * len(seq) if qual is None else qual
+            fh.write(f"@{read_id}\n{seq}\n+\n{qual}\n")
 
 
 def write_fasta(reads: Iterable[Read], path: str, width: int = 70) -> None:
@@ -270,9 +337,4 @@ def sample_reads(readset: ReadSet, n: int, seed: int) -> ReadSet:
         raise ValueError(f"sample size must be >= 0, got {n}")
     if n >= len(readset):
         return readset
-    rng = make_rng(seed)
-    keep = sample_indices(rng, len(readset), n)
-    return ReadSet(
-        tuple(readset.reads[i] for i in keep),
-        source=f"{readset.source}|sample:{n}:{seed}",
-    )
+    return readset.take(sample_indices(make_rng(seed), len(readset), n))

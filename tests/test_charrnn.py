@@ -4,6 +4,7 @@ training behavior, and persistence."""
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import random
 import struct
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from ectuner import charrnn
+from ectuner._rng import shuffled, spawn_rng
 from ectuner.charrnn import (
     ModelFormatError,
     PerplexityUndefinedError,
@@ -195,6 +197,35 @@ def test_train_rejects_degenerate_input():
         RnnLm.init(layers=0, hidden=4)
     with pytest.raises(TrainingError):
         RnnLm.init(layers=1, hidden=0)
+
+
+def test_training_without_acgt_transitions_fails_cleanly():
+    # every target is N, so no epoch has a loss to report
+    all_n = ReadSet(tuple(Read(f"n{i}", "N" * 20) for i in range(300)))
+    with pytest.raises(TrainingError, match="^no scoreable character transitions$"):
+        train(all_n, TrainConfig(layers=1, hidden=2, epochs=2, minibatch=50))
+
+
+def test_validation_split_without_transitions_reports_the_train_loss():
+    # 100 reads split 90 / 5 / 5; the five validation reads are all N
+    seed = 5
+    val = set(shuffled(spawn_rng(seed, 0), 100)[90:95])
+    rng = random.Random(6)
+    reads = ReadSet(tuple(
+        Read(f"r{i}", "N" * 24 if i in val else "".join(rng.choices("ACGT", k=24)))
+        for i in range(100)
+    ))
+    config = TrainConfig(layers=1, hidden=4, epochs=4, minibatch=30, learning_rate=0.5)
+    model, history = train(reads, config, seed=seed)
+    assert [h["val_loss"] for h in history] == [h["train_loss"] for h in history]
+    json.dumps(history, allow_nan=False)
+    # the model kept is the epoch of least train loss, which a run stopped
+    # after that epoch returns too
+    best = min(range(len(history)), key=lambda e: history[e]["train_loss"])
+    config.epochs = best + 1
+    again, _ = train(reads, config, seed=seed)
+    for got, want in zip(model.params(), again.params()):
+        assert np.array_equal(got, want)
 
 
 def test_perplexity_masks_n_targets():

@@ -104,15 +104,17 @@ def test_all_n_and_short_reads_are_not_scoreable():
 
 @pytest.mark.parametrize("bad", ["ACxGT", "AcgT", "ACé", "A\nC", "NA C"])
 def test_scoring_raises_the_first_scored_reads_error(bad):
-    # a one-character read is never scored, so its bad character passes
-    reads = ReadSet((Read("ok", "ACGT"), Read("short", "x"), Read("bad", bad),
-                     Read("later", "ACGq")))
-    model = _model(1, 3, seed=96)
-    with pytest.raises(ValueError) as want:
-        oracle_perplexity(model, reads)
-    with pytest.raises(ValueError) as got:
-        perplexity(model, reads)
-    assert str(got.value) == str(want.value)
+    # the read set refuses a bad character before anything is scored, even
+    # in a read too short to score
+    reads = (Read("ok", "ACGT"), Read("short", "x"), Read("bad", bad),
+             Read("later", "ACGq"))
+    with pytest.raises(ValueError) as err:
+        ReadSet(reads)
+    assert str(err.value) == "read 'short' contains characters outside ACGTN: ['x']"
+    with pytest.raises(ValueError) as err:
+        ReadSet(reads[:1] + reads[2:])
+    chars = sorted(set(bad) - set("ACGTN"))
+    assert str(err.value) == f"read 'bad' contains characters outside ACGTN: {chars}"
 
 
 @pytest.mark.parametrize(
@@ -137,23 +139,27 @@ def test_training_equals_the_per_read_oracle(config, tmp_path):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_training_raises_the_oracles_error_for_the_first_bad_read(seed):
-    # which of the two bad reads is met first follows the seeded shuffle
+    # the read set refuses the first bad read in read order, before training
+    # could meet either in its seeded shuffle
     seqs = ["ACGTACGTAC"] * 38 + ["ACGxACGTAC", "ACGTAéGTAC"]
-    rng = np.random.default_rng(seed)
-    reads = ReadSet(tuple(Read(f"r{i}", seqs[j]) for i, j in enumerate(rng.permutation(40))))
-    config = TrainConfig(layers=1, hidden=2, epochs=1, minibatch=10)
-    with pytest.raises(ValueError) as want:
-        oracle_train(reads, config, seed=seed)
-    with pytest.raises(ValueError) as got:
-        train(reads, config, seed=seed)
-    assert str(got.value) == str(want.value)
+    perm = np.random.default_rng(seed).permutation(40)
+    first = min(np.flatnonzero(perm >= 38))
+    with pytest.raises(ValueError) as err:
+        ReadSet(tuple(Read(f"r{i}", seqs[j]) for i, j in enumerate(perm)))
+    chars = "['x']" if perm[first] == 38 else "['é']"
+    assert str(err.value) == f"read 'r{first}' contains characters outside ACGTN: {chars}"
 
 
 def test_training_ignores_a_bad_read_in_the_unused_split(tmp_path):
-    # 40 reads split 36 / 2 / 2; the last two in shuffled order are unused
+    # 40 reads split 36 / 2 / 2; the last two in shuffled order are unused.
+    # A bad character is refused when the set is built, so the unused read
+    # holds N in its place
     order = shuffled(spawn_rng(7, 0), 40)
     seqs = ["ACGTACGTAC"] * 40
     seqs[order[-1]] = "ACGxACGTAC"
+    with pytest.raises(ValueError, match=f"read 'r{order[-1]}' contains characters"):
+        ReadSet(tuple(Read(f"r{i}", s) for i, s in enumerate(seqs)))
+    seqs[order[-1]] = "ACGNACGTAC"
     reads = ReadSet(tuple(Read(f"r{i}", s) for i, s in enumerate(seqs)))
     config = TrainConfig(layers=1, hidden=2, epochs=1, minibatch=10)
     got_model, got_history = train(reads, config, seed=7)

@@ -757,6 +757,23 @@ def test_train_charrnn_then_score_through_magic_sniffing(tmp_path, capsys):
     assert report["avg_perplexity"] > 1.0
 
 
+def test_train_charrnn_without_acgt_transitions_exits_1_and_writes_nothing(
+    tmp_path, capsys
+):
+    path = str(tmp_path / "all-n.fastq")
+    write_fastq([Read(f"n{i}", "N" * 30) for i in range(300)], path)
+    model = tmp_path / "rnn.model"
+    rc = main(
+        ["train", "--reads", path, "--out", str(model), "--lm", "charrnn",
+         "--layers", "1", "--hidden", "2", "--epochs", "2"]
+    )
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ectuner: no scoreable character transitions\n"
+    assert sorted(os.listdir(tmp_path)) == ["all-n.fastq"]
+
+
 def test_module_entry_point_runs(clean_fastq):
     # the child must import the same ectuner as this process, installed or not
     src = os.path.dirname(os.path.dirname(ectuner.__file__))

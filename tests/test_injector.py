@@ -119,7 +119,7 @@ def test_single_edit_helpers_edit_quality():
 
 
 def _mixed_reads(min_len: int) -> ReadSet:
-    """Reads with quality strings or none, N and other non-ACGT characters,
+    """Reads with quality strings or none, N in the middle or at the start,
     and lengths from ``min_len`` (edit spans of 1) up to 90."""
     genome = generate_genome(3000, seed=40)
     quals = "".join(chr(c) for c in range(33, 74)) * 4
@@ -130,7 +130,7 @@ def _mixed_reads(min_len: int) -> ReadSet:
         if i % 3 == 0:
             seq = seq[: n // 2] + "N" + seq[n // 2 + 1 :]
         if i % 29 == 5:
-            seq = "\u00e9" + seq[1:]
+            seq = "N" + seq[1:]
         reads.append(Read(f"m{i}", seq, quals[i % 41 : i % 41 + n] if i % 2 else None))
     return ReadSet(tuple(reads))
 

@@ -12,14 +12,22 @@ from ectuner.ngram import PerplexityReport
 from ectuner.seqio import Read, ReadSet
 
 
+class _Corrected(ReadSet):
+    """A read set tagged with the value it was corrected at."""
+
+    def __init__(self, reads, value):
+        super().__init__(reads)
+        self.value = value
+
+
 class _FixedLm:
-    """Maps the corrected value (parsed from the source tag) to a score."""
+    """Maps the value a ``_Corrected`` set is tagged with to a score."""
 
     def __init__(self, table):
         self.table = table
 
     def score_reads(self, readset):
-        v = int(readset.source.rsplit("=", 1)[1])
+        v = readset.value
         return PerplexityReport(
             avg_perplexity=self.table[v],
             scored_words=1,
@@ -29,7 +37,7 @@ class _FixedLm:
 
 
 def _tag_corrector(readset, value):
-    return ReadSet(readset.reads, source=f"k={value}")
+    return _Corrected(readset, value)
 
 
 def test_pearson_perfect_anticorrelation():
@@ -68,7 +76,7 @@ def test_pearson_errors():
 
 
 def test_sweep_rows_sorted_and_deduplicated():
-    dataset = ReadSet((Read("r", "ACGT"),), source="d")
+    dataset = ReadSet((Read("r", "ACGT"),))
     lm = _FixedLm({9: 30.0, 13: 10.0, 17: 20.0})
     report = sweep(dataset, _tag_corrector, [17, 9, 13, 9], ngram_lm=lm)
     assert [r.value for r in report.rows] == [9, 13, 17]
@@ -78,12 +86,12 @@ def test_sweep_rows_sorted_and_deduplicated():
 
 def test_sweep_computes_gain_and_correlation():
     truth = ReadSet((Read("r", "AAAA"),))
-    dataset = ReadSet((Read("r", "AATA"),), source="d")  # one error at pos 2
+    dataset = ReadSet((Read("r", "AATA"),))  # one error at pos 2
 
     def corrector(readset, value):
         # higher value fixes the read; lower one breaks another base
         fixed = "AAAA" if value >= 12 else "CATA"
-        return ReadSet((Read("r", fixed),), source=f"k={value}")
+        return _Corrected((Read("r", fixed),), value)
 
     lm = _FixedLm({9: 50.0, 12: 8.0, 15: 7.0})
     report = sweep(
@@ -98,7 +106,7 @@ def test_sweep_computes_gain_and_correlation():
 
 
 def test_sweep_external_quality_column():
-    dataset = ReadSet((Read("r", "ACGT"),), source="d")
+    dataset = ReadSet((Read("r", "ACGT"),))
     lm = _FixedLm({1: 3.0, 2: 2.0, 3: 1.0})
     report = sweep(
         dataset,
@@ -113,7 +121,7 @@ def test_sweep_external_quality_column():
 
 
 def test_sweep_identity_corrector_zero_variance_raises():
-    dataset = ReadSet((Read("r", "ACGT"),), source="d")
+    dataset = ReadSet((Read("r", "ACGT"),))
     lm = _FixedLm({1: 5.0, 2: 5.0, 3: 5.0})
     with pytest.raises(CorrelationError):
         sweep(
@@ -126,7 +134,7 @@ def test_sweep_identity_corrector_zero_variance_raises():
 
 
 def test_sweep_requires_model_and_values():
-    dataset = ReadSet((Read("r", "ACGT"),), source="d")
+    dataset = ReadSet((Read("r", "ACGT"),))
     with pytest.raises(ValueError):
         sweep(dataset, _tag_corrector, [1, 2, 3])
     with pytest.raises(ValueError):

@@ -19,12 +19,13 @@ from ectuner.seqio import (
     iter_fasta,
     iter_fastq,
     load_reads,
-    pack_reads,
     read_fastq,
     sample_reads,
     write_fasta,
     write_fastq,
 )
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _fastq_text(records):
@@ -241,21 +242,82 @@ def test_code_order_is_string_order():
     assert list(decode_words(many, 3)) == words * 200
 
 
-def test_pack_reads_separates_reads_and_keeps_code_points():
-    reads = ReadSet((Read("a", "ACN"), Read("b", ""), Read("c", "Té")))
-    chars, starts, lengths = pack_reads(reads)
-    assert starts.tolist() == [0, 4, 5]
-    assert lengths.tolist() == [3, 0, 2]
-    assert "".join(map(chr, chars.tolist())) == "ACN\n\nTé\n"
-    chars, starts, lengths = pack_reads(ReadSet(()))
-    assert len(chars) == len(starts) == len(lengths) == 0
+def test_readset_packs_codes_with_a_separator_after_each_read():
+    reads = ReadSet((Read("a", "ACN"), Read("b", ""), Read("c", "TG")))
+    assert reads.codes.tolist() == [0, 1, 4, 4, 4, 3, 2, 4]
+    assert reads.starts.tolist() == [0, 4, 5]
+    assert reads.lengths.tolist() == [3, 0, 2]
+    assert (reads.codes.dtype, reads.starts.dtype, reads.lengths.dtype) == (
+        np.uint8, np.int64, np.int64)
+    assert reads.ids == ("a", "b", "c")
+    empty = ReadSet(())
+    assert len(empty.codes) == len(empty.starts) == len(empty.lengths) == 0
+    assert empty.reads == () and empty.ids == empty.qualities == ()
 
 
 def test_base_codes_send_everything_but_acgt_to_4():
-    # the low bytes of \u0141\u0143\u0147\u0154 spell ACGT
-    for seq in ("ACGTNacgt-", "ACGT\u00e9\U0001f600\u0141\u0143\u0147\u0154N"):
-        chars = pack_reads(ReadSet((Read("r", seq),)))[0]
-        codes = base_codes(chars)
+    for seq in (b"ACGTNacgt-", b"\x00\xc3\xa9TGCA\xff\n"):
+        codes = base_codes(np.frombuffer(seq, np.uint8))
         assert codes.dtype == np.uint8
-        want = ["ACGT".index(ch) if ch in "ACGT" else 4 for ch in seq + "\n"]
+        want = [b"ACGT".find(ch) if ch in b"ACGT" else 4 for ch in seq]
         assert codes.tolist() == want
+
+
+@pytest.mark.parametrize(
+    "reads",
+    [
+        (),
+        (Read("empty", ""),),
+        (Read("n", "N"), Read("all-n", "NNNN", "!!!!")),
+        (Read("q", "ACGT", "IJKL"), Read("none", "TTGA"), Read("gone", "", "")),
+        (Read("e", ""), Read("mid", "ANCGN", "#$%&'"), Read("e2", "")),
+    ],
+)
+def test_reads_round_trip_through_a_readset(reads):
+    rs = ReadSet(reads)
+    assert rs.reads == tuple(rs) == reads
+    assert tuple(rs[i] for i in range(len(rs))) == reads
+    if reads:
+        assert rs[-1] == reads[-1]
+    assert rs.qualities == tuple(r.quality for r in reads)
+    assert ReadSet(rs).reads == reads
+
+
+def test_readset_iterates_across_decoding_blocks(monkeypatch):
+    monkeypatch.setattr(seqio, "_ROW_BLOCK", 3)
+    reads = tuple(Read(f"r{i}", "ACGTN"[: i % 6], "IIIII"[: i % 6]) for i in range(11))
+    assert ReadSet(reads).reads == reads
+
+
+@pytest.mark.parametrize(
+    "seq,chars",
+    [("acgt", "['a', 'c', 'g', 't']"), ("ACXT", "['X']"), ("ACé", "['é']"),
+     ("A☃\U0001f600C", "['☃', '\U0001f600']"), ("NA C\n", "['\\n', ' ']")],
+)
+def test_readset_refuses_characters_outside_acgtn_naming_the_read(seq, chars):
+    with pytest.raises(ValueError) as err:
+        ReadSet((Read("fine", "ACGTN"), Read("bad", seq), Read("worse", "x")))
+    assert str(err.value) == f"read 'bad' contains characters outside ACGTN: {chars}"
+
+
+def test_take_and_with_codes_share_ids_and_qualities():
+    reads = ReadSet((Read("a", "ACG", "III"), Read("b", ""), Read("c", "TTNA")))
+    taken = reads.take([2, 0, 2])
+    assert taken.reads == (reads[2], reads[0], reads[2])
+    assert taken.starts.tolist() == [0, 5, 9]
+    assert reads.take([]).reads == ()
+    edited = reads.codes.copy()
+    edited[0] = 3
+    changed = reads.with_codes(edited)
+    assert changed.reads == (Read("a", "TCG", "III"), reads[1], reads[2])
+    assert changed.ids is reads.ids and changed.qualities is reads.qualities
+    assert reads.changed_reads(changed) == 1
+    assert reads.changed_reads(reads) == 0
+    # sets of other shapes compare the reads at shared positions; a read of
+    # another length has changed
+    longer = ReadSet((Read("a", "ACGT"), Read("b", ""), Read("c", "TTNC"), Read("d", "A")))
+    assert reads.changed_reads(longer) == 2
+    assert longer.changed_reads(reads.take([0])) == 1
+    assert longer.changed_reads(reads.take([0, 1, 2])) == 2
+    with pytest.raises(ValueError):
+        reads.codes[0] = 1

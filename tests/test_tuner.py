@@ -146,14 +146,22 @@ def test_climb_shares_memo_across_restarts():
     assert set(calls) == {11, 13, 15, 17, 19, 21, 23}
 
 
+class _Corrected(ReadSet):
+    """A read set tagged with the value it was corrected at."""
+
+    def __init__(self, reads, value):
+        super().__init__(reads)
+        self.value = value
+
+
 class _LandscapeLm:
-    """Scores a readset whose source names the corrected value."""
+    """Scores a ``_Corrected`` set by the value it is tagged with."""
 
     def __init__(self, f):
         self.f = f
 
     def score_reads(self, readset):
-        value = int(readset.source.rsplit("=", 1)[1])
+        value = readset.value
         pp = self.f(value)
         return PerplexityReport(
             avg_perplexity=pp, scored_words=1, skipped_words=0, sum_neg_log_prob=0.0
@@ -163,13 +171,13 @@ class _LandscapeLm:
 def _tagging_corrector(log):
     def correct(readset, value):
         log.append((len(readset), value))
-        return ReadSet(readset.reads, source=f"k={value}")
+        return _Corrected(readset, value)
 
     return correct
 
 
 def test_tune_runs_restarts_with_shared_memo_and_corrects_fully():
-    dataset = ReadSet(tuple(Read(f"r{i}", "ACGT") for i in range(100)), source="d")
+    dataset = ReadSet(tuple(Read(f"r{i}", "ACGT") for i in range(100)))
     log = []
     corrector = _tagging_corrector(log)
     lm = _LandscapeLm(lambda k: abs(k - 15) + 2.0)
@@ -189,7 +197,7 @@ def test_tune_runs_restarts_with_shared_memo_and_corrects_fully():
 
 
 def test_tune_tie_between_restart_winners_prefers_smaller_value():
-    dataset = ReadSet(tuple(Read(f"r{i}", "ACGT") for i in range(20)), source="d")
+    dataset = ReadSet(tuple(Read(f"r{i}", "ACGT") for i in range(20)))
     corrector = _tagging_corrector([])
     # two symmetric basins with equal minima at 11 and 23
     lm = _LandscapeLm(lambda k: min(abs(k - 11), abs(k - 23)) + 1.0)
