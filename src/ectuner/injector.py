@@ -161,6 +161,7 @@ def _adjust_quality(kind: str, quality: str | None, pos: int, n: int) -> str | N
 # reads per block: bounds the block's arrays to a few hundred kB at any read count
 _BLOCK = 1024
 _INS, _SUB = KINDS.index("insertion"), KINDS.index("substitution")
+_LETTER = np.array(list(BASES + "N"))  # code -> letter, for ledger entries
 
 
 def inject_readset(
@@ -171,25 +172,30 @@ def inject_readset(
     Reads are corrupted a block at a time, every read's draws taken from its
     own stream as the module docstring lays out.  A read too short for its
     edit (an indel longer than the read, or a substitution into an empty
-    read) raises ``ValueError`` naming it.
+    read) raises ``ValueError`` naming it.  Substitutions are written into a
+    copy of the set's base codes; only reads with an indel are rebuilt.
     """
-    reads: list[Read] = []
+    codes = readset.codes.copy()
+    indels: dict[int, Read] = {}
     entries: list[LedgerEntry] = []
     for first in range(0, len(readset), _BLOCK):
-        block = readset.take(range(first, min(first + _BLOCK, len(readset))))
-        block_reads, block_entries = _inject_block(block, first, spec)
-        reads += block_reads
-        entries += block_entries
-    return ReadSet(reads), ErrorLedger(tuple(entries))
+        entries += _inject_block(readset, first, spec, codes, indels)
+    corrupted = readset.with_codes(codes)
+    if indels:
+        corrupted = ReadSet(indels.get(row, read) for row, read in enumerate(corrupted))
+    return corrupted, ErrorLedger(tuple(entries))
 
 
 def _inject_block(
-    reads: ReadSet, first: int, spec: InjectionSpec
-) -> tuple[list[Read], list[LedgerEntry]]:
-    """Corrupt the reads with indices ``first, first + 1, ...``: each draw of
-    the protocol is taken for every read that makes it at once."""
+    readset: ReadSet, first: int, spec: InjectionSpec, codes: np.ndarray, indels: dict
+) -> list[LedgerEntry]:
+    """Corrupt one block of reads from index ``first``, each draw of the
+    protocol taken for every read that makes it at once: substitutions go
+    into ``codes``, each read with an indel into ``indels`` by index."""
     lo, hi = REGIMES[spec.regime]
-    n = len(reads)
+    block = slice(first, first + _BLOCK)
+    ids, lengths = readset.ids[block], readset.lengths[block]
+    n = len(ids)
     every = np.arange(n)
     # 2 + 2 * hi 32-bit draws cover every read unless Lemire rejects one
     streams = StreamBlock(spec.seed, every + first, hi + 1)
@@ -198,12 +204,11 @@ def _inject_block(
     else:
         kinds = np.full(n, KINDS.index(spec.kind))
     counts = lo + streams.integers(every, hi - lo + 1)
-    lengths = reads.lengths
     short = lengths < np.where(kinds == _SUB, 1, counts)
     if short.any():
         r = int(np.argmax(short))
         raise ValueError(
-            f"read {reads.ids[r]!r} of length {lengths[r]} is too short for "
+            f"read {ids[r]!r} of length {lengths[r]} is too short for "
             f"{KINDS[kinds[r]]} count {counts[r]}"
         )
 
@@ -222,38 +227,47 @@ def _inject_block(
     }
 
     sub = np.flatnonzero(kinds == _SUB)
-    # each read's substitution draws, slot by slot
-    pos, new = np.zeros((n, hi), np.int64), np.zeros((n, hi), np.int64)
-    for slot in range(hi):
-        rows = sub[counts[sub] > slot]
-        pos[rows, slot] = streams.integers(rows, lengths[rows])
-        new[rows, slot] = streams.integers(rows, 4)
+    # each read's substitutions, in application order, at bounds[r]:bounds[r + 1]
+    bounds, pos, old, new = [0] * (n + 1), [], [], []
+    if sub.size:
+        changed = []  # per slot: rows, positions, old and new codes
+        for slot in range(hi):
+            rows = sub[counts[sub] > slot]
+            pos = streams.integers(rows, lengths[rows])
+            new = streams.integers(rows, 4).astype(np.uint8)
+            where = readset.starts[first + rows] + pos
+            old = codes[where]
+            hit = old != new
+            # applied slot by slot, so a repeated position sees the earlier change
+            codes[where[hit]] = new[hit]
+            changed.append((rows[hit], pos[hit], old[hit], new[hit]))
+        rows, pos, old, new = (np.concatenate(a) for a in zip(*changed))
+        by_read = np.argsort(rows, kind="stable")
+        bounds = np.searchsorted(rows[by_read], np.arange(n + 1)).tolist()
+        pos = pos[by_read].tolist()
+        old, new = (_LETTER[a[by_read]].tolist() for a in (old, new))
 
-    out, entries = [], []
-    for r, (read, kind, i, c) in enumerate(
-        zip(reads, kinds.tolist(), at.tolist(), counts.tolist())
+    entries = []
+    indel_reads = iter(readset.take(first + indel))
+    for r, (read_id, kind, i, c) in enumerate(
+        zip(ids, kinds.tolist(), at.tolist(), counts.tolist())
     ):
-        seq = read.sequence
         if kind == _SUB:
-            # applied in order, so a repeated position sees the earlier change
-            chars = list(seq)
-            for p, code in zip(pos[r, :c].tolist(), new[r, :c].tolist()):
-                base = BASES[code]
-                if chars[p] != base:
-                    entries.append(
-                        LedgerEntry(read.id, p, "substitution", chars[p], base)
-                    )
-                    chars[p] = base
-            read = Read(read.id, "".join(chars), read.quality)
+            entries += (
+                LedgerEntry(read_id, pos[k], "substitution", old[k], new[k])
+                for k in range(bounds[r], bounds[r + 1])
+            )
+            continue
+        read = next(indel_reads)
+        seq = read.sequence
+        if kind == _INS:
+            edit, seq = ("", segment[r]), seq[:i] + segment[r] + seq[i:]
         else:
-            if kind == _INS:
-                edit, seq = ("", segment[r]), seq[:i] + segment[r] + seq[i:]
-            else:
-                edit, seq = (seq[i : i + c], ""), seq[:i] + seq[i + c :]
-            entries.append(LedgerEntry(read.id, i, KINDS[kind], *edit))
-            read = Read(read.id, seq, _adjust_quality(KINDS[kind], read.quality, i, c))
-        out.append(read)
-    return out, entries
+            edit, seq = (seq[i : i + c], ""), seq[:i] + seq[i + c :]
+        entries.append(LedgerEntry(read_id, i, KINDS[kind], *edit))
+        quality = _adjust_quality(KINDS[kind], read.quality, i, c)
+        indels[first + r] = Read(read_id, seq, quality)
+    return entries
 
 
 def revert(corrupted: ReadSet, ledger: ErrorLedger) -> ReadSet:

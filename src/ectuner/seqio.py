@@ -26,11 +26,11 @@ from ._rng import make_rng, sample_indices
 
 BASES = "ACGT"
 VALID_CHARS = frozenset(BASES + "N")
-LETTERS = np.frombuffer(b"ACGTN", np.uint8)  # code -> letter
-CODE_TABLE = np.full(256, 4, np.uint8)  # byte -> code; anything but ACGT is 4
-CODE_TABLE[LETTERS[:4]] = np.arange(4)
+LETTERS = np.frombuffer(BASES.encode("ascii"), np.uint8)  # code -> letter
+# byte -> code, anything but ACGT 4; and code -> letter, with 5 a line break
+CODE_TABLE = bytes(BASES.find(chr(b)) if chr(b) in BASES else 4 for b in range(256))
+_TEXT = bytes.maketrans(bytes(range(6)), b"ACGTN\n")
 ACGT = frozenset(BASES)
-_CODE_CHUNK = 1 << 13
 _ROW_BLOCK = 4096  # reads decoded at a time
 _BASE_DIGIT = str.maketrans(BASES, "0123")
 
@@ -72,13 +72,11 @@ class Read:
 
 
 class ReadSet:
-    """An ordered collection of reads, packed as the module docstring lays
-    out: ``codes``, ``starts`` and ``lengths``, with each read's ``ids`` and
-    ``qualities`` (None for a read without one).
-
-    ``ReadSet(reads)`` packs an iterable of ``Read`` objects once, refusing a
-    read with any character outside ACGTN.  Iterating, indexing and
-    ``reads`` make ``Read`` objects back from the arrays."""
+    """Reads packed as the module docstring lays out: ``codes``, ``starts``
+    and ``lengths``, with each read's ``ids`` and ``qualities`` (None for a
+    read without one).  ``ReadSet(reads)`` packs ``Read`` objects once and
+    refuses any character outside ACGTN; iterating, indexing and ``reads``
+    make ``Read`` objects back from the arrays."""
 
     def __init__(self, reads: Iterable[Read] = ()) -> None:
         ids, seqs, quals = [], [], []
@@ -88,18 +86,15 @@ class ReadSet:
             quals.append(read.quality)
         lengths = np.fromiter(map(len, seqs), np.int64, len(seqs))
         starts = np.cumsum(lengths + 1) - lengths - 1
-        # N is code 4, so it serves as the separator; a character outside
-        # ASCII becomes one "?", which keeps every position
-        text = "N".join(seqs) + "N" if seqs else ""
-        chars = np.frombuffer(text.encode("ascii", "replace"), np.uint8)
-        codes = base_codes(chars)
-        outside = (codes == 4) & (chars != ord("N"))
-        if outside.any():
-            row = int(np.searchsorted(starts, outside.argmax(), "right")) - 1
+        # N is code 4, so it serves as the separator
+        text = ("N".join(seqs) + "N" if seqs else "").encode("ascii", "replace")
+        if text.translate(None, b"ACGTN"):
+            row = next(i for i, s in enumerate(seqs) if set(s) - VALID_CHARS)
             raise ValueError(
                 f"read {ids[row]!r} contains characters outside ACGTN: "
                 f"{sorted(set(seqs[row]) - VALID_CHARS)}"
             )
+        codes = np.frombuffer(text.translate(CODE_TABLE), np.uint8)
         self._set(codes, starts, lengths, tuple(ids), tuple(quals))
 
     def _set(self, codes, starts, lengths, ids, qualities) -> "ReadSet":
@@ -126,14 +121,12 @@ class ReadSet:
         """Each read's id, sequence and quality, decoded a block at a time."""
         for first in range(0, len(self), _ROW_BLOCK):
             rows = slice(first, first + _ROW_BLOCK)
-            starts, lengths = self.starts[rows], self.lengths[rows]
-            text = LETTERS[self.codes[starts[0] : starts[-1] + lengths[-1]]]
-            text = text.tobytes().decode("ascii")
-            for read_id, start, stop, quality in zip(
-                self.ids[rows], (starts - starts[0]).tolist(),
-                (starts - starts[0] + lengths).tolist(), self.qualities[rows],
-            ):
-                yield read_id, text[start:stop], quality
+            start = self.starts[first]
+            ends = self.starts[rows] + self.lengths[rows]  # the separators
+            chars = self.codes[start : ends[-1] + 1].copy()
+            chars[ends - start] = 5
+            seqs = chars.tobytes().translate(_TEXT).decode("ascii").split("\n")
+            yield from zip(self.ids[rows], seqs, self.qualities[rows])
 
     def take(self, rows) -> "ReadSet":
         """The reads at ``rows``, in that order."""
@@ -149,8 +142,7 @@ class ReadSet:
         return object.__new__(ReadSet)._set(codes, starts, lengths, ids, quals)
 
     def with_codes(self, codes: np.ndarray) -> "ReadSet":
-        """The same reads, ids and qualities with ``codes`` in place of this
-        set's codes, in the same layout."""
+        """These reads with ``codes``, in the same layout, as their bases."""
         return object.__new__(ReadSet)._set(
             codes, self.starts, self.lengths, self.ids, self.qualities
         )
@@ -185,14 +177,8 @@ def decode_words(codes, length: int) -> Iterator[str]:
 
 
 def base_codes(chars: np.ndarray) -> np.ndarray:
-    """The base code of every byte in the ``uint8`` array ``chars``.  The
-    table lookup runs a chunk at a time, so ``take``'s 8-byte copy of its
-    index stays a fixed size however long ``chars`` is."""
-    out = np.empty(len(chars), np.uint8)
-    for start in range(0, len(chars), _CODE_CHUNK):
-        stop = start + _CODE_CHUNK
-        CODE_TABLE.take(chars[start:stop], out=out[start:stop])
-    return out
+    """The base code of every byte in the ``uint8`` array ``chars``."""
+    return np.frombuffer(chars.tobytes().translate(CODE_TABLE), np.uint8)
 
 
 def _open_text(path: str, mode: str):
