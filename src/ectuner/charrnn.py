@@ -280,13 +280,12 @@ def _clip(grads: list[np.ndarray], max_norm: float) -> None:
 def _block(readset: ReadSet, idx: np.ndarray):
     """(T, B) input and target codes of reads ``idx``, padded with 4 past
     each read's end, and the loss mask of the transitions to ACGT."""
-    codes, starts = readset.codes, readset.starts
     n = readset.lengths[idx] - 1
     steps = np.arange(n.max())[:, None]
-    pos = starts[idx] + steps
+    pos = readset.starts[idx] + steps
     inside = steps < n
-    x = np.where(inside, codes.take(pos, mode="clip"), 4)
-    y = np.where(inside, codes.take(pos + 1, mode="clip"), 4)
+    x = np.where(inside, readset.codes.take(pos, mode="clip"), 4)
+    y = np.where(inside, readset.codes.take(pos + 1, mode="clip"), 4)
     return x, y, (y < VOCAB_SIZE).astype(float)
 
 

@@ -4,9 +4,8 @@ A read is cut into consecutive non-overlapping words of ``word_len`` bases
 starting at offset 0; a trailing partial word is dropped.  Words containing
 N are excluded and tallied.  Consecutive kept words form
 runs; an excluded word breaks the run, so downstream consumers can avoid
-conditioning across the gap.  Words are the codes of ``seqio.encode_word``,
-cut from a ``seqio.ReadSet``'s packed base codes and returned flat with each
-word's read and position in its run.
+conditioning across the gap.  Words are ``seqio.encode_word`` codes cut from
+a ``seqio.ReadSet``'s base codes, flat with each word's read and run position.
 """
 
 from __future__ import annotations

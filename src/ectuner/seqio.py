@@ -111,14 +111,14 @@ class ReadSet:
         return self.take([range(len(self))[i]]).reads[0]
 
     def __iter__(self) -> Iterator[Read]:
-        return (Read(*row) for row in self._rows())
+        return (Read(*row) for block in self._blocks() for row in zip(*block))
 
     @property
     def reads(self) -> tuple[Read, ...]:
         return tuple(self)
 
-    def _rows(self) -> Iterator[tuple[str, str, str | None]]:
-        """Each read's id, sequence and quality, decoded a block at a time."""
+    def _blocks(self) -> Iterator[tuple[tuple, list[str], tuple]]:
+        """Ids, sequences and qualities, decoded ``_ROW_BLOCK`` reads at a time."""
         for first in range(0, len(self), _ROW_BLOCK):
             rows = slice(first, first + _ROW_BLOCK)
             start = self.starts[first]
@@ -126,7 +126,7 @@ class ReadSet:
             chars = self.codes[start : ends[-1] + 1].copy()
             chars[ends - start] = 5
             seqs = chars.tobytes().translate(_TEXT).decode("ascii").split("\n")
-            yield from zip(self.ids[rows], seqs, self.qualities[rows])
+            yield self.ids[rows], seqs[:-1], self.qualities[rows]
 
     def take(self, rows) -> "ReadSet":
         """The reads at ``rows``, in that order."""
@@ -301,9 +301,11 @@ def write_fastq(reads: Iterable[Read], path: str) -> None:
     """Write FASTQ; reads without quality get a constant 'I' string."""
     readset = reads if isinstance(reads, ReadSet) else ReadSet(reads)
     with _open_text(path, "w") as fh:
-        for read_id, seq, qual in readset._rows():
-            qual = "I" * len(seq) if qual is None else qual
-            fh.write(f"@{read_id}\n{seq}\n+\n{qual}\n")
+        for ids, seqs, quals in readset._blocks():
+            fh.write("".join([
+                f"@{read_id}\n{seq}\n+\n{'I' * len(seq) if qual is None else qual}\n"
+                for read_id, seq, qual in zip(ids, seqs, quals)
+            ]))
 
 
 def write_fasta(reads: Iterable[Read], path: str, width: int = 70) -> None:
