@@ -321,3 +321,19 @@ def test_take_and_with_codes_share_ids_and_qualities():
     assert longer.changed_reads(reads.take([0, 1, 2])) == 2
     with pytest.raises(ValueError):
         reads.codes[0] = 1
+
+
+def test_changed_reads_counts_what_comparing_sequences_counts():
+    rng = np.random.default_rng(3)
+
+    def reads(n):
+        return ReadSet(tuple(
+            Read(f"r{i}", "".join(rng.choice(list("ACGTN"), rng.integers(0, 6))))
+            for i in range(n)
+        ))
+
+    for _ in range(50):
+        a, b = reads(rng.integers(0, 12)), reads(rng.integers(0, 12))
+        for x, y in ((a, b), (a, a.take(rng.permutation(len(a)))), (b, a)):
+            want = sum(r.sequence != s.sequence for r, s in zip(x, y))
+            assert x.changed_reads(y) == want
