@@ -161,7 +161,6 @@ def _adjust_quality(kind: str, quality: str | None, pos: int, n: int) -> str | N
 # reads per block: bounds the block's arrays to a few hundred kB at any read count
 _BLOCK = 1024
 _INS, _SUB = KINDS.index("insertion"), KINDS.index("substitution")
-_LETTER = np.array(list(BASES + "N"))  # code -> letter, for ledger entries
 
 
 def inject_readset(
@@ -245,7 +244,7 @@ def _inject_block(
         by_read = np.argsort(rows, kind="stable")
         bounds = np.searchsorted(rows[by_read], np.arange(n + 1)).tolist()
         pos = pos[by_read].tolist()
-        old, new = (_LETTER[a[by_read]].tolist() for a in (old, new))
+        old, new = (LETTERS[a[by_read]].tobytes().decode("ascii") for a in (old, new))
 
     entries = []
     indel_reads = iter(readset.take(first + indel))

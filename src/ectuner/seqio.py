@@ -26,7 +26,7 @@ from ._rng import make_rng, sample_indices
 
 BASES = "ACGT"
 VALID_CHARS = frozenset(BASES + "N")
-LETTERS = np.frombuffer(BASES.encode("ascii"), np.uint8)  # code -> letter
+LETTERS = np.frombuffer(b"ACGTN", np.uint8)  # code -> letter
 # byte -> code, anything but ACGT 4; and code -> letter, with 5 a line break
 CODE_TABLE = bytes(BASES.find(chr(b)) if chr(b) in BASES else 4 for b in range(256))
 _TEXT = bytes.maketrans(bytes(range(6)), b"ACGTN\n")
