@@ -444,14 +444,12 @@ def ec_gain(original: ReadSet, corrected: ReadSet, truth: ReadSet) -> float:
             f"corrected {len(corrected)}, truth {len(truth)}"
         )
     sets = (original, corrected, truth)
-    same_lengths = all(np.array_equal(original.lengths, s.lengths) for s in sets)
-    if not (same_lengths and original.ids == corrected.ids == truth.ids):
-        lengths = zip(*(s.lengths.tolist() for s in sets))
-        for (a, b, c), (la, lb, lc) in zip(zip(*(s.ids for s in sets)), lengths):
-            if not a == b == c:
-                raise AlignmentError(f"read id mismatch: {a!r} / {b!r} / {c!r}")
-            if not la == lb == lc:
-                raise AlignmentError(f"read {a!r}: lengths differ ({la}/{lb}/{lc})")
+    lengths = zip(*(s.lengths.tolist() for s in sets))
+    for (a, b, c), (la, lb, lc) in zip(zip(*(s.ids for s in sets)), lengths):
+        if not a == b == c:
+            raise AlignmentError(f"read id mismatch: {a!r} / {b!r} / {c!r}")
+        if not la == lb == lc:
+            raise AlignmentError(f"read {a!r}: lengths differ ({la}/{lb}/{lc})")
     o, c, t = (s.codes for s in sets)
     wrong = o != t
     errors = int(np.count_nonzero(wrong))

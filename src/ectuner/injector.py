@@ -181,7 +181,9 @@ def inject_readset(
         entries += _inject_block(readset, first, spec, codes, indels)
     corrupted = readset.with_codes(codes)
     if indels:
-        corrupted = ReadSet(indels.get(row, read) for row, read in enumerate(corrupted))
+        rows = range(len(readset))
+        kept = iter(corrupted.take([row for row in rows if row not in indels]))
+        corrupted = ReadSet(indels[r] if r in indels else next(kept) for r in rows)
     return corrupted, ErrorLedger(tuple(entries))
 
 
