@@ -47,7 +47,7 @@ class FastaParseError(ParseError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Read:
     """A single sequencing read.
 
