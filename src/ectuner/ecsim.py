@@ -103,7 +103,18 @@ def kmer_spectrum(readset: ReadSet, k: int) -> KmerSpectrum:
         kmers <<= 2
         kmers |= low[j : j + windows]
         broken |= bases[j : j + windows] == 4
-    return KmerSpectrum(k, *np.unique(kmers[~broken], return_counts=True))
+    # free each array once it is spent: the N-free copy and the sort, done
+    # in place, set the call's peak memory
+    del low
+    kmers = kmers[~broken]
+    del broken
+    kmers.sort()
+    # each distinct code is the first of a run of equal codes
+    first = np.empty(len(kmers), bool)
+    first[:1] = True
+    np.not_equal(kmers[1:], kmers[:-1], out=first[1:])
+    first = np.flatnonzero(first)
+    return KmerSpectrum(k, kmers[first], np.diff(first, append=len(kmers)))
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ per-read path as the reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +46,7 @@ class LedgerReplayError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
+class LedgerEntry(NamedTuple):
     read_id: str
     position: int
     kind: str

@@ -1,7 +1,9 @@
 """FASTQ/FASTA ingest, emission, seeded subsampling, and the packed read set.
 
 Sequences are normalized to upper case on ingest and validated against the
-alphabet {A, C, G, T, N}.  Files whose name ends in ``.gz`` are read and
+alphabet {A, C, G, T, N}.  FASTQ is parsed a chunk of text at a time, every
+record of a chunk checked at once; an error still names the line of the
+first bad record.  Files whose name ends in ``.gz`` are read and
 written gzip-compressed (with a fixed mtime of 0 so identical content yields
 identical bytes).
 
@@ -18,6 +20,7 @@ from __future__ import annotations
 import gzip
 import io
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -31,7 +34,13 @@ LETTERS = np.frombuffer(b"ACGTN", np.uint8)  # code -> letter
 CODE_TABLE = bytes(BASES.find(chr(b)) if chr(b) in BASES else 4 for b in range(256))
 _TEXT = bytes.maketrans(bytes(range(6)), b"ACGTN\n")
 ACGT = frozenset(BASES)
-_ROW_BLOCK = 4096  # reads decoded at a time
+_ROW_BLOCK = 4096  # reads decoded or gathered at a time
+_CHUNK = 1 << 18  # characters of FASTQ text parsed at a time
+# byte -> code of a FASTQ sequence letter, either case; 255 for anything else
+_FASTQ_CODES = bytes(
+    "ACGTNacgtn".index(chr(b)) % 5 if chr(b) in "ACGTNacgtn" else 255
+    for b in range(256)
+)
 _BASE_DIGIT = str.maketrans(BASES, "0123")
 
 
@@ -85,7 +94,6 @@ class ReadSet:
             seqs.append(read.sequence)
             quals.append(read.quality)
         lengths = np.fromiter(map(len, seqs), np.int64, len(seqs))
-        starts = np.cumsum(lengths + 1) - lengths - 1
         # N is code 4, so it serves as the separator
         text = ("N".join(seqs) + "N" if seqs else "").encode("ascii", "replace")
         if text.translate(None, b"ACGTN"):
@@ -95,7 +103,7 @@ class ReadSet:
                 f"{sorted(set(seqs[row]) - VALID_CHARS)}"
             )
         codes = np.frombuffer(text.translate(CODE_TABLE), np.uint8)
-        self._set(codes, starts, lengths, tuple(ids), tuple(quals))
+        self._set(codes, _starts(lengths), lengths, tuple(ids), tuple(quals))
 
     def _set(self, codes, starts, lengths, ids, qualities) -> "ReadSet":
         for array in (codes, starts, lengths):
@@ -129,17 +137,27 @@ class ReadSet:
             yield self.ids[rows], seqs[:-1], self.qualities[rows]
 
     def take(self, rows) -> "ReadSet":
-        """The reads at ``rows``, in that order."""
+        """The reads at ``rows``, in that order, gathered ``_ROW_BLOCK`` at
+        a time so the gather index stays small."""
         rows = np.asarray(rows, np.intp)
         lengths = self.lengths[rows]
-        starts = np.cumsum(lengths + 1) - lengths - 1
-        # each read's codes and its separator, moved from its old start
-        moved = np.repeat(self.starts[rows] - starts, lengths + 1)
-        codes = self.codes[moved + np.arange(len(moved))]
-        picked = rows.tolist()
-        ids = tuple(self.ids[i] for i in picked)
-        quals = tuple(self.qualities[i] for i in picked)
-        return object.__new__(ReadSet)._set(codes, starts, lengths, ids, quals)
+        starts = _starts(lengths)
+        codes = np.empty(int(lengths.sum()) + len(rows), np.uint8)
+        ids, quals = [], []
+        for first in range(0, len(rows), _ROW_BLOCK):
+            block = slice(first, first + _ROW_BLOCK)
+            picked = rows[block]
+            # each read's codes and its separator, moved from its old start
+            at = np.repeat(self.starts[picked] - starts[block], lengths[block] + 1)
+            out = slice(starts[first], starts[first] + len(at))
+            at += np.arange(out.start, out.stop)
+            codes[out] = self.codes[at]
+            picked = picked.tolist()
+            ids += map(self.ids.__getitem__, picked)
+            quals += map(self.qualities.__getitem__, picked)
+        return object.__new__(ReadSet)._set(
+            codes, starts, lengths, tuple(ids), tuple(quals)
+        )
 
     def with_codes(self, codes: np.ndarray) -> "ReadSet":
         """These reads with ``codes``, in the same layout, as their bases."""
@@ -157,6 +175,11 @@ class ReadSet:
             a, b = a.take(rows), b.take(rows)
         same = np.logical_and.reduceat(a.codes == b.codes, a.starts) if len(a) else ()
         return n - int(np.count_nonzero(same))
+
+
+def _starts(lengths: np.ndarray) -> np.ndarray:
+    """Where each read of ``lengths`` starts, with a separator after each."""
+    return np.cumsum(lengths + 1) - lengths - 1
 
 
 def encode_word(word: str) -> int:
@@ -207,45 +230,100 @@ def _check_sequence(seq: str, read_id: str, lineno: int, exc: type[ParseError]) 
     return seq
 
 
-def iter_fastq(path: str) -> Iterator[Read]:
-    """Stream reads from a 4-line-per-record FASTQ file."""
+def read_fastq(path: str) -> ReadSet:
+    """Parse a 4-line-per-record FASTQ file ``_CHUNK`` characters at a time,
+    packing each chunk's whole records straight into the set's arrays."""
+    codes = bytearray()  # grows in place, so the codes are never copied whole
+    chunks = []  # lengths, ids and qualities of each chunk's records
+    lineno, rest = 0, ""
     with _open_text(path, "r") as fh:
-        lineno = 0
         while True:
-            header = fh.readline()
-            if not header:
-                return
-            lineno += 1
-            header = header.rstrip("\n")
-            if not header.startswith("@"):
-                raise FastqParseError(
-                    f"line {lineno}: expected '@' header, got {header[:40]!r}"
-                )
-            words = header[1:].split()  # none for a blank id
-            read_id = words[0] if words else ""
-            if not read_id:
-                raise FastqParseError(f"line {lineno}: empty read id")
-            seq = fh.readline()
-            plus = fh.readline()
-            qual = fh.readline()
-            if not qual:
-                raise FastqParseError(
-                    f"line {lineno}: truncated record for read {read_id!r}"
-                )
-            lineno += 3
-            seq = seq.rstrip("\n")
-            qual = qual.rstrip("\n")
-            if not plus.startswith("+"):
-                raise FastqParseError(
-                    f"line {lineno - 1}: expected '+' separator for read {read_id!r}"
-                )
-            seq = _check_sequence(seq, read_id, lineno - 2, FastqParseError)
-            if len(qual) != len(seq):
-                raise FastqParseError(
-                    f"line {lineno}: read {read_id!r} quality length {len(qual)} "
-                    f"!= sequence length {len(seq)}"
-                )
-            yield Read(read_id, seq, qual)
+            # at least as much as is left over, so a record longer than a
+            # chunk is read in doubling steps
+            text = fh.read(max(_CHUNK, len(rest)))
+            lines = (rest + text).split("\n")
+            if not text and not lines[-1]:  # the end of the file, after a line break
+                lines.pop()
+            # before the end, the last line may be cut short: keep it for later
+            whole = (len(lines) - 1) // 4 * 4 if text else len(lines)
+            if whole:
+                chunk_codes, lengths, ids, quals = _fastq_chunk(lines[:whole], lineno)
+                codes += chunk_codes
+                chunks.append((lengths, ids, quals))
+                lineno += whole
+            if not text:
+                break
+            rest = "\n".join(lines[whole:])
+    if not chunks:
+        return ReadSet()
+    lengths, ids, quals = zip(*chunks)
+    lengths = np.concatenate(lengths)
+    return object.__new__(ReadSet)._set(
+        np.frombuffer(codes, np.uint8), _starts(lengths), lengths,
+        tuple(chain.from_iterable(ids)), tuple(chain.from_iterable(quals)),
+    )
+
+
+def _fastq_chunk(lines: list[str], lineno: int):
+    """The codes, lengths, ids and qualities of the records in ``lines``,
+    which start at line ``lineno + 1``.  Each check runs on the whole chunk
+    at once; a chunk that fails one is walked record by record to raise for
+    the first bad record."""
+    heads, seqs, pluses, quals = (lines[i::4] for i in range(4))
+    ids = [(h[1:].split(maxsplit=1) or [""])[0] for h in heads]
+    # one code-4 separator after each read; a non-ASCII letter becomes "?"
+    text = ("N".join(seqs) + "N").encode("ascii", "replace")
+    codes = text.translate(_FASTQ_CODES)
+    lengths = np.fromiter(map(len, seqs), np.int64, len(seqs))
+    if (
+        len(lines) % 4
+        or not all(ids)
+        or not _all_start_with(heads, "@")
+        or not _all_start_with(pluses, "+")
+        or np.frombuffer(codes, np.uint8).max() > 4
+        or not lengths.all()
+        or not np.array_equal(lengths, np.fromiter(map(len, quals), np.int64))
+    ):
+        _check_fastq_records(lines, lineno)
+    return codes, lengths, ids, quals
+
+
+def _all_start_with(lines: list[str], prefix: str) -> bool:
+    # no line holds a "\n", so each match is the start of a line
+    return ("\n" + "\n".join(lines)).count("\n" + prefix) == len(lines)
+
+
+def _check_fastq_records(lines: list[str], lineno: int) -> None:
+    """Raise for the first malformed record in ``lines`` (starting at line
+    ``lineno + 1``) the error a record-by-record reader gives.  Every record
+    the chunk checks refuse is malformed here too: lowercase ACGTN are the
+    only letters besides ACGTN that upper-case into ACGTN."""
+    for i in range(0, len(lines), 4):
+        at = lineno + i + 1
+        header = lines[i]
+        if not header.startswith("@"):
+            raise FastqParseError(
+                f"line {at}: expected '@' header, got {header[:40]!r}"
+            )
+        words = header[1:].split()  # none for a blank id
+        if not words:
+            raise FastqParseError(f"line {at}: empty read id")
+        read_id = words[0]
+        if i + 4 > len(lines):
+            raise FastqParseError(
+                f"line {at}: truncated record for read {read_id!r}"
+            )
+        seq, plus, qual = lines[i + 1 : i + 4]
+        if not plus.startswith("+"):
+            raise FastqParseError(
+                f"line {at + 2}: expected '+' separator for read {read_id!r}"
+            )
+        seq = _check_sequence(seq, read_id, at + 1, FastqParseError)
+        if len(qual) != len(seq):
+            raise FastqParseError(
+                f"line {at + 3}: read {read_id!r} quality length {len(qual)} "
+                f"!= sequence length {len(seq)}"
+            )
 
 
 def iter_fasta(path: str) -> Iterator[Read]:
@@ -279,10 +357,6 @@ def iter_fasta(path: str) -> Iterator[Read]:
         if read_id is not None:
             seq = _check_sequence("".join(parts), read_id, start_line, FastaParseError)
             yield Read(read_id, seq)
-
-
-def read_fastq(path: str) -> ReadSet:
-    return ReadSet(iter_fastq(path))
 
 
 def read_fasta(path: str) -> ReadSet:

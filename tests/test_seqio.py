@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gzip
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from ectuner.seqio import (
     decode_words,
     encode_word,
     iter_fasta,
-    iter_fastq,
     load_reads,
     read_fastq,
     sample_reads,
@@ -62,14 +62,14 @@ def test_fastq_round_trip(tmp_path):
 def test_fastq_lower_case_is_normalized(tmp_path):
     path = tmp_path / "lc.fastq"
     path.write_text("@r1\nacgt\n+\nIIII\n")
-    (read,) = list(iter_fastq(str(path)))
+    (read,) = read_fastq(str(path)).reads
     assert read.sequence == "ACGT"
 
 
 def test_fastq_header_id_stops_at_whitespace(tmp_path):
     path = tmp_path / "hdr.fastq"
     path.write_text("@r1 extra metadata\nACGT\n+\nIIII\n")
-    (read,) = list(iter_fastq(str(path)))
+    (read,) = read_fastq(str(path)).reads
     assert read.id == "r1"
 
 
@@ -91,7 +91,7 @@ def test_fastq_malformed_records_raise(tmp_path, text, fragment):
     path = tmp_path / "bad.fastq"
     path.write_text(text)
     with pytest.raises(FastqParseError) as err:
-        list(iter_fastq(str(path)))
+        read_fastq(str(path))
     assert fragment in str(err.value)
 
 
@@ -100,7 +100,7 @@ def test_fastq_error_reports_line_number(tmp_path):
     path = tmp_path / "mixed.fastq"
     path.write_text(good + "@r2\nACZT\n+\nIIII\n")
     with pytest.raises(FastqParseError) as err:
-        list(iter_fastq(str(path)))
+        read_fastq(str(path))
     assert "line 6" in str(err.value)
 
 
@@ -126,7 +126,7 @@ def test_blank_header_ids_raise_with_their_line(tmp_path):
     fastq = tmp_path / "blank.fastq"
     fastq.write_text(_fastq_text([("r1", "ACGT", "IIII")]) + "@  \nACGT\n+\nIIII\n")
     with pytest.raises(FastqParseError, match=r"^line 5: empty read id$"):
-        list(iter_fastq(str(fastq)))
+        read_fastq(str(fastq))
     for header in (">", ">  ", ">\t"):
         fasta = tmp_path / "blank.fasta"
         fasta.write_text(f">r1\nACGT\n{header}\nGG\n")
@@ -153,7 +153,7 @@ def test_gzip_round_trip_and_byte_determinism(tmp_path):
     assert (tmp_path / "a.fastq.gz").read_bytes() == (tmp_path / "b.fastq.gz").read_bytes()
     with gzip.open(p1, "rt") as fh:
         assert fh.read() == "@r1\nACGT\n+\nIIII\n"
-    assert [r.sequence for r in iter_fastq(p1)] == ["ACGT"]
+    assert [r.sequence for r in read_fastq(p1)] == ["ACGT"]
 
 
 def test_load_reads_picks_format_from_extension(tmp_path):
@@ -217,7 +217,7 @@ def test_fastq_iterator_streams_many_records(tmp_path):
     path = tmp_path / "big.fastq"
     n = 1000
     path.write_text(_fastq_text([(f"r{i}", "ACGT", "IIII") for i in range(n)]))
-    count = sum(1 for _ in iter_fastq(str(path)))
+    count = sum(1 for _ in read_fastq(str(path)))
     assert count == n
 
 
@@ -321,6 +321,26 @@ def test_take_and_with_codes_share_ids_and_qualities():
     assert longer.changed_reads(reads.take([0, 1, 2])) == 2
     with pytest.raises(ValueError):
         reads.codes[0] = 1
+
+
+def test_take_of_every_row_peaks_under_four_times_the_codes():
+    n, length = 60_000, 50
+    codes = np.random.default_rng(5).integers(0, 4, n * length)
+    text = np.frombuffer(b"ACGT", np.uint8)[codes].tobytes().decode("ascii")
+    reads = ReadSet(Read(f"r{i}", text[i * length : (i + 1) * length])
+                    for i in range(n))
+    rows = np.arange(n)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        taken = reads.take(rows)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * reads.codes.nbytes
+    assert np.array_equal(taken.codes, reads.codes)
+    assert np.array_equal(taken.starts, reads.starts)
+    assert taken.ids == reads.ids and taken.qualities == reads.qualities
 
 
 def test_changed_reads_counts_what_comparing_sequences_counts():
