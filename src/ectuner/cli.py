@@ -180,6 +180,8 @@ def _train_lm(cfg: dict, reads, stats: SegmentStats | None = None):
             _say(f"warning: word length {cfg['word_len']} below 5 loses context")
         if not 0 <= cfg["history"] <= 5:
             raise ValueError(f"history must be in 0..5, got {cfg['history']}")
+        if not 0 <= cfg["p_floor"] < 1:
+            raise ValueError(f"--p-floor must be in [0, 1), got {cfg['p_floor']}")
         settings = {key: cfg[key] for key in _NGRAM_DEFAULTS}
         return ngram.train_reads(reads, stats=stats, **settings), None
     if kind == "charrnn":

@@ -455,12 +455,17 @@ def ec_gain(original: ReadSet, corrected: ReadSet, truth: ReadSet) -> float:
             f"corrected {len(corrected)}, truth {len(truth)}"
         )
     sets = (original, corrected, truth)
-    lengths = zip(*(s.lengths.tolist() for s in sets))
-    for (a, b, c), (la, lb, lc) in zip(zip(*(s.ids for s in sets)), lengths):
-        if not a == b == c:
-            raise AlignmentError(f"read id mismatch: {a!r} / {b!r} / {c!r}")
-        if not la == lb == lc:
-            raise AlignmentError(f"read {a!r}: lengths differ ({la}/{lb}/{lc})")
+    if not (
+        original.ids == corrected.ids == truth.ids
+        and all(np.array_equal(original.lengths, s.lengths) for s in sets[1:])
+    ):
+        # walked read by read only to name the first mismatch
+        lengths = zip(*(s.lengths.tolist() for s in sets))
+        for (a, b, c), (la, lb, lc) in zip(zip(*(s.ids for s in sets)), lengths):
+            if not a == b == c:
+                raise AlignmentError(f"read id mismatch: {a!r} / {b!r} / {c!r}")
+            if not la == lb == lc:
+                raise AlignmentError(f"read {a!r}: lengths differ ({la}/{lb}/{lc})")
     o, c, t = (s.codes for s in sets)
     wrong = o != t
     errors = int(np.count_nonzero(wrong))

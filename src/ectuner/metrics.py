@@ -5,6 +5,8 @@ result with the given language model(s), and, when ground truth is supplied,
 computes the per-base correction gain alongside.  Pearson correlations
 between each perplexity column and each quality column summarize how well
 perplexity tracks quality (strongly negative is the useful regime).
+Consecutive values score the dataset with one model, so an n-gram model
+rescores only the reads whose bases changed.
 """
 
 from __future__ import annotations

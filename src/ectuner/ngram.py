@@ -27,7 +27,10 @@ probabilities come from the same float64 operations, in the same order, as
 evaluating one word at a time.  The logarithm is ``math.log`` per word,
 because ``np.log`` can differ in the last bit; each read's sum runs left to
 right, and the reads are reduced with ``math.fsum``, so a perplexity is
-reproducible to the last digit.
+reproducible to the last digit.  A read's sum depends on its own words alone,
+so ``score_reads`` keeps the per-read sums of the last set it scored and, for
+a set of the same layout, rescores only the reads whose bases differ: the
+report is the one a full scoring gives, to the last bit.
 
 Model file format (little-endian), documented so alternate implementations
 can interoperate:
@@ -61,7 +64,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -222,6 +225,32 @@ class PerplexityReport:
         }
 
 
+class _Scored(NamedTuple):
+    """A read set scored from ``tables`` with the model's word length,
+    history and floor (``settings``): each read's sum of -ln p and its
+    number of words."""
+
+    tables: list[_Order]
+    settings: tuple[int, int, float]
+    readset: ReadSet
+    sums: np.ndarray
+    count: np.ndarray
+
+
+def _report(sums: np.ndarray, scored: int, skipped: int) -> PerplexityReport:
+    """The report of per-read sums, reduced with exact summation, which
+    fixes the digits of the result."""
+    if scored == 0:
+        raise PerplexityUndefinedError("no scoreable words in corpus")
+    total = math.fsum(sums.tolist())
+    return PerplexityReport(
+        avg_perplexity=math.exp(total / scored),
+        scored_words=scored,
+        skipped_words=skipped,
+        sum_neg_log_prob=total,
+    )
+
+
 class NgramModel:
     """Count tables plus the smoothing configuration.
 
@@ -245,10 +274,13 @@ class NgramModel:
             raise TrainingError(
                 f"word length must be in 1..{MAX_WORD_LEN}, got {word_len}"
             )
+        if not 0.0 <= p_floor < 1.0:
+            raise TrainingError(f"probability floor must be in [0, 1), got {p_floor}")
         self.word_len = word_len
         self.history = history
         self.p_floor = p_floor
         self.m_train = 0
+        self._last: _Scored | None = None
         # a new model starts as empty dicts; training or loading sets tables
         self._tables: list[_Order] | None = None
         self._dicts: tuple[list[dict], list[dict]] | None = (
@@ -398,19 +430,14 @@ class NgramModel:
             sums[group[step]] += neg_log[step]
         return sums
 
-    def _score(self, words: Words, skipped: int) -> PerplexityReport:
-        """Per-read sums are reduced with exact summation, which fixes the
-        digits of the result."""
-        m = len(words.codes)
-        if m == 0:
-            raise PerplexityUndefinedError("no scoreable words in corpus")
-        total = math.fsum(self._read_sums(words).tolist())
-        return PerplexityReport(
-            avg_perplexity=math.exp(total / m),
-            scored_words=m,
-            skipped_words=skipped,
-            sum_neg_log_prob=total,
-        )
+    def _sums(self, words: Words, n_reads: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each of ``n_reads`` reads' sum of -ln p (0.0 for a read without
+        words) and its number of words."""
+        count = np.bincount(words.read, minlength=n_reads)
+        sums = np.zeros(n_reads)
+        if len(words.codes):
+            sums[count > 0] = self._read_sums(words)
+        return sums, count
 
     def perplexity(self, corpus: Iterable[WordSequence]) -> PerplexityReport:
         """Average per-word perplexity exp(mean -ln p) over the corpus.
@@ -419,13 +446,41 @@ class NgramModel:
         """
         seqs = list(corpus)
         words = _flatten(seqs, self.word_len, ValueError)
-        return self._score(words, sum(ws.skipped for ws in seqs))
+        sums, count = self._sums(words, len(seqs))
+        return _report(sums, int(count.sum()), sum(ws.skipped for ws in seqs))
 
     def score_reads(self, readset: ReadSet) -> PerplexityReport:
-        """Segment ``readset`` with the model's own word length and score it."""
-        stats = SegmentStats()
-        words = segment_reads(readset, self.word_len, stats)
-        return self._score(words, stats.skipped_words)
+        """Segment ``readset`` with the model's own word length and score it.
+
+        When the last set scored with these tables has the same layout, only
+        the reads whose bases differ from it are segmented and scored; the
+        other reads keep their sums.  A model read through its dict view
+        scores every read."""
+        settings = (self.word_len, self.history, self.p_floor)
+        last = self._last
+        if (
+            last is not None
+            and last.tables is self._tables
+            and last.settings == settings
+            and all(
+                a is b or np.array_equal(a, b)
+                for a, b in ((last.readset.starts, readset.starts),
+                             (last.readset.lengths, readset.lengths))
+            )
+        ):
+            rows = np.flatnonzero(readset.differing(last.readset))
+            sums, count = last.sums.copy(), last.count.copy()
+            if len(rows):
+                words = segment_reads(readset.take(rows), self.word_len)
+                sums[rows], count[rows] = self._sums(words, len(rows))
+        else:
+            words = segment_reads(readset, self.word_len)
+            sums, count = self._sums(words, len(readset))
+        if self._dicts is None:
+            self._last = _Scored(self._tables, settings, readset, sums, count)
+        scored = int(count.sum())
+        total = int((readset.lengths // self.word_len).sum())
+        return _report(sums, scored, total - scored)
 
     # -- persistence ------------------------------------------------------
 
@@ -490,6 +545,8 @@ class NgramModel:
             raise ModelFormatError(f"{path}: unsupported version {version}")
         if smooth_tag != 1:
             raise ModelFormatError(f"{path}: unknown smoothing tag {smooth_tag}")
+        if not 0.0 <= p_floor < 1.0:
+            raise ModelFormatError(f"{path}: probability floor {p_floor} outside [0, 1)")
         model = cls(word_len=word_len, history=history, p_floor=p_floor)
         model.m_train = m_train
         if (len(payload) - off) % 4:

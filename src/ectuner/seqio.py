@@ -165,6 +165,13 @@ class ReadSet:
             codes, self.starts, self.lengths, self.ids, self.qualities
         )
 
+    def differing(self, other: "ReadSet") -> np.ndarray:
+        """Whether each read differs in sequence from the read at the same
+        position of ``other``, a set of the same starts and lengths."""
+        if not len(self):
+            return np.zeros(0, bool)
+        return ~np.logical_and.reduceat(self.codes == other.codes, self.starts)
+
     def changed_reads(self, other: "ReadSet") -> int:
         """How many reads differ in sequence from the read at the same
         position of ``other``, over the positions both sets have."""
@@ -173,8 +180,7 @@ class ReadSet:
         if len(a) != len(b) or not np.array_equal(a.lengths, b.lengths):
             rows = np.flatnonzero(a.lengths[:n] == b.lengths[:n])
             a, b = a.take(rows), b.take(rows)
-        same = np.logical_and.reduceat(a.codes == b.codes, a.starts) if len(a) else ()
-        return n - int(np.count_nonzero(same))
+        return n - len(a) + int(np.count_nonzero(a.differing(b)))
 
 
 def _starts(lengths: np.ndarray) -> np.ndarray:

@@ -8,7 +8,8 @@ neighbor lies outside the range), and otherwise moves to the lower neighbor,
 spending one unit of iteration budget per move.  Neighbors outside
 [lower, upper] are treated as infinitely bad and are never evaluated.  With
 memoization a full run costs at most floor((upper - lower) / step) + 1
-distinct evaluations.
+distinct evaluations.  Consecutive evaluations score one sample with one
+model, so an n-gram model rescores only the reads whose bases changed.
 """
 
 from __future__ import annotations

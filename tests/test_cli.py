@@ -405,8 +405,10 @@ def test_k_above_packing_limit_exits_1_before_any_output(
         (["--word-len", "13"], "word length must be in 4..12"),
         (["--word-len", "3"], "word length must be in 4..12"),
         (["--history", "7"], "history must be in 0..5"),
+        (["--p-floor", "2"], "--p-floor must be in [0, 1), got 2.0"),
+        (["--p-floor", "nan"], "--p-floor must be in [0, 1), got nan"),
     ],
-    ids=["word-len-13", "word-len-3", "history-7"],
+    ids=["word-len-13", "word-len-3", "history-7", "p-floor-2", "p-floor-nan"],
 )
 @pytest.mark.parametrize(
     "command, out_flag",
@@ -422,6 +424,27 @@ def test_ngram_bounds_exit_1_before_any_output(
     assert rc == 1
     captured = capsys.readouterr()
     assert message in captured.err
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, out_flag",
+    [("train", "--out"), ("tune", "--out-dir"), ("sweep", "--json-out")],
+    ids=["train", "tune", "sweep"],
+)
+def test_p_floor_from_config_outside_0_1_exits_1_before_any_output(
+    clean_fastq, tmp_path, capsys, command, out_flag
+):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"p_floor": 1}))
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main([command, "--reads", clean_fastq, "--config", str(cfg_path),
+               out_flag, str(out / "result")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "--p-floor must be in [0, 1), got 1" in captured.err
     assert captured.out == ""
     assert list(out.iterdir()) == []
 

@@ -432,6 +432,26 @@ def test_load_rejects_unknown_version(tmp_path):
         NgramModel.load(str(bad))
 
 
+@pytest.mark.parametrize("p_floor", [1.0, 2.0, -1e-9, math.nan, math.inf])
+def test_probability_floor_outside_0_1_is_refused(p_floor, tmp_path):
+    import hashlib
+    import struct
+
+    with pytest.raises(TrainingError, match=r"probability floor must be in \[0, 1\)"):
+        NgramModel(word_len=3, history=2, p_floor=p_floor)
+    with pytest.raises(TrainingError):
+        ngram.train(TOY3, history=2, p_floor=p_floor)
+    # a file whose header holds such a floor, with a valid checksum
+    path = tmp_path / "toy.athn"
+    ngram.train(TOY3, history=2).save(str(path))
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<d", blob, 17, p_floor)
+    payload = bytes(blob[:-32])
+    path.write_bytes(payload + hashlib.sha256(payload).digest())
+    with pytest.raises(ModelFormatError, match=r"probability floor .* outside \[0, 1\)"):
+        NgramModel.load(str(path))
+
+
 def test_report_log2_field():
     model = ngram.train(TOY3, history=2)
     report = model.perplexity(TOY3)
