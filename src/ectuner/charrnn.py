@@ -50,6 +50,7 @@ from .ngram import (
     PerplexityReport,
     PerplexityUndefinedError,
     TrainingError,
+    _report,
 )
 from .seqio import VALID_CHARS, ReadSet, base_codes, sample_reads
 
@@ -455,13 +456,7 @@ def perplexity(
         skipped += int((readset.lengths[idx] - 1).sum()) - n
     if scored == 0:
         raise PerplexityUndefinedError("no scoreable character transitions")
-    total = math.fsum(per_read)
-    return PerplexityReport(
-        avg_perplexity=math.exp(total / scored),
-        scored_words=scored,
-        skipped_words=skipped,
-        sum_neg_log_prob=total,
-    )
+    return _report(np.array(per_read), scored, skipped)
 
 
 def gradient_check(model: RnnLm, seq: str, eps: float = 1e-5) -> float:

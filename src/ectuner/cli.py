@@ -19,7 +19,6 @@ import sys
 
 from . import charrnn, ecsim, metrics, ngram, tuner
 from .injector import InjectionSpec, inject_readset
-from .segmenter import SegmentStats
 from .seqio import load_reads, sample_reads, write_fastq
 
 
@@ -48,7 +47,8 @@ _NULLABLE = {"adapter_template": (str,), "timeout": (int, float),
 
 def _check_type(path: str, key: str, value, default) -> None:
     """A config file value must have its default's type; an int stands for a
-    float, and null is taken only where the default is None."""
+    float, null is taken only where the default is None, and a list holds
+    only ints (not bools)."""
     if value is None and default is None:
         return
     if default is None:
@@ -58,6 +58,8 @@ def _check_type(path: str, key: str, value, default) -> None:
     if isinstance(value, bool) or not isinstance(value, accepted):
         names = " or ".join(t.__name__ for t in accepted)
         raise ValueError(f"{path}: {key} must be {names}, got {value!r}")
+    if isinstance(value, list) and not all(type(v) is int for v in value):
+        raise ValueError(f"{path}: {key} must be a list of int, got {value!r}")
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
@@ -168,7 +170,7 @@ def _check_k_fits(cfg: dict, reads, values) -> None:
         ecsim.check_k(k)
 
 
-def _train_lm(cfg: dict, reads, stats: SegmentStats | None = None):
+def _train_lm(cfg: dict, reads):
     """Train the language model ``cfg`` names (n-gram unless ``lm`` says
     charrnn); returns the model and the char-RNN's per-epoch history, or
     None for an n-gram."""
@@ -183,7 +185,7 @@ def _train_lm(cfg: dict, reads, stats: SegmentStats | None = None):
         if not 0 <= cfg["p_floor"] < 1:
             raise ValueError(f"--p-floor must be in [0, 1), got {cfg['p_floor']}")
         settings = {key: cfg[key] for key in _NGRAM_DEFAULTS}
-        return ngram.train_reads(reads, stats=stats, **settings), None
+        return ngram.train_reads(reads, **settings), None
     if kind == "charrnn":
         return charrnn.train(reads, _rnn_config(cfg), seed=cfg["seed"])
     raise ValueError(f"unknown language model kind {kind!r}")
@@ -238,17 +240,18 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _DEFAULTS["train"])
     _check_rnn(cfg)
     reads = load_reads(args.reads)
-    stats = SegmentStats()
-    model, history = _train_lm(cfg, reads, stats)
+    model, history = _train_lm(cfg, reads)
     model.save(args.out)
     if cfg["lm"] == "ngram":
+        # a read shorter than a word has none; each word not trained on held an N
+        n_words = reads.lengths // cfg["word_len"]
         summary = {
             "lm": "ngram",
             "model": args.out,
             "reads": len(reads),
-            "short_reads": stats.short_reads,
+            "short_reads": int((n_words == 0).sum()),
             "words": model.m_train,
-            "skipped_words": stats.skipped_words,
+            "skipped_words": int(n_words.sum()) - model.m_train,
             "vocab_size": model.vocab_size,
         }
     else:

@@ -44,7 +44,7 @@ from typing import Callable
 
 import numpy as np
 
-from .seqio import ReadSet, load_reads, write_fastq
+from .seqio import ParseError, ReadSet, find_sorted, load_reads, write_fastq
 
 TMPDIR_ENV = "ATHENA_TMPDIR"
 MAX_K = 32
@@ -109,11 +109,7 @@ def kmer_spectrum(readset: ReadSet, k: int) -> KmerSpectrum:
     kmers = kmers[~broken]
     del broken
     kmers.sort()
-    # each distinct code is the first of a run of equal codes
-    first = np.empty(len(kmers), bool)
-    first[:1] = True
-    np.not_equal(kmers[1:], kmers[:-1], out=first[1:])
-    first = np.flatnonzero(first)
+    first = np.flatnonzero(_run_firsts(kmers))
     return KmerSpectrum(k, kmers[first], np.diff(first, append=len(kmers)))
 
 
@@ -161,17 +157,16 @@ class _SolidCounts:
         flat = query.ravel()
         found = np.zeros(len(flat), np.int64)
         maybe = np.flatnonzero(self.occupied[self._slot(flat)])
-        i = np.searchsorted(self.codes, flat[maybe])
-        np.minimum(i, len(self.codes) - 1, out=i)
-        hit = self.codes[i] == flat[maybe]
+        i = find_sorted(self.codes, flat[maybe])
+        hit = i >= 0
         found[maybe[hit]] = self.counts[i[hit]]
         return found.reshape(query.shape)
 
     def halves(self, kmers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Whether each k-mer's head, and its tail, starts or ends a solid k-mer."""
         return (
-            _contains(self.heads, kmers >> self.head_shift),
-            _contains(self.tails, kmers & self.tail_mask),
+            find_sorted(self.heads, kmers >> self.head_shift) >= 0,
+            find_sorted(self.tails, kmers & self.tail_mask) >= 0,
         )
 
 
@@ -180,18 +175,14 @@ def _sorted_set(values: np.ndarray) -> np.ndarray:
     the halves of solid k-mers, sorting and dropping repeats is over ten
     times faster than its hashing."""
     values = np.sort(values)
+    return values[_run_firsts(values)]
+
+
+def _run_firsts(values: np.ndarray) -> np.ndarray:
+    """Whether each of the sorted ``values`` is the first of its run of equals."""
     first = np.ones(len(values), bool)
     np.not_equal(values[1:], values[:-1], out=first[1:])
-    return values[first]
-
-
-def _contains(table: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Membership of each ``query`` value in the sorted array ``table``."""
-    if not len(table):
-        return np.zeros(len(query), bool)
-    i = np.searchsorted(table, query)
-    np.minimum(i, len(table) - 1, out=i)
-    return table[i] == query
+    return first
 
 
 def _correct_packed(
@@ -417,7 +408,12 @@ def run_external(adapter: ToolAdapter, value: int, readset: ReadSet) -> ReadSet:
         raise AdapterError(
             f"external corrector produced no output file (files kept in {tmpdir})"
         )
-    corrected = load_reads(out_path)
+    try:
+        corrected = load_reads(out_path)
+    except (ParseError, UnicodeDecodeError) as exc:
+        raise AdapterError(
+            f"external corrector output is unreadable (files kept in {tmpdir}): {exc}"
+        ) from exc
     shutil.rmtree(tmpdir, ignore_errors=True)
     return corrected
 

@@ -68,8 +68,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .segmenter import SegmentStats, WordSequence, Words, segment_reads
-from .seqio import ReadSet, encode_word
+from .segmenter import WordSequence, Words, segment_reads
+from .seqio import ReadSet, encode_word, find_sorted
 
 MAGIC = b"ATHN"
 VERSION = 1
@@ -114,20 +114,6 @@ def _flatten(
     return Words(*(np.array(a, np.int64) for a in (codes, read, pos)))
 
 
-def _find(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """The index of each query in the sorted ``keys``, or -1 where absent.
-    The queries are searched in sorted order, which keeps the search in
-    cache and is several times faster than searching them as they come."""
-    if len(keys) == 0:
-        return np.full(len(queries), -1, np.int64)
-    order = np.argsort(queries)
-    ordered = queries[order]
-    j = np.minimum(np.searchsorted(keys, ordered), len(keys) - 1)
-    found = np.empty(len(queries), np.int64)
-    found[order] = np.where(keys[j] == ordered, j, -1)
-    return found
-
-
 @dataclass
 class _Order:
     """The count tables of one order, indexed by chained keys.
@@ -164,7 +150,7 @@ def _index(levels: list[tuple[np.ndarray, ...]]) -> list[_Order]:
             tails = np.vstack([r[:, -o:] for r, *_ in levels[o:]])
             keys = tails[:, -1]
             for q in range(2, o + 1):
-                keys = (_find(hists[q - 1], keys) << 32) | tails[:, -q]
+                keys = (find_sorted(hists[q - 1], keys) << 32) | tails[:, -q]
             hist, index = np.unique(keys, return_inverse=True)
             own = index[: len(rows)]
         hists.append(hist)
@@ -376,21 +362,21 @@ class NgramModel:
         if v == 0:
             raise PerplexityUndefinedError("model has no training counts")
         lam0 = m / (m + v)
-        j = _find(root.events, codes)
+        j = find_sorted(root.events, codes)
         p = lam0 * (np.where(j >= 0, root.count[j], 0) / m) + (1.0 - lam0) / (v + 1)
         hid = np.zeros(len(codes), np.int64)
         at = np.arange(len(codes))  # words whose history chains this far
         for o in range(1, self.history + 1):
             t = tables[o]
             at = at[pos[at] >= o]
-            j = _find(t.hist, (hid[at] << 32) | codes[at - o])
+            j = find_sorted(t.hist, (hid[at] << 32) | codes[at - o])
             at, j = at[j >= 0], j[j >= 0]
             hid[at] = j
             at_o = at[t.distinct[hid[at]] > 0]
             g = hid[at_o]
             total = t.total[g]
             lam = total / (total + t.distinct[g])
-            j = _find(t.events, (g << 32) | codes[at_o])
+            j = find_sorted(t.events, (g << 32) | codes[at_o])
             c = np.where(j >= 0, t.count[j], 0)
             p[at_o] = lam * (c / total) + (1.0 - lam) * p[at_o]
         return np.where(p < self.p_floor, self.p_floor, p)
@@ -602,9 +588,8 @@ def train_reads(
     word_len: int = DEFAULT_WORD_LEN,
     history: int = DEFAULT_HISTORY,
     p_floor: float = DEFAULT_P_FLOOR,
-    stats: SegmentStats | None = None,
 ) -> NgramModel:
     """Segment ``readset`` and train; the usual entry point."""
     model = NgramModel(word_len=word_len, history=history, p_floor=p_floor)
-    model._count(segment_reads(readset, word_len, stats))
+    model._count(segment_reads(readset, word_len))
     return model

@@ -2,10 +2,10 @@
 
 A read is cut into consecutive non-overlapping words of ``word_len`` bases
 starting at offset 0; a trailing partial word is dropped.  Words containing
-N are excluded and tallied.  Consecutive kept words form
-runs; an excluded word breaks the run, so downstream consumers can avoid
-conditioning across the gap.  Words are ``seqio.encode_word`` codes cut from
-a ``seqio.ReadSet``'s base codes, flat with each word's read and run position.
+N are excluded.  Consecutive kept words form runs; an excluded word breaks
+the run, so downstream consumers can avoid conditioning across the gap.
+Words are ``seqio.encode_word`` codes cut from a ``seqio.ReadSet``'s base
+codes, flat with each word's read and run position.
 """
 
 from __future__ import annotations
@@ -36,14 +36,6 @@ class WordSequence:
         return WordSequence(read_id=read_id, runs=(tuple(words),), skipped=skipped)
 
 
-@dataclass
-class SegmentStats:
-    reads: int = 0
-    short_reads: int = 0
-    words: int = 0
-    skipped_words: int = 0
-
-
 class Words(NamedTuple):
     """The kept words of a read set, flat and in read order: each word's
     code, the index of its read and its position in its run (from 0)."""
@@ -53,11 +45,8 @@ class Words(NamedTuple):
     pos: np.ndarray
 
 
-def segment_reads(
-    readset: ReadSet, word_len: int, stats: SegmentStats | None = None
-) -> Words:
-    """The words of every read; a read shorter than ``word_len`` has none
-    (and is tallied on ``stats`` when given)."""
+def segment_reads(readset: ReadSet, word_len: int) -> Words:
+    """The words of every read; a read shorter than ``word_len`` has none."""
     if word_len <= 0:
         raise ValueError(f"word length must be positive, got {word_len}")
     bases, starts, lengths = readset.codes, readset.starts, readset.lengths
@@ -71,12 +60,6 @@ def segment_reads(
         column = bases[at + j]
         codes = (codes << 2) | (column & 3)
         kept &= column != 4
-    if stats is not None:
-        long_reads = int(np.count_nonzero(n_words))
-        stats.reads += long_reads
-        stats.short_reads += len(lengths) - long_reads
-        stats.words += int(np.count_nonzero(kept))
-        stats.skipped_words += int(np.count_nonzero(~kept))
     # a run opens at each kept word that does not follow a kept word of its read
     opens = (kept & ~np.r_[False, kept[:-1] & (row[1:] == row[:-1])])[kept]
     run_start = np.flatnonzero(opens)

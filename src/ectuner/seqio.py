@@ -205,6 +205,20 @@ def decode_words(codes, length: int) -> Iterator[str]:
         yield from (text[i : i + length] for i in range(0, len(text), length))
 
 
+def find_sorted(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """The index of each query in the sorted ``keys``, or -1 where absent.
+    The queries are searched in sorted order, which keeps the search in
+    cache and is several times faster than searching them as they come."""
+    if len(keys) == 0:
+        return np.full(len(queries), -1, np.int64)
+    order = np.argsort(queries)
+    ordered = queries[order]
+    j = np.minimum(np.searchsorted(keys, ordered), len(keys) - 1)
+    found = np.empty(len(queries), np.int64)
+    found[order] = np.where(keys[j] == ordered, j, -1)
+    return found
+
+
 def base_codes(chars: np.ndarray) -> np.ndarray:
     """The base code of every byte in the ``uint8`` array ``chars``."""
     return np.frombuffer(chars.tobytes().translate(CODE_TABLE), np.uint8)

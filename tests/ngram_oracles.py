@@ -15,6 +15,7 @@ import hashlib
 import math
 import struct
 from collections import defaultdict
+from dataclasses import dataclass
 
 from ectuner.ngram import MAGIC, VERSION, PerplexityReport, PerplexityUndefinedError
 from ectuner.segmenter import WordSequence
@@ -51,9 +52,20 @@ def oracle_segment_read(read, word_len):
     return WordSequence(read_id=read.id, runs=tuple(runs), skipped=skipped)
 
 
+@dataclass
+class SegmentTally:
+    """What the string segmenter counts: reads with words and without, the
+    words kept and those skipped for a character other than ACGT."""
+
+    reads: int = 0
+    short_reads: int = 0
+    words: int = 0
+    skipped_words: int = 0
+
+
 def oracle_segment_corpus(readset, word_len, stats=None):
     """A WordSequence per read; reads shorter than ``word_len`` are skipped
-    (and tallied on ``stats`` when given)."""
+    (and tallied on ``stats``, a ``SegmentTally``, when given)."""
     out = []
     for read in readset:
         if len(read.sequence) < word_len:

@@ -1,8 +1,10 @@
-"""The program surface the benchmark's traced run relies on.
+"""The program surface the benchmark relies on.
 
 ``bench/tracing.py`` wraps public functions by module attribute and reads
-counts from their arguments and results.  These checks import it from its
-file, unchanged, so a refactor that would break the traced run fails here.
+counts from their arguments and results; ``bench/workloads.py`` builds its
+inputs and checks its outputs through more of the program.  These checks
+import both from their files, unchanged, so a refactor that would break the
+benchmark fails here.
 """
 
 from __future__ import annotations
@@ -15,13 +17,15 @@ from pathlib import Path
 
 import pytest
 
+from ectuner.cli import main
 from ectuner.ecsim import KSpectrumConfig, kmer_spectrum, kspectrum_correct
 from ectuner.injector import generate_genome, sample_clean_reads
 from ectuner.seqio import Read, ReadSet
 
 from ecsim_oracles import oracle_spectrum
 
-_TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+_BENCH = Path(__file__).resolve().parents[1] / "bench"
+_TRACING = _BENCH / "tracing.py"
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +39,18 @@ def tracing():
         yield module
     finally:
         del sys.modules[spec.name]
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """``bench/workloads.py``, with the bench modules it imports by name."""
+    sys.path.insert(0, str(_BENCH))
+    try:
+        yield importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(_BENCH))
+        for name in ("workloads", "checks", "common"):
+            sys.modules.pop(name, None)
 
 
 def test_every_target_is_an_attribute_of_its_owner(tracing):
@@ -72,3 +88,24 @@ def test_correct_counters_bind_readset_and_config_by_name(tracing):
     outcome = tracing._correct_outcome(None, arguments, fixed)
     changed = sum(a.sequence != b.sequence for a, b in zip(rs, fixed))
     assert outcome == {"reads_in": 2, "reads_changed": changed}
+
+
+def test_workload_inputs_and_product_form_check_run(workloads, tmp_path):
+    """The calls the workloads make outside the traced targets: inputs come
+    from the injector's simulation functions and ``seqio.write_fastq``, and
+    the error ladder's product-form check loads a model with
+    ``NgramModel.load``, builds each ``WordSequence(read_id, runs)`` by
+    position and scores it with ``ngram_oracles.product_form_perplexity``."""
+    inputs, op_dir = tmp_path / "inputs", tmp_path / "op"
+    inputs.mkdir()
+    op_dir.mkdir()
+    workloads._simulate(str(inputs), 1, 2_000, corrupt=True)
+    assert sorted(p.name for p in inputs.iterdir()) == ["clean.fastq", "noisy.fastq"]
+    common = sys.modules["common"]
+    ctx = workloads.Context(
+        str(inputs), str(op_dir), str(tmp_path), lambda argv: common.run_cli(main, argv)
+    )
+    ctx.cli(["train", "--reads", ctx.input("clean.fastq"), "--out", ctx.output("lm.ngram")])
+    noisy = workloads.checks.read_fastq(ctx.input("noisy.fastq"))
+    word_len = ctx.read_json("lm.ngram.config.json")["word_len"]
+    workloads.ErrorLadder()._check_product_form(ctx, {"noisy": noisy}, word_len)

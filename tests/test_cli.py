@@ -85,6 +85,39 @@ def test_train_writes_model_and_resolved_config(clean_fastq, tmp_path, capsys):
     assert cfg["p_floor"] == 1e-7
 
 
+_SUMMARY_READS = (
+    ("long", "ACGTTGCAAGGCTTACCGATAGCTTAGGCAATCGGA"),
+    ("short", "ACG"),
+    ("six", "ACGTAC"),
+    ("gappy", "ACGTANCGTAGGCTTNGCATGCATTTACGGANNTACG"),
+    ("all_n", "N" * 24),
+    ("repeat", "ACGTACGTAC" * 4),
+    ("twelve", "GATTACAGATTA"),
+    ("tail_n", "CCGGTTAACCGGTTAN"),
+)
+
+
+@pytest.mark.parametrize(
+    "word_len, short_reads, words, skipped_words, vocab_size",
+    [(5, 1, 25, 7, 17), (7, 2, 15, 6, 15), (12, 2, 8, 5, 8)],
+)
+def test_train_summary_counts_short_reads_and_skipped_words(
+    tmp_path, capsys, word_len, short_reads, words, skipped_words, vocab_size
+):
+    # reads shorter than a word, words broken by N, and a read of N only
+    reads = str(tmp_path / "reads.fastq")
+    write_fastq([Read(rid, seq) for rid, seq in _SUMMARY_READS], reads)
+    out = str(tmp_path / "lm.model")
+    assert main(["train", "--reads", reads, "--out", out,
+                 "--word-len", str(word_len)]) == 0
+    summary = _stdout_json(capsys)
+    assert summary == {
+        "lm": "ngram", "model": out, "reads": len(_SUMMARY_READS),
+        "short_reads": short_reads, "words": words,
+        "skipped_words": skipped_words, "vocab_size": vocab_size,
+    }
+
+
 def test_flags_beat_config_file_beat_defaults(clean_fastq, tmp_path, capsys):
     cfg_path = tmp_path / "opts.json"
     cfg_path.write_text(json.dumps({"word_len": 5, "history": 1}))
@@ -595,10 +628,17 @@ def test_bad_search_settings_exit_1_before_any_work(
         ("train", {"p_floor": "0"}, "p_floor must be int or float, got '0'"),
         ("tune", {"timeout": "5"}, "timeout must be int or float, got '5'"),
         ("sweep", {"values": 9}, "values must be str or list, got 9"),
+        ("sweep", {"values": [9.5, 11.9, 13]},
+         "values must be a list of int, got [9.5, 11.9, 13]"),
+        ("sweep", {"values": [True, 11, 13]},
+         "values must be a list of int, got [True, 11, 13]"),
+        ("sweep", {"values": ["9", 11]}, "values must be a list of int, got ['9', 11]"),
+        ("tune", {"initials": [17.7]}, "initials must be a list of int, got [17.7]"),
         ("inject", {"kind": 1}, "kind must be str, got 1"),
     ],
     ids=["sample-n-str", "history-float", "seed-bool", "word-len-null",
-         "p-floor-str", "timeout-str", "values-int", "kind-int"],
+         "p-floor-str", "timeout-str", "values-int", "values-floats",
+         "values-bool", "values-str-element", "initials-float", "kind-int"],
 )
 def test_config_values_are_type_checked_before_any_work(
     clean_fastq, tmp_path, capsys, command, values, message

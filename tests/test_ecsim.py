@@ -420,6 +420,20 @@ def test_adapter_missing_output_is_an_error(tmp_path, monkeypatch):
     assert "no output" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "output", ["echo garbage", "printf '\\\\377'"], ids=["text", "binary"]
+)
+def test_adapter_unreadable_output_is_an_error(tmp_path, monkeypatch, output):
+    monkeypatch.setenv("ATHENA_TMPDIR", str(tmp_path))
+    adapter = ToolAdapter(f'sh -c "{output} > {{output}}; : {{input}} {{k}}"')
+    rs = ReadSet((Read("r1", "ACGT"),))
+    with pytest.raises(AdapterError) as err:
+        run_external(adapter, 9, rs)
+    (kept,) = [d for d in os.listdir(tmp_path) if d.startswith("ectuner-")]
+    assert f"unreadable (files kept in {tmp_path / kept})" in str(err.value)
+    assert (tmp_path / kept / "output.fastq").exists()
+
+
 def test_adapter_missing_binary_is_an_error(tmp_path, monkeypatch):
     monkeypatch.setenv("ATHENA_TMPDIR", str(tmp_path))
     adapter = ToolAdapter("definitely-not-a-real-tool {input} {output} {k}")

@@ -15,13 +15,14 @@ from ectuner.ngram import (
     PerplexityUndefinedError,
     TrainingError,
 )
-from ectuner.segmenter import SegmentStats, WordSequence, segment_reads
+from ectuner.segmenter import WordSequence, segment_reads
 from ectuner.seqio import Read, ReadSet, decode_words, encode_word
 
 from ngram_oracles import (
     SMALL_CORPORA,
     TOY3,
     DictNgramModel,
+    SegmentTally,
     assert_product_form_matches,
     oracle_counts,
     oracle_prob,
@@ -479,7 +480,7 @@ def _reads(rng, n, max_len, alphabet="ACGT" * 12 + "N"):
 
 
 def _oracle_runs(readset, word_len):
-    stats = SegmentStats()
+    stats = SegmentTally()
     seqs = oracle_segment_corpus(readset, word_len, stats)
     return oracle_read_runs(seqs), stats.skipped_words
 

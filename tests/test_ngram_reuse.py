@@ -65,9 +65,9 @@ def test_chain_of_read_sets_scores_as_fresh_models_do(model_path, monkeypatch):
     segmented = []
     segment = ngram.segment_reads
 
-    def counting_segment(readset, word_len, stats=None):
+    def counting_segment(readset, word_len):
         segmented.append(len(readset))
-        return segment(readset, word_len, stats)
+        return segment(readset, word_len)
 
     monkeypatch.setattr(ngram, "segment_reads", counting_segment)
     rng = np.random.default_rng(11)

@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
-from ectuner.segmenter import SegmentStats, WordSequence, segment_reads
+from ectuner.segmenter import WordSequence, segment_reads
 from ectuner.seqio import Read, ReadSet, decode_words, encode_word
 
-from ngram_oracles import oracle_segment_corpus
+from ngram_oracles import SegmentTally, oracle_segment_corpus
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -25,13 +26,23 @@ def _runs_per_read(words, n_reads):
     return out
 
 
+def _tally(readset, word_len, words):
+    """The oracle's tallies, as a caller derives them from the read lengths
+    and the words ``segment_reads`` kept."""
+    n_words = readset.lengths // word_len
+    short = int(np.count_nonzero(n_words == 0))
+    kept = len(words.codes)
+    return SegmentTally(len(readset) - short, short, kept, int(n_words.sum()) - kept)
+
+
 def _segment(seq, word_len):
-    """Runs of one read as words, through the packed segmenter."""
-    stats = SegmentStats()
-    words = segment_reads(ReadSet((Read("r", seq),)), word_len, stats)
+    """Runs of one read as words, through the packed segmenter, and the
+    number of words skipped."""
+    reads = ReadSet((Read("r", seq),))
+    words = segment_reads(reads, word_len)
     (runs,) = _runs_per_read(words, 1)
-    words = tuple(tuple(decode_words(run, word_len)) for run in runs)
-    return words, stats.skipped_words
+    runs = tuple(tuple(decode_words(run, word_len)) for run in runs)
+    return runs, _tally(reads, word_len, words).skipped_words
 
 
 def test_segment_non_overlapping_from_offset_zero():
@@ -77,10 +88,10 @@ def test_segment_rejects_bad_word_length():
         segment_reads(reads, 0)
     with pytest.raises(ValueError):
         segment_reads(reads, -2)
-    # a read shorter than the word has no runs and is tallied
-    stats = SegmentStats()
-    assert _runs_per_read(segment_reads(reads, 5, stats), 1) == [[]]
-    assert stats == SegmentStats(short_reads=1)
+    # a read shorter than the word has no runs
+    words = segment_reads(reads, 5)
+    assert _runs_per_read(words, 1) == [[]]
+    assert _tally(reads, 5, words) == SegmentTally(short_reads=1)
 
 
 def test_segment_word_length_equal_to_read_length():
@@ -103,17 +114,16 @@ def test_segment_corpus_skips_short_reads_and_tallies():
             Read("gappy", "ACGTNNNNAC"),
         )
     )
-    stats = SegmentStats()
-    reads = _runs_per_read(segment_reads(rs, 4, stats), len(rs))
+    words = segment_reads(rs, 4)
+    reads = _runs_per_read(words, len(rs))
     acgt = encode_word("ACGT")
     assert reads == [[[acgt, acgt]], [], [[acgt]], [[acgt]]]
-    assert stats.reads == 3
-    assert stats.short_reads == 1
-    assert stats.words == 2 + 1 + 1
-    assert stats.skipped_words == 1
+    assert _tally(rs, 4, words) == SegmentTally(
+        reads=3, short_reads=1, words=2 + 1 + 1, skipped_words=1
+    )
 
 
-def test_segment_corpus_without_stats_object():
+def test_segment_corpus_of_one_read_and_of_none():
     rs = ReadSet((Read("a", "ACGTACGT"),))
     assert _runs_per_read(segment_reads(rs, 4), 1) == [[[encode_word("ACGT")] * 2]]
     assert all(len(a) == 0 for a in segment_reads(ReadSet(()), 4))
@@ -135,8 +145,9 @@ def test_packed_segmentation_matches_string_oracle(word_len):
     rng = random.Random(word_len)
     for _ in range(12):
         reads = _random_reads(rng, rng.randint(0, 40))
-        got_stats, want_stats = SegmentStats(), SegmentStats()
-        got = _runs_per_read(segment_reads(reads, word_len, got_stats), len(reads))
+        words = segment_reads(reads, word_len)
+        got = _runs_per_read(words, len(reads))
+        want_stats = SegmentTally()
         want = iter(oracle_segment_corpus(reads, word_len, want_stats))
         for read, runs in zip(reads, got, strict=True):
             if len(read) < word_len:
@@ -146,4 +157,4 @@ def test_packed_segmentation_matches_string_oracle(word_len):
             assert ws.read_id == read.id
             assert runs == [[encode_word(w) for w in run] for run in ws.runs]
         assert next(want, None) is None
-        assert got_stats == want_stats
+        assert _tally(reads, word_len, words) == want_stats
