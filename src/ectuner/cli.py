@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from typing import NamedTuple
 
 from . import charrnn, ecsim, metrics, ngram, tuner
 from .injector import InjectionSpec, inject_readset
@@ -40,21 +41,13 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-# what a config file may give a key whose default is None (else an int)
-_NULLABLE = {"adapter_template": (str,), "timeout": (int, float),
-             "initials": (str, list), "values": (str, list)}
-
-
-def _check_type(path: str, key: str, value, default) -> None:
-    """A config file value must have its default's type; an int stands for a
-    float, null is taken only where the default is None, and a list holds
-    only ints (not bools)."""
-    if value is None and default is None:
+def _check_type(path: str, key: str, value, option: Option) -> None:
+    """A config file value must have its option's type: an int stands for a
+    float, a comma-separated list may also be a list of ints (not bools),
+    and null is taken only where the default is None."""
+    if value is None and option.default is None:
         return
-    if default is None:
-        accepted = _NULLABLE.get(key, (int,))
-    else:
-        accepted = (int, float) if isinstance(default, float) else (type(default),)
+    accepted = {float: (int, float), list: (str, list)}.get(option.type, (option.type,))
     if isinstance(value, bool) or not isinstance(value, accepted):
         names = " or ".join(t.__name__ for t in accepted)
         raise ValueError(f"{path}: {key} must be {names}, got {value!r}")
@@ -62,8 +55,8 @@ def _check_type(path: str, key: str, value, default) -> None:
         raise ValueError(f"{path}: {key} must be a list of int, got {value!r}")
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """flags > config file > defaults, for the keys in ``defaults``.
+def _resolve(args: argparse.Namespace, options: dict[str, Option]) -> dict:
+    """flags > config file > defaults, for each resolved option in ``options``.
 
     A config file key that no subcommand resolves is refused, so a misspelt
     key cannot silently do nothing; one of another subcommand's keys is
@@ -74,16 +67,18 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     if unknown:
         raise ValueError(f"{path}: unknown key {', '.join(unknown)}")
     resolved = {}
-    for key, default in defaults.items():
+    for key, option in options.items():
+        if option.type is None or option.ignored:
+            continue
         cli_val = getattr(args, key, None)
         if key in file_cfg:
-            _check_type(path, key, file_cfg[key], default)
+            _check_type(path, key, file_cfg[key], option)
         if cli_val is not None:
             resolved[key] = cli_val
         elif key in file_cfg:
             resolved[key] = file_cfg[key]
         else:
-            resolved[key] = default
+            resolved[key] = option.default
     return resolved
 
 
@@ -111,10 +106,6 @@ def _int_list(value) -> tuple[int, ...] | None:
         return tuple(int(part) for part in parts if str(part).strip())
     except ValueError:
         raise ValueError(f"expected comma-separated integers: {value!r}") from None
-
-
-def _rnn_config(cfg: dict) -> charrnn.TrainConfig:
-    return charrnn.TrainConfig(**{key: cfg[key] for key in _RNN_DEFAULTS})
 
 
 def _make_corrector(cfg: dict):
@@ -176,69 +167,171 @@ def _train_lm(cfg: dict, reads):
     None for an n-gram."""
     kind = cfg.get("lm", "ngram")
     if kind == "ngram":
-        if not 4 <= cfg["word_len"] <= 12:
-            raise ValueError(f"word length must be in 4..12, got {cfg['word_len']}")
         if cfg["word_len"] < 5:
             _say(f"warning: word length {cfg['word_len']} below 5 loses context")
+        settings = {key: cfg[key] for key in _NGRAM_OPTIONS}
+        return ngram.train_reads(reads, **settings), None
+    if kind == "charrnn":
+        config = charrnn.TrainConfig(**{key: cfg[key] for key in _RNN_OPTIONS})
+        return charrnn.train(reads, config, seed=cfg["seed"])
+    raise ValueError(f"unknown language model kind {kind!r}")
+
+
+def _check_lm(cfg: dict) -> None:
+    """Exit before any work when a setting of the language model to be
+    trained (n-gram unless ``lm`` says charrnn) is out of range."""
+    kind = cfg.get("lm", "ngram")
+    if kind == "ngram":
+        if not 4 <= cfg["word_len"] <= 12:
+            raise ValueError(f"word length must be in 4..12, got {cfg['word_len']}")
         if not 0 <= cfg["history"] <= 5:
             raise ValueError(f"history must be in 0..5, got {cfg['history']}")
         if not 0 <= cfg["p_floor"] < 1:
             raise ValueError(f"--p-floor must be in [0, 1), got {cfg['p_floor']}")
-        settings = {key: cfg[key] for key in _NGRAM_DEFAULTS}
-        return ngram.train_reads(reads, **settings), None
-    if kind == "charrnn":
-        return charrnn.train(reads, _rnn_config(cfg), seed=cfg["seed"])
-    raise ValueError(f"unknown language model kind {kind!r}")
-
-
-_NGRAM_DEFAULTS = {
-    "word_len": ngram.DEFAULT_WORD_LEN,
-    "history": ngram.DEFAULT_HISTORY,
-    "p_floor": ngram.DEFAULT_P_FLOOR,
-}
-
-_RNN_DEFAULTS = {
-    key: getattr(charrnn.TrainConfig, key)
-    for key in ("layers", "hidden", "epochs", "minibatch", "learning_rate", "unroll")
-}
-
-_CORRECTOR_DEFAULTS = {"solid_min": 3, "max_edits": 2, "adapter_template": None,
-                       "adapter_param": "k", "timeout": None}
-
-_K_RANGE = {"k_min": 9, "k_max": 25}
-
-# every subcommand's resolved options; --help reads its defaults from here
-_DEFAULTS = {
-    "train": {"lm": "ngram", **_NGRAM_DEFAULTS, **_RNN_DEFAULTS, "seed": 0},
-    "perplexity": {"sample_n": None, "seed": 0},
-    "inject": {"kind": "substitution", "regime": "low", "seed": 0},
-    "correct": {"k": None, "param_value": None, **_CORRECTOR_DEFAULTS},
-    "tune": {"lm": "ngram", **_NGRAM_DEFAULTS, **_RNN_DEFAULTS, **_K_RANGE,
-             "delta": 2, "iter_max": 30, "initials": None, "sample_n": 2000,
-             "seed": 0, **_CORRECTOR_DEFAULTS},
-    "sweep": {"values": None, **_K_RANGE, "k_step": 2, **_NGRAM_DEFAULTS,
-              **_CORRECTOR_DEFAULTS},
-}
-
-
-# every key a config file may hold; "threads" is what --threads was
-# recorded as before it was ignored
-_KNOWN_KEYS = {key for table in _DEFAULTS.values() for key in table} | {"threads"}
-
-
-def _check_rnn(cfg: dict) -> None:
-    """Exit before any work when a char-RNN size or loop count is below 1."""
-    if cfg["lm"] == "charrnn":
+    elif kind == "charrnn":
         for key in ("layers", "hidden", "epochs", "minibatch", "unroll"):
             _check_min(cfg, key, 1)
+
+
+class Option(NamedTuple):
+    """A subcommand's flag: ``--`` and its key, dashes for underscores.
+
+    ``type`` is int, float, str, list (comma-separated ints) or None for a
+    file path.  Any other option that is not ``ignored`` is resolved from
+    its flag, its config file key or ``default``, which --help shows."""
+
+    type: type | None
+    help: str | None = None
+    default: object = None
+    choices: tuple[str, ...] | None = None
+    required: bool = False
+    ignored: bool = False
+
+
+_LM_OPTION = {"lm": Option(str, "language model", "ngram", ("ngram", "charrnn"))}
+
+_NGRAM_OPTIONS = {
+    "word_len": Option(int, "segment word length", ngram.DEFAULT_WORD_LEN),
+    "history": Option(int, "words of history", ngram.DEFAULT_HISTORY),
+    "p_floor": Option(float, "probability floor", ngram.DEFAULT_P_FLOOR),
+}
+
+_RNN_OPTIONS = {
+    "layers": Option(int, "recurrent layers", charrnn.TrainConfig.layers),
+    "hidden": Option(int, "neurons per layer", charrnn.TrainConfig.hidden),
+    "epochs": Option(int, "training epochs", charrnn.TrainConfig.epochs),
+    "minibatch": Option(int, "reads per batch", charrnn.TrainConfig.minibatch),
+    "learning_rate": Option(float, "SGD learning rate",
+                            charrnn.TrainConfig.learning_rate),
+    "unroll": Option(int, "BPTT unroll length", charrnn.TrainConfig.unroll),
+}
+
+_CORRECTOR_OPTIONS = {
+    "solid_min": Option(int, "solid k-mer count threshold", ecsim.DEFAULT_SOLID_MIN),
+    "max_edits": Option(int, "edit budget per read", ecsim.DEFAULT_MAX_EDITS),
+    "adapter_template": Option(
+        str, "external tool command with {input} {output} and {k} or {GL}"),
+    "adapter_param": Option(str, "which placeholder the tool takes", "k", ("k", "GL")),
+    "timeout": Option(float, "external tool timeout in seconds"),
+}
+
+
+def _common(seeded: bool) -> dict[str, Option]:
+    """--config, --seed and --threads; a subcommand that draws no random
+    numbers takes --seed and ignores it."""
+    return {
+        "config": Option(None, "JSON file with default option values"),
+        "seed": Option(int, "PRNG seed", 0, ignored=not seeded),
+        "threads": Option(int, "ignored; kept so old command lines run", ignored=True),
+    }
+
+
+_K_MIN, _K_MAX = 9, 25  # tune's search range and sweep's grid
+
+# every subcommand's flags in --help order
+_OPTIONS = {
+    "train": {
+        "reads": Option(None, required=True),
+        "out": Option(None, "model file to write", required=True),
+        **_LM_OPTION,
+        **_NGRAM_OPTIONS,
+        **_RNN_OPTIONS,
+        **_common(seeded=True),
+    },
+    "perplexity": {
+        "model": Option(None, required=True),
+        "reads": Option(None, required=True),
+        "sample_n": Option(int, "score a uniform sample of this many reads"),
+        **_common(seeded=True),
+    },
+    "inject": {
+        "reads": Option(None, required=True),
+        "out": Option(None, "corrupted FASTQ to write", required=True),
+        "ledger": Option(None, "TSV ledger of applied changes"),
+        "kind": Option(str, "error kind", "substitution",
+                       ("deletion", "insertion", "substitution", "mixture")),
+        "regime": Option(str, "error rate regime", "low", ("low", "high")),
+        **_common(seeded=True),
+    },
+    "correct": {
+        "reads": Option(None, required=True),
+        "out": Option(None, required=True),
+        "k": Option(int, "k-mer size for the built-in corrector"),
+        "param_value": Option(int, "tunable value passed to an external tool"),
+        **_CORRECTOR_OPTIONS,
+        **_common(seeded=False),
+    },
+    "tune": {
+        "reads": Option(None, required=True),
+        "out_dir": Option(None, required=True),
+        **_LM_OPTION,
+        "k_min": Option(int, "smallest value", _K_MIN),
+        "k_max": Option(int, "largest value", _K_MAX),
+        "delta": Option(int, "neighbor step size", 2),
+        "iter_max": Option(int, "move budget per restart", 30),
+        "initials": Option(list, "comma-separated starting values"),
+        "sample_n": Option(int, "search sample size", 2000),
+        **_NGRAM_OPTIONS,
+        **_RNN_OPTIONS,
+        **_CORRECTOR_OPTIONS,
+        **_common(seeded=True),
+    },
+    "sweep": {
+        "reads": Option(None, required=True),
+        "truth": Option(None, "clean reads for gain computation"),
+        "model": Option(None, "trained model file (default: train n-gram)"),
+        "rnn_model": Option(None, "additional RNN model to score with"),
+        "values": Option(list, "comma-separated parameter values"),
+        "k_min": Option(int, "smallest grid value", _K_MIN),
+        "k_max": Option(int, "largest grid value", _K_MAX),
+        "k_step": Option(int, "grid step", 2),
+        "tsv_out": Option(None),
+        "json_out": Option(None),
+        **_NGRAM_OPTIONS,
+        **_CORRECTOR_OPTIONS,
+        **_common(seeded=False),
+    },
+    "eval": {
+        "original": Option(None, "uncorrected reads", required=True),
+        "corrected": Option(None, required=True),
+        "truth": Option(None, required=True),
+        **_common(seeded=False),
+    },
+}
+
+
+# every key a config file may hold: that of each option not a file path;
+# "threads" is what --threads was recorded as before it was ignored
+_KNOWN_KEYS = {key for options in _OPTIONS.values()
+               for key, option in options.items() if option.type is not None}
 
 
 # -- subcommands ----------------------------------------------------------
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, _DEFAULTS["train"])
-    _check_rnn(cfg)
+    cfg = _resolve(args, _OPTIONS["train"])
+    _check_lm(cfg)
     reads = load_reads(args.reads)
     model, history = _train_lm(cfg, reads)
     model.save(args.out)
@@ -271,7 +364,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_perplexity(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, _DEFAULTS["perplexity"])
+    cfg = _resolve(args, _OPTIONS["perplexity"])
     _check_min(cfg, "sample_n", 1)
     model = _load_model(args.model)
     reads = load_reads(args.reads)
@@ -283,7 +376,7 @@ def cmd_perplexity(args: argparse.Namespace) -> int:
 
 
 def cmd_inject(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, _DEFAULTS["inject"])
+    cfg = _resolve(args, _OPTIONS["inject"])
     spec = InjectionSpec(kind=cfg["kind"], regime=cfg["regime"], seed=cfg["seed"])
     reads = load_reads(args.reads)
     corrupted, ledger = inject_readset(reads, spec)
@@ -300,7 +393,7 @@ def cmd_inject(args: argparse.Namespace) -> int:
 
 
 def cmd_correct(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, _DEFAULTS["correct"])
+    cfg = _resolve(args, _OPTIONS["correct"])
     corrector = _make_corrector(cfg)
     if cfg["adapter_template"]:
         value = cfg["param_value"]
@@ -322,10 +415,10 @@ def cmd_correct(args: argparse.Namespace) -> int:
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, _DEFAULTS["tune"])
+    cfg = _resolve(args, _OPTIONS["tune"])
     space = _search_space(cfg)
     _check_min(cfg, "sample_n", 1)
-    _check_rnn(cfg)
+    _check_lm(cfg)
     corrector = _make_corrector(cfg)
     reads = load_reads(args.reads)
     _check_k_fits(cfg, reads, (cfg["k_min"], cfg["k_max"]))
@@ -369,14 +462,14 @@ def cmd_tune(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     # a model file fixes its own n-gram settings, so none are resolved, and
     # a flag setting one would be ignored
-    defaults = _DEFAULTS["sweep"]
+    options = _OPTIONS["sweep"]
     if args.model:
-        defaults = {k: v for k, v in defaults.items() if k not in _NGRAM_DEFAULTS}
-        for key in _NGRAM_DEFAULTS:
+        options = {k: v for k, v in options.items() if k not in _NGRAM_OPTIONS}
+        for key in _NGRAM_OPTIONS:
             if getattr(args, key) is not None:
                 flag = "--" + key.replace("_", "-")
                 raise ValueError(f"{flag} is fixed by the --model file")
-    cfg = _resolve(args, defaults)
+    cfg = _resolve(args, options)
     values = _int_list(cfg["values"])
     if values is None:
         _check_min(cfg, "k_step", 1)
@@ -384,6 +477,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         values = range(cfg["k_min"], cfg["k_max"] + 1, cfg["k_step"])
     if not values:
         raise ValueError("--values lists no parameter values")
+    if not args.model:
+        _check_lm(cfg)
     corrector = _make_corrector(cfg)
     reads = load_reads(args.reads)
     truth = load_reads(args.truth) if args.truth else None
@@ -443,40 +538,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # -- parser ---------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file with default option values")
-    p.add_argument("--seed", type=int, help="PRNG seed")
-    p.add_argument("--threads", type=int, help="ignored; kept so old command lines run")
-
-
-def _add_corrector_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--solid-min", type=int, dest="solid_min",
-                   help="solid k-mer count threshold")
-    p.add_argument("--max-edits", type=int, dest="max_edits",
-                   help="edit budget per read")
-    p.add_argument("--adapter-template", dest="adapter_template",
-                   help="external tool command with {input} {output} and {k} or {GL}")
-    p.add_argument("--adapter-param", dest="adapter_param", choices=("k", "GL"),
-                   help="which placeholder the tool takes")
-    p.add_argument("--timeout", type=float, help="external tool timeout in seconds")
-
-
-def _add_ngram_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--word-len", type=int, dest="word_len",
-                   help="segment word length")
-    p.add_argument("--history", type=int, help="words of history")
-    p.add_argument("--p-floor", type=float, dest="p_floor",
-                   help="probability floor")
-
-
-def _add_rnn_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--layers", type=int, help="recurrent layers")
-    p.add_argument("--hidden", type=int, help="neurons per layer")
-    p.add_argument("--epochs", type=int, help="training epochs")
-    p.add_argument("--minibatch", type=int, help="reads per batch")
-    p.add_argument("--learning-rate", type=float, dest="learning_rate",
-                   help="SGD learning rate")
-    p.add_argument("--unroll", type=int, help="BPTT unroll length")
+_COMMANDS = {
+    "train": (cmd_train, "train a language model on reads"),
+    "perplexity": (cmd_perplexity, "score reads with a trained model"),
+    "inject": (cmd_inject, "corrupt reads with synthetic errors"),
+    "correct": (cmd_correct, "run the built-in or an external corrector"),
+    "tune": (cmd_tune, "search for the best correction parameter"),
+    "sweep": (cmd_sweep, "evaluate a range of parameter values"),
+    "eval": (cmd_eval, "per-base correction gain against truth"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -485,91 +555,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tune error-correction parameters with read language models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("train", help="train a language model on reads")
-    p.add_argument("--reads", required=True)
-    p.add_argument("--out", required=True, help="model file to write")
-    p.add_argument("--lm", choices=("ngram", "charrnn"), help="language model")
-    _add_ngram_flags(p)
-    _add_rnn_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("perplexity", help="score reads with a trained model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--reads", required=True)
-    p.add_argument("--sample-n", type=int, dest="sample_n",
-                   help="score a uniform sample of this many reads")
-    _add_common(p)
-    p.set_defaults(func=cmd_perplexity)
-
-    p = sub.add_parser("inject", help="corrupt reads with synthetic errors")
-    p.add_argument("--reads", required=True)
-    p.add_argument("--out", required=True, help="corrupted FASTQ to write")
-    p.add_argument("--ledger", help="TSV ledger of applied changes")
-    p.add_argument("--kind", help="error kind",
-                   choices=("deletion", "insertion", "substitution", "mixture"))
-    p.add_argument("--regime", choices=("low", "high"), help="error rate regime")
-    _add_common(p)
-    p.set_defaults(func=cmd_inject)
-
-    p = sub.add_parser("correct", help="run the built-in or an external corrector")
-    p.add_argument("--reads", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--k", type=int, help="k-mer size for the built-in corrector")
-    p.add_argument("--param-value", type=int, dest="param_value",
-                   help="tunable value passed to an external tool")
-    _add_corrector_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_correct)
-
-    p = sub.add_parser("tune", help="search for the best correction parameter")
-    p.add_argument("--reads", required=True)
-    p.add_argument("--out-dir", required=True, dest="out_dir")
-    p.add_argument("--lm", choices=("ngram", "charrnn"), help="language model")
-    p.add_argument("--k-min", type=int, dest="k_min", help="smallest value")
-    p.add_argument("--k-max", type=int, dest="k_max", help="largest value")
-    p.add_argument("--delta", type=int, help="neighbor step size")
-    p.add_argument("--iter-max", type=int, dest="iter_max",
-                   help="move budget per restart")
-    p.add_argument("--initials", help="comma-separated starting values")
-    p.add_argument("--sample-n", type=int, dest="sample_n",
-                   help="search sample size")
-    _add_ngram_flags(p)
-    _add_rnn_flags(p)
-    _add_corrector_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_tune)
-
-    p = sub.add_parser("sweep", help="evaluate a range of parameter values")
-    p.add_argument("--reads", required=True)
-    p.add_argument("--truth", help="clean reads for gain computation")
-    p.add_argument("--model", help="trained model file (default: train n-gram)")
-    p.add_argument("--rnn-model", dest="rnn_model",
-                   help="additional RNN model to score with")
-    p.add_argument("--values", help="comma-separated parameter values")
-    p.add_argument("--k-min", type=int, dest="k_min", help="smallest grid value")
-    p.add_argument("--k-max", type=int, dest="k_max", help="largest grid value")
-    p.add_argument("--k-step", type=int, dest="k_step", help="grid step")
-    p.add_argument("--tsv-out", dest="tsv_out")
-    p.add_argument("--json-out", dest="json_out")
-    _add_ngram_flags(p)
-    _add_corrector_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("eval", help="per-base correction gain against truth")
-    p.add_argument("--original", required=True, help="uncorrected reads")
-    p.add_argument("--corrected", required=True)
-    p.add_argument("--truth", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_eval)
-
-    for name, p in sub.choices.items():
-        for action in p._actions:
-            default = _DEFAULTS.get(name, {}).get(action.dest)
-            if default is not None:
-                action.help = f"{action.help} (default {default})"
+    for name, (func, summary) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for key, option in _OPTIONS[name].items():
+            text = option.help
+            if option.default is not None and not option.ignored:
+                text = f"{text} (default {option.default})"
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           type=option.type if option.type in (int, float) else None,
+                           choices=option.choices, required=option.required, help=text)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -48,6 +48,8 @@ from .seqio import ParseError, ReadSet, find_sorted, load_reads, write_fastq
 
 TMPDIR_ENV = "ATHENA_TMPDIR"
 MAX_K = 32
+DEFAULT_SOLID_MIN = 3
+DEFAULT_MAX_EDITS = 2
 _NO_KMER = np.uint64(np.iinfo(np.uint64).max)
 
 
@@ -116,8 +118,8 @@ def kmer_spectrum(readset: ReadSet, k: int) -> KmerSpectrum:
 @dataclass(frozen=True)
 class KSpectrumConfig:
     k: int
-    solid_min: int = 3
-    max_edits: int = 2
+    solid_min: int = DEFAULT_SOLID_MIN
+    max_edits: int = DEFAULT_MAX_EDITS
 
     def __post_init__(self) -> None:
         check_k(self.k)
@@ -318,7 +320,7 @@ def kspectrum_correct(
 
 
 def builtin_corrector(
-    solid_min: int = 3, max_edits: int = 2
+    solid_min: int = DEFAULT_SOLID_MIN, max_edits: int = DEFAULT_MAX_EDITS
 ) -> Callable[[ReadSet, int], ReadSet]:
     """A (readset, k) -> readset function around kspectrum_correct."""
 
@@ -397,7 +399,8 @@ def run_external(adapter: ToolAdapter, value: int, readset: ReadSet) -> ReadSet:
             f"(files kept in {tmpdir})"
         ) from None
     except OSError as exc:
-        raise AdapterError(f"could not launch {argv[0]!r}: {exc}") from exc
+        msg = f"could not launch {argv[0]!r} (files kept in {tmpdir}): {exc}"
+        raise AdapterError(msg) from exc
     if proc.returncode != 0:
         tail = _tail(stderr_path)
         raise AdapterError(

@@ -432,7 +432,7 @@ def test_k_above_packing_limit_exits_1_before_any_output(
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize(
+_BAD_NGRAM_SETTINGS = pytest.mark.parametrize(
     "bad, message",
     [
         (["--word-len", "13"], "word length must be in 4..12"),
@@ -443,11 +443,15 @@ def test_k_above_packing_limit_exits_1_before_any_output(
     ],
     ids=["word-len-13", "word-len-3", "history-7", "p-floor-2", "p-floor-nan"],
 )
-@pytest.mark.parametrize(
+_NGRAM_TRAINING_COMMANDS = pytest.mark.parametrize(
     "command, out_flag",
     [("train", "--out"), ("tune", "--out-dir"), ("sweep", "--json-out")],
     ids=["train", "tune", "sweep"],
 )
+
+
+@_BAD_NGRAM_SETTINGS
+@_NGRAM_TRAINING_COMMANDS
 def test_ngram_bounds_exit_1_before_any_output(
     clean_fastq, tmp_path, capsys, command, out_flag, bad, message
 ):
@@ -459,6 +463,37 @@ def test_ngram_bounds_exit_1_before_any_output(
     assert message in captured.err
     assert captured.out == ""
     assert list(out.iterdir()) == []
+
+
+@_BAD_NGRAM_SETTINGS
+@_NGRAM_TRAINING_COMMANDS
+def test_ngram_bounds_exit_1_before_any_read_is_loaded(
+    tmp_path, capsys, command, out_flag, bad, message
+):
+    out = tmp_path / "out"
+    out.mkdir()
+    # the reads do not exist, so loading them first would exit 2
+    rc = main([command, "--reads", str(tmp_path / "missing.fastq"), *bad,
+               out_flag, str(out / "result")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"ectuner: {message}")
+    assert captured.err.count("\n") == 1  # no "training" note before it
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
+
+
+def test_ngram_bounds_apply_only_where_an_ngram_is_trained(
+    clean_fastq, tmp_path, capsys
+):
+    # a char-RNN and a sweep's --model file leave the n-gram settings unused
+    model = str(tmp_path / "lm.rnn")
+    assert main(["train", "--reads", clean_fastq, "--out", model, "--lm", "charrnn",
+                 "--epochs", "1", "--hidden", "4", "--word-len", "13"]) == 0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"word_len": 13, "history": 7, "p_floor": 2}))
+    assert main(["sweep", "--reads", clean_fastq, "--model", model,
+                 "--values", "9,11", "--config", str(cfg_path)]) == 0
 
 
 @pytest.mark.parametrize(
@@ -721,6 +756,195 @@ def test_config_takes_another_commands_keys_and_old_threads(clean_fastq, tmp_pat
     with open(model + ".config.json") as fh:
         resolved = json.load(fh)
     assert not {"threads", "k_min", "kind"} & set(resolved)
+
+
+# each subcommand in order, its summary and, for each flag after -h: option
+# strings, dest, type, choices, required and the help --help shows
+_PARSER_STRUCTURE = [
+    ("train", "train a language model on reads", [
+        (("--reads",), "reads", None, None, True, None),
+        (("--out",), "out", None, None, True, "model file to write"),
+        (("--lm",), "lm", None, ("ngram", "charrnn"), False,
+         "language model (default ngram)"),
+        (("--word-len",), "word_len", int, None, False,
+         "segment word length (default 7)"),
+        (("--history",), "history", int, None, False, "words of history (default 3)"),
+        (("--p-floor",), "p_floor", float, None, False,
+         "probability floor (default 1e-07)"),
+        (("--layers",), "layers", int, None, False, "recurrent layers (default 2)"),
+        (("--hidden",), "hidden", int, None, False, "neurons per layer (default 32)"),
+        (("--epochs",), "epochs", int, None, False, "training epochs (default 10)"),
+        (("--minibatch",), "minibatch", int, None, False,
+         "reads per batch (default 200)"),
+        (("--learning-rate",), "learning_rate", float, None, False,
+         "SGD learning rate (default 0.002)"),
+        (("--unroll",), "unroll", int, None, False, "BPTT unroll length (default 50)"),
+        (("--config",), "config", None, None, False,
+         "JSON file with default option values"),
+        (("--seed",), "seed", int, None, False, "PRNG seed (default 0)"),
+        (("--threads",), "threads", int, None, False,
+         "ignored; kept so old command lines run"),
+    ]),
+    ("perplexity", "score reads with a trained model", [
+        (("--model",), "model", None, None, True, None),
+        (("--reads",), "reads", None, None, True, None),
+        (("--sample-n",), "sample_n", int, None, False,
+         "score a uniform sample of this many reads"),
+        (("--config",), "config", None, None, False,
+         "JSON file with default option values"),
+        (("--seed",), "seed", int, None, False, "PRNG seed (default 0)"),
+        (("--threads",), "threads", int, None, False,
+         "ignored; kept so old command lines run"),
+    ]),
+    ("inject", "corrupt reads with synthetic errors", [
+        (("--reads",), "reads", None, None, True, None),
+        (("--out",), "out", None, None, True, "corrupted FASTQ to write"),
+        (("--ledger",), "ledger", None, None, False, "TSV ledger of applied changes"),
+        (("--kind",), "kind", None,
+         ("deletion", "insertion", "substitution", "mixture"), False,
+         "error kind (default substitution)"),
+        (("--regime",), "regime", None, ("low", "high"), False,
+         "error rate regime (default low)"),
+        (("--config",), "config", None, None, False,
+         "JSON file with default option values"),
+        (("--seed",), "seed", int, None, False, "PRNG seed (default 0)"),
+        (("--threads",), "threads", int, None, False,
+         "ignored; kept so old command lines run"),
+    ]),
+    ("correct", "run the built-in or an external corrector", [
+        (("--reads",), "reads", None, None, True, None),
+        (("--out",), "out", None, None, True, None),
+        (("--k",), "k", int, None, False, "k-mer size for the built-in corrector"),
+        (("--param-value",), "param_value", int, None, False,
+         "tunable value passed to an external tool"),
+        (("--solid-min",), "solid_min", int, None, False,
+         "solid k-mer count threshold (default 3)"),
+        (("--max-edits",), "max_edits", int, None, False,
+         "edit budget per read (default 2)"),
+        (("--adapter-template",), "adapter_template", None, None, False,
+         "external tool command with {input} {output} and {k} or {GL}"),
+        (("--adapter-param",), "adapter_param", None, ("k", "GL"), False,
+         "which placeholder the tool takes (default k)"),
+        (("--timeout",), "timeout", float, None, False,
+         "external tool timeout in seconds"),
+        (("--config",), "config", None, None, False,
+         "JSON file with default option values"),
+        (("--seed",), "seed", int, None, False, "PRNG seed"),
+        (("--threads",), "threads", int, None, False,
+         "ignored; kept so old command lines run"),
+    ]),
+    ("tune", "search for the best correction parameter", [
+        (("--reads",), "reads", None, None, True, None),
+        (("--out-dir",), "out_dir", None, None, True, None),
+        (("--lm",), "lm", None, ("ngram", "charrnn"), False,
+         "language model (default ngram)"),
+        (("--k-min",), "k_min", int, None, False, "smallest value (default 9)"),
+        (("--k-max",), "k_max", int, None, False, "largest value (default 25)"),
+        (("--delta",), "delta", int, None, False, "neighbor step size (default 2)"),
+        (("--iter-max",), "iter_max", int, None, False,
+         "move budget per restart (default 30)"),
+        (("--initials",), "initials", None, None, False,
+         "comma-separated starting values"),
+        (("--sample-n",), "sample_n", int, None, False,
+         "search sample size (default 2000)"),
+        (("--word-len",), "word_len", int, None, False,
+         "segment word length (default 7)"),
+        (("--history",), "history", int, None, False, "words of history (default 3)"),
+        (("--p-floor",), "p_floor", float, None, False,
+         "probability floor (default 1e-07)"),
+        (("--layers",), "layers", int, None, False, "recurrent layers (default 2)"),
+        (("--hidden",), "hidden", int, None, False, "neurons per layer (default 32)"),
+        (("--epochs",), "epochs", int, None, False, "training epochs (default 10)"),
+        (("--minibatch",), "minibatch", int, None, False,
+         "reads per batch (default 200)"),
+        (("--learning-rate",), "learning_rate", float, None, False,
+         "SGD learning rate (default 0.002)"),
+        (("--unroll",), "unroll", int, None, False, "BPTT unroll length (default 50)"),
+        (("--solid-min",), "solid_min", int, None, False,
+         "solid k-mer count threshold (default 3)"),
+        (("--max-edits",), "max_edits", int, None, False,
+         "edit budget per read (default 2)"),
+        (("--adapter-template",), "adapter_template", None, None, False,
+         "external tool command with {input} {output} and {k} or {GL}"),
+        (("--adapter-param",), "adapter_param", None, ("k", "GL"), False,
+         "which placeholder the tool takes (default k)"),
+        (("--timeout",), "timeout", float, None, False,
+         "external tool timeout in seconds"),
+        (("--config",), "config", None, None, False,
+         "JSON file with default option values"),
+        (("--seed",), "seed", int, None, False, "PRNG seed (default 0)"),
+        (("--threads",), "threads", int, None, False,
+         "ignored; kept so old command lines run"),
+    ]),
+    ("sweep", "evaluate a range of parameter values", [
+        (("--reads",), "reads", None, None, True, None),
+        (("--truth",), "truth", None, None, False, "clean reads for gain computation"),
+        (("--model",), "model", None, None, False,
+         "trained model file (default: train n-gram)"),
+        (("--rnn-model",), "rnn_model", None, None, False,
+         "additional RNN model to score with"),
+        (("--values",), "values", None, None, False,
+         "comma-separated parameter values"),
+        (("--k-min",), "k_min", int, None, False, "smallest grid value (default 9)"),
+        (("--k-max",), "k_max", int, None, False, "largest grid value (default 25)"),
+        (("--k-step",), "k_step", int, None, False, "grid step (default 2)"),
+        (("--tsv-out",), "tsv_out", None, None, False, None),
+        (("--json-out",), "json_out", None, None, False, None),
+        (("--word-len",), "word_len", int, None, False,
+         "segment word length (default 7)"),
+        (("--history",), "history", int, None, False, "words of history (default 3)"),
+        (("--p-floor",), "p_floor", float, None, False,
+         "probability floor (default 1e-07)"),
+        (("--solid-min",), "solid_min", int, None, False,
+         "solid k-mer count threshold (default 3)"),
+        (("--max-edits",), "max_edits", int, None, False,
+         "edit budget per read (default 2)"),
+        (("--adapter-template",), "adapter_template", None, None, False,
+         "external tool command with {input} {output} and {k} or {GL}"),
+        (("--adapter-param",), "adapter_param", None, ("k", "GL"), False,
+         "which placeholder the tool takes (default k)"),
+        (("--timeout",), "timeout", float, None, False,
+         "external tool timeout in seconds"),
+        (("--config",), "config", None, None, False,
+         "JSON file with default option values"),
+        (("--seed",), "seed", int, None, False, "PRNG seed"),
+        (("--threads",), "threads", int, None, False,
+         "ignored; kept so old command lines run"),
+    ]),
+    ("eval", "per-base correction gain against truth", [
+        (("--original",), "original", None, None, True, "uncorrected reads"),
+        (("--corrected",), "corrected", None, None, True, None),
+        (("--truth",), "truth", None, None, True, None),
+        (("--config",), "config", None, None, False,
+         "JSON file with default option values"),
+        (("--seed",), "seed", int, None, False, "PRNG seed"),
+        (("--threads",), "threads", int, None, False,
+         "ignored; kept so old command lines run"),
+    ]),
+]
+
+
+def test_parser_structure_is_as_recorded():
+    # a structural check, not a --help comparison, so that argparse's
+    # layout, which differs between Python versions, cannot break it
+    parser = build_parser()
+    assert parser.prog == "ectuner"
+    assert parser.description == (
+        "Tune error-correction parameters with read language models"
+    )
+    sub = next(a for a in parser._actions if a.dest == "command")
+    summaries = {a.dest: a.help for a in sub._choices_actions}
+    found = []
+    for name, p in sub.choices.items():
+        assert p._actions[0].dest == "help"
+        flags = p._actions[1:]
+        found.append((name, summaries[name], [
+            (tuple(a.option_strings), a.dest, a.type, a.choices, a.required, a.help)
+            for a in flags
+        ]))
+        # every default comes from the option tables, none from argparse
+        assert all(a.default is None for a in flags), name
+    assert found == _PARSER_STRUCTURE
 
 
 def _subparser(command):

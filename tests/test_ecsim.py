@@ -440,7 +440,12 @@ def test_adapter_missing_binary_is_an_error(tmp_path, monkeypatch):
     rs = ReadSet((Read("r1", "ACGT"),))
     with pytest.raises(AdapterError) as err:
         run_external(adapter, 9, rs)
-    assert "could not launch" in str(err.value)
+    (kept,) = [d for d in os.listdir(tmp_path) if d.startswith("ectuner-")]
+    message = str(err.value)
+    assert message.startswith("could not launch 'definitely-not-a-real-tool' ")
+    assert f"(files kept in {tmp_path / kept}): " in message
+    files = sorted(os.listdir(tmp_path / kept))
+    assert files == ["input.fastq", "stderr.txt", "stdout.txt"]
 
 
 def test_adapter_timeout_is_an_error(tmp_path, monkeypatch):
