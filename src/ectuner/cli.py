@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import NamedTuple
@@ -42,9 +43,10 @@ def _load_config_file(path: str | None) -> dict:
 
 
 def _check_type(path: str, key: str, value, option: Option) -> None:
-    """A config file value must have its option's type: an int stands for a
-    float, a comma-separated list may also be a list of ints (not bools),
-    and null is taken only where the default is None."""
+    """A config file value must have its option's type and be one of its
+    choices, if it has any: an int stands for a float, a comma-separated
+    list may also be a list of ints (not bools), and null is taken only
+    where the default is None."""
     if value is None and option.default is None:
         return
     accepted = {float: (int, float), list: (str, list)}.get(option.type, (option.type,))
@@ -53,6 +55,9 @@ def _check_type(path: str, key: str, value, option: Option) -> None:
         raise ValueError(f"{path}: {key} must be {names}, got {value!r}")
     if isinstance(value, list) and not all(type(v) is int for v in value):
         raise ValueError(f"{path}: {key} must be a list of int, got {value!r}")
+    if option.choices and value not in option.choices:
+        names = ", ".join(option.choices)
+        raise ValueError(f"{path}: {key} must be one of {names}, got {value!r}")
 
 
 def _resolve(args: argparse.Namespace, options: dict[str, Option]) -> dict:
@@ -191,6 +196,9 @@ def _check_lm(cfg: dict) -> None:
     elif kind == "charrnn":
         for key in ("layers", "hidden", "epochs", "minibatch", "unroll"):
             _check_min(cfg, key, 1)
+        rate = cfg["learning_rate"]
+        if not 0 < rate < math.inf:  # false for nan too
+            raise ValueError(f"--learning-rate must be finite and > 0, got {rate}")
 
 
 class Option(NamedTuple):

@@ -23,20 +23,26 @@ read's stream ``spawn_rng(seed, index)``.
 ``inject_readset`` follows this protocol for a whole block of reads at once:
 ``_rng.StreamBlock`` computes each read's draws from raw PCG64 words as
 NumPy would (SeedSequence, PCG64 XSL-RR, Lemire bounded integers on 32-bit
-halves, low half first), so every corrupted read and ledger entry is the one
-the per-read calls would give; ``tests/injector_oracles.py`` keeps the
-per-read path as the reference.
+halves, low half first), so every corrupted read and ledger change is the
+one the per-read calls would give.  It makes no object per read or per
+change: substitutions are written into a copy of the packed base codes,
+indels are spliced into it, and the ledger is kept as columns.
+``sample_clean_reads`` likewise gathers the genome's codes straight into the
+packed layout.  ``tests/injector_oracles.py`` keeps the per-read paths as
+the reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property
+from itertools import chain
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from ._rng import StreamBlock, make_rng
-from .seqio import BASES, LETTERS, Read, ReadSet
+from .seqio import BASES, LETTERS, Read, ReadSet, substrings
 
 KINDS = ("deletion", "insertion", "substitution")
 REGIMES = {"low": (1, 5), "high": (6, 10)}
@@ -54,29 +60,71 @@ class LedgerEntry(NamedTuple):
     observed: str
 
 
-@dataclass(frozen=True)
-class ErrorLedger:
-    """Applied changes in application order, one entry per change."""
+_HEADER = "read_id\tposition\tkind\toriginal\tobserved"
+_ROWS = 4096  # changes written or made into entries at a time
 
-    entries: tuple[LedgerEntry, ...]
+
+class ErrorLedger:
+    """Applied changes in application order, kept as columns: change j is
+    to read ``read_ids[rows[j]]`` at ``positions[j]``, of kind
+    ``KINDS[kinds[j]]``, and replaced ``original[original_at[j]:
+    original_at[j + 1]]`` with the ``observed`` text cut the same way.
+    ``ErrorLedger(entries)`` takes ``LedgerEntry`` tuples; ``entries`` makes
+    them on first use."""
+
+    def __init__(self, entries: Iterable[LedgerEntry] = ()) -> None:
+        entries = tuple(entries)
+        ids, positions, kinds, original, observed = tuple(zip(*entries)) or ((),) * 5
+        self._set(
+            ids, np.arange(len(ids)), np.array(positions, np.int64),
+            np.array([KINDS.index(k) for k in kinds], np.uint8),
+            "".join(original), _offsets(list(map(len, original))),
+            "".join(observed), _offsets(list(map(len, observed))),
+        )
+        self.__dict__["entries"] = entries
+
+    def _set(self, read_ids, rows, positions, kinds, original, original_at,
+             observed, observed_at) -> "ErrorLedger":
+        self.read_ids, self.rows = read_ids, rows
+        self.positions, self.kinds = positions, kinds
+        self.original, self.original_at = original, original_at
+        self.observed, self.observed_at = observed, observed_at
+        return self
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.positions)
+
+    def _fields(self, first: int) -> tuple[list, ...]:
+        """The five TSV fields of changes ``first`` to ``first + _ROWS``."""
+        block = slice(first, first + _ROWS)
+        return (
+            list(map(self.read_ids.__getitem__, self.rows[block].tolist())),
+            self.positions[block].tolist(),
+            list(map(KINDS.__getitem__, self.kinds[block].tolist())),
+            _cut(self.original, self.original_at[first : first + _ROWS + 1]),
+            _cut(self.observed, self.observed_at[first : first + _ROWS + 1]),
+        )
+
+    @cached_property
+    def entries(self) -> tuple[LedgerEntry, ...]:
+        return tuple(chain.from_iterable(
+            map(LedgerEntry, *self._fields(first)) for first in range(0, len(self), _ROWS)
+        ))
 
     def to_tsv(self, path: str) -> None:
         with open(path, "w") as fh:
-            fh.write("read_id\tposition\tkind\toriginal\tobserved\n")
-            for e in self.entries:
-                fh.write(
-                    f"{e.read_id}\t{e.position}\t{e.kind}\t{e.original}\t{e.observed}\n"
-                )
+            fh.write(_HEADER + "\n")
+            for first in range(0, len(self), _ROWS):
+                ids, positions, kinds, original, observed = self._fields(first)
+                lines = zip(ids, map(str, positions), kinds, original, observed)
+                fh.write("\n".join(map("\t".join, lines)) + "\n")
 
     @classmethod
     def from_tsv(cls, path: str) -> "ErrorLedger":
         entries = []
         with open(path) as fh:
             header = fh.readline().rstrip("\n")
-            if header != "read_id\tposition\tkind\toriginal\tobserved":
+            if header != _HEADER:
                 raise ValueError(f"{path}: unexpected ledger header {header!r}")
             for lineno, line in enumerate(fh, start=2):
                 fields = line.rstrip("\n").split("\t")
@@ -86,7 +134,19 @@ class ErrorLedger:
                 if kind not in KINDS:
                     raise ValueError(f"{path}:{lineno}: unknown kind {kind!r}")
                 entries.append(LedgerEntry(rid, int(pos), kind, orig, obs))
-        return cls(tuple(entries))
+        return cls(entries)
+
+
+def _offsets(lengths) -> np.ndarray:
+    """Where each piece of ``lengths``, laid one after another, starts, and
+    where the last ends."""
+    return np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+
+
+def _cut(text: str, at: np.ndarray) -> list[str]:
+    """The pieces of ``text`` between consecutive offsets ``at``."""
+    at = at.tolist()
+    return [text[a:b] for a, b in zip(at, at[1:])]
 
 
 @dataclass(frozen=True)
@@ -116,7 +176,7 @@ def generate_genome(length: int, seed: int) -> str:
 
 
 def sample_clean_reads(genome: str, n: int, read_len: int, seed: int) -> ReadSet:
-    """n forward-strand substrings at uniform start positions."""
+    """n forward-strand substrings at uniform start positions, named r0, r1, ..."""
     if read_len > len(genome):
         raise ValueError(
             f"read length {read_len} exceeds genome length {len(genome)}"
@@ -124,10 +184,7 @@ def sample_clean_reads(genome: str, n: int, read_len: int, seed: int) -> ReadSet
     if read_len <= 0 or n < 0:
         raise ValueError("read length must be positive and n non-negative")
     starts = make_rng(seed).integers(0, len(genome) - read_len + 1, size=n)
-    return ReadSet(
-        Read(id=f"r{i}", sequence=genome[s : s + read_len])
-        for i, s in enumerate(starts.tolist())
-    )
+    return substrings(genome, starts, read_len, [f"r{i}" for i in range(n)])
 
 
 # -- edits --------------------------------------------------------------------
@@ -158,9 +215,9 @@ def _adjust_quality(kind: str, quality: str | None, pos: int, n: int) -> str | N
     return quality[:pos] + "I" * n + quality[pos:]
 
 
-# reads per block: bounds the block's arrays to a few hundred kB at any read count
-_BLOCK = 1024
-_INS, _SUB = KINDS.index("insertion"), KINDS.index("substitution")
+# reads per block: bounds the block's arrays to a few MB at any read count
+_BLOCK = 4096
+_DEL, _INS, _SUB = range(3)
 
 
 def inject_readset(
@@ -172,31 +229,52 @@ def inject_readset(
     own stream as the module docstring lays out.  A read too short for its
     edit (an indel longer than the read, or a substitution into an empty
     read) raises ``ValueError`` naming it.  Substitutions are written into a
-    copy of the set's base codes; only reads with an indel are rebuilt.
+    copy of the set's base codes, then the indels are spliced into it; only
+    a read with both an indel and a quality string is edited on its own.
     """
+    if not len(readset):
+        return readset, ErrorLedger()
     codes = readset.codes.copy()
-    indels: dict[int, Read] = {}
-    entries: list[LedgerEntry] = []
-    for first in range(0, len(readset), _BLOCK):
-        entries += _inject_block(readset, first, spec, codes, indels)
-    corrupted = readset.with_codes(codes)
-    if indels:
-        rows = range(len(readset))
-        kept = iter(corrupted.take([row for row in rows if row not in indels]))
-        corrupted = ReadSet(indels[r] if r in indels else next(kept) for r in rows)
-    return corrupted, ErrorLedger(tuple(entries))
+    changes, indels = zip(*(
+        _inject_block(readset, first, spec, codes)
+        for first in range(0, len(readset), _BLOCK)
+    ))
+    rows, positions, kinds, old, old_lengths, new, new_lengths = _join(changes)
+    ledger = object.__new__(ErrorLedger)._set(
+        readset.ids, rows, positions, kinds,
+        _text(old), _offsets(old_lengths), _text(new), _offsets(new_lengths),
+    )
+    rows, kinds, at, counts, segments = _join(indels)
+    if not len(rows):
+        return readset.with_codes(codes), ledger
+    where = readset.starts[rows] + at
+    cut = kinds == _DEL
+    # one insertion point per inserted code, which np.insert keeps in order;
+    # a dropped code moves up by the codes inserted before it
+    put = np.repeat(where[~cut], counts[~cut])
+    drop = np.repeat(where[cut], counts[cut]) + _ramp(counts[cut])
+    codes = np.insert(codes, put, segments)
+    codes = np.delete(codes, drop + np.searchsorted(put, drop))
+    lengths = readset.lengths.copy()
+    lengths[rows] += np.where(cut, -counts, counts)
+    qualities = list(readset.qualities)
+    for r, kind, i, c in zip(rows.tolist(), kinds.tolist(), at.tolist(), counts.tolist()):
+        qualities[r] = _adjust_quality(KINDS[kind], qualities[r], i, c)
+    return ReadSet.packed(codes, lengths, readset.ids, qualities), ledger
 
 
 def _inject_block(
-    readset: ReadSet, first: int, spec: InjectionSpec, codes: np.ndarray, indels: dict
-) -> list[LedgerEntry]:
+    readset: ReadSet, first: int, spec: InjectionSpec, codes: np.ndarray
+):
     """Corrupt one block of reads from index ``first``, each draw of the
-    protocol taken for every read that makes it at once: substitutions go
-    into ``codes``, each read with an indel into ``indels`` by index."""
+    protocol taken for every read that makes it at once.  Substitutions go
+    into ``codes``.  Returns the block's ledger columns (rows, positions,
+    kinds, and the original and observed codes with each change's share of
+    them) and its indels (rows, kinds, positions, counts and the inserted
+    codes)."""
     lo, hi = REGIMES[spec.regime]
-    block = slice(first, first + _BLOCK)
-    ids, lengths = readset.ids[block], readset.lengths[block]
-    n = len(ids)
+    lengths = readset.lengths[first : first + _BLOCK]
+    n = len(lengths)
     every = np.arange(n)
     # 2 + 2 * hi 32-bit draws cover every read unless Lemire rejects one
     streams = StreamBlock(spec.seed, every + first, hi + 1)
@@ -209,66 +287,74 @@ def _inject_block(
     if short.any():
         r = int(np.argmax(short))
         raise ValueError(
-            f"read {ids[r]!r} of length {lengths[r]} is too short for "
-            f"{KINDS[kinds[r]]} count {counts[r]}"
+            f"read {readset.ids[first + r]!r} of length {lengths[r]} is too short "
+            f"for {KINDS[kinds[r]]} count {counts[r]}"
         )
 
     indel = np.flatnonzero(kinds != _SUB)
-    at = np.zeros(n, np.int64)
-    at[indel] = streams.integers(indel, lengths[indel] - counts[indel] + 1)
+    at = streams.integers(indel, lengths[indel] - counts[indel] + 1)
     ins = np.flatnonzero(kinds == _INS)
-    segments = np.zeros((len(ins), hi), np.int64)
+    segments = np.zeros((len(ins), hi), np.uint8)
     for slot in range(hi):
         rows = counts[ins] > slot
         segments[rows, slot] = streams.integers(ins[rows], 4)
-    segment_text = LETTERS[segments].tobytes().decode("ascii")
-    segment = {
-        r: segment_text[j * hi : j * hi + c]
-        for j, (r, c) in enumerate(zip(ins.tolist(), counts[ins].tolist()))
-    }
+    segments = segments[np.arange(hi) < counts[ins, None]]  # row after row
 
     sub = np.flatnonzero(kinds == _SUB)
-    # each read's substitutions, in application order, at bounds[r]:bounds[r + 1]
-    bounds, pos, old, new = [0] * (n + 1), [], [], []
-    if sub.size:
-        changed = []  # per slot: rows, positions, old and new codes
-        for slot in range(hi):
-            rows = sub[counts[sub] > slot]
-            pos = streams.integers(rows, lengths[rows])
-            new = streams.integers(rows, 4).astype(np.uint8)
-            where = readset.starts[first + rows] + pos
-            old = codes[where]
-            hit = old != new
-            # applied slot by slot, so a repeated position sees the earlier change
-            codes[where[hit]] = new[hit]
-            changed.append((rows[hit], pos[hit], old[hit], new[hit]))
-        rows, pos, old, new = (np.concatenate(a) for a in zip(*changed))
-        by_read = np.argsort(rows, kind="stable")
-        bounds = np.searchsorted(rows[by_read], np.arange(n + 1)).tolist()
-        pos = pos[by_read].tolist()
-        old, new = (LETTERS[a[by_read]].tobytes().decode("ascii") for a in (old, new))
+    changed = [(np.zeros(0, np.intp), np.zeros(0, np.int64), codes[:0], codes[:0])]
+    for slot in range(hi):
+        rows = sub[counts[sub] > slot]
+        pos = streams.integers(rows, lengths[rows])
+        new = streams.integers(rows, 4).astype(np.uint8)
+        where = readset.starts[first + rows] + pos
+        old = codes[where]
+        hit = old != new
+        # applied slot by slot, so a repeated position sees the earlier change
+        codes[where[hit]] = new[hit]
+        changed.append((rows[hit], pos[hit], old[hit], new[hit]))
+    rows, pos, old, new = (np.concatenate(a) for a in zip(*changed))
 
-    entries = []
-    indel_reads = iter(readset.take(first + indel))
-    for r, (read_id, kind, i, c) in enumerate(
-        zip(ids, kinds.tolist(), at.tolist(), counts.tolist())
-    ):
-        if kind == _SUB:
-            entries += (
-                LedgerEntry(read_id, pos[k], "substitution", old[k], new[k])
-                for k in range(bounds[r], bounds[r + 1])
-            )
-            continue
-        read = next(indel_reads)
-        seq = read.sequence
-        if kind == _INS:
-            edit, seq = ("", segment[r]), seq[:i] + segment[r] + seq[i:]
-        else:
-            edit, seq = (seq[i : i + c], ""), seq[:i] + seq[i + c :]
-        entries.append(LedgerEntry(read_id, i, KINDS[kind], *edit))
-        quality = _adjust_quality(KINDS[kind], read.quality, i, c)
-        indels[first + r] = Read(read_id, seq, quality)
-    return entries
+    # every change in application order: by read, a read's substitutions by slot
+    indel_kinds, indel_counts = kinds[indel], counts[indel]
+    cut = indel_kinds == _DEL
+    where = readset.starts[first + indel[cut]] + at[cut]
+    deleted = readset.codes[np.repeat(where, indel_counts[cut]) + _ramp(indel_counts[cut])]
+    ones = np.ones(len(rows), np.int8)  # counts are at most 10
+    old_lengths = np.concatenate((ones, np.where(cut, indel_counts, 0).astype(np.int8)))
+    new_lengths = np.concatenate((ones, np.where(cut, 0, indel_counts).astype(np.int8)))
+    rows = np.concatenate((rows, indel))
+    order = np.argsort(rows, kind="stable")
+    changes = (
+        first + rows[order],
+        np.concatenate((pos, at))[order],
+        np.concatenate((np.full(len(pos), _SUB), indel_kinds))[order].astype(np.uint8),
+        *_regroup(np.concatenate((old, deleted)), old_lengths, order),
+        *_regroup(np.concatenate((new, segments)), new_lengths, order),
+    )
+    return changes, (first + indel, indel_kinds, at, indel_counts, segments)
+
+
+def _ramp(lengths: np.ndarray) -> np.ndarray:
+    """0, 1, ..., l - 1 for each l of ``lengths``, one run after another."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - lengths, lengths)
+
+
+def _regroup(pieces: np.ndarray, lengths: np.ndarray, order: np.ndarray):
+    """The pieces of ``lengths``, laid one after another in ``pieces``, laid
+    out again in ``order``; returns them and their lengths."""
+    starts = (np.cumsum(lengths) - lengths)[order]
+    lengths = lengths[order]
+    return pieces[np.repeat(starts, lengths) + _ramp(lengths)], lengths
+
+
+def _join(blocks) -> list[np.ndarray]:
+    """Each column of ``blocks`` joined across them."""
+    return [np.concatenate(column) for column in zip(*blocks)]
+
+
+def _text(codes: np.ndarray) -> str:
+    return LETTERS[codes].tobytes().decode("ascii")
 
 
 def revert(corrupted: ReadSet, ledger: ErrorLedger) -> ReadSet:

@@ -24,6 +24,7 @@ from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._rng import make_rng, sample_indices
 
@@ -84,8 +85,9 @@ class ReadSet:
     """Reads packed as the module docstring lays out: ``codes``, ``starts``
     and ``lengths``, with each read's ``ids`` and ``qualities`` (None for a
     read without one).  ``ReadSet(reads)`` packs ``Read`` objects once and
-    refuses any character outside ACGTN; iterating, indexing and ``reads``
-    make ``Read`` objects back from the arrays."""
+    refuses any character outside ACGTN; ``ReadSet.packed`` takes codes
+    already packed.  Iterating, indexing and ``reads`` make ``Read`` objects
+    back from the arrays."""
 
     def __init__(self, reads: Iterable[Read] = ()) -> None:
         ids, seqs, quals = [], [], []
@@ -97,13 +99,28 @@ class ReadSet:
         # N is code 4, so it serves as the separator
         text = ("N".join(seqs) + "N" if seqs else "").encode("ascii", "replace")
         if text.translate(None, b"ACGTN"):
-            row = next(i for i, s in enumerate(seqs) if set(s) - VALID_CHARS)
-            raise ValueError(
-                f"read {ids[row]!r} contains characters outside ACGTN: "
-                f"{sorted(set(seqs[row]) - VALID_CHARS)}"
-            )
+            _refuse_letters(ids, seqs)
         codes = np.frombuffer(text.translate(CODE_TABLE), np.uint8)
         self._set(codes, _starts(lengths), lengths, tuple(ids), tuple(quals))
+
+    @classmethod
+    def packed(cls, codes, lengths, ids, qualities=None) -> "ReadSet":
+        """Reads from their codes in the packed layout, each read followed by
+        its code-4 separator: flat, or one row per read when all reads have
+        the same length.  ``qualities`` None gives every read none."""
+        codes = np.ascontiguousarray(codes, np.uint8).reshape(-1)
+        lengths = np.asarray(lengths, np.int64)
+        ids = tuple(ids)
+        starts = _starts(lengths)
+        if (
+            len(ids) != len(lengths)
+            or len(codes) != int(lengths.sum()) + len(lengths)
+            or codes.max(initial=0) > 4
+            or (codes[starts + lengths] != 4).any()
+        ):
+            raise ValueError("codes, lengths and ids do not describe packed reads")
+        qualities = (None,) * len(ids) if qualities is None else tuple(qualities)
+        return object.__new__(cls)._set(codes, starts, lengths, ids, qualities)
 
     def _set(self, codes, starts, lengths, ids, qualities) -> "ReadSet":
         for array in (codes, starts, lengths):
@@ -188,21 +205,35 @@ def _starts(lengths: np.ndarray) -> np.ndarray:
     return np.cumsum(lengths + 1) - lengths - 1
 
 
+def _refuse_letters(ids: Iterable[str], seqs: Iterable[str]) -> None:
+    """Raise for the first of ``seqs`` holding a character outside ACGTN."""
+    for read_id, seq in zip(ids, seqs):
+        bad = set(seq) - VALID_CHARS
+        if bad:
+            raise ValueError(
+                f"read {read_id!r} contains characters outside ACGTN: {sorted(bad)}"
+            )
+
+
+def substrings(text: str, starts: np.ndarray, length: int, ids) -> ReadSet:
+    """The reads of ``length`` characters of ``text`` at ``starts``, named
+    ``ids``, gathered straight into the packed layout.  A read holding a
+    character outside ACGTN is refused as ``ReadSet(reads)`` refuses it."""
+    raw = text.encode("ascii", "replace")  # one byte per character
+    if raw.translate(None, b"ACGTN"):
+        _refuse_letters(ids, (text[s : s + length] for s in starts.tolist()))
+    # one spare code, so the window at the last start has room for a separator
+    codes = np.frombuffer(raw.translate(CODE_TABLE) + b"\4", np.uint8)
+    block = sliding_window_view(codes, length + 1)[starts]
+    block[:, length] = 4
+    return ReadSet.packed(block, np.full(len(starts), length), ids)
+
+
 def encode_word(word: str) -> int:
     """The code of an ACGT word (0 for the empty word)."""
     if not ACGT.issuperset(word):
         raise ValueError(f"word {word!r} contains characters outside ACGT")
     return int(word.translate(_BASE_DIGIT) or "0", 4)
-
-
-def decode_words(codes, length: int) -> Iterator[str]:
-    """The words of ``length`` bases that ``codes`` encode, in order."""
-    shifts = np.arange(2 * length - 2, -1, -2, dtype=np.uint64)
-    codes = np.asarray(codes, np.uint64)
-    for start in range(0, len(codes), 4096):
-        chunk = (codes[start : start + 4096, None] >> shifts) & 3
-        text = LETTERS[chunk].tobytes().decode("ascii")
-        yield from (text[i : i + length] for i in range(0, len(text), length))
 
 
 def find_sorted(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -277,10 +308,9 @@ def read_fastq(path: str) -> ReadSet:
     if not chunks:
         return ReadSet()
     lengths, ids, quals = zip(*chunks)
-    lengths = np.concatenate(lengths)
-    return object.__new__(ReadSet)._set(
-        np.frombuffer(codes, np.uint8), _starts(lengths), lengths,
-        tuple(chain.from_iterable(ids)), tuple(chain.from_iterable(quals)),
+    return ReadSet.packed(
+        np.frombuffer(codes, np.uint8), np.concatenate(lengths),
+        chain.from_iterable(ids), chain.from_iterable(quals),
     )
 
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from ectuner.ecsim import KmerSpectrum
-from ectuner.seqio import Read, ReadSet, decode_words, encode_word
+from ectuner.seqio import Read, ReadSet, encode_word
+
+from seqio_oracles import decode_words
 
 _ACGT = frozenset("ACGT")
 

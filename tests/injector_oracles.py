@@ -1,18 +1,36 @@
-"""Per-read reference for error injection: the scalar path that
-``ectuner.injector.inject_readset`` replaced with block injection.
+"""Per-read reference for read simulation and error injection: the scalar
+paths that ``ectuner.injector`` replaced with packed ones.
 
-Each read gets its own ``spawn_rng(seed, index)`` generator and makes one
-``integers`` call per draw, in the order the injector's module docstring
-documents.  Tests compare the block path to this one with exact ``==``.
+``sample_clean_reads`` makes one ``Read`` per read and packs them with
+``ReadSet(reads)``.  ``inject_readset`` gives each read its own
+``spawn_rng(seed, index)`` generator, makes one ``integers`` call per draw,
+in the order the injector's module docstring documents, and assembles the
+ledger entry by entry; ``write_ledger`` writes those entries line by line.
+Tests compare the packed paths to these with exact ``==``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ectuner._rng import spawn_rng
+from ectuner._rng import make_rng, spawn_rng
 from ectuner.injector import KINDS, REGIMES, InjectionSpec, LedgerEntry
 from ectuner.seqio import BASES, LETTERS, Read, ReadSet
+
+
+def sample_clean_reads(genome: str, n: int, read_len: int, seed: int) -> ReadSet:
+    """n ``Read`` substrings at uniform start positions, packed afterwards."""
+    if read_len > len(genome):
+        raise ValueError(
+            f"read length {read_len} exceeds genome length {len(genome)}"
+        )
+    if read_len <= 0 or n < 0:
+        raise ValueError("read length must be positive and n non-negative")
+    starts = make_rng(seed).integers(0, len(genome) - read_len + 1, size=n)
+    return ReadSet(
+        Read(id=f"r{i}", sequence=genome[s : s + read_len])
+        for i, s in enumerate(starts.tolist())
+    )
 
 
 def _delete(seq: str, d: int, rng: np.random.Generator) -> tuple[str, list]:
@@ -85,3 +103,11 @@ def inject_readset(readset: ReadSet, spec: InjectionSpec):
     """Every read corrupted one at a time: the reads and the ledger entries."""
     results = [corrupt(idx, read, spec) for idx, read in enumerate(readset)]
     return [r for r, _ in results], [e for _, es in results for e in es]
+
+
+def write_ledger(entries, path: str) -> None:
+    """The ledger TSV, one line per entry."""
+    with open(path, "w") as fh:
+        fh.write("read_id\tposition\tkind\toriginal\tobserved\n")
+        for e in entries:
+            fh.write(f"{e.read_id}\t{e.position}\t{e.kind}\t{e.original}\t{e.observed}\n")

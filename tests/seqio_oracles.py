@@ -4,6 +4,7 @@
 It reads four lines per record, upper-cases each sequence and checks every
 record on its own, so its ids, sequences, qualities and the type, message
 and line number of each error are what the chunked parser must give.
+``decode_words`` turns word codes back into text for the tests.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from __future__ import annotations
 import gzip
 from typing import Iterator
 
-from ectuner.seqio import FastqParseError, Read
+import numpy as np
+
+from ectuner.seqio import LETTERS, FastqParseError, Read
 
 _VALID = frozenset("ACGTN")
 
@@ -68,3 +71,13 @@ def iter_fastq(path: str) -> Iterator[Read]:
                     f"!= sequence length {len(seq)}"
                 )
             yield Read(read_id, seq, qual)
+
+
+def decode_words(codes, length: int) -> Iterator[str]:
+    """The words of ``length`` bases that ``codes`` encode, in order."""
+    shifts = np.arange(2 * length - 2, -1, -2, dtype=np.uint64)
+    codes = np.asarray(codes, np.uint64)
+    for start in range(0, len(codes), 4096):
+        chunk = (codes[start : start + 4096, None] >> shifts) & 3
+        text = LETTERS[chunk].tobytes().decode("ascii")
+        yield from (text[i : i + length] for i in range(0, len(text), length))

@@ -731,6 +731,50 @@ def test_charrnn_settings_below_1_exit_1_before_any_read_is_loaded(
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["train", "tune"])
+@pytest.mark.parametrize("rate", ["nan", "inf", "0", "-1"])
+def test_learning_rate_not_finite_and_positive_exits_1_before_any_read_is_loaded(
+    tmp_path, capsys, command, rate
+):
+    out = tmp_path / "out"
+    out.mkdir()
+    target = ["--out-dir", str(out / "tune")] if command == "tune" else [
+        "--out", str(out / "lm.rnn")]
+    # the reads do not exist, so loading them first would exit 2
+    rc = main([command, "--reads", str(tmp_path / "missing.fastq"), *target,
+               "--lm", "charrnn", "--learning-rate", rate])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"ectuner: --learning-rate must be finite and > 0, got {float(rate)}\n"
+    )
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["train", "tune"])
+def test_config_value_outside_choices_exits_1_before_any_read_is_loaded(
+    tmp_path, capsys, command
+):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"lm": "foo"}))
+    out = tmp_path / "out"
+    out.mkdir()
+    target = ["--out-dir", str(out / "tune")] if command == "tune" else [
+        "--out", str(out / "lm.model")]
+    # the reads do not exist, so loading them first would exit 2
+    rc = main([command, "--reads", str(tmp_path / "missing.fastq"), *target,
+               "--config", str(cfg_path)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"ectuner: {cfg_path}: lm must be one of ngram, charrnn, got 'foo'\n"
+    )
+    assert "training" not in captured.err
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["train", "perplexity"])
 def test_config_key_no_subcommand_knows_exits_1(clean_fastq, tmp_path, capsys, command):
     cfg_path = tmp_path / "cfg.json"

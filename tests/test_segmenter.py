@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from ectuner.segmenter import WordSequence, segment_reads
-from ectuner.seqio import Read, ReadSet, decode_words, encode_word
+from ectuner.seqio import Read, ReadSet, encode_word
 
 from ngram_oracles import SegmentTally, oracle_segment_corpus
+from seqio_oracles import decode_words
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 

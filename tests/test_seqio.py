@@ -15,7 +15,6 @@ from ectuner.seqio import (
     Read,
     ReadSet,
     base_codes,
-    decode_words,
     encode_word,
     iter_fasta,
     load_reads,
@@ -24,6 +23,8 @@ from ectuner.seqio import (
     write_fasta,
     write_fastq,
 )
+
+from seqio_oracles import decode_words
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -253,6 +254,27 @@ def test_readset_packs_codes_with_a_separator_after_each_read():
     empty = ReadSet(())
     assert len(empty.codes) == len(empty.starts) == len(empty.lengths) == 0
     assert empty.reads == () and empty.ids == empty.qualities == ()
+
+
+def test_packed_takes_flat_codes_or_one_row_per_read():
+    reads = ReadSet((Read("a", "ACN", "!!#"), Read("b", ""), Read("c", "TG")))
+    flat = ReadSet.packed(reads.codes, reads.lengths, reads.ids, reads.qualities)
+    assert flat.reads == reads.reads
+    assert flat.starts.tolist() == reads.starts.tolist()
+    rows = ReadSet.packed(np.array([[0, 1, 4], [3, 2, 4]]), [2, 2], ["x", "y"])
+    assert rows.reads == (Read("x", "AC"), Read("y", "TG"))
+    assert ReadSet.packed([], [], []).reads == ()
+
+
+@pytest.mark.parametrize(
+    "codes, lengths, ids",
+    [([0, 1, 4], [2, 1], ["x"]), ([0, 1, 2], [2], ["x"]), ([0, 4, 1, 4], [1], ["x"]),
+     ([0, 5, 4], [2], ["x"])],
+    ids=["ids-short", "no-separator", "wrong-total", "not-a-code"],
+)
+def test_packed_refuses_codes_that_are_not_packed_reads(codes, lengths, ids):
+    with pytest.raises(ValueError, match="do not describe packed reads"):
+        ReadSet.packed(codes, lengths, ids)
 
 
 def test_base_codes_send_everything_but_acgt_to_4():
