@@ -557,7 +557,10 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand.  Given a ``command``, only that
+    subcommand gets its options: parsing its argv needs no other, and
+    building every subcommand's options takes longer than some commands."""
     parser = argparse.ArgumentParser(
         prog="ectuner",
         description="Tune error-correction parameters with read language models",
@@ -565,6 +568,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, summary) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        if command not in (None, name):
+            continue
         for key, option in _OPTIONS[name].items():
             text = option.help
             if option.default is not None and not option.ignored:
@@ -572,12 +578,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--" + key.replace("_", "-"), dest=key,
                            type=option.type if option.type in (int, float) else None,
                            choices=option.choices, required=option.required, help=text)
-        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the top-level parser has no option of its own, so a command comes first
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except FileNotFoundError as exc:

@@ -11,20 +11,29 @@ indel-corrupted reads flow through with their lengths intact.
 The corrector and the spectrum read a ``seqio.ReadSet``'s packed base codes
 directly: N is code 4, which no solid k-mer contains, and the code-4
 separator after each read keeps windows from spanning two reads.  A k-mer is
-the 2k-bit number its codes spell, so k is at most 32.  The corrector
-advances every read through the same scan position together, one position
-per round.  A spectrum is a ``KmerSpectrum``: the sorted codes of every
-distinct k-mer and their counts.
+the 2k-bit number its codes spell, so k is at most 32.
 
-Most weak windows have no solid neighbour at all, so the search first checks
-the window's halves: with h = k // 2, its head is its first h bases and its
-tail its last k - h.  A replacement at offset h or later leaves the head as it
-is, so it can only be solid if some solid k-mer starts with that head; one
-before h leaves the tail, which some solid k-mer must then end with.  The
-candidates of a half that fails this test could only count 0, so they are
-never looked up, and a window whose halves both fail is not searched.  An
-unknown base is no exception: only its own offset can be fixed, and the other
-half of the window is all ACGT.
+A spectrum is a ``KmerSpectrum``: the sorted codes of every distinct k-mer
+and their counts.  It is built in blocks of windows.  In a block, the codes
+of all 2-base windows come from pairs of 1-base codes, those of 4-base
+windows from pairs of 2-base codes, and so on up to k, each width in the
+narrowest unsigned type that holds it; the power-of-two pieces of k are then
+joined, widest first.  A running count of code 4 drops the windows holding
+an N or a separator, and the rest go into one buffer, one slot per in-read
+window, which is sorted and cut into runs of equal codes.
+
+The corrector advances every read through the same scan position together,
+one position per round.  Most weak windows have no solid neighbour at all,
+so the search first checks the window's halves: with h = k // 2, its head is
+its first h bases and its tail its last k - h.  A replacement at offset h or
+later leaves the head as it is, so it can only be solid if some solid k-mer
+starts with that head; one before h leaves the tail, which some solid k-mer
+must then end with.  The candidates of a half that fails this test could
+only count 0, so they are never looked up, and a window whose halves both
+fail is not searched.  An unknown base is no exception: only its own offset
+can be fixed, and the other half of the window is all ACGT.  Of the
+candidates in the halves that pass, only the few found solid, about one per
+weak window, are ranked: by count, highest first, then by code.
 
 External tools run through a command template with ``{input}``, ``{output}``
 and exactly one tunable placeholder (``{k}`` or ``{GL}``).  Exchange happens
@@ -50,7 +59,9 @@ TMPDIR_ENV = "ATHENA_TMPDIR"
 MAX_K = 32
 DEFAULT_SOLID_MIN = 3
 DEFAULT_MAX_EDITS = 2
-_NO_KMER = np.uint64(np.iinfo(np.uint64).max)
+# Windows per block of ``kmer_spectrum``: a block's pieces take a few MB,
+# where a whole-set build would hold a set-sized array per piece.
+_SPECTRUM_BLOCK = 1 << 16
 
 
 class GainUndefinedError(ValueError):
@@ -97,22 +108,56 @@ def kmer_spectrum(readset: ReadSet, k: int) -> KmerSpectrum:
     shorter than k contribute nothing."""
     check_k(k)
     bases = readset.codes
-    windows = max(len(bases) - k + 1, 0)
-    kmers = np.zeros(windows, np.uint64)
-    broken = np.zeros(windows, bool)
-    low = bases & 3
-    for j in range(k):
-        kmers <<= 2
-        kmers |= low[j : j + windows]
-        broken |= bases[j : j + windows] == 4
-    # free each array once it is spent: the N-free copy and the sort, done
-    # in place, set the call's peak memory
-    del low
-    kmers = kmers[~broken]
-    del broken
+    # one slot per in-read window; those free of N fill it from the front
+    kmers = np.empty(int(np.maximum(readset.lengths - k + 1, 0).sum()), np.uint64)
+    filled = 0
+    for first in range(0, len(bases) - k + 1, _SPECTRUM_BLOCK):
+        block = bases[first : first + _SPECTRUM_BLOCK + k - 1]
+        unknown = np.zeros(len(block) + 1, np.int32)
+        np.cumsum(block == 4, dtype=np.int32, out=unknown[1:])
+        clean = unknown[k:] == unknown[:-k]
+        taken = int(np.count_nonzero(clean))
+        np.compress(clean, _window_codes(block, k), out=kmers[filled : filled + taken])
+        filled += taken
+    kmers = kmers[:filled]
     kmers.sort()
-    first = np.flatnonzero(_run_firsts(kmers))
-    return KmerSpectrum(k, kmers[first], np.diff(first, append=len(kmers)))
+    # where each run of equal k-mers starts, and where the last one ends
+    bounds = np.append(np.flatnonzero(_run_firsts(kmers)), filled)
+    codes = kmers[bounds[:-1]]
+    # the sorted k-mers are spent: free them before the counts are formed
+    del kmers
+    return KmerSpectrum(k, codes, np.diff(bounds))
+
+
+# the narrowest unsigned type that holds the code of 2, 4, 8, 16, 32 bases
+_PIECE_TYPES = {2: np.uint8, 4: np.uint8, 8: np.uint16, 16: np.uint32, 32: np.uint64}
+
+
+def _window_codes(bases: np.ndarray, k: int) -> np.ndarray:
+    """The ``uint64`` code of every k-base window of ``bases``, N read as A.
+
+    The codes of 2w-base windows are those of w-base windows joined in
+    pairs, so the codes of every power-of-two width up to k take one pass
+    each; k's binary pieces are then joined, widest first."""
+    windows = len(bases) - k + 1
+    piece = bases & np.uint8(3)
+    pieces = {1: piece} if k & 1 else {}
+    width = 1
+    while 2 * width <= k:
+        wider = piece[:-width].astype(_PIECE_TYPES[2 * width])
+        wider <<= 2 * width
+        wider |= piece[width:]
+        piece, width = wider, 2 * width
+        if k & width:
+            pieces[width] = piece
+    widest, *rest = sorted(pieces, reverse=True)
+    codes = pieces[widest][:windows].astype(np.uint64)
+    at = widest
+    for width in rest:
+        codes <<= np.uint64(2 * width)
+        codes |= pieces[width][at : at + windows]
+        at += width
+    return codes
 
 
 @dataclass(frozen=True)
@@ -130,7 +175,7 @@ class KSpectrumConfig:
 
 
 class _SolidCounts:
-    """Counts of solid k-mers, looked up for many codes at once (0 if absent).
+    """The solid k-mers of a spectrum, looked up for many codes at once.
 
     Most queried codes are absent, so a table of occupied hash slots, at
     most one in 16 set, rules most of them out before the binary search.
@@ -155,14 +200,13 @@ class _SolidCounts:
     def _slot(self, codes: np.ndarray) -> np.ndarray:
         return (codes * np.uint64(0x9E3779B97F4A7C15)) >> self.shift
 
-    def __call__(self, query: np.ndarray) -> np.ndarray:
-        flat = query.ravel()
-        found = np.zeros(len(flat), np.int64)
-        maybe = np.flatnonzero(self.occupied[self._slot(flat)])
-        i = find_sorted(self.codes, flat[maybe])
+    def hits(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The positions of the solid codes in the flat ``query``, ascending,
+        and their counts."""
+        maybe = np.flatnonzero(self.occupied[self._slot(query)])
+        i = find_sorted(self.codes, query[maybe])
         hit = i >= 0
-        found[maybe[hit]] = self.counts[i[hit]]
-        return found.reshape(query.shape)
+        return maybe[hit], self.counts[i[hit]]
 
     def halves(self, kmers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Whether each k-mer's head, and its tail, starts or ends a solid k-mer."""
@@ -218,41 +262,33 @@ def _correct_packed(
     # the offsets whose replacement keeps the tail, and those keeping the head
     spans = (offsets[: k // 2], offsets[k // 2 :])
     while len(at):
-        insolid = (broken > 0) | (solid(kmers) == 0)
+        insolid = np.ones(len(at), bool)
+        insolid[solid.hits(kmers)[0]] = False
         # a window with two unknown bases has no solid single-base neighbour
-        weak = np.flatnonzero(insolid & (broken <= 1))
-        if len(weak):
-            best_count = np.zeros(len(weak), np.int64)
-            best_kmer = np.zeros(len(weak), np.uint64)
-            best_at = np.zeros(len(weak), np.intp)
-            head_ok, tail_ok = solid.halves(kmers[weak])
-            for span, passing in zip(spans, (tail_ok, head_ok)):
-                if not len(span):
-                    continue
-                units = np.flatnonzero(passing)
-                # units in blocks, so a block's candidates stay small
-                step = max(1, 16384 // len(span))
-                for s in range(0, len(units), step):
-                    unit = units[s : s + step]
-                    w = weak[unit]
-                    count, kmer, j = _best_replacement(
-                        solid, bases, at[w], kmers[w], broken[w], span, keep, placed
-                    )
-                    # the two halves' candidates differ, so ranking them by
-                    # count, then code, never meets a tie of equal codes
-                    better = (count > best_count[unit]) | (
-                        (count == best_count[unit]) & (kmer < best_kmer[unit])
-                    )
-                    unit = unit[better]
-                    best_count[unit] = count[better]
-                    best_kmer[unit] = kmer[better]
-                    best_at[unit] = j[better]
-            hit = np.flatnonzero(best_count > 0)
-            fix = weak[hit]
-            pos = at[fix] + best_at[hit]
+        weak = np.flatnonzero((insolid | (broken > 0)) & (broken <= 1))
+        head_ok, tail_ok = solid.halves(kmers[weak])
+        found = []
+        for span, units in zip(spans, (weak[tail_ok], weak[head_ok])):
+            if not len(span):
+                continue
+            # units in blocks, so a block's candidates stay small
+            step = max(1, 16384 // len(span))
+            for s in range(0, len(units), step):
+                found.append(_solid_neighbours(
+                    solid, bases, at, kmers, broken, units[s : s + step],
+                    span, keep, placed,
+                ))
+        if found:
+            w, count, kmer, j = (np.concatenate(parts) for parts in zip(*found))
+            # each window's best neighbour: highest count, then smallest
+            # code; a window's candidates all differ, so no two tie on both
+            order = np.lexsort((kmer, -count, w))
+            best = order[_run_firsts(w[order])]
+            fix, kmer, j = w[best], kmer[best], j[best]
+            pos = at[fix] + j
             broken[fix] -= bases[pos] == 4
-            bases[pos] = (best_kmer[hit] >> shifts[best_at[hit]]) & 3
-            kmers[fix] = best_kmer[hit]
+            bases[pos] = (kmer >> shifts[j]) & 3
+            kmers[fix] = kmer
             edits[fix] += 1
         at += 1
         live = (edits < max_edits) & (at <= stop)
@@ -265,35 +301,28 @@ def _correct_packed(
         broken -= bases[at - 1] == 4
 
 
-def _best_replacement(
+def _solid_neighbours(
     solid: _SolidCounts,
     bases: np.ndarray,
     at: np.ndarray,
     kmers: np.ndarray,
     broken: np.ndarray,
+    units: np.ndarray,
     span: np.ndarray,
     keep: np.ndarray,
     placed: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The solid count, code and offset of the best single-base replacement
-    at the offsets ``span`` of each window (highest count, then smallest
-    code), for windows starting at ``at`` with codes ``kmers`` and ``broken``
-    unknown bases.  A window with no solid replacement there gets count 0."""
-    cand = (kmers[:, None] & keep[span])[:, :, None] | placed[span]
-    count = solid(cand)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The solid single-base replacements at the offsets ``span`` of the
+    windows ``units`` (which start at ``at``, with codes ``kmers`` and
+    ``broken`` unknown bases), as four arrays: window, count, code, offset."""
+    cand = ((kmers[units, None] & keep[span])[:, :, None] | placed[span]).ravel()
+    pos, count = solid.hits(cand)
+    w = units[pos // (4 * len(span))]
+    j = span[pos // 4 % len(span)]
     # the unchanged base gives the window itself, insolid; with an unknown
-    # base, only offsets replacing it can be solid
-    window = bases[at[:, None] + span]
-    count[broken[:, None] > (window == 4)] = 0
-    count = count.reshape(len(kmers), -1)
-    cand = cand.reshape(len(kmers), -1)
-    # at k = 32 the all-T code equals _NO_KMER, so the winner is picked
-    # among the ties, not by argmin over the masked codes
-    top = count.max(axis=1)
-    tie = count == top[:, None]
-    key = np.where(tie, cand, _NO_KMER)
-    j = (tie & (key == key.min(axis=1)[:, None])).argmax(axis=1)
-    return top, cand[np.arange(len(kmers)), j], span[j // 4]
+    # base, only the offset replacing it can be solid
+    ok = (broken[w] == 0) | (bases[at[w] + j] == 4)
+    return w[ok], count[ok], cand[pos[ok]], j[ok]
 
 
 def kspectrum_correct(

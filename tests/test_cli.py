@@ -996,6 +996,23 @@ def _subparser(command):
     return sub.choices[command]
 
 
+@pytest.mark.parametrize("command", [name for name, _, _ in _PARSER_STRUCTURE])
+def test_one_command_parser_parses_and_helps_as_the_full_one(command, capsys):
+    # main() builds only the named subcommand's options
+    full = _subparser(command)
+    argv = [command]
+    for action in full._actions[1:]:
+        value = {int: "7", float: "0.5"}.get(action.type, "v")
+        argv += [action.option_strings[0], action.choices[0] if action.choices else value]
+    assert vars(build_parser(command).parse_args(argv)) == vars(
+        build_parser().parse_args(argv)
+    )
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == full.format_help()
+
+
 def _help_defaults(command):
     """(dest, text) for every "(default X)" in a subcommand's --help."""
     parser = _subparser(command)

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ectuner import ecsim
 from ectuner.ecsim import (
     AdapterError,
     AlignmentError,
@@ -52,6 +55,50 @@ def test_kmer_spectrum_skips_n_windows_and_short_reads():
         kmer_spectrum(rs, 0)
     with pytest.raises(ValueError, match="limit of 32"):
         kmer_spectrum(rs, 33)
+
+
+@pytest.mark.parametrize("k", range(1, 33))
+def test_kmer_spectrum_matches_the_oracle_at_every_k(k, monkeypatch):
+    # each k joins its own set of power-of-two pieces; the reads are ragged,
+    # some shorter than k, with single Ns and runs of N
+    rng = random.Random(k)
+    reads = _messy_reads(rng, generate_genome(300, seed=k), 60)
+    want = oracle_spectrum(reads, k)
+    assert as_dict(kmer_spectrum(reads, k)) == want
+    # blocks of five windows: most k-mers cross a block boundary
+    monkeypatch.setattr(ecsim, "_SPECTRUM_BLOCK", 5)
+    assert as_dict(kmer_spectrum(reads, k)) == want
+    empty = kmer_spectrum(ReadSet(()), k)
+    assert len(empty) == 0 and empty.codes.dtype == np.uint64
+
+
+def test_kmer_spectrum_matches_the_oracle_across_a_block_of_windows():
+    rng = random.Random(5)
+    reads = _messy_reads(rng, generate_genome(5000, seed=5), 5000)
+    assert len(reads.codes) > 2 * ecsim._SPECTRUM_BLOCK
+    for k in (1, 17, 25, 32):
+        assert as_dict(kmer_spectrum(reads, k)) == oracle_spectrum(reads, k)
+
+
+@pytest.fixture(scope="module")
+def tune_default_reads():
+    """12 000 x 50 bp reads of a 10 kb genome with substitution/low errors,
+    the size of the tune-default benchmark's input."""
+    clean = sample_clean_reads(generate_genome(10_000, seed=1), 12_000, 50, seed=2)
+    return inject_readset(clean, InjectionSpec("substitution", "low", seed=3))[0]
+
+
+@pytest.mark.parametrize("k", [17, 25])
+def test_kmer_spectrum_peak_memory(tune_default_reads, k):
+    # one uint64 per in-read window, then the distinct codes and counts;
+    # the block pieces stay small beside them
+    tracemalloc.start()
+    try:
+        kmer_spectrum(tune_default_reads, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.5e6
 
 
 def test_kspectrum_config_validation():
@@ -123,6 +170,12 @@ def test_all_t_32mer_wins_a_tie_break_alone():
         assert fixed[0].sequence == want.sequence == "T" * 32
 
 
+def test_all_t_32mer_loses_a_tie_and_wins_on_count():
+    window = "T" * 31 + "G"
+    assert _corrected(window, {"T" * 32: 5, "T" * 31 + "C": 5}, 32) == "T" * 31 + "C"
+    assert _corrected(window, {"T" * 32: 6, "T" * 31 + "C": 5}, 32) == "T" * 32
+
+
 def _corrected(sequence, counts, k, solid_min=3, max_edits=1):
     """The corrected sequence, checked against the scalar oracle first."""
     read = Read("r", sequence)
@@ -173,6 +226,42 @@ def test_an_unknown_base_is_the_only_offset_fixed_in_either_half():
     # with the N in one half, no neighbour in the other is ever taken
     assert _corrected("ACNTTGCA", {"ACATTGCT": 9}, 8) == "ACNTTGCA"
     assert _corrected("ACGTTGNA", {"TCGTTGAA": 9}, 8) == "ACGTTGNA"
+
+
+def test_ties_within_one_half_go_to_the_smallest_code():
+    # three neighbours share the top count; a fourth, with a smaller code,
+    # counts less
+    head = {"TCGTTGCA": 5, "ACCTTGCA": 5, "AGGTTGCA": 5, "AAGTTGCA": 4}
+    assert _corrected("ACGTTGCA", head, 8) == "ACCTTGCA"
+    tail = {"ACGTTGCT": 5, "ACGTTGGA": 5, "ACGTCGCA": 5, "ACGTAGCA": 4}
+    assert _corrected("ACGTTGCA", tail, 8) == "ACGTCGCA"
+    # the same counts, all looked up together
+    assert _corrected("ACGTTGCA", head | tail, 8) == "ACCTTGCA"
+
+
+def test_solid_neighbours_at_the_other_offsets_of_an_n_window_are_refused():
+    # with the N read as A, each of these is one replacement away from the
+    # window's code, at an offset other than the N's, in either half
+    counts = {"TCATTGCA": 9, "AGATTGCA": 9, "ACATAGCA": 9, "ACATTGCT": 9}
+    assert _corrected("ACNTTGCA", counts, 8) == "ACNTTGCA"
+    assert _corrected("ACNTTGCA", counts | {"ACCTTGCA": 3}, 8) == "ACCTTGCA"
+
+
+@pytest.mark.parametrize("k", [5, 7])
+def test_dense_spectrum_ranking_matches_the_oracle(k):
+    # half of all k-mers are solid at solid_min 1, with counts 1-3, so most
+    # weak windows have several solid neighbours, many of them tied
+    rng = random.Random(k)
+    kmers = ["".join(p) for p in itertools.product("ACGT", repeat=k)]
+    counts = {kmer: rng.randint(1, 3) for kmer in rng.sample(kmers, len(kmers) // 2)}
+    spectrum = spectrum_of(counts, k)
+    reads = _messy_reads(rng, generate_genome(400, seed=k), 150)
+    for max_edits in (1, 2, 3):
+        config = KSpectrumConfig(k, solid_min=1, max_edits=max_edits)
+        fixed = kspectrum_correct(reads, config, spectrum=spectrum)
+        for read, got in zip(reads, fixed):
+            want = oracle_correct_read(read, k, 1, max_edits, counts)
+            assert got.sequence == want.sequence
 
 
 @pytest.mark.parametrize("k", [7, 8, 9])
