@@ -23,17 +23,15 @@ an N or a separator, and the rest go into one buffer, one slot per in-read
 window, which is sorted and cut into runs of equal codes.
 
 The corrector advances every read through the same scan position together,
-one position per round.  Most weak windows have no solid neighbour at all,
-so the search first checks the window's halves: with h = k // 2, its head is
-its first h bases and its tail its last k - h.  A replacement at offset h or
-later leaves the head as it is, so it can only be solid if some solid k-mer
-starts with that head; one before h leaves the tail, which some solid k-mer
-must then end with.  The candidates of a half that fails this test could
-only count 0, so they are never looked up, and a window whose halves both
-fail is not searched.  An unknown base is no exception: only its own offset
-can be fixed, and the other half of the window is all ACGT.  Of the
-candidates in the halves that pass, only the few found solid, about one per
-weak window, are ranked: by count, highest first, then by code.
+one position per round, and looks every window up in an exact hash index of
+the solid k-mers.  A weak window's solid neighbours come from sorted runs:
+with h = k // 2, a replacement at offset h or later keeps the window's first
+h bases (its head), so it can only give a solid k-mer of the run that shares
+the head; one before h keeps the last k - h (the tail), and the run that
+shares the tail.  Of the two runs, the k-mers one base from the window are
+its solid neighbours; they are expanded a block at a time, and ranked: by
+count, highest first, then by code.  A window with an unknown base, read as
+A, may change only that base.
 
 External tools run through a command template with ``{input}``, ``{output}``
 and exactly one tunable placeholder (``{k}`` or ``{GL}``).  Exchange happens
@@ -62,6 +60,9 @@ DEFAULT_MAX_EDITS = 2
 # Windows per block of ``kmer_spectrum``: a block's pieces take a few MB,
 # where a whole-set build would hold a set-sized array per piece.
 _SPECTRUM_BLOCK = 1 << 16
+# Candidates per block of the corrector's neighbour search, for the same
+# reason: a round's runs, expanded whole, can take hundreds of MB.
+_NEIGHBOUR_BLOCK = 1 << 15
 
 
 class GainUndefinedError(ValueError):
@@ -89,11 +90,28 @@ class KmerSpectrum:
     """The distinct ACGT k-mers of a read set as sorted ``uint64`` codes
     (``seqio.encode_word``'s), with their ``int64`` counts.
 
-    There is no ``==``: numpy arrays make dataclass equality ambiguous."""
+    There is no ``==``: numpy arrays make dataclass equality ambiguous.
+    A bad spectrum is refused, since the corrector would take it silently."""
 
     k: int
     codes: np.ndarray
     counts: np.ndarray
+
+    def __post_init__(self) -> None:
+        check_k(self.k)
+        codes, counts = self.codes, self.counts
+        if not (codes.dtype == np.uint64 and counts.dtype.kind in "iu"
+                and codes.ndim == 1 and codes.shape == counts.shape):
+            raise ValueError(
+                "spectrum codes must be flat uint64 and counts integers of one "
+                f"length, got {codes.dtype} {codes.shape}, {counts.dtype} {counts.shape}"
+            )
+        if np.any(codes[1:] <= codes[:-1]):
+            raise ValueError("spectrum codes must be strictly ascending")
+        if len(codes) and int(codes[-1]) >= 4**self.k:
+            raise ValueError(f"spectrum code {int(codes[-1])} is not a {self.k}-mer")
+        if len(counts) and counts.min() < 1:
+            raise ValueError("spectrum counts must be at least 1")
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -177,51 +195,110 @@ class KSpectrumConfig:
 class _SolidCounts:
     """The solid k-mers of a spectrum, looked up for many codes at once.
 
-    Most queried codes are absent, so a table of occupied hash slots, at
-    most one in 16 set, rules most of them out before the binary search.
-    ``heads`` and ``tails`` hold the distinct first ``k // 2`` and last
-    ``k - k // 2`` bases of the solid k-mers, as codes."""
+    ``table`` is an exact hash index: each slot holds the index in ``codes``
+    of one key, or -1.  Keys go in the order of their home slots, each to its
+    home or the first free slot after it, so a key sits at most ``reach``
+    slots past its home and an empty home means the key is absent.
+
+    ``run_codes`` and ``run_counts`` are the solid k-mers sorted by code,
+    then again stable-sorted by tail.  With h = k // 2, the k-mers whose
+    first h bases are ``heads[i]`` are ``run_codes[head_runs[i + 1] :
+    head_runs[i + 2]]``; those whose last k - h are ``tails[i]``, the same
+    slice by ``tail_runs``; i = -1 gives an empty slice."""
 
     def __init__(
         self, codes: np.ndarray, counts: np.ndarray, solid_min: int, k: int
     ) -> None:
         solid = counts >= solid_min
-        self.codes = codes[solid]
-        self.counts = counts[solid]
-        bits = max(10, (16 * len(self.codes)).bit_length())
-        self.shift = np.uint64(64 - bits)
-        self.occupied = np.zeros(1 << bits, bool)
-        self.occupied[self._slot(self.codes)] = True
+        codes, counts, n, self.k = codes[solid], counts[solid], int(solid.sum()), k
         self.head_shift = np.uint64(2 * (k - k // 2))
         self.tail_mask = np.uint64((1 << 2 * (k - k // 2)) - 1)
-        self.heads = _sorted_set(self.codes >> self.head_shift)
-        self.tails = _sorted_set(self.codes & self.tail_mask)
+        by_tail = np.argsort(codes & self.tail_mask, kind="stable")
+        self.run_codes = np.concatenate((codes, codes[by_tail]))
+        self.run_counts = np.concatenate((counts, counts[by_tail]))
+        self.codes = self.run_codes[:n]
+        self.heads, self.head_runs = _runs(self.codes >> self.head_shift)
+        self.tails, self.tail_runs = _runs(self.run_codes[n:] & self.tail_mask)
+        self.tail_runs += n
+        # at most one slot in four taken, so few keys sit past their homes
+        bits = max(10, (4 * n).bit_length())
+        self.shift = np.uint64(64 - bits)
+        home = self._home(self.codes)
+        order = np.argsort(home, kind="stable")
+        rank = np.arange(n)
+        slot = rank + np.maximum.accumulate(home[order] - rank)
+        self.reach = int((slot - home[order]).max(initial=0))
+        self.table = np.full((1 << bits) + self.reach, -1, np.int32)
+        self.table[slot] = order
 
-    def _slot(self, codes: np.ndarray) -> np.ndarray:
-        return (codes * np.uint64(0x9E3779B97F4A7C15)) >> self.shift
+    def _home(self, codes: np.ndarray) -> np.ndarray:
+        # the top bits of a 64-bit product: below 2**63, so a view as int64
+        return ((codes * np.uint64(0x9E3779B97F4A7C15)) >> self.shift).view(np.int64)
 
-    def hits(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The positions of the solid codes in the flat ``query``, ascending,
-        and their counts."""
-        maybe = np.flatnonzero(self.occupied[self._slot(query)])
-        i = find_sorted(self.codes, query[maybe])
-        hit = i >= 0
-        return maybe[hit], self.counts[i[hit]]
+    def index(self, query: np.ndarray) -> np.ndarray:
+        """The index of each query in ``codes``, or -1 where absent."""
+        if not len(self.codes):
+            return np.full(len(query), -1, np.int64)
+        home = self._home(query)
+        at = self.table[home]
+        # an empty home (-1) reads the last code, but then the query is absent
+        hit = self.codes[at] == query
+        found = np.where(hit, at, -1)
+        # a query whose home holds another key may sit up to reach slots on
+        moved = np.flatnonzero((at >= 0) & ~hit)
+        if self.reach and len(moved):
+            at = self.table[home[moved, None] + np.arange(1, self.reach + 1)]
+            match = (at >= 0) & (self.codes[at] == query[moved, None])
+            got = np.flatnonzero(match.any(1))
+            found[moved[got]] = at[got, match[got].argmax(1)]
+        return found
 
-    def halves(self, kmers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Whether each k-mer's head, and its tail, starts or ends a solid k-mer."""
-        return (
-            find_sorted(self.heads, kmers >> self.head_shift) >= 0,
-            find_sorted(self.tails, kmers & self.tail_mask) >= 0,
-        )
+    def neighbours(
+        self, kmers: np.ndarray, unknown: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The solid k-mers one base from each of ``kmers``, as four arrays:
+        k-mer, count, code, offset.  ``unknown`` is the offset of each
+        k-mer's unknown base, read as A, or -1; a k-mer holding one may
+        change only that base, to any of the four."""
+        k, h = self.k, self.k // 2
+        heads = find_sorted(self.heads, kmers >> self.head_shift) + 1
+        tails = find_sorted(self.tails, kmers & self.tail_mask) + 1
+        # every k-mer's head run, then every k-mer's tail run
+        lo = np.concatenate((self.head_runs[heads], self.tail_runs[tails]))
+        hi = np.concatenate((self.head_runs[heads + 1], self.tail_runs[tails + 1]))
+        sizes = hi - lo
+        ends = np.cumsum(sizes)
+        # a candidate's place in the flattened runs, plus this, is its index
+        offset = hi - ends
+        found = [tuple(np.empty(0, t) for t in (np.int64, np.int64, np.uint64, np.int64))]
+        first = 0
+        while first < len(lo):
+            # the next runs, up to _NEIGHBOUR_BLOCK candidates, or one run
+            spent = ends[first - 1] if first else 0
+            last = max(first + 1, int(np.searchsorted(ends, spent + _NEIGHBOUR_BLOCK, "right")))
+            r = np.repeat(np.arange(first, last), sizes[first:last])
+            i = np.arange(spent, ends[last - 1]) + offset[r]
+            w, y = r % len(kmers), self.run_codes[i]
+            d = kmers[w] ^ y
+            m = (d | d >> 1) & np.uint64(0x5555555555555555)
+            one = np.flatnonzero((m & (m - 1)) == 0)
+            w, i, y, m = w[one], i[one], y[one], m[one]
+            # the offset of the one base that differs; the k-mer itself
+            # replaces its unknown base with A, taken from the run of the
+            # half that holds that base
+            u = unknown[w]
+            j = np.where(m == 0, u, k - 1 - (np.frexp(m.astype(np.float64))[1] - 1) // 2)
+            ok = ((u < 0) | (j == u)) & (j >= 0) & ((i < len(self.codes)) == (j >= h))
+            found.append((w[ok], self.run_counts[i[ok]], y[ok], j[ok]))
+            first = last
+        return tuple(np.concatenate(parts) for parts in zip(*found))
 
 
-def _sorted_set(values: np.ndarray) -> np.ndarray:
-    """The distinct ``values``, ascending, as ``np.unique`` gives them; on
-    the halves of solid k-mers, sorting and dropping repeats is over ten
-    times faster than its hashing."""
-    values = np.sort(values)
-    return values[_run_firsts(values)]
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct sorted ``values`` and the bounds of their runs: the
+    i-th run is ``bounds[i + 1] : bounds[i + 2]``, after an empty one."""
+    first = _run_firsts(values)
+    return values[first], np.concatenate(([0], np.flatnonzero(first), [len(values)]))
 
 
 def _run_firsts(values: np.ndarray) -> np.ndarray:
@@ -240,9 +317,7 @@ def _correct_packed(
     solid: _SolidCounts,
 ) -> None:
     """Run the scan over every read at once, round i examining window i of
-    each read still scanning.  Edits are written into ``bases``.
-    Each half of a window's offsets is searched only if the half that its
-    replacements keep passes ``solid.halves`` (see the module docstring)."""
+    each read still scanning.  Edits are written into ``bases``."""
     scanning = (lengths >= k) & (max_edits > 0)
     at = starts[scanning]  # where each scanning read's current window starts
     stop = at + lengths[scanning] - k
@@ -256,35 +331,21 @@ def _correct_packed(
         kmers |= column & 3
         broken += column == 4
     edits = np.zeros(len(at), np.int64)
-    keep = ~(np.uint64(3) << shifts)
-    placed = np.arange(4, dtype=np.uint64) << shifts[:, None]  # (k, 4)
     width_mask = np.uint64((1 << 2 * k) - 1)
-    # the offsets whose replacement keeps the tail, and those keeping the head
-    spans = (offsets[: k // 2], offsets[k // 2 :])
     while len(at):
-        insolid = np.ones(len(at), bool)
-        insolid[solid.hits(kmers)[0]] = False
         # a window with two unknown bases has no solid single-base neighbour
-        weak = np.flatnonzero((insolid | (broken > 0)) & (broken <= 1))
-        head_ok, tail_ok = solid.halves(kmers[weak])
-        found = []
-        for span, units in zip(spans, (weak[tail_ok], weak[head_ok])):
-            if not len(span):
-                continue
-            # units in blocks, so a block's candidates stay small
-            step = max(1, 16384 // len(span))
-            for s in range(0, len(units), step):
-                found.append(_solid_neighbours(
-                    solid, bases, at, kmers, broken, units[s : s + step],
-                    span, keep, placed,
-                ))
-        if found:
-            w, count, kmer, j = (np.concatenate(parts) for parts in zip(*found))
+        weak = np.flatnonzero(((solid.index(kmers) < 0) | (broken > 0)) & (broken <= 1))
+        unknown = np.full(len(weak), -1)
+        one = np.flatnonzero(broken[weak])
+        if len(one):
+            unknown[one] = np.argmax(bases[at[weak[one], None] + offsets] == 4, axis=1)
+        w, count, kmer, j = solid.neighbours(kmers[weak], unknown)
+        if len(w):
             # each window's best neighbour: highest count, then smallest
             # code; a window's candidates all differ, so no two tie on both
             order = np.lexsort((kmer, -count, w))
             best = order[_run_firsts(w[order])]
-            fix, kmer, j = w[best], kmer[best], j[best]
+            fix, kmer, j = weak[w[best]], kmer[best], j[best]
             pos = at[fix] + j
             broken[fix] -= bases[pos] == 4
             bases[pos] = (kmer >> shifts[j]) & 3
@@ -299,30 +360,6 @@ def _correct_packed(
         kmers = ((kmers << 2) | (incoming & 3)) & width_mask
         broken += incoming == 4
         broken -= bases[at - 1] == 4
-
-
-def _solid_neighbours(
-    solid: _SolidCounts,
-    bases: np.ndarray,
-    at: np.ndarray,
-    kmers: np.ndarray,
-    broken: np.ndarray,
-    units: np.ndarray,
-    span: np.ndarray,
-    keep: np.ndarray,
-    placed: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The solid single-base replacements at the offsets ``span`` of the
-    windows ``units`` (which start at ``at``, with codes ``kmers`` and
-    ``broken`` unknown bases), as four arrays: window, count, code, offset."""
-    cand = ((kmers[units, None] & keep[span])[:, :, None] | placed[span]).ravel()
-    pos, count = solid.hits(cand)
-    w = units[pos // (4 * len(span))]
-    j = span[pos // 4 % len(span)]
-    # the unchanged base gives the window itself, insolid; with an unknown
-    # base, only the offset replacing it can be solid
-    ok = (broken[w] == 0) | (bases[at[w] + j] == 4)
-    return w[ok], count[ok], cand[pos[ok]], j[ok]
 
 
 def kspectrum_correct(

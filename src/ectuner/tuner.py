@@ -2,9 +2,11 @@
 
 The objective for a candidate value k is the language-model perplexity of the
 corrected sample: correct the fixed sample at k, score it, memoize.  From a
-starting point the climber evaluates k and its two step-neighbors, stops if k
-beats both (a strict local minimum; reported as ``boundary`` when one
-neighbor lies outside the range), and otherwise moves to the lower neighbor,
+starting point (each of ``initials``, else the middle value of the lattice
+lower, lower + step, ... up to upper) the climber evaluates k and its two
+step-neighbors, stops if k beats both (a strict local minimum; reported as
+``boundary`` when one neighbor lies outside the range), and otherwise moves
+to the lower neighbor,
 spending one unit of iteration budget per move.  Neighbors outside
 [lower, upper] are treated as infinitely bad and are never evaluated.  With
 memoization a full run costs at most floor((upper - lower) / step) + 1
@@ -48,7 +50,9 @@ class SearchSpace:
 
     @property
     def midpoint(self) -> int:
-        return (self.lower + self.upper) // 2
+        """The middle of the lattice lower, lower + step, ... up to upper,
+        rounded down, so the climb meets only values a sweep would try."""
+        return self.lower + self.step * ((self.upper - self.lower) // self.step // 2)
 
     def start_points(self) -> tuple[int, ...]:
         return self.initials if self.initials else (self.midpoint,)

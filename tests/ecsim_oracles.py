@@ -110,3 +110,19 @@ def oracle_gain_counts(
             elif c != t:
                 fp += 1
     return tp, fp, errors
+
+
+def oracle_neighbours(
+    windows: list[str], spectrum: dict[str, int], solid_min: int
+) -> set[tuple[int, int, str, int]]:
+    """Every solid single-base replacement of each window, as (window, count,
+    k-mer, offset): three bases at each offset, or the four at an N; a
+    replacement that leaves an N is never solid."""
+    found = set()
+    for w, window in enumerate(windows):
+        for p, cur in enumerate(window):
+            for b in "ACGT":
+                cand = window[:p] + b + window[p + 1 :]
+                if b != cur and spectrum.get(cand, 0) >= solid_min:
+                    found.add((w, spectrum[cand], cand, p))
+    return found

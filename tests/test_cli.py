@@ -326,6 +326,30 @@ def test_tune_writes_search_trace_and_corrected_reads(tmp_path, capsys):
     assert cfg["k_min"] == 9 and cfg["k_max"] == 13 and cfg["delta"] == 2
 
 
+@pytest.mark.parametrize(
+    "k_min, k_max, start, values",
+    [("3", "5", 3, {3, 5}), ("9", "23", 15, {9, 11, 13, 15, 17, 19, 21, 23})],
+)
+def test_tune_starts_on_the_delta_lattice(tmp_path, capsys, k_min, k_max, start, values):
+    genome = generate_genome(1200, seed=31)
+    reads = sample_clean_reads(genome, n=400, read_len=40, seed=32)
+    path = str(tmp_path / "reads.fastq")
+    write_fastq(reads, path)
+    out_dir = str(tmp_path / "tuned")
+    rc = main(
+        ["tune", "--reads", path, "--out-dir", out_dir,
+         "--k-min", k_min, "--k-max", k_max, "--sample-n", "100"]
+    )
+    assert rc == 0
+    capsys.readouterr()
+    with open(os.path.join(out_dir, "search.json")) as fh:
+        trace = json.load(fh)["searches"][0]["trace"]
+    assert trace[0][0] == start
+    assert {value for value, _ in trace} <= values
+    if k_max == "5":
+        assert {value for value, _ in trace} == values
+
+
 def test_tune_accepts_explicit_starting_points(tmp_path, capsys):
     genome = generate_genome(1200, seed=31)
     reads = sample_clean_reads(genome, n=400, read_len=40, seed=32)

@@ -101,6 +101,26 @@ def test_kmer_spectrum_peak_memory(tune_default_reads, k):
     assert peak <= 7.5e6
 
 
+# tracemalloc peaks of the correction alone, in bytes, before the neighbour
+# search took runs (tune_default_reads, explicit spectrum); the margin is
+# about one block of candidates, 2**15 at some 60 bytes each
+_CORRECTION_PEAK = {9: 3.29e6, 17: 3.11e6, 25: 3.22e6}
+
+
+@pytest.mark.parametrize("k", [9, 17, 25])
+def test_correction_peak_memory(tune_default_reads, k):
+    # at k = 9 the head runs of a 10 kb genome hold about 40 k-mers each,
+    # so a round's runs expanded whole would peak near 18 MB
+    spectrum = kmer_spectrum(tune_default_reads, k)
+    tracemalloc.start()
+    try:
+        kspectrum_correct(tune_default_reads, KSpectrumConfig(k), spectrum)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _CORRECTION_PEAK[k] + 2e6
+
+
 def test_kspectrum_config_validation():
     with pytest.raises(ValueError):
         KSpectrumConfig(k=0)
@@ -291,6 +311,30 @@ def test_explicit_spectrum_must_be_a_kmer_spectrum_of_the_same_k():
             kspectrum_correct(rs, config, spectrum=spectrum)
     fixed = kspectrum_correct(rs, config, spectrum=spectrum_of({"AAA": 5}, 3))
     assert fixed[0].sequence == "AAAAAAA"
+
+
+def test_malformed_explicit_spectra_are_refused():
+    good = spectrum_of({"AAA": 5, "ACA": 4, "TTT": 3}, 3)
+    codes, counts = good.codes, good.counts
+    cases = [
+        (codes[::-1], counts[::-1], "strictly ascending"),
+        (codes[[0, 0, 1]], counts, "strictly ascending"),
+        (codes, counts[:2], "of one length"),
+        (codes.reshape(1, 3), counts.reshape(1, 3), "must be flat"),
+        (np.append(codes[:2], np.uint64(64)), counts, "code 64 is not a 3-mer"),
+        (codes, np.array([5, 0, 3]), "at least 1"),
+        (codes.astype(np.int64), counts, "flat uint64"),
+        (codes, counts.astype(float), "counts integers"),
+    ]
+    for bad_codes, bad_counts, message in cases:
+        with pytest.raises(ValueError, match=message):
+            KmerSpectrum(3, bad_codes, bad_counts)
+    with pytest.raises(ValueError, match="limit of 32"):
+        KmerSpectrum(33, codes, counts)
+    rs = ReadSet((Read("r", "ACAAT"),))
+    fixed = kspectrum_correct(rs, KSpectrumConfig(3, 3, 1), good)
+    assert fixed[0] == oracle_correct_read(rs[0], 3, 3, 1, as_dict(good))
+    assert len(KmerSpectrum(32, np.array([2**64 - 1], np.uint64), np.array([1]))) == 1
 
 
 def test_kmer_spectrum_is_sorted_codes_and_counts():

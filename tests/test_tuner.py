@@ -49,6 +49,36 @@ def test_search_space_validation():
     assert SearchSpace(lower=9, upper=25, initials=(9, 25)).start_points() == (9, 25)
 
 
+@pytest.mark.parametrize(
+    "lower, upper, step, midpoint",
+    [(9, 25, 2, 17), (9, 13, 2, 11), (3, 5, 2, 3), (9, 23, 2, 15), (9, 24, 2, 15),
+     (9, 25, 4, 17), (9, 20, 3, 12), (5, 5, 2, 5), (4, 9, 1, 6)],
+)
+def test_midpoint_lies_on_the_step_lattice(lower, upper, step, midpoint):
+    space = SearchSpace(lower=lower, upper=upper, step=step)
+    assert space.midpoint == midpoint
+    assert (space.midpoint - lower) % step == 0 and lower <= space.midpoint <= upper
+
+
+def test_a_two_value_range_evaluates_both_values():
+    # the old midpoint of 3..5 was 4: it evaluated k=4 alone, its neighbours
+    # 2 and 6 being out of range, and reported a boundary
+    space = SearchSpace(lower=3, upper=5, step=2)
+    f, calls = _spy(lambda k: float(k), space)
+    res = climb(f, space.midpoint, space)
+    assert sorted(calls) == [3, 5]
+    assert res.best_value == 3
+
+
+def test_an_even_width_range_climbs_through_its_own_values():
+    # 9..23 used to start at 16 and climb the even k only
+    space = SearchSpace(lower=9, upper=23, step=2)
+    f, calls = _spy(lambda k: (k - 11) ** 2 + 1.0, space)
+    res = climb(f, space.midpoint, space)
+    assert calls[0] == 15 and all(k % 2 for k in calls)
+    assert res.best_value == 11 and res.termination == TERM_LOCAL_MINIMUM
+
+
 def test_climb_stops_at_immediate_local_minimum():
     space = SearchSpace(lower=9, upper=25, step=2, iter_max=30)
     f, calls = _spy(lambda k: (k - 17) ** 2 + 10.0, space)
