@@ -29,9 +29,11 @@ with h = k // 2, a replacement at offset h or later keeps the window's first
 h bases (its head), so it can only give a solid k-mer of the run that shares
 the head; one before h keeps the last k - h (the tail), and the run that
 shares the tail.  Of the two runs, the k-mers one base from the window are
-its solid neighbours; they are expanded a block at a time, and ranked: by
-count, highest first, then by code.  A window with an unknown base, read as
-A, may change only that base.
+its solid neighbours.  A run grows as 4^-h of the solid set, so a half whose
+run is longer than a few times its 3 single-base changes per offset probes
+the hash index with those changes instead.  Candidates are expanded a block
+at a time, and the neighbours ranked: by count, highest first, then by code.
+A window with an unknown base, read as A, may change only that base.
 
 External tools run through a command template with ``{input}``, ``{output}``
 and exactly one tunable placeholder (``{k}`` or ``{GL}``).  Exchange happens
@@ -62,7 +64,10 @@ DEFAULT_MAX_EDITS = 2
 _SPECTRUM_BLOCK = 1 << 16
 # Candidates per block of the corrector's neighbour search, for the same
 # reason: a round's runs, expanded whole, can take hundreds of MB.
-_NEIGHBOUR_BLOCK = 1 << 15
+_NEIGHBOUR_BLOCK = 1 << 14
+# About how many run candidates one probe of the hash index costs, as timed
+# on 200 kb and 1 Mb genomes at k = 11..17
+_PROBE_COST = 4
 
 
 class GainUndefinedError(ValueError):
@@ -91,7 +96,8 @@ class KmerSpectrum:
     (``seqio.encode_word``'s), with their ``int64`` counts.
 
     There is no ``==``: numpy arrays make dataclass equality ambiguous.
-    A bad spectrum is refused, since the corrector would take it silently."""
+    ``kmer_spectrum`` builds them well formed; ``check`` refuses a bad one
+    passed in from outside, which the corrector would take silently."""
 
     k: int
     codes: np.ndarray
@@ -99,6 +105,10 @@ class KmerSpectrum:
 
     def __post_init__(self) -> None:
         check_k(self.k)
+
+    def check(self) -> None:
+        """Raise ValueError unless the codes are flat, strictly ascending
+        ``uint64`` k-mers and the counts integers of one length, all >= 1."""
         codes, counts = self.codes, self.counts
         if not (codes.dtype == np.uint64 and counts.dtype.kind in "iu"
                 and codes.ndim == 1 and codes.shape == counts.shape):
@@ -204,7 +214,8 @@ class _SolidCounts:
     then again stable-sorted by tail.  With h = k // 2, the k-mers whose
     first h bases are ``heads[i]`` are ``run_codes[head_runs[i + 1] :
     head_runs[i + 2]]``; those whose last k - h are ``tails[i]``, the same
-    slice by ``tail_runs``; i = -1 gives an empty slice."""
+    slice by ``tail_runs``; i = -1 gives an empty slice.  ``flips`` holds
+    the XOR of every single-base change of a half, for probing."""
 
     def __init__(
         self, codes: np.ndarray, counts: np.ndarray, solid_min: int, k: int
@@ -220,6 +231,11 @@ class _SolidCounts:
         self.heads, self.head_runs = _runs(self.codes >> self.head_shift)
         self.tails, self.tail_runs = _runs(self.run_codes[n:] & self.tail_mask)
         self.tail_runs += n
+        # the XOR of each single-base change at offsets 0..h-1, then 0 (the
+        # k-mer itself), then those at offsets h..k-1, then 0
+        flips = [b << 2 * (k - 1 - j) for j in range(k) for b in (1, 2, 3)]
+        flips.insert(3 * (k // 2), 0)
+        self.flips = np.array(flips + [0], np.uint64)
         # at most one slot in four taken, so few keys sit past their homes
         bits = max(10, (4 * n).bit_length())
         self.shift = np.uint64(64 - bits)
@@ -260,35 +276,47 @@ class _SolidCounts:
         k-mer, count, code, offset.  ``unknown`` is the offset of each
         k-mer's unknown base, read as A, or -1; a k-mer holding one may
         change only that base, to any of the four."""
-        k, h = self.k, self.k // 2
+        k, h, n = self.k, self.k // 2, len(kmers)
         heads = find_sorted(self.heads, kmers >> self.head_shift) + 1
         tails = find_sorted(self.tails, kmers & self.tail_mask) + 1
-        # every k-mer's head run, then every k-mer's tail run
+        # every k-mer's head half (offsets h..k-1, found in its head run),
+        # then every k-mer's tail half (offsets 0..h-1, in its tail run)
         lo = np.concatenate((self.head_runs[heads], self.tail_runs[tails]))
-        hi = np.concatenate((self.head_runs[heads + 1], self.tail_runs[tails + 1]))
-        sizes = hi - lo
+        sizes = np.concatenate((self.head_runs[heads + 1], self.tail_runs[tails + 1])) - lo
+        # a half whose run is longer than _PROBE_COST times its list in
+        # ``flips`` probes the hash index with the k-mer's flips instead
+        flips = np.repeat([3 * (k - h) + 1, 3 * h + 1], n)
+        probe = sizes > _PROBE_COST * flips
+        sizes[probe] = flips[probe]
+        lo[probe] = np.repeat([3 * h + 1, 0], n)[probe]
         ends = np.cumsum(sizes)
-        # a candidate's place in the flattened runs, plus this, is its index
-        offset = hi - ends
+        # a candidate's place in the flattened halves, plus this, is its index
+        offset = lo + sizes - ends
         found = [tuple(np.empty(0, t) for t in (np.int64, np.int64, np.uint64, np.int64))]
         first = 0
         while first < len(lo):
-            # the next runs, up to _NEIGHBOUR_BLOCK candidates, or one run
+            # the next halves, up to _NEIGHBOUR_BLOCK candidates, or one half
             spent = ends[first - 1] if first else 0
             last = max(first + 1, int(np.searchsorted(ends, spent + _NEIGHBOUR_BLOCK, "right")))
             r = np.repeat(np.arange(first, last), sizes[first:last])
+            # a run candidate's index in run_codes; a probe's in codes, or -1
             i = np.arange(spent, ends[last - 1]) + offset[r]
-            w, y = r % len(kmers), self.run_codes[i]
-            d = kmers[w] ^ y
+            w = r % n
+            x = kmers[w]
+            p = np.flatnonzero(probe[r])
+            if len(p):
+                i[p] = self.index(x[p] ^ self.flips[i[p]])
+            y = self.run_codes[i]
+            d = x ^ y
             m = (d | d >> 1) & np.uint64(0x5555555555555555)
-            one = np.flatnonzero((m & (m - 1)) == 0)
-            w, i, y, m = w[one], i[one], y[one], m[one]
+            one = np.flatnonzero(((m & (m - 1)) == 0) & (i >= 0))
+            r, w, i, y, m = r[one], w[one], i[one], y[one], m[one]
             # the offset of the one base that differs; the k-mer itself
-            # replaces its unknown base with A, taken from the run of the
-            # half that holds that base
+            # replaces its unknown base with A, taken from the half that
+            # holds that base
             u = unknown[w]
             j = np.where(m == 0, u, k - 1 - (np.frexp(m.astype(np.float64))[1] - 1) // 2)
-            ok = ((u < 0) | (j == u)) & (j >= 0) & ((i < len(self.codes)) == (j >= h))
+            ok = ((u < 0) | (j == u)) & (j >= 0) & ((r < n) == (j >= h))
             found.append((w[ok], self.run_counts[i[ok]], y[ok], j[ok]))
             first = last
         return tuple(np.concatenate(parts) for parts in zip(*found))
@@ -371,12 +399,14 @@ def kspectrum_correct(
 
     The spectrum defaults to the one counted from ``readset`` itself; pass one
     explicitly to correct a subsample against fuller counts.  An explicit
-    spectrum must be a ``KmerSpectrum`` of ``config.k``.
+    spectrum must be a well-formed ``KmerSpectrum`` of ``config.k``.
     """
     if spectrum is None:
         spectrum = kmer_spectrum(readset, config.k)
     elif not (isinstance(spectrum, KmerSpectrum) and spectrum.k == config.k):
         raise ValueError(f"spectrum must be a KmerSpectrum of k={config.k}")
+    else:
+        spectrum.check()
     solid = _SolidCounts(spectrum.codes, spectrum.counts, config.solid_min, config.k)
     bases = readset.codes.copy()
     _correct_packed(

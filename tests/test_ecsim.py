@@ -103,7 +103,7 @@ def test_kmer_spectrum_peak_memory(tune_default_reads, k):
 
 # tracemalloc peaks of the correction alone, in bytes, before the neighbour
 # search took runs (tune_default_reads, explicit spectrum); the margin is
-# about one block of candidates, 2**15 at some 60 bytes each
+# about one block of candidates, 2**14 at some 120 bytes each
 _CORRECTION_PEAK = {9: 3.29e6, 17: 3.11e6, 25: 3.22e6}
 
 
@@ -326,15 +326,16 @@ def test_malformed_explicit_spectra_are_refused():
         (codes.astype(np.int64), counts, "flat uint64"),
         (codes, counts.astype(float), "counts integers"),
     ]
+    rs = ReadSet((Read("r", "ACAAT"),))
     for bad_codes, bad_counts, message in cases:
         with pytest.raises(ValueError, match=message):
-            KmerSpectrum(3, bad_codes, bad_counts)
+            kspectrum_correct(rs, KSpectrumConfig(3, 1, 1), KmerSpectrum(3, bad_codes, bad_counts))
     with pytest.raises(ValueError, match="limit of 32"):
         KmerSpectrum(33, codes, counts)
-    rs = ReadSet((Read("r", "ACAAT"),))
     fixed = kspectrum_correct(rs, KSpectrumConfig(3, 3, 1), good)
     assert fixed[0] == oracle_correct_read(rs[0], 3, 3, 1, as_dict(good))
-    assert len(KmerSpectrum(32, np.array([2**64 - 1], np.uint64), np.array([1]))) == 1
+    top = KmerSpectrum(32, np.array([2**64 - 1], np.uint64), np.array([1]))
+    top.check()
 
 
 def test_kmer_spectrum_is_sorted_codes_and_counts():

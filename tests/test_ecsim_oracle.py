@@ -1,9 +1,10 @@
 """The corrector's solid k-mer lookups against brute force.
 
 ``_SolidCounts.neighbours`` takes a window's solid single-base neighbours
-from the runs of solid k-mers that share the window's head or its tail;
-here it is checked against every single-base replacement of the window,
-made one at a time (``oracle_neighbours``).  ``_SolidCounts.index``, the
+from the runs of solid k-mers that share the window's head or its tail, or,
+for a half whose run is long, from probes of the hash index; here it is
+checked against every single-base replacement of the window, made one at a
+time (``oracle_neighbours``).  ``_SolidCounts.index``, the
 exact hash lookup, is checked against ``seqio.find_sorted``.
 """
 
@@ -105,15 +106,45 @@ def test_run_neighbours_match_brute_force_on_dense_spectra(k, solid_min):
     assert _neighbours(counts, k, solid_min, windows) == want
 
 
+@pytest.mark.parametrize("solid_min", [1, 3])
+def test_long_runs_are_probed_and_match_brute_force(solid_min):
+    # every 8-mer that starts AAAA or ends TTTT is in the spectrum: the head
+    # runs of AAAA windows and the tail runs of TTTT windows hold 256 k-mers,
+    # more than their halves' 13 flips, so those halves probe the index,
+    # while the other halves of the same windows take their runs
+    rng = random.Random(8)
+    windows, counts = _cases(rng, 8, 200)
+    for p in itertools.product("ACGT", repeat=4):
+        counts["AAAA" + "".join(p)] = rng.randint(1, 6)
+        counts["".join(p) + "TTTT"] = rng.randint(1, 6)
+    windows += ["AAAA" + w[4:] for w in windows[::2]] + [w[:4] + "TTTT" for w in windows[::2]]
+    want = oracle_neighbours(windows, counts, solid_min)
+    assert _neighbours(counts, 8, solid_min, windows) == want
+    assert any(w.startswith("AAAA") and "N" in w for w in windows)
+    assert any(w.endswith("TTTT") and "N" in w for w in windows)
+
+
+@pytest.mark.parametrize("cost", [0, 2**40])
+@pytest.mark.parametrize("k", [1, 2, 5, 17, 32])
+def test_every_half_probed_or_none_matches_brute_force(k, cost, monkeypatch):
+    # cost 0 probes every half with a nonempty run; 2**40 probes none
+    monkeypatch.setattr(ecsim, "_PROBE_COST", cost)
+    windows, counts = _cases(random.Random(k), k, 200)
+    dense = {"".join(p): 3 for p in itertools.product("ACGT", repeat=k)} if k <= 5 else {}
+    counts = {**counts, **dense}
+    assert _neighbours(counts, k, 3, windows) == oracle_neighbours(windows, counts, 3)
+
+
 @pytest.mark.parametrize("block", [1, 7])
 def test_run_neighbours_are_the_same_in_blocks_of_candidates(block, monkeypatch):
     windows, counts = _cases(random.Random(7), 17, 200)
     want = _neighbours(counts, 17, 2, windows)
     monkeypatch.setattr(ecsim, "_NEIGHBOUR_BLOCK", block)
     assert _neighbours(counts, 17, 2, windows) == want
-    dense = {"".join(p): 3 for p in itertools.product("ACGT", repeat=4)}
-    windows = ["ACGT", "TTTT", "NCGA", "AANA"]
-    assert _neighbours(dense, 4, 3, windows) == oracle_neighbours(windows, dense, 3)
+    # every run of a dense spectrum is probed
+    dense = {"".join(p): 3 for p in itertools.product("ACGT", repeat=5)}
+    windows = ["ACGTA", "TTTTT", "NCGAC", "AANAG", "CATTN"]
+    assert _neighbours(dense, 5, 3, windows) == oracle_neighbours(windows, dense, 3)
 
 
 @pytest.mark.parametrize("k", [1, 2, 17, 32])
