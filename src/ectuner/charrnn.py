@@ -12,17 +12,18 @@ float64 numpy; given a seed, training is bit-reproducible.
 
 Training and scoring read a ``seqio.ReadSet``'s packed base codes: each
 batch's (T, B) input and target codes are cut out of them by index
-arithmetic, padded with 'N' past each read's end.  Scoring takes one block
-of reads at a time, through a forward pass that keeps only the current states
-and each step's target probability, so a block of B reads of at most T + 1
-characters needs O(B * T) memory, never the (T, B, H) state sequence or the
-(T, B, 4) distributions, whatever the size of the read set.  Its scores are
+arithmetic, padded with 'N' past each read's end.  Scoring, and the
+validation loss of each epoch, take one block of reads at a time, through a
+forward pass that keeps only the current states and each step's target
+probability, so a block of B reads of at most T + 1 characters needs
+O(B * T) memory, never the (T, B, H) state sequence or the (T, B, 4)
+distributions, whatever the size of the read set.  Its scores are
 bit-identical to the full forward pass used in training: layer 0's input
 term is a row of [U_0^T; 0], equal to the one-hot product because each of
-that product's terms is a multiply by 1 or by 0; the softmax adds its four
-columns as numpy's last-axis sum does, ((e0 + e1) + e2) + e3; and each
-read's negative log-probabilities, then the reads' sums, are added with
-``math.fsum``.
+that product's terms is a multiply by 1 or by 0; both passes take their
+distributions from one softmax, which adds its four columns as
+((e0 + e1) + e2) + e3; and each read's negative log-probabilities, then the
+reads' sums, are added with ``math.fsum``.
 
 Model file format (little-endian):
 
@@ -37,7 +38,6 @@ Model file format (little-endian):
 
 from __future__ import annotations
 
-import hashlib
 import math
 import struct
 from dataclasses import dataclass
@@ -51,6 +51,8 @@ from .ngram import (
     PerplexityUndefinedError,
     TrainingError,
     _report,
+    _seal,
+    _unseal,
 )
 from .seqio import VALID_CHARS, ReadSet, base_codes, sample_reads
 
@@ -134,42 +136,34 @@ class RnnLm:
     # -- persistence ------------------------------------------------------
 
     def save(self, path: str) -> None:
-        buf = bytearray()
-        buf += MAGIC
-        buf += struct.pack("<IIII", VERSION, self.n_layers, self.hidden, VOCAB_SIZE)
-        for p in self.params():
-            buf += np.ascontiguousarray(p, dtype="<f8").tobytes()
-        digest = hashlib.sha256(bytes(buf)).digest()
-        with open(path, "wb") as fh:
-            fh.write(bytes(buf))
-            fh.write(digest)
+        header = struct.pack("<IIII", VERSION, self.n_layers, self.hidden, VOCAB_SIZE)
+        weights = (np.ascontiguousarray(p, dtype="<f8").tobytes() for p in self.params())
+        _seal(path, MAGIC + header + b"".join(weights))
 
     @classmethod
     def load(cls, path: str) -> "RnnLm":
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        if len(blob) < 20 or blob[:4] != MAGIC:
-            raise ModelFormatError(f"{path}: not an RNN model file")
-        payload, digest = blob[:-32], blob[-32:]
-        if hashlib.sha256(payload).digest() != digest:
-            raise ModelFormatError(f"{path}: checksum mismatch (corrupt or truncated)")
-        version, layers, hidden, vocab = struct.unpack_from("<IIII", payload, 4)
+        (version, layers, hidden, vocab), body = _unseal(path, MAGIC, "<IIII", "RNN")
         if version != VERSION:
             raise ModelFormatError(f"{path}: unsupported version {version}")
         if vocab != VOCAB_SIZE:
             raise ModelFormatError(f"{path}: unsupported vocabulary size {vocab}")
-        if layers < 1 or hidden < 1:
-            raise ModelFormatError(f"{path}: {layers} layers of {hidden} hidden units")
-        model = cls.init(layers, hidden, seed=0)
-        off = 20
-        for p in model.params():
-            n = p.size * 8
-            if off + n > len(payload):
-                raise ModelFormatError(f"{path}: truncated weight block")
-            p[...] = np.frombuffer(payload[off : off + n], dtype="<f8").reshape(p.shape)
-            off += n
-        if off != len(payload):
+        # U_0 takes 4 inputs and each later U_l hidden; each layer's W_l and
+        # b_l are hidden x hidden and hidden; V is 4 x hidden and c 4 long
+        inputs = VOCAB_SIZE + (layers - 1) * hidden if layers else 0
+        n = hidden * inputs + layers * hidden * (hidden + 1) + VOCAB_SIZE * (hidden + 1)
+        if len(body) < 8 * n:
+            raise ModelFormatError(f"{path}: truncated weight block")
+        if len(body) > 8 * n:
             raise ModelFormatError(f"{path}: trailing bytes after weights")
+        try:
+            model = cls.init(layers, hidden, seed=0)
+        except TrainingError as exc:
+            raise ModelFormatError(f"{path}: {exc}") from None
+        flat = np.frombuffer(body, "<f8")
+        at = 0
+        for p in model.params():
+            p[...] = flat[at : at + p.size].reshape(p.shape)
+            at += p.size
         return model
 
 
@@ -185,12 +179,6 @@ def _one_hot(ids: np.ndarray) -> np.ndarray:
     """int ids of any shape -> one more axis of 4; id 4 ('N') maps to the
     zero vector."""
     return (ids[..., None] == np.arange(VOCAB_SIZE)).astype(float)
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _input_rows(model: RnnLm) -> np.ndarray:
@@ -212,6 +200,17 @@ def _step(model: RnnLm, rows: np.ndarray, cur: list[np.ndarray]) -> np.ndarray:
     return inp
 
 
+def _next_probs(model: RnnLm, top: np.ndarray) -> np.ndarray:
+    """The (4, B) next-character distributions from the top layer's (B, H)
+    states: a softmax over the logit columns, summed as ((e0 + e1) + e2) +
+    e3, the order numpy's last-axis sum of four takes."""
+    logits = (top @ model.V.T + model.c).T
+    top_logit = np.maximum(np.maximum(logits[0], logits[1]),
+                           np.maximum(logits[2], logits[3]))
+    e = np.exp(logits - top_logit)
+    return e / (((e[0] + e[1]) + e[2]) + e[3])
+
+
 def _forward_chunk(model: RnnLm, x_ids: np.ndarray, states: list[np.ndarray]):
     """Run the stack over a (T, B) id chunk.
 
@@ -228,7 +227,7 @@ def _forward_chunk(model: RnnLm, x_ids: np.ndarray, states: list[np.ndarray]):
         top = _step(model, rows[x_ids[t]], cur)
         for l in range(L):
             s_seq[l][t] = cur[l]
-        probs[t] = _softmax(top @ model.V.T + model.c)
+        probs[t] = _next_probs(model, top).T
     return probs, s_seq, cur
 
 
@@ -313,10 +312,13 @@ def _run_batch(model, block, config, update: bool):
         end = min(start + config.unroll, T)
         xs, ys, ms = x[start:end], y[start:end], mask[start:end]
         n = float(ms.sum())
+        count += n
+        if not update:  # no (T, B, H) states are kept for a loss alone
+            loss_sum += float(_score_block(model, xs, ys, ms, states).sum())
+            continue
         probs, s_seq, new_states = _forward_chunk(model, xs, states)
         loss_sum += _masked_ce(probs, ys, ms)
-        count += n
-        if update and n > 0:
+        if n > 0:
             grads = _backward_chunk(
                 model, xs, ys, ms, states, probs, s_seq, loss_scale=1.0 / n
             )
@@ -397,27 +399,21 @@ def forward(model: RnnLm, seq: str) -> np.ndarray:
     return probs[:, 0, :]
 
 
-def _score_block(model: RnnLm, x: np.ndarray, y: np.ndarray, mask: np.ndarray):
+def _score_block(model: RnnLm, x: np.ndarray, y: np.ndarray, mask: np.ndarray,
+                 states: list[np.ndarray] | None = None):
     """Each (T, B) position's negative log-probability of its target, and 0
-    where ``mask`` is 0.
-
-    Only the current states and each step's target probability are kept.
-    The softmax runs on the four logit columns, summing them in the order
-    ``e.sum(axis=-1)`` takes, so every value equals ``_forward_chunk``'s.
-    """
+    where ``mask`` is 0, from ``states`` (zero by default), which are
+    advanced in place.  Only the current states and each step's target
+    probability are kept."""
     T, B = x.shape
     rows = _input_rows(model)
-    cur = model.zero_states(B)
+    cur = model.zero_states(B) if states is None else states
     cols = np.arange(B)
     tgt = np.minimum(y, VOCAB_SIZE - 1)  # masked positions read any column
     p = np.empty((T, B))
     for t in range(T):
         top = _step(model, rows[x[t]], cur)
-        logits = (top @ model.V.T + model.c).T
-        top_logit = np.maximum(np.maximum(logits[0], logits[1]),
-                               np.maximum(logits[2], logits[3]))
-        e = np.exp(logits - top_logit)
-        p[t] = e[tgt[t], cols] / (((e[0] + e[1]) + e[2]) + e[3])
+        p[t] = _next_probs(model, top)[tgt[t], cols]
     # in place, so the block holds one (T, B) float array at a time
     np.maximum(p, 1e-300, out=p)
     np.log(p, out=p)

@@ -92,14 +92,22 @@ def _write_config(resolved: dict, path: str) -> None:
         fh.write(json.dumps(resolved, sort_keys=True, indent=2) + "\n")
 
 
+# each model file's magic: the model's class and the sweep column it fills
+_MODEL_KINDS = {
+    ngram.MAGIC: (ngram.NgramModel, "ngram"),
+    charrnn.MAGIC: (charrnn.RnnLm, "rnn"),
+}
+
+
 def _load_model(path: str):
+    """The model in the file at ``path``, picked by its magic, and the sweep
+    column it fills."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
-    if magic == ngram.MAGIC:
-        return ngram.NgramModel.load(path)
-    if magic == charrnn.MAGIC:
-        return charrnn.RnnLm.load(path)
-    raise ValueError(f"{path}: not a recognized model file")
+    if magic not in _MODEL_KINDS:
+        raise ValueError(f"{path}: not a recognized model file")
+    cls, column = _MODEL_KINDS[magic]
+    return cls.load(path), column
 
 
 def _int_list(value) -> tuple[int, ...] | None:
@@ -119,11 +127,7 @@ def _make_corrector(cfg: dict):
     if cfg["adapter_template"]:
         if cfg["timeout"] is not None and cfg["timeout"] <= 0:
             raise ValueError(f"--timeout must be > 0, got {cfg['timeout']}")
-        adapter = ecsim.ToolAdapter(
-            command_template=cfg["adapter_template"],
-            param_name=cfg["adapter_param"],
-            timeout=cfg["timeout"],
-        )
+        adapter = ecsim.ToolAdapter(cfg["adapter_template"], timeout=cfg["timeout"])
         return ecsim.adapter_corrector(adapter)
     _check_min(cfg, "solid_min", 1)
     _check_min(cfg, "max_edits", 0)
@@ -239,7 +243,8 @@ _CORRECTOR_OPTIONS = {
     "max_edits": Option(int, "edit budget per read", ecsim.DEFAULT_MAX_EDITS),
     "adapter_template": Option(
         str, "external tool command with {input} {output} and {k} or {GL}"),
-    "adapter_param": Option(str, "which placeholder the tool takes", "k", ("k", "GL")),
+    # the template's own placeholder is the one the tool takes
+    "adapter_param": Option(str, "ignored; kept so old command lines run", ignored=True),
     "timeout": Option(float, "external tool timeout in seconds"),
 }
 
@@ -329,7 +334,8 @@ _OPTIONS = {
 
 
 # every key a config file may hold: that of each option not a file path;
-# "threads" is what --threads was recorded as before it was ignored
+# "threads" and "adapter_param" are what --threads and --adapter-param were
+# recorded as before they were ignored
 _KNOWN_KEYS = {key for options in _OPTIONS.values()
                for key, option in options.items() if option.type is not None}
 
@@ -374,7 +380,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_perplexity(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _OPTIONS["perplexity"])
     _check_min(cfg, "sample_n", 1)
-    model = _load_model(args.model)
+    model, _ = _load_model(args.model)
     reads = load_reads(args.reads)
     if cfg["sample_n"] is not None:
         reads = sample_reads(reads, cfg["sample_n"], cfg["seed"])
@@ -488,35 +494,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not args.model:
         _check_lm(cfg)
     corrector = _make_corrector(cfg)
+    # each perplexity column's model, the --model file's by its kind
+    models = {}
+    if args.model:
+        model, column = _load_model(args.model)
+        models[column] = model
+    if args.rnn_model:
+        if "rnn" in models:
+            raise ValueError("--model and --rnn-model both give the RNN column a model")
+        models["rnn"] = charrnn.RnnLm.load(args.rnn_model)
     reads = load_reads(args.reads)
     truth = load_reads(args.truth) if args.truth else None
     _check_k_fits(cfg, reads, values)
-    ngram_lm = None
-    rnn_lm = None
-    if args.model:
-        model = _load_model(args.model)
-        if isinstance(model, ngram.NgramModel):
-            ngram_lm = model
-        else:
-            rnn_lm = model
-    else:
+    if not args.model:
         _say(f"training n-gram model on {len(reads)} reads")
-        ngram_lm, _ = _train_lm(cfg, reads)
-    if args.rnn_model:
-        rnn_lm = charrnn.RnnLm.load(args.rnn_model)
-    failure = None
-    try:
-        report = metrics.sweep(
-            reads,
-            corrector,
-            values,
-            ngram_lm=ngram_lm,
-            rnn_lm=rnn_lm,
-            truth=truth,
-        )
-    except metrics.CorrelationError as exc:
-        # keep every evaluated row; the run still fails below
-        report, failure = exc.report, exc
+        models["ngram"], _ = _train_lm(cfg, reads)
+    report = metrics.sweep(reads, corrector, values, models, truth=truth)
     sys.stdout.write(report.to_tsv())
     if args.tsv_out:
         with open(args.tsv_out, "w") as fh:
@@ -529,8 +522,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             _write_config(cfg, args.json_out + ".config.json")
     for key, r in sorted(report.correlations.items()):
         _say(f"correlation {key}: {r:+.4f}")
-    if failure is not None:
-        raise failure
+    if report.failure is not None:
+        raise report.failure
     return 0
 
 

@@ -433,26 +433,26 @@ def builtin_corrector(
 class ToolAdapter:
     """How to invoke an external corrector.
 
-    ``command_template`` must mention ``{input}``, ``{output}``, and the one
-    tunable placeholder named by ``param_name``; a ``timeout``, in seconds,
-    must be positive.
+    ``command_template`` must mention ``{input}``, ``{output}`` and exactly
+    one tunable placeholder, ``{k}`` or ``{GL}``, which names the tool's
+    ``param_name``; a ``timeout``, in seconds, must be positive.
     """
 
     command_template: str
-    param_name: str = "k"
     timeout: float | None = None
 
     def __post_init__(self) -> None:
-        if self.param_name not in ("k", "GL"):
-            raise ValueError(f"unsupported tunable parameter {self.param_name!r}")
-        for ph in ("{input}", "{output}", "{%s}" % self.param_name):
+        for ph in ("{input}", "{output}"):
             if ph not in self.command_template:
                 raise ValueError(f"command template is missing {ph}")
-        other = "{GL}" if self.param_name == "k" else "{k}"
-        if other in self.command_template:
-            raise ValueError(f"command template mixes {other} with {self.param_name}")
+        if ("{k}" in self.command_template) == ("{GL}" in self.command_template):
+            raise ValueError("command template must hold exactly one of {k} and {GL}")
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError(f"timeout must be positive, got {self.timeout}")
+
+    @property
+    def param_name(self) -> str:
+        return "k" if "{k}" in self.command_template else "GL"
 
 
 def run_external(adapter: ToolAdapter, value: int, readset: ReadSet) -> ReadSet:

@@ -42,7 +42,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from ._rng import StreamBlock, make_rng
-from .seqio import BASES, LETTERS, Read, ReadSet, substrings
+from .seqio import BASES, LETTERS, Read, ReadSet, spans, substrings
 
 KINDS = ("deletion", "insertion", "substitution")
 REGIMES = {"low": (1, 5), "high": (6, 10)}
@@ -252,7 +252,7 @@ def inject_readset(
     # one insertion point per inserted code, which np.insert keeps in order;
     # a dropped code moves up by the codes inserted before it
     put = np.repeat(where[~cut], counts[~cut])
-    drop = np.repeat(where[cut], counts[cut]) + _ramp(counts[cut])
+    drop = spans(where[cut], counts[cut])
     codes = np.insert(codes, put, segments)
     codes = np.delete(codes, drop + np.searchsorted(put, drop))
     lengths = readset.lengths.copy()
@@ -318,7 +318,7 @@ def _inject_block(
     indel_kinds, indel_counts = kinds[indel], counts[indel]
     cut = indel_kinds == _DEL
     where = readset.starts[first + indel[cut]] + at[cut]
-    deleted = readset.codes[np.repeat(where, indel_counts[cut]) + _ramp(indel_counts[cut])]
+    deleted = readset.codes[spans(where, indel_counts[cut])]
     ones = np.ones(len(rows), np.int8)  # counts are at most 10
     old_lengths = np.concatenate((ones, np.where(cut, indel_counts, 0).astype(np.int8)))
     new_lengths = np.concatenate((ones, np.where(cut, 0, indel_counts).astype(np.int8)))
@@ -334,18 +334,12 @@ def _inject_block(
     return changes, (first + indel, indel_kinds, at, indel_counts, segments)
 
 
-def _ramp(lengths: np.ndarray) -> np.ndarray:
-    """0, 1, ..., l - 1 for each l of ``lengths``, one run after another."""
-    ends = np.cumsum(lengths)
-    return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - lengths, lengths)
-
-
 def _regroup(pieces: np.ndarray, lengths: np.ndarray, order: np.ndarray):
     """The pieces of ``lengths``, laid one after another in ``pieces``, laid
     out again in ``order``; returns them and their lengths."""
     starts = (np.cumsum(lengths) - lengths)[order]
     lengths = lengths[order]
-    return pieces[np.repeat(starts, lengths) + _ramp(lengths)], lengths
+    return pieces[spans(starts, lengths)], lengths
 
 
 def _join(blocks) -> list[np.ndarray]:

@@ -1,12 +1,15 @@
 """Parameter sweeps and the perplexity/quality correlation.
 
 A sweep corrects the dataset at every requested parameter value, scores each
-result with the given language model(s), and, when ground truth is supplied,
-computes the per-base correction gain alongside.  Pearson correlations
-between each perplexity column and each quality column summarize how well
-perplexity tracks quality (strongly negative is the useful regime).
-Consecutive values score the dataset with one model, so an n-gram model
-rescores only the reads whose bases changed.
+result with one language model per perplexity column (``perplexity_ngram``,
+``perplexity_rnn`` or both), and, when ground truth is supplied, computes
+the per-base correction gain alongside.  Pearson correlations between each
+perplexity column and each quality column summarize how well perplexity
+tracks quality (strongly negative is the useful regime).  A correlation that
+is undefined is left out, and the report keeps the first such error as its
+``failure``, so a caller can write every row before it fails.  Consecutive
+values score the dataset with one model, so an n-gram model rescores only
+the reads whose bases changed.
 """
 
 from __future__ import annotations
@@ -21,10 +24,7 @@ from .seqio import ReadSet
 
 
 class CorrelationError(ValueError):
-    """A correlation is undefined.  Raised from ``sweep``, it carries the
-    finished ``report``: every row plus the correlations that are defined."""
-
-    report: "SweepReport | None" = None
+    """A correlation is undefined."""
 
 
 def pearson(xs: Iterable[float], ys: Iterable[float]) -> float:
@@ -60,8 +60,12 @@ COLUMNS = ("value", "perplexity_ngram", "perplexity_rnn", "gain", "external_qual
 
 @dataclass(frozen=True)
 class SweepReport:
+    """Every row, the correlations that are defined, and the first error of
+    one that is not (None when all are)."""
+
     rows: tuple[SweepRow, ...]
     correlations: dict[str, float]
+    failure: CorrelationError | None = None
 
     def to_tsv(self) -> str:
         lines = ["\t".join(COLUMNS)]
@@ -88,17 +92,16 @@ def sweep(
     dataset: ReadSet,
     corrector: Callable[[ReadSet, int], ReadSet],
     values: Iterable[int],
-    ngram_lm=None,
-    rnn_lm=None,
+    models: Mapping[str, object],
     truth: ReadSet | None = None,
     external_quality: Mapping[int, float] | None = None,
 ) -> SweepReport:
     """Evaluate every value; one row per distinct value, sorted ascending.
 
-    When a correlation is undefined, raises the first CorrelationError met,
-    with the report of all rows and the defined correlations attached.
+    ``models`` maps a perplexity column's kind, "ngram" or "rnn", to the
+    language model that fills it.
     """
-    if ngram_lm is None and rnn_lm is None:
+    if not models:
         raise ValueError("sweep needs at least one language model")
     vals = sorted(set(int(v) for v in values))
     if not vals:
@@ -106,41 +109,25 @@ def sweep(
     rows = []
     for v in vals:
         corrected = corrector(dataset, v)
-        row = SweepRow(
+        rows.append(SweepRow(
             value=v,
-            perplexity_ngram=(
-                ngram_lm.score_reads(corrected).avg_perplexity
-                if ngram_lm is not None
-                else None
-            ),
-            perplexity_rnn=(
-                rnn_lm.score_reads(corrected).avg_perplexity
-                if rnn_lm is not None
-                else None
-            ),
+            **{f"perplexity_{kind}": lm.score_reads(corrected).avg_perplexity
+               for kind, lm in models.items()},
             gain=(ec_gain(dataset, corrected, truth) if truth is not None else None),
             external_quality=(
                 float(external_quality[v]) if external_quality is not None else None
             ),
-        )
-        rows.append(row)
+        ))
     correlations: dict[str, float] = {}
     failure: CorrelationError | None = None
-    for pp_col in ("perplexity_ngram", "perplexity_rnn"):
-        pps = [getattr(r, pp_col) for r in rows]
-        if pps[0] is None:
-            continue
+    for kind in sorted(models):
+        pps = [getattr(r, f"perplexity_{kind}") for r in rows]
         for qual_col in ("gain", "external_quality"):
             quals = [getattr(r, qual_col) for r in rows]
             if quals[0] is None:
                 continue
-            key = f"{pp_col.removeprefix('perplexity_')}_vs_{qual_col}"
             try:
-                correlations[key] = pearson(pps, quals)
+                correlations[f"{kind}_vs_{qual_col}"] = pearson(pps, quals)
             except CorrelationError as exc:
                 failure = failure or exc
-    report = SweepReport(rows=tuple(rows), correlations=correlations)
-    if failure is not None:
-        failure.report = report
-        raise failure
-    return report
+    return SweepReport(tuple(rows), correlations, failure)

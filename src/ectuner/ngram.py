@@ -50,7 +50,8 @@ can interoperate:
             per continuation (sorted by word value): word u32, count u64
     sha256 digest (32 bytes) of everything before it
 
-A file holds only histories that occur in the training reads.  Files from
+``_seal`` and ``_unseal`` write and check the magic, the header's size and
+the digest, for the char-RNN's model files too.  A file holds only histories that occur in the training reads.  Files from
 older versions also hold start-marker histories (token 0xFFFFFFFF); they load
 as plain tokens, so such files score and re-save exactly as they did.  Below
 word_len 16 no lookup matches a marker, because word codes stay below
@@ -69,7 +70,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .segmenter import WordSequence, Words, segment_reads
-from .seqio import ReadSet, encode_word, find_sorted
+from .seqio import ReadSet, encode_word, find_sorted, spans
 
 MAGIC = b"ATHN"
 VERSION = 1
@@ -92,6 +93,32 @@ class PerplexityUndefinedError(ValueError):
 
 class ModelFormatError(ValueError):
     pass
+
+
+def _seal(path: str, payload: bytes) -> None:
+    """Write a model file: ``payload``, then its sha256 digest."""
+    with open(path, "wb") as fh:
+        fh.write(payload)
+        fh.write(hashlib.sha256(payload).digest())
+
+
+def _unseal(
+    path: str, magic: bytes, header_fmt: str, what: str
+) -> tuple[tuple, memoryview]:
+    """The header fields and the rest of the payload of a model file that
+    ``_seal`` wrote, whose payload is ``magic``, a header packed as
+    ``header_fmt``, then the rest; ``what`` names the model kind in errors."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if len(blob) < len(magic) + 32 or blob[: len(magic)] != magic:
+        raise ModelFormatError(f"{path}: not an {what} model file")
+    payload = memoryview(blob)[:-32]
+    if hashlib.sha256(payload).digest() != blob[-32:]:
+        raise ModelFormatError(f"{path}: checksum mismatch (corrupt or truncated)")
+    end = len(magic) + struct.calcsize(header_fmt)
+    if len(payload) < end:
+        raise ModelFormatError(f"{path}: truncated header")
+    return struct.unpack_from(header_fmt, payload, len(magic)), payload[end:]
 
 
 def _flatten(
@@ -171,14 +198,6 @@ def _index(levels: list[tuple[np.ndarray, ...]]) -> list[_Order]:
             raise ModelFormatError("duplicate word in count tables")
         tables.append(_Order(hist, tally, distinct, events, counts[order]))
     return tables
-
-
-def _spans(starts: np.ndarray, lengths: np.ndarray, step: int = 1) -> np.ndarray:
-    """The ranges starts[i], starts[i] + step, ... of lengths[i] values each,
-    one after another."""
-    first = np.cumsum(lengths) - lengths
-    at = np.repeat(starts - step * first, lengths)
-    return at + step * np.arange(len(at))
 
 
 def _token_rows(tables: list[_Order]) -> list[np.ndarray]:
@@ -475,17 +494,10 @@ class NgramModel:
         units: a history is its o tokens and a u64 word count, each of its
         words a u32 word and a u64 count."""
         tables = self._current()
-        buf = bytearray()
-        buf += MAGIC
-        buf += struct.pack(
-            "<III B d Q",
-            VERSION,
-            self.word_len,
-            self.history,
-            1,
-            self.p_floor,
+        buf = bytearray(MAGIC + struct.pack(
+            "<III B d Q", VERSION, self.word_len, self.history, 1, self.p_floor,
             self.m_train,
-        )
+        ))
         for o, (t, rows) in enumerate(zip(tables, _token_rows(tables))):
             ids = np.flatnonzero(t.distinct)
             # token order, oldest word first, by ranks (not np.lexsort, see _count)
@@ -495,7 +507,7 @@ class NgramModel:
             ids = ids[np.argsort(rank)]
             n = t.distinct[ids]
             # each history's words lie together in ``events``, in word order
-            ev = _spans((np.cumsum(t.distinct) - t.distinct)[ids], n)
+            ev = spans((np.cumsum(t.distinct) - t.distinct)[ids], n)
             size = o + 2 + 3 * n
             starts = np.cumsum(size) - size
             out = np.zeros(int(size.sum()), "<u4")
@@ -504,40 +516,26 @@ class NgramModel:
             )
             count = t.count[ev]
             # a record's words follow its o tokens and u64 count, 3 units each
-            out[_spans(starts + o + 2, n, 3)[:, None] + np.arange(3)] = np.column_stack(
+            out[spans(starts + o + 2, n, 3)[:, None] + np.arange(3)] = np.column_stack(
                 [t.events[ev] & _LOW, count & _LOW, count >> 32]
             )
             buf += struct.pack("<Q", len(ids))
             buf += out.tobytes()
-        digest = hashlib.sha256(bytes(buf)).digest()
-        with open(path, "wb") as fh:
-            fh.write(bytes(buf))
-            fh.write(digest)
+        _seal(path, buf)
 
     @classmethod
     def load(cls, path: str) -> "NgramModel":
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        if len(blob) < 36 or blob[:4] != MAGIC:
-            raise ModelFormatError(f"{path}: not an n-gram model file")
-        payload, digest = blob[:-32], blob[-32:]
-        if hashlib.sha256(payload).digest() != digest:
-            raise ModelFormatError(f"{path}: checksum mismatch (corrupt or truncated)")
-        off = struct.calcsize("<4s III B d Q")
-        version, word_len, history, smooth_tag, p_floor, m_train = struct.unpack_from(
-            "<III B d Q", payload, 4
+        (version, word_len, history, smooth_tag, p_floor, m_train), body = _unseal(
+            path, MAGIC, "<III B d Q", "n-gram"
         )
         if version != VERSION:
             raise ModelFormatError(f"{path}: unsupported version {version}")
         if smooth_tag != 1:
             raise ModelFormatError(f"{path}: unknown smoothing tag {smooth_tag}")
-        if not 0.0 <= p_floor < 1.0:
-            raise ModelFormatError(f"{path}: probability floor {p_floor} outside [0, 1)")
-        model = cls(word_len=word_len, history=history, p_floor=p_floor)
-        model.m_train = m_train
-        if (len(payload) - off) % 4:
+        # 32-bit units, at least each order's u64 count of histories
+        if len(body) % 4 or len(body) < 8 * (history + 1):
             raise ModelFormatError(f"{path}: truncated model file")
-        units = np.frombuffer(payload, "<u4", offset=off).astype(np.int64)
+        units = np.frombuffer(body, "<u4").astype(np.int64)
         # the one sequential step: each record's length is in its header,
         # read through a native-order view that indexes as Python ints
         head = memoryview(units.astype(np.uint32))
@@ -551,10 +549,12 @@ class NgramModel:
                 for _ in range(n_hist):
                     starts.append(at)
                     at += o + 2 + 3 * (head[at + o] | head[at + o + 1] << 32)
+                if at > len(units):  # a count that runs past the end
+                    raise IndexError
                 starts = np.array(starts, np.int64)
                 rows = units[starts[:, None] + np.arange(o)]
                 n = units[starts + o] | units[starts + o + 1] << 32
-                ev = _spans(starts + o + 2, n, 3)
+                ev = spans(starts + o + 2, n, 3)
                 counts = units[ev + 1] | units[ev + 2] << 32
                 levels.append((rows, None, n, units[ev], counts))
         except IndexError as exc:
@@ -562,9 +562,11 @@ class NgramModel:
         if at != len(units):
             raise ModelFormatError(f"{path}: trailing bytes after count tables")
         try:
+            model = cls(word_len=word_len, history=history, p_floor=p_floor)
             model._tables, model._dicts = _index(levels), None
-        except ModelFormatError as exc:
+        except (TrainingError, ModelFormatError) as exc:
             raise ModelFormatError(f"{path}: {exc}") from None
+        model.m_train = m_train
         return model
 
 

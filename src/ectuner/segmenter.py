@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .seqio import ReadSet
+from .seqio import ReadSet, spans
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,7 @@ def segment_reads(readset: ReadSet, word_len: int) -> Words:
     bases, starts, lengths = readset.codes, readset.starts, readset.lengths
     n_words = lengths // word_len
     row = np.repeat(np.arange(len(lengths)), n_words)  # each word's read
-    first = np.cumsum(n_words) - n_words  # each read's first word
-    at = starts[row] + word_len * (np.arange(len(row)) - first[row])
+    at = spans(starts, n_words, word_len)
     codes = np.zeros(len(at), np.int64)
     kept = np.ones(len(at), bool)
     for j in range(word_len):

@@ -164,11 +164,9 @@ class ReadSet:
         for first in range(0, len(rows), _ROW_BLOCK):
             block = slice(first, first + _ROW_BLOCK)
             picked = rows[block]
-            # each read's codes and its separator, moved from its old start
-            at = np.repeat(self.starts[picked] - starts[block], lengths[block] + 1)
-            out = slice(starts[first], starts[first] + len(at))
-            at += np.arange(out.start, out.stop)
-            codes[out] = self.codes[at]
+            # each read's codes and its separator, from its old start
+            at = spans(self.starts[picked], lengths[block] + 1)
+            codes[starts[first] : starts[first] + len(at)] = self.codes[at]
             picked = picked.tolist()
             ids += map(self.ids.__getitem__, picked)
             quals += map(self.qualities.__getitem__, picked)
@@ -248,6 +246,15 @@ def find_sorted(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
     found = np.empty(len(queries), np.int64)
     found[order] = np.where(keys[j] == ordered, j, -1)
     return found
+
+
+def spans(starts: np.ndarray, lengths: np.ndarray, step: int = 1) -> np.ndarray:
+    """The ranges starts[i], starts[i] + step, ... of lengths[i] values each,
+    one after another."""
+    first = np.cumsum(lengths) - lengths
+    at = np.repeat(starts - step * first, lengths)
+    at += np.arange(0, step * len(at), step)
+    return at
 
 
 def base_codes(chars: np.ndarray) -> np.ndarray:

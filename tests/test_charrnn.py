@@ -305,14 +305,57 @@ def test_load_rejects_corruption(tmp_path):
         RnnLm.load(str(trunc))
 
 
-@pytest.mark.parametrize("layers,hidden", [(0, 3), (1, 0), (0, 0)])
-def test_load_rejects_a_header_without_layers_or_units(tmp_path, layers, hidden):
+@pytest.mark.parametrize("layers,hidden,weights,message", [
+    (0, 3, 16, "need at least one layer, got 0"),  # V and c alone
+    (1, 0, 4, "need at least one hidden unit, got 0"),
+    (0, 0, 4, "need at least one layer, got 0"),
+], ids=["0-3", "1-0", "0-0"])
+def test_load_rejects_a_header_without_layers_or_units(
+    tmp_path, layers, hidden, weights, message
+):
+    # the header is followed by as many weights as it implies
     payload = charrnn.MAGIC + struct.pack("<IIII", charrnn.VERSION, layers, hidden, 4)
+    payload += bytes(8 * weights)
     path = tmp_path / "empty.athr"
     path.write_bytes(payload + hashlib.sha256(payload).digest())
     with pytest.raises(ModelFormatError) as exc:
         RnnLm.load(str(path))
-    assert str(exc.value) == f"{path}: {layers} layers of {hidden} hidden units"
+    assert str(exc.value) == f"{path}: {message}"
+
+
+def _rnn_file(version=charrnn.VERSION, layers=1, hidden=2, vocab=4, weights=None):
+    """A model file's payload: its header, then ``weights`` (by default as
+    many zero weights as one layer of two units has)."""
+    if weights is None:
+        weights = bytes(8 * (2 * 4 + 2 * 2 + 2 + 4 * 2 + 4))
+    return charrnn.MAGIC + struct.pack("<IIII", version, layers, hidden, vocab) + weights
+
+
+@pytest.mark.parametrize("payload, message", [
+    (_rnn_file(version=2), "unsupported version 2"),
+    (_rnn_file(vocab=5), "unsupported vocabulary size 5"),
+    (_rnn_file(weights=bytes(8 * 25)), "truncated weight block"),
+    (_rnn_file(weights=bytes(8 * 27)), "trailing bytes after weights"),
+    (charrnn.MAGIC + struct.pack("<II", charrnn.VERSION, 1), "truncated header"),
+    # sizes whose weights are never allocated
+    (_rnn_file(layers=2**32 - 1, hidden=2**32 - 1), "truncated weight block"),
+], ids=["version", "vocab", "truncated-weights", "trailing-bytes", "short-header",
+        "huge-header"])
+def test_load_refuses_a_sealed_file_that_does_not_hold_a_model(tmp_path, payload, message):
+    path = tmp_path / "bad.athr"
+    path.write_bytes(payload + hashlib.sha256(payload).digest())
+    with pytest.raises(ModelFormatError) as exc:
+        RnnLm.load(str(path))
+    assert str(exc.value) == f"{path}: {message}"
+
+
+def test_the_hand_built_model_file_loads(tmp_path):
+    payload = _rnn_file()
+    path = tmp_path / "good.athr"
+    path.write_bytes(payload + hashlib.sha256(payload).digest())
+    model = RnnLm.load(str(path))
+    assert (model.n_layers, model.hidden) == (1, 2)
+    assert not any(p.any() for p in model.params())
 
 
 def test_model_file_magic_differs_from_ngram():

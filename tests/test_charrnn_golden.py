@@ -12,8 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 
-import pytest
-
 from ectuner import charrnn
 from ectuner.injector import (
     InjectionSpec,
@@ -22,8 +20,6 @@ from ectuner.injector import (
     sample_clean_reads,
 )
 from ectuner.seqio import Read, ReadSet
-
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 MODEL_SHA256 = "d2a8af26122bf1edb3bf427bfc096a31c9d1f01633d56731b68dbfd00ddea1f7"
 REPORT_SHA256 = "2564ddb895ba71df8aa201cc75546157ad3364ebe024ba57203eb8d6f5a70e07"

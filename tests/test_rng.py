@@ -16,8 +16,6 @@ from ectuner._rng import (
     spawn_rng,
 )
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 # seeds of one, two, three, four and five uint32 words
 SEEDS = [0, 7, 2**32 - 1, 2**40 + 3, 2**64 + 2**33 + 9, 2**96 + 5, 2**130 + 11]
 

@@ -14,8 +14,6 @@ from ectuner.seqio import Read, ReadSet, encode_word
 from ngram_oracles import SegmentTally, oracle_segment_corpus
 from seqio_oracles import decode_words
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def _runs_per_read(words, n_reads):
     """The flat words of ``segment_reads`` as each read's runs of codes."""

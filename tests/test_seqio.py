@@ -26,8 +26,6 @@ from ectuner.seqio import (
 
 from seqio_oracles import decode_words
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def _fastq_text(records):
     lines = []

@@ -24,8 +24,6 @@ from ectuner.injector import (
 )
 from ectuner.seqio import Read, write_fasta, write_fastq
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 CORRECT_SHA256 = "bf49aa5bbf8bc9e870b5af2c3b26b2ac804760a1368db16329fdcc52e4137e90"
 PERPLEXITY_SHA256 = {
     "ngram": "dcf61d1cb33ab763430d9c8f8b3073852a89954e68e47a84ce64b537c756dad6",
