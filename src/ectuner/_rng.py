@@ -34,8 +34,15 @@ _MULT_LO_1 = np.uint64(0x4385DF649FCCF645 >> 32)
 _U32 = np.uint64(_MASK32)
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a seed SeedSequence would not take: every seed is >= 0."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Return a PCG64 generator seeded with ``seed``."""
+    check_seed(seed)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
@@ -45,6 +52,7 @@ def spawn_rng(seed: int, index: int) -> np.random.Generator:
     Streams for distinct indices never overlap, so an item's draws depend
     only on (seed, index), never on which items came before it.
     """
+    check_seed(seed)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
 
 
@@ -75,8 +83,6 @@ def shuffled(rng: np.random.Generator, n: int) -> list[int]:
 def _uint32_words(value: int) -> list[int]:
     """SeedSequence's entropy words of a non-negative integer, least
     significant first (0 is one zero word)."""
-    if value < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {value}")
     words = [value & _MASK32]
     while value > _MASK32:
         value >>= 32
@@ -138,6 +144,7 @@ def raw_words(seed: int, indices, n: int) -> np.ndarray:
     """The first ``n`` 64-bit outputs of ``PCG64(SeedSequence((seed, i)))``
     for every i in ``indices`` (each in 0..2**32-1), one row per index: what
     ``spawn_rng(seed, i).bit_generator.random_raw(n)`` returns."""
+    check_seed(seed)
     indices = np.asarray(indices, np.int64)
     if indices.size and (indices.min() < 0 or indices.max() > _MASK32):
         raise ValueError("stream indices must lie in 0..2**32-1")

@@ -84,6 +84,8 @@ def _resolve(args: argparse.Namespace, options: dict[str, Option]) -> dict:
             resolved[key] = file_cfg[key]
         else:
             resolved[key] = option.default
+    if "seed" in resolved:
+        _check_min(resolved, "seed", 0)
     return resolved
 
 

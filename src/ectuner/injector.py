@@ -41,8 +41,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from ._rng import StreamBlock, make_rng
-from .seqio import BASES, LETTERS, Read, ReadSet, spans, substrings
+from ._rng import StreamBlock, check_seed, make_rng
+from .seqio import BASES, Read, ReadSet, decode, spans, substrings
 
 KINDS = ("deletion", "insertion", "substitution")
 REGIMES = {"low": (1, 5), "high": (6, 10)}
@@ -163,16 +163,14 @@ class InjectionSpec:
             raise ValueError(f"unknown error kind {self.kind!r}")
         if self.regime not in REGIMES:
             raise ValueError(f"unknown rate regime {self.regime!r}")
-        if self.seed < 0:
-            raise ValueError(f"injection seed must be >= 0, got {self.seed}")
+        check_seed(self.seed)
 
 
 def generate_genome(length: int, seed: int) -> str:
     """Uniform i.i.d. ACGT string of the given length."""
     if length <= 0:
         raise ValueError(f"genome length must be positive, got {length}")
-    ids = make_rng(seed).integers(0, 4, size=length)
-    return LETTERS[ids].tobytes().decode("ascii")
+    return decode(make_rng(seed).integers(0, 4, size=length))
 
 
 def sample_clean_reads(genome: str, n: int, read_len: int, seed: int) -> ReadSet:
@@ -242,7 +240,7 @@ def inject_readset(
     rows, positions, kinds, old, old_lengths, new, new_lengths = _join(changes)
     ledger = object.__new__(ErrorLedger)._set(
         readset.ids, rows, positions, kinds,
-        _text(old), _offsets(old_lengths), _text(new), _offsets(new_lengths),
+        decode(old), _offsets(old_lengths), decode(new), _offsets(new_lengths),
     )
     rows, kinds, at, counts, segments = _join(indels)
     if not len(rows):
@@ -345,10 +343,6 @@ def _regroup(pieces: np.ndarray, lengths: np.ndarray, order: np.ndarray):
 def _join(blocks) -> list[np.ndarray]:
     """Each column of ``blocks`` joined across them."""
     return [np.concatenate(column) for column in zip(*blocks)]
-
-
-def _text(codes: np.ndarray) -> str:
-    return LETTERS[codes].tobytes().decode("ascii")
 
 
 def revert(corrupted: ReadSet, ledger: ErrorLedger) -> ReadSet:

@@ -1,15 +1,17 @@
-"""Parameter sweeps and the perplexity/quality correlation.
+"""Parameter sweeps and the perplexity/gain correlation.
 
 A sweep corrects the dataset at every requested parameter value, scores each
 result with one language model per perplexity column (``perplexity_ngram``,
 ``perplexity_rnn`` or both), and, when ground truth is supplied, computes
-the per-base correction gain alongside.  Pearson correlations between each
-perplexity column and each quality column summarize how well perplexity
-tracks quality (strongly negative is the useful regime).  A correlation that
-is undefined is left out, and the report keeps the first such error as its
-``failure``, so a caller can write every row before it fails.  Consecutive
-values score the dataset with one model, so an n-gram model rescores only
-the reads whose bases changed.
+the per-base correction gain alongside.  A row is a dict of only the
+columns it has: JSON writes it as it is, TSV under ``COLUMNS`` with a blank
+cell for each column it lacks.  Pearson correlations between each perplexity
+column and the gain summarize how well perplexity tracks quality (strongly
+negative is the useful regime).  A correlation that is undefined is left
+out, and the report keeps the first such error as its ``failure``, so a
+caller can write every row before it fails.  Consecutive values score the
+dataset with one model, so an n-gram model rescores only the reads whose
+bases changed.
 """
 
 from __future__ import annotations
@@ -46,16 +48,7 @@ def pearson(xs: Iterable[float], ys: Iterable[float]) -> float:
     return cov / math.sqrt(vx * vy)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    value: int
-    perplexity_ngram: float | None = None
-    perplexity_rnn: float | None = None
-    gain: float | None = None
-    external_quality: float | None = None
-
-
-COLUMNS = ("value", "perplexity_ngram", "perplexity_rnn", "gain", "external_quality")
+COLUMNS = ("value", "perplexity_ngram", "perplexity_rnn", "gain")
 
 
 @dataclass(frozen=True)
@@ -63,28 +56,18 @@ class SweepReport:
     """Every row, the correlations that are defined, and the first error of
     one that is not (None when all are)."""
 
-    rows: tuple[SweepRow, ...]
+    rows: list[dict]
     correlations: dict[str, float]
     failure: CorrelationError | None = None
 
     def to_tsv(self) -> str:
         lines = ["\t".join(COLUMNS)]
-        for r in self.rows:
-            cells = []
-            for col in COLUMNS:
-                v = getattr(r, col)
-                cells.append("" if v is None else repr(v) if isinstance(v, float) else str(v))
-            lines.append("\t".join(cells))
+        for row in self.rows:
+            lines.append("\t".join(str(row.get(col, "")) for col in COLUMNS))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        payload = {
-            "rows": [
-                {col: getattr(r, col) for col in COLUMNS if getattr(r, col) is not None}
-                for r in self.rows
-            ],
-            "correlations": self.correlations,
-        }
+        payload = {"rows": self.rows, "correlations": self.correlations}
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -94,7 +77,6 @@ def sweep(
     values: Iterable[int],
     models: Mapping[str, object],
     truth: ReadSet | None = None,
-    external_quality: Mapping[int, float] | None = None,
 ) -> SweepReport:
     """Evaluate every value; one row per distinct value, sorted ascending.
 
@@ -109,25 +91,20 @@ def sweep(
     rows = []
     for v in vals:
         corrected = corrector(dataset, v)
-        rows.append(SweepRow(
-            value=v,
-            **{f"perplexity_{kind}": lm.score_reads(corrected).avg_perplexity
-               for kind, lm in models.items()},
-            gain=(ec_gain(dataset, corrected, truth) if truth is not None else None),
-            external_quality=(
-                float(external_quality[v]) if external_quality is not None else None
-            ),
-        ))
+        row = {"value": v}
+        for kind, lm in models.items():
+            row[f"perplexity_{kind}"] = lm.score_reads(corrected).avg_perplexity
+        if truth is not None:
+            row["gain"] = ec_gain(dataset, corrected, truth)
+        rows.append(row)
     correlations: dict[str, float] = {}
     failure: CorrelationError | None = None
-    for kind in sorted(models):
-        pps = [getattr(r, f"perplexity_{kind}") for r in rows]
-        for qual_col in ("gain", "external_quality"):
-            quals = [getattr(r, qual_col) for r in rows]
-            if quals[0] is None:
-                continue
+    if truth is not None:
+        gains = [row["gain"] for row in rows]
+        for kind in sorted(models):
             try:
-                correlations[f"{kind}_vs_{qual_col}"] = pearson(pps, quals)
+                pps = [row[f"perplexity_{kind}"] for row in rows]
+                correlations[f"{kind}_vs_gain"] = pearson(pps, gains)
             except CorrelationError as exc:
                 failure = failure or exc
-    return SweepReport(tuple(rows), correlations, failure)
+    return SweepReport(rows, correlations, failure)

@@ -262,6 +262,11 @@ def base_codes(chars: np.ndarray) -> np.ndarray:
     return np.frombuffer(chars.tobytes().translate(CODE_TABLE), np.uint8)
 
 
+def decode(codes: np.ndarray) -> str:
+    """The letters of base ``codes``, as one string."""
+    return LETTERS[codes].tobytes().decode("ascii")
+
+
 def _open_text(path: str, mode: str):
     if path.endswith(".gz"):
         if "r" in mode:

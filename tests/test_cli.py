@@ -201,7 +201,7 @@ def test_inject_writes_fastq_ledger_and_config(clean_fastq, tmp_path, capsys):
          r"read 'short' of length 4 is too short for deletion count (6|7|8|9|10)"),
         (["--kind", "insertion", "--regime", "high"],
          r"read 'short' of length 4 is too short for insertion count (6|7|8|9|10)"),
-        (["--seed", "-1"], r"injection seed must be >= 0, got -1"),
+        (["--seed", "-1"], r"--seed must be >= 0, got -1"),
     ],
 )
 def test_inject_failure_exits_1_and_writes_nothing(tmp_path, capsys, flags, message):
@@ -840,6 +840,32 @@ def test_learning_rate_not_finite_and_positive_exits_1_before_any_read_is_loaded
     assert captured.err == (
         f"ectuner: --learning-rate must be finite and > 0, got {float(rate)}\n"
     )
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["train", "perplexity", "inject", "tune"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_seed_exits_1_before_any_read_is_loaded(tmp_path, capsys, command, source):
+    out = tmp_path / "out"
+    out.mkdir()
+    target = {
+        "train": ["--out", str(out / "lm.model")],
+        "perplexity": ["--model", str(out / "lm.model"), "--sample-n", "5"],
+        "inject": ["--out", str(out / "bad.fastq")],
+        "tune": ["--out-dir", str(out / "tune")],
+    }[command]
+    if source == "flag":
+        seed = ["--seed", "-1"]
+    else:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": -1}))
+        seed = ["--config", str(cfg_path)]
+    # the reads do not exist, so loading them first would exit 2
+    rc = main([command, "--reads", str(tmp_path / "missing.fastq"), *target, *seed])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == "ectuner: --seed must be >= 0, got -1\n"
     assert captured.out == ""
     assert list(out.iterdir()) == []
 

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from ectuner.metrics import CorrelationError, SweepReport, SweepRow, pearson, sweep
+from ectuner.metrics import CorrelationError, SweepReport, pearson, sweep
 from ectuner.ngram import PerplexityReport
 from ectuner.seqio import Read, ReadSet
 
@@ -79,8 +79,11 @@ def test_sweep_rows_sorted_and_deduplicated():
     dataset = ReadSet((Read("r", "ACGT"),))
     lm = _FixedLm({9: 30.0, 13: 10.0, 17: 20.0})
     report = sweep(dataset, _tag_corrector, [17, 9, 13, 9], {"ngram": lm})
-    assert [r.value for r in report.rows] == [9, 13, 17]
-    assert [r.perplexity_ngram for r in report.rows] == [30.0, 10.0, 20.0]
+    assert report.rows == [
+        {"value": 9, "perplexity_ngram": 30.0},
+        {"value": 13, "perplexity_ngram": 10.0},
+        {"value": 17, "perplexity_ngram": 20.0},
+    ]
     assert report.correlations == {}
 
 
@@ -95,7 +98,7 @@ def test_sweep_computes_gain_and_correlation():
 
     lm = _FixedLm({9: 50.0, 12: 8.0, 15: 7.0})
     report = sweep(dataset, corrector, [9, 12, 15], {"ngram": lm}, truth=truth)
-    gains = [r.gain for r in report.rows]
+    gains = [r["gain"] for r in report.rows]
     assert gains == [-1.0, 1.0, 1.0]
     assert report.correlations["ngram_vs_gain"] == pytest.approx(
         pearson([50.0, 8.0, 7.0], gains), rel=1e-12
@@ -103,36 +106,23 @@ def test_sweep_computes_gain_and_correlation():
     assert report.correlations["ngram_vs_gain"] < -0.9
 
 
-def test_sweep_external_quality_column():
-    dataset = ReadSet((Read("r", "ACGT"),))
-    lm = _FixedLm({1: 3.0, 2: 2.0, 3: 1.0})
-    report = sweep(
-        dataset,
-        _tag_corrector,
-        [1, 2, 3],
-        {"ngram": lm},
-        external_quality={1: 0.1, 2: 0.5, 3: 0.9},
-    )
-    assert report.correlations["ngram_vs_external_quality"] == pytest.approx(
-        -1.0, abs=1e-12
-    )
+def _gain_ladder(readset, value):
+    """Breaks a base at 1, changes nothing at 2, fixes the error at 3."""
+    fixed = {1: "CATA", 2: "AATA", 3: "AAAA"}[value]
+    return _Corrected((Read("r", fixed),), value)
 
 
 def test_sweep_identity_corrector_zero_variance_is_the_reports_failure():
-    dataset = ReadSet((Read("r", "ACGT"),))
+    truth = ReadSet((Read("r", "AAAA"),))
+    dataset = ReadSet((Read("r", "AATA"),))
     # each column comes from its own model; only the RNN's varies
     models = {"rnn": _FixedLm({1: 3.0, 2: 2.0, 3: 1.0}),
               "ngram": _FixedLm({1: 5.0, 2: 5.0, 3: 5.0})}
-    report = sweep(
-        dataset,
-        _tag_corrector,
-        [1, 2, 3],
-        models,
-        external_quality={1: 0.1, 2: 0.5, 3: 0.9},
-    )
-    assert [r.perplexity_ngram for r in report.rows] == [5.0, 5.0, 5.0]
-    assert [r.perplexity_rnn for r in report.rows] == [3.0, 2.0, 1.0]
-    assert report.correlations == {"rnn_vs_external_quality": pytest.approx(-1.0)}
+    report = sweep(dataset, _gain_ladder, [1, 2, 3], models, truth=truth)
+    assert [r["perplexity_ngram"] for r in report.rows] == [5.0, 5.0, 5.0]
+    assert [r["perplexity_rnn"] for r in report.rows] == [3.0, 2.0, 1.0]
+    assert [r["gain"] for r in report.rows] == [-1.0, 0.0, 1.0]
+    assert report.correlations == {"rnn_vs_gain": pytest.approx(-1.0)}
     assert isinstance(report.failure, CorrelationError)
     assert "zero variance" in str(report.failure)
 
@@ -146,24 +136,36 @@ def test_sweep_requires_model_and_values():
 
 
 def test_tsv_round_trip_preserves_float_precision():
-    rows = (
-        SweepRow(value=9, perplexity_ngram=63.98521734210101, gain=-0.23713),
-        SweepRow(value=11, perplexity_ngram=31.8551, gain=0.34434),
-    )
+    rows = [
+        {"value": 9, "perplexity_ngram": 63.98521734210101, "gain": -0.23713},
+        {"value": 11, "perplexity_ngram": 31.8551, "gain": 0.34434},
+    ]
     report = SweepReport(rows=rows, correlations={"ngram_vs_gain": -0.99})
     text = report.to_tsv()
     lines = text.strip().split("\n")
-    assert lines[0] == "value\tperplexity_ngram\tperplexity_rnn\tgain\texternal_quality"
+    assert lines[0] == "value\tperplexity_ngram\tperplexity_rnn\tgain"
     cells = lines[1].split("\t")
     assert cells[0] == "9"
-    assert float(cells[1]) == rows[0].perplexity_ngram  # repr() is lossless
+    assert float(cells[1]) == rows[0]["perplexity_ngram"]  # str() is lossless
     assert cells[2] == ""  # absent column stays blank
-    assert float(cells[3]) == rows[0].gain
+    assert float(cells[3]) == rows[0]["gain"]
 
 
 def test_json_report_omits_absent_columns():
-    rows = (SweepRow(value=9, perplexity_ngram=2.0),)
+    rows = [{"value": 9, "perplexity_ngram": 2.0}]
     report = SweepReport(rows=rows, correlations={})
     payload = json.loads(report.to_json())
     assert payload["rows"] == [{"value": 9, "perplexity_ngram": 2.0}]
     assert payload["correlations"] == {}
+
+
+def test_json_rows_are_the_reports_rows():
+    truth = ReadSet((Read("r", "AAAA"),))
+    dataset = ReadSet((Read("r", "AATA"),))
+    models = {"ngram": _FixedLm({1: 5.0, 2: 4.5, 3: 1.0}),
+              "rnn": _FixedLm({1: 3.0, 2: 2.0, 3: 1.0 / 3.0})}
+    report = sweep(dataset, _gain_ladder, [3, 1, 2], models, truth=truth)
+    payload = json.loads(report.to_json())
+    assert report.rows == payload["rows"]
+    assert set(payload["correlations"]) == {"ngram_vs_gain", "rnn_vs_gain"}
+    assert report.failure is None

@@ -40,12 +40,21 @@ def test_raw_words_over_a_few_thousand_indices():
 
 
 def test_raw_words_reject_what_seed_sequence_would_not_give():
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         raw_words(-1, [0], 1)
     with pytest.raises(ValueError, match="indices"):
         raw_words(0, [2**32], 1)
     with pytest.raises(ValueError, match="indices"):
         raw_words(0, [-1], 1)
+
+
+def test_every_generator_refuses_a_negative_seed_by_one_message():
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        make_rng(-1)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -2$"):
+        spawn_rng(-2, 0)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -3$"):
+        StreamBlock(-3, [0], 1)
 
 
 SPANS = [1, 2, 3, 4, 5, 50, 3 * 2**30, 2**31 + 1, 2**32 - 1, 2**32]
