@@ -142,9 +142,7 @@ class RnnLm:
 
     @classmethod
     def load(cls, path: str) -> "RnnLm":
-        (version, layers, hidden, vocab), body = _unseal(path, MAGIC, "<IIII", "RNN")
-        if version != VERSION:
-            raise ModelFormatError(f"{path}: unsupported version {version}")
+        (layers, hidden, vocab), body = _unseal(path, MAGIC, VERSION, "<IIII", "RNN")
         if vocab != VOCAB_SIZE:
             raise ModelFormatError(f"{path}: unsupported vocabulary size {vocab}")
         # U_0 takes 4 inputs and each later U_l hidden; each layer's W_l and

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from . import charrnn, ecsim, metrics, ngram, tuner
 from .injector import InjectionSpec, inject_readset
-from .seqio import load_reads, sample_reads, write_fastq
+from .seqio import fasta_named, load_reads, sample_reads, write_fastq
 
 
 def _say(msg: str) -> None:
@@ -89,9 +89,9 @@ def _resolve(args: argparse.Namespace, options: dict[str, Option]) -> dict:
     return resolved
 
 
-def _write_config(resolved: dict, path: str) -> None:
+def _write_json(payload: dict, path: str) -> None:
     with open(path, "w") as fh:
-        fh.write(json.dumps(resolved, sort_keys=True, indent=2) + "\n")
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 # each model file's magic: the model's class and the sweep column it fills
@@ -136,6 +136,19 @@ def _make_corrector(cfg: dict):
     return ecsim.builtin_corrector(cfg["solid_min"], cfg["max_edits"])
 
 
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Exit before any work when a file to write lies in a directory that
+    does not exist, or a FASTQ ``--out`` has a name read back as FASTA."""
+    for key in ("out", "ledger", "tsv_out", "json_out"):
+        folder = os.path.dirname(getattr(args, key, None) or "")
+        if folder and not os.path.isdir(folder):
+            flag = "--" + key.replace("_", "-")
+            raise ValueError(f"{flag} {getattr(args, key)}: no directory {folder}")
+    if args.command in ("inject", "correct") and fasta_named(args.out):
+        raise ValueError(f"--out {args.out}: {args.command} writes FASTQ, "
+                         "but a file of this name is read as FASTA")
+
+
 def _check_min(cfg: dict, key: str, least: int) -> None:
     """Exit before any work when a flag's value is below ``least``."""
     if cfg[key] is not None and cfg[key] < least:
@@ -172,20 +185,21 @@ def _check_k_fits(cfg: dict, reads, values) -> None:
         ecsim.check_k(k)
 
 
-def _train_lm(cfg: dict, reads):
+def _train_lm(cfg: dict, reads, note: bool = True):
     """Train the language model ``cfg`` names (n-gram unless ``lm`` says
-    charrnn); returns the model and the char-RNN's per-epoch history, or
-    None for an n-gram."""
-    kind = cfg.get("lm", "ngram")
+    charrnn), with a note first unless ``note`` is false; returns the model
+    and the char-RNN's per-epoch history, or None for an n-gram."""
+    kind = cfg.get("lm", "ngram")  # one of the option's choices
+    if note:
+        name = "n-gram" if kind == "ngram" else kind
+        _say(f"training {name} model on {len(reads)} reads")
     if kind == "ngram":
         if cfg["word_len"] < 5:
             _say(f"warning: word length {cfg['word_len']} below 5 loses context")
         settings = {key: cfg[key] for key in _NGRAM_OPTIONS}
         return ngram.train_reads(reads, **settings), None
-    if kind == "charrnn":
-        config = charrnn.TrainConfig(**{key: cfg[key] for key in _RNN_OPTIONS})
-        return charrnn.train(reads, config, seed=cfg["seed"])
-    raise ValueError(f"unknown language model kind {kind!r}")
+    config = charrnn.TrainConfig(**{key: cfg[key] for key in _RNN_OPTIONS})
+    return charrnn.train(reads, config, seed=cfg["seed"])
 
 
 def _check_lm(cfg: dict) -> None:
@@ -349,31 +363,27 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _OPTIONS["train"])
     _check_lm(cfg)
     reads = load_reads(args.reads)
-    model, history = _train_lm(cfg, reads)
+    # the note after the model is saved reports this training
+    model, history = _train_lm(cfg, reads, note=False)
     model.save(args.out)
+    summary = {"lm": cfg["lm"], "model": args.out, "reads": len(reads)}
     if cfg["lm"] == "ngram":
         # a read shorter than a word has none; each word not trained on held an N
         n_words = reads.lengths // cfg["word_len"]
-        summary = {
-            "lm": "ngram",
-            "model": args.out,
-            "reads": len(reads),
+        summary |= {
             "short_reads": int((n_words == 0).sum()),
             "words": model.m_train,
             "skipped_words": int(n_words.sum()) - model.m_train,
             "vocab_size": model.vocab_size,
         }
     else:
-        summary = {
-            "lm": "charrnn",
-            "model": args.out,
-            "reads": len(reads),
+        summary |= {
             "chars": int(reads.lengths.sum()),
             "epochs": len(history),
             "final_train_loss": history[-1]["train_loss"],
             "best_val_loss": min(h["val_loss"] for h in history),
         }
-    _write_config(cfg, args.out + ".config.json")
+    _write_json(cfg, args.out + ".config.json")
     _emit(summary)
     _say(f"trained {cfg['lm']} model on {len(reads)} reads -> {args.out}")
     return 0
@@ -399,7 +409,7 @@ def cmd_inject(args: argparse.Namespace) -> int:
     write_fastq(corrupted, args.out)
     if args.ledger:
         ledger.to_tsv(args.ledger)
-    _write_config(cfg, args.out + ".config.json")
+    _write_json(cfg, args.out + ".config.json")
     _emit({"reads": len(corrupted), "changes": len(ledger), "out": args.out})
     _say(
         f"injected {cfg['kind']}/{cfg['regime']} errors into {len(corrupted)} reads "
@@ -424,7 +434,7 @@ def cmd_correct(args: argparse.Namespace) -> int:
     corrected = corrector(reads, value)
     write_fastq(corrected, args.out)
     changed = reads.changed_reads(corrected)
-    _write_config(cfg, args.out + ".config.json")
+    _write_json(cfg, args.out + ".config.json")
     _emit({"reads": len(corrected), "value": value, "changed_reads": changed})
     _say(f"corrected {changed}/{len(corrected)} reads at value {value}")
     return 0
@@ -438,7 +448,6 @@ def cmd_tune(args: argparse.Namespace) -> int:
     corrector = _make_corrector(cfg)
     reads = load_reads(args.reads)
     _check_k_fits(cfg, reads, (cfg["k_min"], cfg["k_max"]))
-    _say(f"training {cfg['lm']} model on {len(reads)} reads")
     lm, _ = _train_lm(cfg, reads)
     os.makedirs(args.out_dir, exist_ok=True)
     _say(
@@ -460,9 +469,8 @@ def cmd_tune(args: argparse.Namespace) -> int:
         "evaluations": result.evaluations,
         "searches": [s.to_dict() for s in result.searches],
     }
-    with open(os.path.join(args.out_dir, "search.json"), "w") as fh:
-        fh.write(json.dumps(search_payload, sort_keys=True, indent=2) + "\n")
-    _write_config(cfg, os.path.join(args.out_dir, "config.json"))
+    _write_json(search_payload, os.path.join(args.out_dir, "search.json"))
+    _write_json(cfg, os.path.join(args.out_dir, "config.json"))
     _emit(
         {
             "best_value": result.best_value,
@@ -507,21 +515,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         models["rnn"] = charrnn.RnnLm.load(args.rnn_model)
     reads = load_reads(args.reads)
     truth = load_reads(args.truth) if args.truth else None
+    if truth is not None:
+        # the gain of no correction fails, before any work, as every k's would
+        ecsim.ec_gain(reads, reads, truth)
     _check_k_fits(cfg, reads, values)
     if not args.model:
-        _say(f"training n-gram model on {len(reads)} reads")
         models["ngram"], _ = _train_lm(cfg, reads)
     report = metrics.sweep(reads, corrector, values, models, truth=truth)
     sys.stdout.write(report.to_tsv())
     if args.tsv_out:
         with open(args.tsv_out, "w") as fh:
             fh.write(report.to_tsv())
-        _write_config(cfg, args.tsv_out + ".config.json")
+        _write_json(cfg, args.tsv_out + ".config.json")
     if args.json_out:
         with open(args.json_out, "w") as fh:
             fh.write(report.to_json())
         if not args.tsv_out:
-            _write_config(cfg, args.json_out + ".config.json")
+            _write_json(cfg, args.json_out + ".config.json")
     for key, r in sorted(report.correlations.items()):
         _say(f"correlation {key}: {r:+.4f}")
     if report.failure is not None:
@@ -582,6 +592,7 @@ def main(argv: list[str] | None = None) -> int:
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = build_parser(command).parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except FileNotFoundError as exc:
         name = getattr(exc, "filename", None) or exc

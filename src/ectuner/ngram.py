@@ -26,11 +26,12 @@ o from its history at order o-1, with one ``searchsorted`` per table.  The
 probabilities come from the same float64 operations, in the same order, as
 evaluating one word at a time.  The logarithm is ``math.log`` per word,
 because ``np.log`` can differ in the last bit; each read's sum runs left to
-right, and the reads are reduced with ``math.fsum``, so a perplexity is
-reproducible to the last digit.  A read's sum depends on its own words alone,
-so ``score_reads`` keeps the per-read sums of the last set it scored and, for
-a set of the same layout, rescores only the reads whose bases differ: the
-report is the one a full scoring gives, to the last bit.
+right (one ``np.add.at``, unbuffered, adds the words in read order), and the
+reads are reduced with ``math.fsum``, so a perplexity is reproducible to the
+last digit.  A read's sum depends on its own words alone, so ``score_reads``
+keeps the per-read sums of the last set it scored and, for a set of the same
+layout, rescores only the reads whose bases differ: the report is the one a
+full scoring gives, to the last bit.
 
 Model file format (little-endian), documented so alternate implementations
 can interoperate:
@@ -50,13 +51,14 @@ can interoperate:
             per continuation (sorted by word value): word u32, count u64
     sha256 digest (32 bytes) of everything before it
 
-``_seal`` and ``_unseal`` write and check the magic, the header's size and
-the digest, for the char-RNN's model files too.  A file holds only histories that occur in the training reads.  Files from
-older versions also hold start-marker histories (token 0xFFFFFFFF); they load
-as plain tokens, so such files score and re-save exactly as they did.  Below
-word_len 16 no lookup matches a marker, because word codes stay below
-4**word_len; at word_len 16, 0xFFFFFFFF is also the code of the all-T word,
-so a marker history is matched wherever the preceding word is 16 T's.
+``_seal`` and ``_unseal`` write and check the magic, version, header size and
+digest, for the char-RNN's model files too.  A file holds only histories that
+occur in the training reads.  Files from older versions also hold start-marker
+histories (token 0xFFFFFFFF); they load as plain tokens, so such files score
+and re-save exactly as they did.  Below word_len 16 no lookup matches a
+marker, because word codes stay below 4**word_len; at word_len 16, 0xFFFFFFFF
+is also the code of the all-T word, so a marker history is matched wherever
+the preceding word is 16 T's.
 """
 
 from __future__ import annotations
@@ -103,11 +105,11 @@ def _seal(path: str, payload: bytes) -> None:
 
 
 def _unseal(
-    path: str, magic: bytes, header_fmt: str, what: str
-) -> tuple[tuple, memoryview]:
-    """The header fields and the rest of the payload of a model file that
-    ``_seal`` wrote, whose payload is ``magic``, a header packed as
-    ``header_fmt``, then the rest; ``what`` names the model kind in errors."""
+    path: str, magic: bytes, version: int, header_fmt: str, what: str
+) -> tuple[list, memoryview]:
+    """The header fields after the version and the rest of a model file that
+    ``_seal`` wrote: ``magic``, a header packed as ``header_fmt`` whose first
+    field must be ``version``, then the rest; ``what`` names the kind in errors."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(magic) + 32 or blob[: len(magic)] != magic:
@@ -118,7 +120,10 @@ def _unseal(
     end = len(magic) + struct.calcsize(header_fmt)
     if len(payload) < end:
         raise ModelFormatError(f"{path}: truncated header")
-    return struct.unpack_from(header_fmt, payload, len(magic)), payload[end:]
+    found, *fields = struct.unpack_from(header_fmt, payload, len(magic))
+    if found != version:
+        raise ModelFormatError(f"{path}: unsupported version {found}")
+    return fields, payload[end:]
 
 
 def _flatten(
@@ -416,33 +421,13 @@ class NgramModel:
         p = self._probs(self._current(), codes, np.arange(len(codes)))
         return float(p[-1])
 
-    def _read_sums(self, words: Words) -> np.ndarray:
-        """Each read's sum of -ln p over its words, for the reads that have
-        words.  ``math.log`` is taken per word (``np.log`` may differ in the
-        last bit), and each read's sum is accumulated word by word, left to
-        right."""
-        p = self._probs(self._current(), words.codes, words.pos)
-        neg_log = -np.fromiter(map(math.log, p.tolist()), np.float64, len(p))
-        read = words.read
-        opens = np.r_[True, read[1:] != read[:-1]]
-        starts = np.flatnonzero(opens)
-        group = np.cumsum(opens) - 1
-        rank = np.arange(len(read)) - starts[group]
-        order = np.argsort(rank)
-        sums = np.zeros(len(starts))
-        cuts = np.searchsorted(rank[order], np.arange(1, rank.max() + 1))
-        for step in np.split(order, cuts):  # each read's next word
-            sums[group[step]] += neg_log[step]
-        return sums
-
     def _sums(self, words: Words, n_reads: int) -> tuple[np.ndarray, np.ndarray]:
         """Each of ``n_reads`` reads' sum of -ln p (0.0 for a read without
-        words) and its number of words."""
-        count = np.bincount(words.read, minlength=n_reads)
+        words), added word by word in read order, and its number of words."""
+        p = self._probs(self._current(), words.codes, words.pos).tolist()
         sums = np.zeros(n_reads)
-        if len(words.codes):
-            sums[count > 0] = self._read_sums(words)
-        return sums, count
+        np.add.at(sums, words.read, -np.fromiter(map(math.log, p), float, len(p)))
+        return sums, np.bincount(words.read, minlength=n_reads)
 
     def perplexity(self, corpus: Iterable[WordSequence]) -> PerplexityReport:
         """Average per-word perplexity exp(mean -ln p) over the corpus.
@@ -525,11 +510,9 @@ class NgramModel:
 
     @classmethod
     def load(cls, path: str) -> "NgramModel":
-        (version, word_len, history, smooth_tag, p_floor, m_train), body = _unseal(
-            path, MAGIC, "<III B d Q", "n-gram"
+        (word_len, history, smooth_tag, p_floor, m_train), body = _unseal(
+            path, MAGIC, VERSION, "<III B d Q", "n-gram"
         )
-        if version != VERSION:
-            raise ModelFormatError(f"{path}: unsupported version {version}")
         if smooth_tag != 1:
             raise ModelFormatError(f"{path}: unknown smoothing tag {smooth_tag}")
         # 32-bit units, at least each order's u64 count of histories

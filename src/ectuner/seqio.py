@@ -425,12 +425,15 @@ def read_fasta(path: str) -> ReadSet:
     return ReadSet(iter_fasta(path))
 
 
+def fasta_named(path: str) -> bool:
+    """Whether ``load_reads`` reads ``path`` as FASTA, by its name."""
+    base = path[:-3] if path.endswith(".gz") else path
+    return base.endswith((".fa", ".fasta", ".fna"))
+
+
 def load_reads(path: str) -> ReadSet:
     """Load a read file, picking the format from the file name."""
-    base = path[:-3] if path.endswith(".gz") else path
-    if base.endswith((".fa", ".fasta", ".fna")):
-        return read_fasta(path)
-    return read_fastq(path)
+    return read_fasta(path) if fasta_named(path) else read_fastq(path)
 
 
 def write_fastq(reads: Iterable[Read], path: str) -> None:

@@ -63,8 +63,11 @@ class SearchResult:
     best_value: int
     best_perplexity: float
     trace: tuple[tuple[int, float], ...]
-    evaluations: int
     termination: str
+
+    @property
+    def evaluations(self) -> int:
+        return len(self.trace)
 
     def to_dict(self) -> dict:
         return {
@@ -113,7 +116,6 @@ def climb(
                 best_value=k,
                 best_perplexity=fk,
                 trace=tuple(trace),
-                evaluations=len(trace),
                 termination=TERM_BOUNDARY if at_edge else TERM_LOCAL_MINIMUM,
             )
         if budget <= 0:
@@ -122,7 +124,6 @@ def climb(
                 best_value=best_v,
                 best_perplexity=best_f,
                 trace=tuple(trace),
-                evaluations=len(trace),
                 termination=TERM_ITERATION_BUDGET,
             )
         budget -= 1

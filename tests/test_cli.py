@@ -438,6 +438,65 @@ def test_sweep_scores_an_rnn_model_beside_the_trained_ngram(clean_fastq, tmp_pat
         assert row["perplexity_rnn"] == model.score_reads(corrected).avg_perplexity
 
 
+@pytest.mark.parametrize(
+    "command, flags, flag",
+    [
+        ("train", ["--out", "{d}/nodir/m.ngram"], "--out"),
+        ("correct", ["--k", "9", "--out", "{d}/nodir/c.fastq"], "--out"),
+        ("sweep", ["--values", "9,11", "--json-out", "{d}/nodir/s.json"], "--json-out"),
+        ("sweep", ["--values", "9,11", "--tsv-out", "{d}/nodir/s.tsv"], "--tsv-out"),
+        ("inject", ["--out", "{d}/x.fastq", "--ledger", "{d}/nodir/l.tsv"], "--ledger"),
+        ("correct", ["--k", "9", "--out", "{d}/fixed.fa"], "--out"),
+        ("inject", ["--out", "{d}/bad.fasta.gz"], "--out"),
+    ],
+    ids=["train", "correct", "sweep-json", "sweep-tsv", "inject-ledger",
+         "correct-fasta", "inject-fasta-gz"],
+)
+def test_unwritable_output_exits_1_before_any_read_is_loaded(
+    clean_fastq, tmp_path, capsys, command, flags, flag
+):
+    # an output in a missing directory, or a FASTQ output that load_reads
+    # would read back as FASTA
+    flags = [f.format(d=tmp_path) for f in flags]
+    rc = main([command, "--reads", clean_fastq, *flags])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"ectuner: {flag} {tmp_path}")
+    assert captured.err.count("\n") == 1  # no note of work before it
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "n_truth, message",
+    [(50, "read counts differ: original 300, corrected 300, truth 50"),
+     (300, "no erroneous bases; gain is undefined")],
+    ids=["misaligned", "error-free"],
+)
+def test_sweep_refuses_a_truth_without_a_gain_before_training(
+    clean_fastq, tmp_path, capsys, n_truth, message
+):
+    truth = tmp_path / "truth.fastq"
+    write_fastq(list(load_reads(clean_fastq))[:n_truth], str(truth))
+    json_out = tmp_path / "sweep.json"
+    rc = main(["sweep", "--reads", clean_fastq, "--truth", str(truth),
+               "--values", "9,11", "--json-out", str(json_out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"ectuner: {message}\n"
+    assert captured.out == ""
+    assert not json_out.exists()
+
+
+def test_tune_and_sweep_write_one_training_note(clean_fastq, tmp_path, capsys):
+    note = "training n-gram model on 300 reads\n"
+    assert main(["tune", "--reads", clean_fastq, "--out-dir", str(tmp_path / "t"),
+                 "--k-min", "9", "--k-max", "11", "--sample-n", "50"]) == 0
+    assert capsys.readouterr().err.count(note) == 1
+    assert main(["sweep", "--reads", clean_fastq, "--values", "9"]) == 0
+    assert capsys.readouterr().err.count(note) == 1
+
+
 def test_sweep_refuses_two_models_for_one_column_before_any_read_is_loaded(
     tmp_path, capsys
 ):

@@ -8,6 +8,7 @@ import math
 import random
 import struct
 
+import numpy as np
 import pytest
 
 from ectuner import injector, ngram
@@ -542,8 +543,8 @@ def _assert_matches_oracle(model, oracle, score_set, tmp_path):
     path.write_bytes(want_bytes)
     loaded = NgramModel.load(str(path))
     for m in (model, loaded):
-        words = segment_reads(score_set, m.word_len)
-        assert m._read_sums(words).tolist() == want_sums
+        sums, count = m._sums(segment_reads(score_set, m.word_len), len(score_set))
+        assert sums[count > 0].tolist() == want_sums
         assert m.score_reads(score_set).to_dict() == want_report
     loaded.save(str(path))
     assert path.read_bytes() == want_bytes
@@ -576,6 +577,40 @@ def test_simulated_reads_match_dict_oracle(tmp_path):
     oracle = DictNgramModel(7, 3)
     oracle.count(_oracle_runs(noisy, 7)[0])
     _assert_matches_oracle(model, oracle, noisy, tmp_path)
+
+
+def test_add_at_adds_in_index_order():
+    # each read's sum is one np.add.at over its words: 1 + 1e16 rounds to
+    # 1e16, so only the in-order sum gives 0.0, and any other order 1.0
+    sums = np.zeros(1)
+    np.add.at(sums, [0, 0, 0], [1.0, 1e16, -1e16])
+    assert sums.tolist() == [0.0]
+
+
+def test_read_sums_run_left_to_right_over_widely_spread_terms():
+    # a word seen thousands of times after itself costs under 1e-6 nats, an
+    # unseen word about 16, so a sum taken in another order than the
+    # oracle's left-to-right one differs in its last bits
+    rng = random.Random(17)
+    train_set = ReadSet(tuple(
+        Read(f"t{i}", "AAAA" * 30 if i % 8 else "".join(rng.choices("ACG", k=120)))
+        for i in range(400)
+    ))
+    score_set = ReadSet(tuple(
+        Read(f"s{i}", "".join(rng.choice(["AAAA"] * 6 + ["CGTC", "TTGA", "GACT"])
+                              for _ in range(rng.randint(1, 40))))
+        for i in range(200)
+    ))
+    model = ngram.train_reads(train_set, word_len=4, history=2)
+    oracle = DictNgramModel(4, 2)
+    oracle.count(_oracle_runs(train_set, 4)[0])
+    runs = _oracle_runs(score_set, 4)[0]
+    terms = [[-math.log(oracle.prob(w, g)) for w, g in oracle._events(r)] for r in runs]
+    assert max(max(t) for t in terms) / min(min(t) for t in terms) > 1e4
+    want = oracle.read_sums(runs)
+    assert [sum(sorted(t)) for t in terms] != want
+    sums, count = model._sums(segment_reads(score_set, 4), len(score_set))
+    assert sums[count > 0].tolist() == want
 
 
 @pytest.mark.parametrize("word_len, history", [(4, 5), (7, 3), (1, 4)])

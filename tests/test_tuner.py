@@ -264,10 +264,10 @@ def test_search_result_serialization():
         best_value=15,
         best_perplexity=2.5,
         trace=((17, 3.0), (15, 2.5), (19, 4.0)),
-        evaluations=3,
         termination=TERM_LOCAL_MINIMUM,
     )
     d = res.to_dict()
     assert d["best_value"] == 15
     assert d["trace"] == [[17, 3.0], [15, 2.5], [19, 4.0]]
+    assert d["evaluations"] == 3  # the trace's length
     assert d["termination"] == "local_minimum"
