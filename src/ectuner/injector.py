@@ -4,7 +4,7 @@ Error models, applied per read with an independent PCG64 stream derived from
 (seed, read index), so each read's draws are pinned by the order below and
 do not depend on any other read:
 
-* deletion of a segment of length d starting at index ~ U{0..l-d}
+* deletion of a segment of length d < l starting at index ~ U{0..l-d}
 * insertion of an i.i.d. uniform ACGT segment of length n at index ~ U{0..l-n}
 * n independent substitutions, each at index ~ U{0..l-1} (with replacement)
   by a uniform base, so one draw in four leaves the base unchanged
@@ -225,10 +225,11 @@ def inject_readset(
 
     Reads are corrupted a block at a time, every read's draws taken from its
     own stream as the module docstring lays out.  A read too short for its
-    edit (an indel longer than the read, or a substitution into an empty
-    read) raises ``ValueError`` naming it.  Substitutions are written into a
-    copy of the set's base codes, then the indels are spliced into it; only
-    a read with both an indel and a quality string is edited on its own.
+    edit (an insertion longer than the read, a deletion of all its bases, or
+    a substitution into an empty read) raises ``ValueError`` naming it.
+    Substitutions are written into a copy of the set's base codes, then the
+    indels are spliced into it; only a read with both an indel and a quality
+    string is edited on its own.
     """
     if not len(readset):
         return readset, ErrorLedger()
@@ -281,7 +282,8 @@ def _inject_block(
     else:
         kinds = np.full(n, KINDS.index(spec.kind))
     counts = lo + streams.integers(every, hi - lo + 1)
-    short = lengths < np.where(kinds == _SUB, 1, counts)
+    # a deletion must leave one base: a read cannot be written empty
+    short = lengths < np.where(kinds == _SUB, 1, counts) + (kinds == _DEL)
     if short.any():
         r = int(np.argmax(short))
         raise ValueError(

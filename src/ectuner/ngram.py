@@ -24,14 +24,17 @@ event's key is its history's index times 2**32 plus the word.  Training counts
 each order with one ``np.unique``; scoring finds every word's history at order
 o from its history at order o-1, with one ``searchsorted`` per table.  The
 probabilities come from the same float64 operations, in the same order, as
-evaluating one word at a time.  The logarithm is ``math.log`` per word,
-because ``np.log`` can differ in the last bit; each read's sum runs left to
-right (one ``np.add.at``, unbuffered, adds the words in read order), and the
-reads are reduced with ``math.fsum``, so a perplexity is reproducible to the
-last digit.  A read's sum depends on its own words alone, so ``score_reads``
-keeps the per-read sums of the last set it scored and, for a set of the same
-layout, rescores only the reads whose bases differ: the report is the one a
-full scoring gives, to the last bit.
+evaluating one word at a time.  Words are scored ``_SCORE_BLOCK`` at a time,
+so a block's arrays and its Python floats stay a few MB at any set size; a
+word's history is read back from the whole set's words, wherever the block
+starts.  The logarithm is ``math.log`` per word, because ``np.log`` can
+differ in the last bit; each read's sum runs left to right (``np.add.at``,
+unbuffered, adds a block's words in read order, after the block before), and
+the reads are reduced with ``math.fsum``, so a perplexity is reproducible to
+the last digit, whatever the block size.  A read's sum depends on its own
+words alone, so ``score_reads`` keeps the per-read sums of the last set it
+scored and, for a set of the same layout, rescores only the reads whose
+bases differ: the report is the one a full scoring gives, to the last bit.
 
 Model file format (little-endian), documented so alternate implementations
 can interoperate:
@@ -83,6 +86,9 @@ _LOW = 0xFFFFFFFF
 DEFAULT_WORD_LEN = 7
 DEFAULT_HISTORY = 3
 DEFAULT_P_FLOOR = 1e-7
+# words per block of scoring: a block's arrays and its Python floats take a
+# few MB, where a whole-set pass would hold a set-sized list of floats
+_SCORE_BLOCK = 1 << 15
 
 
 class TrainingError(ValueError):
@@ -376,31 +382,35 @@ class NgramModel:
 
     # -- scoring ----------------------------------------------------------
 
-    def _probs(self, tables: list[_Order], codes: np.ndarray, pos: np.ndarray):
-        """The probability of each word after its min(h, pos) predecessors,
-        with the same float64 operations in the same order as evaluating
-        one word at a time: the order-0 estimate, then each order up to the
-        history's length whose history holds counts."""
+    def _probs(
+        self, tables: list[_Order], codes: np.ndarray, pos: np.ndarray, lo: int, hi: int
+    ) -> np.ndarray:
+        """The probability of words ``lo:hi`` of ``codes`` after their
+        min(h, pos) predecessors, which may lie before ``lo``, with the same
+        float64 operations in the same order as evaluating one word at a
+        time: the order-0 estimate, then each order up to the history's
+        length whose history holds counts."""
         root = tables[0]
         m, v = int(root.total[0]), int(root.distinct[0])
         if v == 0:
             raise PerplexityUndefinedError("model has no training counts")
         lam0 = m / (m + v)
-        j = find_sorted(root.events, codes)
+        word, place = codes[lo:hi], pos[lo:hi]
+        j = find_sorted(root.events, word)
         p = lam0 * (np.where(j >= 0, root.count[j], 0) / m) + (1.0 - lam0) / (v + 1)
-        hid = np.zeros(len(codes), np.int64)
-        at = np.arange(len(codes))  # words whose history chains this far
+        hid = np.zeros(len(word), np.int64)
+        at = np.arange(len(word))  # words whose history chains this far
         for o in range(1, self.history + 1):
             t = tables[o]
-            at = at[pos[at] >= o]
-            j = find_sorted(t.hist, (hid[at] << 32) | codes[at - o])
+            at = at[place[at] >= o]
+            j = find_sorted(t.hist, (hid[at] << 32) | codes[at + (lo - o)])
             at, j = at[j >= 0], j[j >= 0]
             hid[at] = j
             at_o = at[t.distinct[hid[at]] > 0]
             g = hid[at_o]
             total = t.total[g]
             lam = total / (total + t.distinct[g])
-            j = find_sorted(t.events, (g << 32) | codes[at_o])
+            j = find_sorted(t.events, (g << 32) | word[at_o])
             c = np.where(j >= 0, t.count[j], 0)
             p[at_o] = lam * (c / total) + (1.0 - lam) * p[at_o]
         return np.where(p < self.p_floor, self.p_floor, p)
@@ -418,15 +428,19 @@ class NgramModel:
                 f"word {word!r} has length {len(word)}, model expects {self.word_len}"
             )
         codes = np.array([encode_word(w) for w in (*history, word)], np.int64)
-        p = self._probs(self._current(), codes, np.arange(len(codes)))
+        p = self._probs(self._current(), codes, np.arange(len(codes)), 0, len(codes))
         return float(p[-1])
 
     def _sums(self, words: Words, n_reads: int) -> tuple[np.ndarray, np.ndarray]:
         """Each of ``n_reads`` reads' sum of -ln p (0.0 for a read without
         words), added word by word in read order, and its number of words."""
-        p = self._probs(self._current(), words.codes, words.pos).tolist()
+        tables = self._current()
         sums = np.zeros(n_reads)
-        np.add.at(sums, words.read, -np.fromiter(map(math.log, p), float, len(p)))
+        for lo in range(0, len(words.codes), _SCORE_BLOCK):
+            hi = lo + _SCORE_BLOCK
+            p = self._probs(tables, words.codes, words.pos, lo, hi).tolist()
+            logs = -np.fromiter(map(math.log, p), float, len(p))
+            np.add.at(sums, words.read[lo:hi], logs)
         return sums, np.bincount(words.read, minlength=n_reads)
 
     def perplexity(self, corpus: Iterable[WordSequence]) -> PerplexityReport:

@@ -35,7 +35,7 @@ def sample_clean_reads(genome: str, n: int, read_len: int, seed: int) -> ReadSet
 
 def _delete(seq: str, d: int, rng: np.random.Generator) -> tuple[str, list]:
     l = len(seq)
-    if not 0 < d <= l:
+    if not 0 < d < l:
         raise ValueError(f"deletion length {d} invalid for read of length {l}")
     i = int(rng.integers(0, l - d + 1))
     return seq[:i] + seq[i + d :], [("deletion", i, seq[i : i + d], "")]

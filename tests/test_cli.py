@@ -218,6 +218,19 @@ def test_inject_failure_exits_1_and_writes_nothing(tmp_path, capsys, flags, mess
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.fastq"]
 
 
+def test_inject_refuses_to_delete_every_base_of_a_read(tmp_path, capsys):
+    # seed 0 draws 10 deletions for reads a and c, which would leave them
+    # empty: a FASTQ that load_reads refuses
+    reads = str(tmp_path / "in.fastq")
+    write_fastq([Read(name, "ACGTACGTAC") for name in "abc"], reads)
+    rc = main(["inject", "--reads", reads, "--out", str(tmp_path / "bad.fastq"),
+               "--kind", "deletion", "--regime", "high", "--seed", "0"])
+    assert rc == 1
+    message = "ectuner: read 'a' of length 10 is too short for deletion count 10\n"
+    assert capsys.readouterr().err == message
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.fastq"]
+
+
 @pytest.mark.parametrize(
     "name, text, message",
     [

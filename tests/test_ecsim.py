@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ectuner import ecsim
+from ectuner import ecsim, ngram
 from ectuner.ecsim import (
     AdapterError,
     AlignmentError,
@@ -77,6 +77,70 @@ def test_kmer_spectrum_matches_the_oracle_across_a_block_of_windows():
         assert as_dict(kmer_spectrum(reads, k)) == oracle_spectrum(reads, k)
 
 
+def _min_count_sets(k):
+    """Deep reads of a short genome, so counts of 1 to 5 and more all occur,
+    mixed with ragged reads holding single Ns and runs of N, all-N reads,
+    reads shorter than any k and one window of k T's, the highest code, which
+    the genome rarely holds; and an empty set."""
+    genome = generate_genome(400, seed=61)
+    deep = sample_clean_reads(genome, 150, 40, seed=62)
+    messy = _messy_reads(random.Random(61), genome, 120)
+    odd = (
+        Read("one-n", genome[:20] + "N" + genome[21:45]),
+        Read("all-n", "N" * 40),
+        Read("all-n-short", "NNN"),
+        Read("short", genome[50:51]),
+        Read("empty", ""),
+        Read("top", "T" * k),
+    )
+    return ReadSet(deep.reads + messy.reads + odd), ReadSet(())
+
+
+_MIN_COUNT_KS = [1, 2, 9, 17, 25, 31, 32]
+
+
+@pytest.mark.parametrize("k", _MIN_COUNT_KS)
+@pytest.mark.parametrize("block", [5, ecsim._SPECTRUM_BLOCK])
+def test_kmer_spectrum_min_count_is_the_full_spectrum_filtered(k, block, monkeypatch):
+    # blocks of five windows: runs are compared across block boundaries
+    monkeypatch.setattr(ecsim, "_SPECTRUM_BLOCK", block)
+    for reads in _min_count_sets(k):
+        full = kmer_spectrum(reads, k)
+        for m in (1, 2, 3, 5):
+            got = kmer_spectrum(reads, k, m)
+            got.check()
+            kept = full.counts >= m
+            assert got.codes.tolist() == full.codes[kept].tolist()
+            assert got.counts.tolist() == full.counts[kept].tolist()
+            assert got.codes.dtype == np.uint64 and got.counts.dtype == np.int64
+    with pytest.raises(ValueError, match="min_count must be >= 1, got 0"):
+        kmer_spectrum(reads, k, 0)
+
+
+@pytest.mark.parametrize("k", _MIN_COUNT_KS)
+def test_correction_against_its_own_solid_spectrum_equals_the_full_one(k, monkeypatch):
+    # the corrector counts its own spectrum with min_count = solid_min,
+    # through the module attribute that tracing wraps
+    calls = []
+
+    def counted(readset, k, min_count=1):
+        calls.append((k, min_count))
+        return kmer_spectrum(readset, k, min_count)
+
+    monkeypatch.setattr(ecsim, "kmer_spectrum", counted)
+    for reads in _min_count_sets(k):
+        full = kmer_spectrum(reads, k)
+        for m in (1, 2, 3, 5):
+            config = KSpectrumConfig(k, solid_min=m)
+            calls.clear()
+            got = kspectrum_correct(reads, config)
+            assert calls == [(k, m)]
+            want = kspectrum_correct(reads, config, full)
+            assert got.codes.tobytes() == want.codes.tobytes()
+            assert got.lengths.tolist() == want.lengths.tolist()
+            assert got.ids == want.ids
+
+
 @pytest.fixture(scope="module")
 def tune_default_reads():
     """12 000 x 50 bp reads of a 10 kb genome with substitution/low errors,
@@ -92,6 +156,37 @@ def test_kmer_spectrum_peak_memory(tune_default_reads, k):
     tracemalloc.start()
     try:
         kmer_spectrum(tune_default_reads, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.5e6
+
+
+# tracemalloc peaks of the spectrum of the k-mers counted 3 times or more,
+# in bytes: one uint64 and one run flag per in-read window, and the block
+# pieces.  The distinct k-mers are never gathered; the full spectrum, which
+# gathers them, peaks at 6.75 MB (k = 17) and 6.07 MB (k = 25)
+_SOLID_SPECTRUM_PEAK = {17: 4.82e6, 25: 3.89e6}
+
+
+@pytest.mark.parametrize("k", [17, 25])
+def test_solid_spectrum_peak_memory(tune_default_reads, k):
+    tracemalloc.start()
+    try:
+        kmer_spectrum(tune_default_reads, k, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _SOLID_SPECTRUM_PEAK[k] + 0.5e6
+
+
+def test_ngram_scoring_peak_memory(tune_default_reads):
+    # 84 000 words scored 2**15 at a time peak at 6.68 MB, their segmented
+    # words included; scored all at once, with a Python float per word, 10.35 MB
+    model = ngram.train_reads(tune_default_reads)
+    tracemalloc.start()
+    try:
+        model.score_reads(tune_default_reads)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -118,7 +118,8 @@ def test_single_edit_helpers_edit_quality():
 
 def _mixed_reads(min_len: int) -> ReadSet:
     """Reads with quality strings or none, N in the middle or at the start,
-    and lengths from ``min_len`` (edit spans of 1) up to 90."""
+    and lengths from ``min_len`` (the fewest places for the largest edit)
+    up to 90."""
     genome = generate_genome(3000, seed=40)
     quals = "".join(chr(c) for c in range(33, 74)) * 4
     reads = []
@@ -140,7 +141,10 @@ def test_block_injection_equals_the_per_read_oracle(monkeypatch, kind, regime, s
     # a small block size puts block boundaries inside the read set
     monkeypatch.setattr(injector, "_BLOCK", 37)
     spec = InjectionSpec(kind, regime, seed)
-    for readset in (_mixed_reads(REGIMES[regime][1]), _mixed_reads(1)):
+    # the shortest reads fit the regime's largest edit, and a deletion must
+    # leave one base
+    shortest = REGIMES[regime][1] + (kind in ("deletion", "mixture"))
+    for readset in (_mixed_reads(shortest), _mixed_reads(1)):
         if kind != "substitution" and len(readset[0]) == 1:
             continue
         corrupted, ledger = inject_readset(readset, spec)
@@ -309,7 +313,8 @@ def test_injection_spec_validation():
 
 
 def test_oversized_edit_counts_raise():
-    ok = Read("ok", "ACGTACGTAC")
+    # 11 bases: a deletion of the high regime's 10 leaves one
+    ok = Read("ok", "ACGTACGTACG")
     for kind, read, count in (
         ("deletion", Read("short", "ACGT"), "5"),
         ("insertion", Read("short", "ACGT"), "5"),

@@ -146,3 +146,28 @@ def test_a_changed_model_does_not_reuse_its_last_sums(change, model_path, tmp_pa
         assert want != _report(NgramModel.load(before), readset)
         assert _report(model, readset) == want
         before = path
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_score_blocks_leave_sums_counts_and_reports_unchanged(model_path, monkeypatch, block):
+    # reads of up to 7 words straddle blocks of 7 and 64 words; the second
+    # set differs in a few rows, so it takes the changed-rows path
+    rng = np.random.default_rng(17)
+    first = _pool(rng, 300)
+    second = _mutate(first, [2, 40, 41, 299], rng)
+    words = segment_reads(first, WORD_LEN)
+    assert len(words.codes) > 10 * 64
+
+    def scores():
+        model = NgramModel.load(model_path)
+        sums, count = model._sums(words, len(first))
+        rescored = []
+        score = model._sums
+        model._sums = lambda w, n: rescored.append(n) or score(w, n)
+        reports = [model.score_reads(s).to_dict() for s in (first, second)]
+        assert rescored == [len(first), int(second.differing(first).sum())]
+        return sums.tolist(), count.tolist(), reports, model._last.sums.tolist()
+
+    want = scores()
+    monkeypatch.setattr(ngram, "_SCORE_BLOCK", block)
+    assert scores() == want
