@@ -448,7 +448,9 @@ def cmd_tune(args: argparse.Namespace) -> int:
     corrector = _make_corrector(cfg)
     reads = load_reads(args.reads)
     _check_k_fits(cfg, reads, (cfg["k_min"], cfg["k_max"]))
-    lm, _ = _train_lm(cfg, reads)
+    # held only in this list, which tune's call empties, so that tune can
+    # free the model before it corrects the whole set
+    models = [_train_lm(cfg, reads)[0]]
     os.makedirs(args.out_dir, exist_ok=True)
     _say(
         f"searching [{space.lower}, {space.upper}] step {space.step} "
@@ -456,7 +458,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
     )
     result = tuner.tune(
         reads,
-        lm,
+        models.pop(),
         corrector,
         space,
         sample_n=cfg["sample_n"],

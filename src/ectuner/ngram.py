@@ -20,8 +20,10 @@ mass.  All results are floored at ``p_floor``.
 In memory each order keeps sorted integer arrays (``_Order``), the sorted
 tables of KenLM: a history's key is the index of its suffix (the history less
 its oldest word) in the order below, times 2**32, plus its oldest word, and an
-event's key is its history's index times 2**32 plus the word.  Training counts
-each order with one ``np.unique``; scoring finds every word's history at order
+event's key is its history's index times 2**32 plus the word.  Training sorts
+each order's history and event keys once each, reads the distinct keys, ranks
+and counts off the sorted copies (``_runs``) and drops each set-sized array
+once spent; scoring finds every word's history at order
 o from its history at order o-1, with one ``searchsorted`` per table.  The
 probabilities come from the same float64 operations, in the same order, as
 evaluating one word at a time.  Words are scored ``_SCORE_BLOCK`` at a time,
@@ -211,6 +213,36 @@ def _index(levels: list[tuple[np.ndarray, ...]]) -> list[_Order]:
     return tables
 
 
+def _sorted_keys(
+    hid: np.ndarray, at: np.ndarray, codes: np.ndarray, back: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The keys hid[at] * 2**32 + codes[at - back], sorted, and the order
+    that sorts them.  Every table sorts with this one argsort kernel, since
+    each further numpy sort kernel (np.sort, np.lexsort) adds 128-256 KB of
+    resident code."""
+    key = hid[at]
+    key <<= 32
+    key |= codes[at - back] if back else codes[at]
+    perm = key.argsort()
+    return key[perm], perm
+
+
+def _runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of the sorted ``key`` and how often each occurs;
+    ``key`` is overwritten with each entry's rank among those values.  No
+    temporary of the values' size is made: one freed below a long-lived
+    table stays resident in the allocator's heap (about 70 MB more after
+    training on 600 000 reads of 100 bp)."""
+    first = np.empty(len(key), bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    values = key[first]
+    np.cumsum(first, out=key)
+    del first
+    key -= 1
+    return values, np.bincount(key)
+
+
 def _token_rows(tables: list[_Order]) -> list[np.ndarray]:
     """Every history of each order as a row of word codes, oldest first."""
     rows = [np.zeros((1, 0), np.int64)]
@@ -316,18 +348,20 @@ class NgramModel:
         for o in range(self.history + 1):
             at = np.flatnonzero(pos >= o)
             if o == 0:
-                hist = np.zeros(1, np.int64)
+                hist, total = np.zeros(1, np.int64), np.array([len(at)])
             else:
-                hist, hid[at] = np.unique(
-                    (hid[at] << 32) | codes[at - o], return_inverse=True
-                )
-            # counted through the inverse, as the histories are: every table
-            # sorts with the one argsort kernel, since each further numpy sort
-            # kernel (np.sort, np.lexsort) adds 128-256 KB of resident code
-            events, which = np.unique((hid[at] << 32) | codes[at], return_inverse=True)
-            count = np.bincount(which)
-            total = np.bincount(hid[at], minlength=len(hist))
-            distinct = np.bincount(events >> 32, minlength=len(hist))
+                # a history's rank among the sorted distinct keys is its index
+                key, perm = _sorted_keys(hid, at, codes, o)
+                hist, total = _runs(key)
+                hid[at[perm]] = key
+                del key, perm
+            key = _sorted_keys(hid, at, codes, 0)[0]
+            del at
+            events, count = _runs(key)
+            # each event's history, written over the spent keys
+            owner = np.right_shift(events, 32, out=key[: len(events)])
+            distinct = np.bincount(owner, minlength=len(hist))
+            del key, owner
             tables.append(_Order(hist, total, distinct, events, count))
         self._tables = tables
         self._dicts = None
@@ -590,5 +624,6 @@ def train_reads(
 ) -> NgramModel:
     """Segment ``readset`` and train; the usual entry point."""
     model = NgramModel(word_len=word_len, history=history, p_floor=p_floor)
-    model._count(segment_reads(readset, word_len))
+    # the words' read column is dropped before counting, which never reads it
+    model._count(segment_reads(readset, word_len)._replace(read=None))
     return model

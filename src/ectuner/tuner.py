@@ -165,7 +165,8 @@ def tune(
     ``lm`` is a trained model exposing ``score_reads``.  One sample is drawn
     up front and reused for every evaluated value; restarts share one memo
     table.  The overall winner (ties to the smaller value) is applied to the
-    whole dataset.
+    whole dataset, after ``tune`` has dropped its references to ``lm`` and
+    the sample.
     """
     sample = sample_reads(dataset, sample_n, seed)
     memo: dict[int, float] = {}
@@ -176,6 +177,10 @@ def tune(
     searches = tuple(
         climb(objective, start, space, memo) for start in space.start_points()
     )
+    # the full correction needs neither the model (nor the sums it keeps of
+    # the scored sample) nor the sample: a caller that keeps no reference of
+    # its own lets them be freed first
+    del lm, objective, sample
     best = min(searches, key=lambda s: (s.best_perplexity, s.best_value))
     corrected = corrector(dataset, best.best_value)
     return TuneResult(

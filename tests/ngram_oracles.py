@@ -6,7 +6,9 @@ code cannot hide in a shared helper.  The string segmenter is the reference
 for the packed one in ``ectuner.segmenter``, and ``DictNgramModel`` (the
 dict-of-dicts model the array tables replaced) is the reference for
 ``ectuner.ngram.NgramModel``: the same counts, probabilities, per-read sums
-and file bytes.
+and file bytes.  ``unique_count_tables`` is the count-table builder that
+training used before it sorted each order's keys once: one ``np.unique``,
+with its inverse, per table.
 """
 
 from __future__ import annotations
@@ -17,7 +19,15 @@ import struct
 from collections import defaultdict
 from dataclasses import dataclass
 
-from ectuner.ngram import MAGIC, VERSION, PerplexityReport, PerplexityUndefinedError
+import numpy as np
+
+from ectuner.ngram import (
+    MAGIC,
+    VERSION,
+    PerplexityReport,
+    PerplexityUndefinedError,
+    _Order,
+)
 from ectuner.segmenter import WordSequence
 from ectuner.seqio import encode_word
 
@@ -96,6 +106,29 @@ def oracle_counts(train_seqs, h):
                     cont = counts[o][g]
                     cont[w] = cont.get(w, 0) + 1
     return counts
+
+
+def unique_count_tables(words, history):
+    """The ``_Order`` tables of ``words`` (a ``segmenter.Words``) at orders
+    0..history, each history and event table counted through the inverse of
+    one ``np.unique``."""
+    codes, pos = words.codes, words.pos
+    hid = np.zeros(len(codes), np.int64)  # each word's history index
+    tables = []
+    for o in range(history + 1):
+        at = np.flatnonzero(pos >= o)
+        if o == 0:
+            hist = np.zeros(1, np.int64)
+        else:
+            hist, hid[at] = np.unique(
+                (hid[at] << 32) | codes[at - o], return_inverse=True
+            )
+        events, which = np.unique((hid[at] << 32) | codes[at], return_inverse=True)
+        count = np.bincount(which)
+        total = np.bincount(hid[at], minlength=len(hist))
+        distinct = np.bincount(events >> 32, minlength=len(hist))
+        tables.append(_Order(hist, total, distinct, events, count))
+    return tables
 
 
 def oracle_prob(counts, word, hist, p_floor):

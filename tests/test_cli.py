@@ -6,17 +6,19 @@ asserted cheaply; one subprocess smoke test covers the module entry point.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import weakref
 
 import pytest
 
 import ectuner
-from ectuner import charrnn, ecsim
+from ectuner import charrnn, ecsim, ngram
 from ectuner.cli import build_parser, main
 from ectuner.injector import ErrorLedger, generate_genome, sample_clean_reads
 from ectuner.seqio import Read, load_reads, write_fastq
@@ -508,6 +510,46 @@ def test_tune_and_sweep_write_one_training_note(clean_fastq, tmp_path, capsys):
     assert capsys.readouterr().err.count(note) == 1
     assert main(["sweep", "--reads", clean_fastq, "--values", "9"]) == 0
     assert capsys.readouterr().err.count(note) == 1
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="the caller's stack holds a call's arguments until it returns",
+)
+def test_tune_frees_its_model_before_the_full_correction(
+    clean_fastq, tmp_path, capsys, monkeypatch
+):
+    models, alive = [], []
+    train_reads, builtin = ngram.train_reads, ecsim.builtin_corrector
+
+    def train(*args, **kwargs):
+        model = train_reads(*args, **kwargs)
+        models.append(weakref.ref(model))
+        return model
+
+    def corrector(*settings):
+        correct = builtin(*settings)
+
+        def checked(readset, k):
+            if len(readset) == 300:
+                gc.collect()
+                alive.append(models[0]())
+                print("correcting the whole set", file=sys.stderr)
+            return correct(readset, k)
+
+        return checked
+
+    monkeypatch.setattr(ngram, "train_reads", train)
+    monkeypatch.setattr(ecsim, "builtin_corrector", corrector)
+    assert main(["tune", "--reads", clean_fastq, "--out-dir", str(tmp_path / "t"),
+                 "--k-min", "9", "--k-max", "11", "--sample-n", "50"]) == 0
+    assert alive == [None]
+    assert capsys.readouterr().err.splitlines() == [
+        "training n-gram model on 300 reads",
+        "searching [9, 11] step 2 from (9,)",
+        "correcting the whole set",
+        "best value 11 after 2 evaluations",
+    ]
 
 
 def test_sweep_refuses_two_models_for_one_column_before_any_read_is_loaded(

@@ -3,6 +3,7 @@ oracles, plus persistence and invariant tests."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -32,6 +33,7 @@ from ngram_oracles import (
     oracle_read_runs,
     oracle_segment_corpus,
     seq,
+    unique_count_tables,
 )
 from seqio_oracles import decode_words
 
@@ -611,6 +613,33 @@ def test_read_sums_run_left_to_right_over_widely_spread_terms():
     assert [sum(sorted(t)) for t in terms] != want
     sums, count = model._sums(segment_reads(score_set, 4), len(score_set))
     assert sums[count > 0].tolist() == want
+
+
+@pytest.mark.parametrize("word_len", [1, 4, 7, 16])
+@pytest.mark.parametrize("history", range(6))
+def test_count_tables_equal_the_unique_oracle(word_len, history):
+    # runs broken by N, reads shorter than a word, one-word runs (whose top
+    # orders hold nothing), and many repeats of few words
+    rng = random.Random(10 * word_len + history)
+    one_word = ReadSet(tuple(
+        Read(f"o{i}", "".join(rng.choices("ACGT", k=word_len)) + "N" * word_len)
+        for i in range(30)
+    ))
+    repeats = ReadSet(tuple(
+        Read(f"a{i}", "".join(rng.choice(["A" * word_len, "C" * word_len, "T" * word_len])
+                              for _ in range(rng.randint(1, 9))))
+        for i in range(40)
+    ))
+    for train_set in (_reads(rng, 60, 12 * word_len), one_word, repeats):
+        words = segment_reads(train_set, word_len)
+        model = ngram.train_reads(train_set, word_len=word_len, history=history)
+        got, want = model._tables, unique_count_tables(words, history)
+        assert len(got) == len(want) == history + 1
+        for o, (g, w) in enumerate(zip(got, want)):
+            for field in dataclasses.fields(w):
+                a, b = getattr(g, field.name), getattr(w, field.name)
+                assert a.dtype == b.dtype, (o, field.name)
+                assert np.array_equal(a, b), (o, field.name)
 
 
 @pytest.mark.parametrize("word_len, history", [(4, 5), (7, 3), (1, 4)])

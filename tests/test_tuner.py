@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import sys
+import weakref
 
 import pytest
 
@@ -234,6 +237,32 @@ def test_tune_tie_between_restart_winners_prefers_smaller_value():
     space = SearchSpace(lower=9, upper=25, step=2, iter_max=30, initials=(9, 25))
     result = tune(dataset, lm, corrector, space, sample_n=20, seed=1)
     assert result.best_value == 11
+
+
+# from Python 3.11 a call hands its arguments over to the callee's frame
+@pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="the caller's stack holds a call's arguments until it returns",
+)
+def test_tune_frees_the_model_and_sample_before_the_full_correction():
+    genome = generate_genome(3_000, seed=80)
+    reads = sample_clean_reads(genome, 600, 50, seed=81)
+    models = [ngram.train_reads(reads)]
+    model = weakref.ref(models[0])
+    samples, alive = [], []
+
+    def corrector(readset, value):
+        if len(readset) < len(reads):
+            samples.append(weakref.ref(readset))
+        else:
+            # the model's last scored sums hold a corrected sample
+            gc.collect()
+            alive.append((model(), [s() for s in samples]))
+        return builtin_corrector()(readset, value)
+
+    result = tune(reads, models.pop(), corrector, SearchSpace(9, 13), sample_n=200)
+    assert len(samples) == result.evaluations
+    assert alive == [(None, [None] * len(samples))]
 
 
 def test_tune_on_real_components_small_scale():
