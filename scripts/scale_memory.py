@@ -1,40 +1,43 @@
-"""Report the time and peak memory of one train, tune or sweep at scale.
+"""Report the time and peak memory of one train, tune, sweep or correction at scale.
 
     PYTHONPATH=src python scripts/scale_memory.py --command sweep \\
         --genome 1000000 --reads 600000 --values 13,17,21
+    PYTHONPATH=src python scripts/scale_memory.py --command correct --k 17 --trace
 
-Builds a genome (seed 101), samples 100 bp reads from it (seed 102),
-injects substitution/low errors (seed 103) and writes the reads, and their
-clean truth, as FASTQ to a temporary directory.  It then runs the command
-in this process: ``tune`` at its defaults, or ``sweep --truth`` over
-``--values`` (the default grid without it), through ``ectuner.cli.main``;
-or ``train``, which loads the reads, trains the default n-gram model with
+Builds a genome (seed 101), samples 100 bp reads from it (seed 102) and
+injects substitution/low errors (seed 103).  ``correct`` keeps the reads in
+memory, counts their full k-mer spectrum at ``--k``, then measures
+``kspectrum_correct`` against it.  The other commands write the reads, and
+their clean truth, as FASTQ to a temporary directory and run in this
+process: ``tune`` at its defaults, or ``sweep --truth`` over ``--values``
+(the default grid without it), through ``ectuner.cli.main``; or ``train``,
+which loads the reads, trains the default n-gram model with
 ``ectuner.ngram.train_reads`` and saves it.  It prints one line: the wall
-time of the command (of the training alone for train), ``ru_maxrss`` (MiB)
-before and after it, and the first 16 hex digits of the sha256 of the
-output files (the model file for train, ``search.json`` and
-``corrected.fastq`` for tune, the sweep JSON for sweep).  Peak RSS is per
-process, so run each measurement in a fresh one.  The 1 Mb / 600 000-read
-set needs about 1.5 GB of memory.
+time of the measured step (the command; the training alone for train, the
+correction alone for correct), ``ru_maxrss`` (MiB) before and after it, with
+``--trace`` the tracemalloc peak inside it (MiB, tracing started with the
+step), and the first 16 hex digits of the sha256 of the output (the model
+file for train, ``search.json`` and ``corrected.fastq`` for tune, the sweep
+JSON for sweep, the corrected codes for correct).  Peak RSS is per process,
+so run each measurement in a fresh one.  The 1 Mb / 600 000-read set needs
+about 1.5 GB of memory.
 """
 
 import argparse
 import contextlib
 import hashlib
 import io
+import math
 import os
 import resource
 import sys
 import tempfile
 import time
+import tracemalloc
 
 from ectuner.cli import main as cli_main
-from ectuner.injector import (
-    InjectionSpec,
-    generate_genome,
-    inject_readset,
-    sample_clean_reads,
-)
+from ectuner.ecsim import KSpectrumConfig, kmer_spectrum, kspectrum_correct
+from ectuner.injector import InjectionSpec, generate_genome, inject_readset, sample_clean_reads
 from ectuner.ngram import train_reads
 from ectuner.seqio import load_reads, write_fastq
 
@@ -43,17 +46,18 @@ def maxrss_mib() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def train(reads_path: str, model_path: str) -> tuple[float, float, float]:
-    """Train the default n-gram model on the loaded reads, then save it;
-    ``ru_maxrss`` before and after training, and the training's wall time."""
-    reads = load_reads(reads_path)
+def measure(step, trace: bool):
+    """Run ``step``; its result, and its wall time, ``ru_maxrss`` before and
+    after it and tracemalloc peak (nan unless ``trace``)."""
     before = maxrss_mib()
+    if trace:
+        tracemalloc.start()
     start = time.perf_counter()
-    model = train_reads(reads)
+    result = step()
     wall = time.perf_counter() - start
-    after = maxrss_mib()
-    model.save(model_path)
-    return before, wall, after
+    peak = tracemalloc.get_traced_memory()[1] / 2**20 if trace else math.nan
+    tracemalloc.stop()
+    return result, (wall, before, maxrss_mib(), peak)
 
 
 def command_argv(
@@ -73,45 +77,60 @@ def command_argv(
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--command", choices=("train", "tune", "sweep"), required=True)
+    parser.add_argument("--command", required=True,
+                        choices=("train", "tune", "sweep", "correct"))
     parser.add_argument("--genome", type=int, default=1_000_000)
     parser.add_argument("--reads", type=int, default=600_000)
     parser.add_argument("--values", help="sweep's comma-separated k values")
+    parser.add_argument("--k", type=int, help="correct's k, which it needs")
+    parser.add_argument("--trace", action="store_true",
+                        help="report the measured step's tracemalloc peak")
     args = parser.parse_args()
     if args.values and args.command != "sweep":
         parser.error("--values applies to --command sweep only")
-    with tempfile.TemporaryDirectory(prefix="ectuner-scale-") as work:
-        reads_path = os.path.join(work, "reads.fastq")
-        truth_path = os.path.join(work, "truth.fastq")
-        genome = generate_genome(args.genome, seed=101)
-        clean = sample_clean_reads(genome, args.reads, 100, seed=102)
-        reads = inject_readset(clean, InjectionSpec("substitution", "low", seed=103))[0]
-        write_fastq(reads, reads_path)
-        write_fastq(clean, truth_path)
-        del genome, clean, reads
-        if args.command == "train":
-            outputs = [os.path.join(work, "reads.ngram")]
-            before, wall, after = train(reads_path, outputs[0])
-        else:
-            outputs, argv = command_argv(args, work, reads_path, truth_path)
-            before = maxrss_mib()
-            start = time.perf_counter()
-            # the command's stdout (a TSV or JSON) is its output files' content
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = cli_main(argv)
-            wall = time.perf_counter() - start
-            after = maxrss_mib()
-            if code != 0:
-                print(f"{args.command} exited with {code}", file=sys.stderr)
-                return code
-        digest = hashlib.sha256()
-        for path in outputs:
-            with open(path, "rb") as fh:
-                digest.update(fh.read())
+    if (args.k is None) == (args.command == "correct"):
+        parser.error("--k applies to, and is needed by, --command correct only")
+    digest = hashlib.sha256()
+    genome = generate_genome(args.genome, seed=101)
+    clean = sample_clean_reads(genome, args.reads, 100, seed=102)
+    reads = inject_readset(clean, InjectionSpec("substitution", "low", seed=103))[0]
+    del genome
+    if args.command == "correct":
+        del clean
+        spectrum = kmer_spectrum(reads, args.k)
+        fixed, stats = measure(
+            lambda: kspectrum_correct(reads, KSpectrumConfig(args.k), spectrum), args.trace
+        )
+        digest.update(fixed.codes.tobytes())
+    else:
+        with tempfile.TemporaryDirectory(prefix="ectuner-scale-") as work:
+            reads_path = os.path.join(work, "reads.fastq")
+            truth_path = os.path.join(work, "truth.fastq")
+            write_fastq(reads, reads_path)
+            write_fastq(clean, truth_path)
+            del clean, reads
+            if args.command == "train":
+                outputs = [os.path.join(work, "reads.ngram")]
+                loaded = load_reads(reads_path)
+                model, stats = measure(lambda: train_reads(loaded), args.trace)
+                model.save(outputs[0])
+            else:
+                outputs, argv = command_argv(args, work, reads_path, truth_path)
+                # the command's stdout (a TSV or JSON) is its output files' content
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code, stats = measure(lambda: cli_main(argv), args.trace)
+                if code != 0:
+                    print(f"{args.command} exited with {code}", file=sys.stderr)
+                    return code
+            for path in outputs:
+                with open(path, "rb") as fh:
+                    digest.update(fh.read())
+    k = f" k={args.k}" if args.k is not None else ""
     print(
-        f"command={args.command} genome={args.genome} reads={args.reads} "
-        f"wall_s={wall:.2f} maxrss_before_mb={before:.1f} "
-        f"maxrss_mb={after:.1f} sha256={digest.hexdigest()[:16]}"
+        f"command={args.command}{k} genome={args.genome} reads={args.reads} "
+        "wall_s={:.2f} maxrss_before_mb={:.1f} maxrss_mb={:.1f} "
+        "tracemalloc_peak_mb={:.1f} ".format(*stats)
+        + f"sha256={digest.hexdigest()[:16]}"
     )
     return 0
 

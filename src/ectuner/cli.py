@@ -4,10 +4,13 @@ Subcommands cover the whole pipeline: train, perplexity, inject, correct,
 tune, sweep, eval.  Machine-readable results (JSON or TSV) go to stdout,
 human progress notes to stderr.  Option values resolve as explicit flags
 first, then entries from --config (a JSON object keyed by the flag's long
-name with underscores), then built-in defaults; every file-producing command
-writes the fully-resolved configuration next to its output.
+name with underscores), then built-in defaults.  ``main`` resolves them, and
+checks --config, for every subcommand, eval included, before any read loads;
+every file-producing command writes the fully-resolved configuration next
+to its output.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage errors or missing inputs.
+Exit codes: 0 success, 1 runtime failure (an unreadable path included), 2
+usage errors or missing inputs.
 """
 
 from __future__ import annotations
@@ -137,13 +140,20 @@ def _make_corrector(cfg: dict):
 
 
 def _check_outputs(args: argparse.Namespace) -> None:
-    """Exit before any work when a file to write lies in a directory that
-    does not exist, or a FASTQ ``--out`` has a name read back as FASTA."""
+    """Exit before any work when a file to write is a directory or lies in a
+    directory that does not exist, an ``--out-dir`` is a file, or a FASTQ
+    ``--out`` has a name read back as FASTA."""
     for key in ("out", "ledger", "tsv_out", "json_out"):
-        folder = os.path.dirname(getattr(args, key, None) or "")
+        path = getattr(args, key, None) or ""
+        flag = "--" + key.replace("_", "-")
+        if os.path.isdir(path):
+            raise ValueError(f"{flag} {path}: is a directory")
+        folder = os.path.dirname(path)
         if folder and not os.path.isdir(folder):
-            flag = "--" + key.replace("_", "-")
-            raise ValueError(f"{flag} {getattr(args, key)}: no directory {folder}")
+            raise ValueError(f"{flag} {path}: no directory {folder}")
+    out_dir = getattr(args, "out_dir", None)
+    if out_dir and os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise ValueError(f"--out-dir {out_dir}: not a directory")
     if args.command in ("inject", "correct") and fasta_named(args.out):
         raise ValueError(f"--out {args.out}: {args.command} writes FASTQ, "
                          "but a file of this name is read as FASTA")
@@ -359,8 +369,7 @@ _KNOWN_KEYS = {key for options in _OPTIONS.values()
 # -- subcommands ----------------------------------------------------------
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, _OPTIONS["train"])
+def cmd_train(args: argparse.Namespace, cfg: dict) -> int:
     _check_lm(cfg)
     reads = load_reads(args.reads)
     # the note after the model is saved reports this training
@@ -389,8 +398,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_perplexity(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, _OPTIONS["perplexity"])
+def cmd_perplexity(args: argparse.Namespace, cfg: dict) -> int:
     _check_min(cfg, "sample_n", 1)
     model, _ = _load_model(args.model)
     reads = load_reads(args.reads)
@@ -401,8 +409,7 @@ def cmd_perplexity(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_inject(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, _OPTIONS["inject"])
+def cmd_inject(args: argparse.Namespace, cfg: dict) -> int:
     spec = InjectionSpec(kind=cfg["kind"], regime=cfg["regime"], seed=cfg["seed"])
     reads = load_reads(args.reads)
     corrupted, ledger = inject_readset(reads, spec)
@@ -418,8 +425,7 @@ def cmd_inject(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_correct(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, _OPTIONS["correct"])
+def cmd_correct(args: argparse.Namespace, cfg: dict) -> int:
     corrector = _make_corrector(cfg)
     if cfg["adapter_template"]:
         value = cfg["param_value"]
@@ -440,8 +446,7 @@ def cmd_correct(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_tune(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, _OPTIONS["tune"])
+def cmd_tune(args: argparse.Namespace, cfg: dict) -> int:
     space = _search_space(cfg)
     _check_min(cfg, "sample_n", 1)
     _check_lm(cfg)
@@ -485,17 +490,15 @@ def cmd_tune(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    # a model file fixes its own n-gram settings, so none are resolved, and
-    # a flag setting one would be ignored
-    options = _OPTIONS["sweep"]
+def cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
+    # a model file fixes its own n-gram settings, so none are kept, and a
+    # flag setting one would be ignored
     if args.model:
-        options = {k: v for k, v in options.items() if k not in _NGRAM_OPTIONS}
         for key in _NGRAM_OPTIONS:
+            del cfg[key]
             if getattr(args, key) is not None:
                 flag = "--" + key.replace("_", "-")
                 raise ValueError(f"{flag} is fixed by the --model file")
-    cfg = _resolve(args, options)
     values = _int_list(cfg["values"])
     if values is None:
         _check_min(cfg, "k_step", 1)
@@ -541,7 +544,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(args: argparse.Namespace, cfg: dict) -> int:
     original = load_reads(args.original)
     corrected = load_reads(args.corrected)
     truth = load_reads(args.truth)
@@ -595,12 +598,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser(command).parse_args(argv)
     try:
         _check_outputs(args)
-        return args.func(args)
+        return args.func(args, _resolve(args, _OPTIONS[args.command]))
     except FileNotFoundError as exc:
         name = getattr(exc, "filename", None) or exc
         print(f"ectuner: input not found: {name}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"ectuner: {exc}", file=sys.stderr)
         return 1
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import gzip
 import io
+import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator
@@ -280,6 +282,17 @@ def _open_text(path: str, mode: str):
     return open(path, mode)
 
 
+@contextmanager
+def _reading(path: str, exc: type[ParseError]):
+    """The text of ``path``; a ``.gz`` file that is cut short or not gzip
+    raises ``exc`` naming the file."""
+    try:
+        with _open_text(path, "r") as fh:
+            yield fh
+    except (EOFError, zlib.error, gzip.BadGzipFile) as err:
+        raise exc(f"{path}: broken gzip file: {err}") from None
+
+
 def _check_sequence(seq: str, read_id: str, lineno: int, exc: type[ParseError]) -> str:
     seq = seq.upper()
     bad = set(seq) - VALID_CHARS
@@ -299,7 +312,7 @@ def read_fastq(path: str) -> ReadSet:
     codes = bytearray()  # grows in place, so the codes are never copied whole
     chunks = []  # lengths, ids and qualities of each chunk's records
     lineno, rest = 0, ""
-    with _open_text(path, "r") as fh:
+    with _reading(path, FastqParseError) as fh:
         while True:
             # at least as much as is left over, so a record longer than a
             # chunk is read in doubling steps
@@ -390,7 +403,7 @@ def _check_fastq_records(lines: list[str], lineno: int) -> None:
 
 def iter_fasta(path: str) -> Iterator[Read]:
     """Stream reads from a FASTA file; wrapped sequence lines are joined."""
-    with _open_text(path, "r") as fh:
+    with _reading(path, FastaParseError) as fh:
         read_id: str | None = None
         start_line = 0
         parts: list[str] = []

@@ -134,6 +134,21 @@ def test_gradient_check_input_validation():
     model = RnnLm.init(1, 3, seed=0)
     with pytest.raises(ValueError):
         gradient_check(model, "A")
+    for seq in ("AN", "NNN"):  # no transition to an ACGT target
+        with pytest.raises(ValueError, match="^no scoreable transitions$"):
+            gradient_check(model, seq)
+
+
+def test_clip_scales_gradients_above_max_norm_keeping_each_direction():
+    grads = [np.array([3.0, 0.0]), np.array([[0.0], [-4.0]])]  # norm 5
+    before = [g.copy() for g in grads]
+    charrnn._clip(grads, 2.0)
+    assert math.sqrt(sum(float((g * g).sum()) for g in grads)) == pytest.approx(2.0)
+    for g, b in zip(grads, before):
+        np.testing.assert_allclose(g, b * 0.4)
+    small = [np.array([0.3, -0.4])]  # norm 0.5, left as it is
+    charrnn._clip(small, 2.0)
+    assert small[0].tolist() == [0.3, -0.4]
 
 
 def test_training_learns_periodic_structure():

@@ -7,6 +7,7 @@ asserted cheaply; one subprocess smoke test covers the module entry point.
 from __future__ import annotations
 
 import gc
+import gzip
 import json
 import math
 import os
@@ -483,6 +484,74 @@ def test_unwritable_output_exits_1_before_any_read_is_loaded(
 
 
 @pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("tune", ["--out-dir", "{d}/afile"], "--out-dir {d}/afile: not a directory"),
+        ("train", ["--out", "{d}/adir"], "--out {d}/adir: is a directory"),
+        ("correct", ["--k", "9", "--out", "{d}/adir"], "--out {d}/adir: is a directory"),
+        ("inject", ["--out", "{d}/adir"], "--out {d}/adir: is a directory"),
+        ("inject", ["--out", "{d}/x.fastq", "--ledger", "{d}/adir"],
+         "--ledger {d}/adir: is a directory"),
+        ("sweep", ["--values", "9", "--json-out", "{d}/adir"],
+         "--json-out {d}/adir: is a directory"),
+        ("sweep", ["--values", "9", "--tsv-out", "{d}/adir"],
+         "--tsv-out {d}/adir: is a directory"),
+    ],
+    ids=["tune-out-dir", "train", "correct", "inject", "inject-ledger", "sweep-json",
+         "sweep-tsv"],
+)
+def test_output_of_the_wrong_kind_exits_1_before_any_read_is_loaded(
+    clean_fastq, tmp_path, capsys, command, flags, message
+):
+    (tmp_path / "afile").write_text("kept\n")
+    (tmp_path / "adir").mkdir()
+    rc = main([command, "--reads", clean_fastq, *[f.format(d=tmp_path) for f in flags]])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"ectuner: {message.format(d=tmp_path)}\n"  # no training note
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
+    assert list((tmp_path / "adir").iterdir()) == []
+    assert (tmp_path / "afile").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("perplexity", ["--model", "{d}/adir", "--reads", "{reads}"]),
+        ("tune", ["--reads", "{d}/adir", "--out-dir", "{d}/tune"]),
+    ],
+    ids=["perplexity-model", "tune-reads"],
+)
+def test_an_input_that_is_a_directory_exits_1_with_one_line(
+    clean_fastq, tmp_path, capsys, command, flags
+):
+    (tmp_path / "adir").mkdir()
+    rc = main([command, *[f.format(d=tmp_path, reads=clean_fastq) for f in flags]])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"ectuner: [Errno 21] Is a directory: '{tmp_path}/adir'\n"
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+
+
+def test_a_cut_short_gzip_read_file_exits_1_naming_it(clean_fastq, tmp_path, capsys):
+    with open(clean_fastq, "rb") as fh:
+        blob = gzip.compress(fh.read())
+    reads = tmp_path / "cut.fastq.gz"
+    reads.write_bytes(blob[: len(blob) // 2])
+    rc = main(["tune", "--reads", str(reads), "--out-dir", str(tmp_path / "tune")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"ectuner: {reads}: broken gzip file: "
+        "Compressed file ended before the end-of-stream marker was reached\n"
+    )
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["cut.fastq.gz"]
+
+
+@pytest.mark.parametrize(
     "n_truth, message",
     [(50, "read counts differ: original 300, corrected 300, truth 50"),
      (300, "no erroneous bases; gain is undefined")],
@@ -763,6 +832,23 @@ def test_sweep_under_model_rejects_the_ngram_flags_it_would_ignore(
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.err == f"ectuner: {flag} is fixed by the --model file\n"
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
+
+
+def test_sweep_under_model_type_checks_the_ngram_keys_of_its_config(
+    clean_fastq, tmp_path, capsys
+):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"word_len": "x"}))
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["sweep", "--reads", clean_fastq, "--values", "9,11",
+               "--model", str(out / "missing.ngram"),  # never opened
+               "--json-out", str(out / "sweep.json"), "--config", str(cfg_path)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"ectuner: {cfg_path}: word_len must be int, got 'x'\n"
     assert captured.out == ""
     assert list(out.iterdir()) == []
 
@@ -1300,6 +1386,27 @@ def test_eval_reports_gain(tmp_path, capsys):
     )
     assert rc == 0
     assert _stdout_json(capsys) == {"gain": 1.0}
+
+
+@pytest.mark.parametrize(
+    "config, code, message",
+    [(None, 2, "input not found: {cfg}"), ({"sampel_n": 5}, 1, "{cfg}: unknown key sampel_n")],
+    ids=["missing", "unknown-key"],
+)
+def test_eval_checks_its_config_before_any_read_is_loaded(
+    tmp_path, capsys, config, code, message
+):
+    cfg_path = tmp_path / "cfg.json"
+    if config is not None:
+        cfg_path.write_text(json.dumps(config))
+    # none of the read files exists, so loading any would exit 2 naming it
+    rc = main(["eval", "--original", str(tmp_path / "o.fastq"),
+               "--corrected", str(tmp_path / "c.fastq"), "--truth", str(tmp_path / "t.fastq"),
+               "--config", str(cfg_path)])
+    assert rc == code
+    captured = capsys.readouterr()
+    assert captured.err == f"ectuner: {message.format(cfg=cfg_path)}\n"
+    assert captured.out == ""
 
 
 def test_thread_count_does_not_change_model_bytes(clean_fastq, tmp_path, capsys):

@@ -295,6 +295,22 @@ def test_revert_detects_tampered_reads():
         revert(ReadSet(tuple(tampered)), ledger)
 
 
+def test_revert_detects_a_mismatched_insertion():
+    corrupted = ReadSet([Read("r0", "ACGTTA")])
+    ledger = ErrorLedger([LedgerEntry("r0", 2, "insertion", "", "GG")])
+    with pytest.raises(LedgerReplayError) as exc:
+        revert(corrupted, ledger)
+    assert str(exc.value) == "read 'r0' pos 2: expected inserted segment 'GG', found 'GT'"
+
+
+def test_revert_synthesizes_the_quality_of_an_indel_read_only():
+    corrupted = ReadSet([Read("r0", "ACGGTA", "ABCDEF"), Read("r1", "ACGT", "ABCD")])
+    ledger = ErrorLedger([LedgerEntry("r0", 2, "insertion", "", "G"),
+                          LedgerEntry("r1", 1, "substitution", "A", "C")])
+    restored = revert(corrupted, ledger)
+    assert [(r.sequence, r.quality) for r in restored] == [("ACGTA", "IIIII"), ("AAGT", "ABCD")]
+
+
 def test_inject_readset_is_thread_invariant():
     genome = generate_genome(3000, seed=30)
     clean = sample_clean_reads(genome, 300, 50, seed=31)

@@ -453,6 +453,7 @@ _ONE_HISTORY = struct.pack("<QQ", 1, 1) + struct.pack("<IQ", 5, 3)
      "duplicate history in count tables"),
     (_ngram_file(tables=struct.pack("<QQ", 1, 2) + struct.pack("<IQIQ", 5, 3, 5, 3)),
      "duplicate word in count tables"),
+    (_ngram_file(tables=struct.pack("<QQ", 1, 0)), "history without words in count tables"),
     # the header itself, or the sizes it gives, cut short
     (ngram.MAGIC + struct.pack("<III", ngram.VERSION, 2, 0), "truncated header"),
     (_ngram_file(history=2**32 - 1), "truncated model file"),
@@ -462,7 +463,7 @@ _ONE_HISTORY = struct.pack("<QQ", 1, 1) + struct.pack("<IQ", 5, 3)
     (_ngram_file(word_len=0), "word length must be in 1..16, got 0"),
     (_ngram_file(word_len=17), "word length must be in 1..16, got 17"),
 ], ids=["smoothing-tag", "partial-unit", "trailing-bytes", "duplicate-history",
-        "duplicate-word", "short-header", "huge-history", "count-past-end",
+        "duplicate-word", "history-without-words", "short-header", "huge-history", "count-past-end",
         "word-len-0", "word-len-17"])
 def test_load_refuses_a_sealed_file_that_does_not_hold_a_model(tmp_path, payload, message):
     path = tmp_path / "bad.athn"
@@ -480,6 +481,19 @@ def test_the_hand_built_model_file_loads(tmp_path):
     assert model.counts == [{(): {5: 3, 6: 3}}]
     model.save(str(tmp_path / "again.athn"))
     assert (tmp_path / "again.athn").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("seqs", [["ACG", "ACGTAC"], ["NNNNNNNNNNNN"]], ids=["short", "all-n"])
+def test_training_on_reads_without_a_whole_acgt_word_is_refused(seqs):
+    reads = ReadSet([Read(f"r{i}", s) for i, s in enumerate(seqs)])
+    with pytest.raises(TrainingError, match="^empty corpus: no words to train on$"):
+        ngram.train_reads(reads, word_len=7)
+
+
+def test_scoring_with_a_model_that_holds_no_counts_is_refused():
+    reads = ReadSet([Read("r0", "ACGTACGTACGTACGT")])
+    with pytest.raises(PerplexityUndefinedError, match="^model has no training counts$"):
+        NgramModel(7, 3).score_reads(reads)
 
 
 @pytest.mark.parametrize("p_floor", [1.0, 2.0, -1e-9, math.nan, math.inf])

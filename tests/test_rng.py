@@ -112,6 +112,14 @@ def test_sample_indices_equal_scalar_draws(population, k):
     assert fast.bit_generator.state == slow.bit_generator.state
 
 
+def test_sample_indices_refuses_more_than_the_population():
+    rng = make_rng(4)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="^cannot sample 4 items from population of 3$"):
+        sample_indices(rng, 3, 4)
+    assert rng.bit_generator.state == state  # no draw taken
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 3_000])
 def test_shuffled_equals_scalar_draws(n):
     fast, slow = spawn_rng(5, 1), spawn_rng(5, 1)

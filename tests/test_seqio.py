@@ -155,6 +155,31 @@ def test_gzip_round_trip_and_byte_determinism(tmp_path):
     assert [r.sequence for r in read_fastq(p1)] == ["ACGT"]
 
 
+@pytest.mark.parametrize(
+    "name, write, error",
+    [("reads.fastq.gz", write_fastq, FastqParseError),
+     ("reads.fa.gz", write_fasta, FastaParseError)],
+    ids=["fastq", "fasta"],
+)
+def test_a_broken_gzip_read_file_is_a_parse_error_naming_it(tmp_path, name, write, error):
+    rng = np.random.default_rng(7)
+    reads = [Read(f"r{i}", "".join(rng.choice(list("ACGT"), 50))) for i in range(600)]
+    path = tmp_path / name
+    write(reads, str(path))
+    blob = path.read_bytes()
+    cut, plain = tmp_path / f"cut-{name}", tmp_path / f"plain-{name}"
+    cut.write_bytes(blob[:3000])
+    with gzip.open(path, "rb") as fh:
+        plain.write_bytes(fh.read())  # the text, under a .gz name
+    for broken, reason in [
+        (cut, "Compressed file ended before the end-of-stream marker was reached"),
+        (plain, "Not a gzipped file"),
+    ]:
+        with pytest.raises(error) as exc:
+            load_reads(str(broken))
+        assert str(exc.value).startswith(f"{broken}: broken gzip file: {reason}")
+
+
 def test_load_reads_picks_format_from_extension(tmp_path):
     fq = tmp_path / "x.fastq"
     fq.write_text("@r1\nACGT\n+\nIIII\n")
