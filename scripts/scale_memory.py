@@ -9,18 +9,16 @@ injects substitution/low errors (seed 103).  ``correct`` keeps the reads in
 memory, counts their full k-mer spectrum at ``--k``, then measures
 ``kspectrum_correct`` against it.  The other commands write the reads, and
 their clean truth, as FASTQ to a temporary directory and run in this
-process: ``tune`` at its defaults, or ``sweep --truth`` over ``--values``
-(the default grid without it), through ``ectuner.cli.main``; or ``train``,
-which loads the reads, trains the default n-gram model with
-``ectuner.ngram.train_reads`` and saves it.  It prints one line: the wall
-time of the measured step (the command; the training alone for train, the
-correction alone for correct), ``ru_maxrss`` (MiB) before and after it, with
-``--trace`` the tracemalloc peak inside it (MiB, tracing started with the
-step), and the first 16 hex digits of the sha256 of the output (the model
-file for train, ``search.json`` and ``corrected.fastq`` for tune, the sweep
-JSON for sweep, the corrected codes for correct).  Peak RSS is per process,
-so run each measurement in a fresh one.  The 1 Mb / 600 000-read set needs
-about 1.5 GB of memory.
+process through ``ectuner.cli.main``: ``train`` of the default n-gram model,
+``tune`` at its defaults, or ``sweep --truth`` over ``--values`` (the default
+grid without it).  It prints one line: the wall time of the measured step
+(the whole command; the correction alone for correct), ``ru_maxrss`` (MiB)
+before and after it, with ``--trace`` the tracemalloc peak inside it (MiB,
+tracing started with the step), and the first 16 hex digits of the sha256
+of the output (the model file for train, ``search.json`` and
+``corrected.fastq`` for tune, the sweep JSON for sweep, the corrected codes
+for correct).  Peak RSS is per process, so run each measurement in a fresh
+one.  The 1 Mb / 600 000-read set needs about 1.6 GB of memory.
 """
 
 import argparse
@@ -38,8 +36,7 @@ import tracemalloc
 from ectuner.cli import main as cli_main
 from ectuner.ecsim import KSpectrumConfig, kmer_spectrum, kspectrum_correct
 from ectuner.injector import InjectionSpec, generate_genome, inject_readset, sample_clean_reads
-from ectuner.ngram import train_reads
-from ectuner.seqio import load_reads, write_fastq
+from ectuner.seqio import write_fastq
 
 
 def maxrss_mib() -> float:
@@ -63,7 +60,10 @@ def measure(step, trace: bool):
 def command_argv(
     args: argparse.Namespace, work: str, reads_path: str, truth_path: str
 ) -> tuple[list[str], list[str]]:
-    """The output files and the argv of a tune or sweep run."""
+    """The output files and the argv of a train, tune or sweep run."""
+    if args.command == "train":
+        model = os.path.join(work, "reads.ngram")
+        return [model], ["train", "--reads", reads_path, "--out", model]
     if args.command == "tune":
         out_dir = os.path.join(work, "tune")
         argv = ["tune", "--reads", reads_path, "--out-dir", out_dir]
@@ -109,19 +109,13 @@ def main() -> int:
             write_fastq(reads, reads_path)
             write_fastq(clean, truth_path)
             del clean, reads
-            if args.command == "train":
-                outputs = [os.path.join(work, "reads.ngram")]
-                loaded = load_reads(reads_path)
-                model, stats = measure(lambda: train_reads(loaded), args.trace)
-                model.save(outputs[0])
-            else:
-                outputs, argv = command_argv(args, work, reads_path, truth_path)
-                # the command's stdout (a TSV or JSON) is its output files' content
-                with contextlib.redirect_stdout(io.StringIO()):
-                    code, stats = measure(lambda: cli_main(argv), args.trace)
-                if code != 0:
-                    print(f"{args.command} exited with {code}", file=sys.stderr)
-                    return code
+            outputs, argv = command_argv(args, work, reads_path, truth_path)
+            # stdout holds a summary or the sweep's TSV; the output files are hashed
+            with contextlib.redirect_stdout(io.StringIO()):
+                code, stats = measure(lambda: cli_main(argv), args.trace)
+            if code != 0:
+                print(f"{args.command} exited with {code}", file=sys.stderr)
+                return code
             for path in outputs:
                 with open(path, "rb") as fh:
                     digest.update(fh.read())

@@ -5,9 +5,10 @@ tune, sweep, eval.  Machine-readable results (JSON or TSV) go to stdout,
 human progress notes to stderr.  Option values resolve as explicit flags
 first, then entries from --config (a JSON object keyed by the flag's long
 name with underscores), then built-in defaults.  ``main`` resolves them, and
-checks --config, for every subcommand, eval included, before any read loads;
-every file-producing command writes the fully-resolved configuration next
-to its output.
+checks --config and each value against the range declared beside its flag,
+for every subcommand, eval included, before any read loads; every
+file-producing command writes the fully-resolved configuration next to its
+output.
 
 Exit codes: 0 success, 1 runtime failure (an unreadable path included), 2
 usage errors or missing inputs.
@@ -20,9 +21,10 @@ import json
 import math
 import os
 import sys
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import charrnn, ecsim, metrics, ngram, tuner
+from .charrnn import TrainConfig
 from .injector import InjectionSpec, inject_readset
 from .seqio import fasta_named, load_reads, sample_reads, write_fastq
 
@@ -33,6 +35,10 @@ def _say(msg: str) -> None:
 
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -64,31 +70,36 @@ def _check_type(path: str, key: str, value, option: Option) -> None:
 
 
 def _resolve(args: argparse.Namespace, options: dict[str, Option]) -> dict:
-    """flags > config file > defaults, for each resolved option in ``options``.
+    """flags > config file > defaults, for each resolved option in ``options``,
+    each value in its option's range (and finite, if a float) even if unused.
 
     A config file key that no subcommand resolves is refused, so a misspelt
     key cannot silently do nothing; one of another subcommand's keys is
-    taken and ignored, so one file can serve several commands."""
+    taken and ignored, so one file can serve several commands.  A --model
+    file fixes the n-gram settings: none is resolved, nor set by a flag."""
     path = getattr(args, "config", None)
     file_cfg = _load_config_file(path)
     unknown = sorted(set(file_cfg) - _KNOWN_KEYS)
     if unknown:
         raise ValueError(f"{path}: unknown key {', '.join(unknown)}")
+    fixed = _NGRAM_OPTIONS if getattr(args, "model", None) else {}
     resolved = {}
     for key, option in options.items():
         if option.type is None or option.ignored:
             continue
-        cli_val = getattr(args, key, None)
         if key in file_cfg:
             _check_type(path, key, file_cfg[key], option)
-        if cli_val is not None:
-            resolved[key] = cli_val
-        elif key in file_cfg:
-            resolved[key] = file_cfg[key]
-        else:
-            resolved[key] = option.default
-    if "seed" in resolved:
-        _check_min(resolved, "seed", 0)
+        value = getattr(args, key, None)
+        if value is not None and key in fixed:
+            raise ValueError(f"{_flag(key)} is fixed by the --model file")
+        if value is None:
+            value = file_cfg.get(key, option.default)
+        if value is not None and option.valid and not option.valid[0](value):
+            raise ValueError(f"{_flag(key)} must be {option.valid[1]}, got {value}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{_flag(key)} must be finite, got {value}")
+        if key not in fixed:
+            resolved[key] = value
     return resolved
 
 
@@ -127,49 +138,51 @@ def _int_list(value) -> tuple[int, ...] | None:
 
 
 def _make_corrector(cfg: dict):
-    """The corrector ``cfg`` names, its settings checked; the commands build
-    it before loading any read."""
+    """The corrector ``cfg`` names; the commands build it, and so check its
+    template, before loading any read."""
     if cfg["adapter_template"]:
-        if cfg["timeout"] is not None and cfg["timeout"] <= 0:
-            raise ValueError(f"--timeout must be > 0, got {cfg['timeout']}")
         adapter = ecsim.ToolAdapter(cfg["adapter_template"], timeout=cfg["timeout"])
         return ecsim.adapter_corrector(adapter)
-    _check_min(cfg, "solid_min", 1)
-    _check_min(cfg, "max_edits", 0)
     return ecsim.builtin_corrector(cfg["solid_min"], cfg["max_edits"])
 
 
+# the files tune writes in its --out-dir
+_TUNE_FILES = ("corrected.fastq", "search.json", "config.json")
+
+
 def _check_outputs(args: argparse.Namespace) -> None:
-    """Exit before any work when a file to write is a directory or lies in a
-    directory that does not exist, an ``--out-dir`` is a file, or a FASTQ
-    ``--out`` has a name read back as FASTA."""
-    for key in ("out", "ledger", "tsv_out", "json_out"):
-        path = getattr(args, key, None) or ""
-        flag = "--" + key.replace("_", "-")
+    """Exit before any work when a file to write (the resolved config beside
+    the first output, and tune's files in an existing ``--out-dir``, too) is
+    a directory or lies in a directory that does not exist, an ``--out-dir``
+    is a file, or a FASTQ ``--out`` has a name read back as FASTA."""
+    out_dir = getattr(args, "out_dir", None) or ""
+    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise ValueError(f"--out-dir {out_dir}: not a directory")
+    keys = ("out", "ledger", "tsv_out", "json_out")
+    written = [(key, getattr(args, key)) for key in keys if getattr(args, key, None)]
+    written += [(key, path + ".config.json") for key, path in written if key != "ledger"][:1]
+    if os.path.isdir(out_dir):
+        written += [("out_dir", os.path.join(out_dir, name)) for name in _TUNE_FILES]
+    for key, path in written:
         if os.path.isdir(path):
-            raise ValueError(f"{flag} {path}: is a directory")
+            raise ValueError(f"{_flag(key)} {path}: is a directory")
         folder = os.path.dirname(path)
         if folder and not os.path.isdir(folder):
-            raise ValueError(f"{flag} {path}: no directory {folder}")
-    out_dir = getattr(args, "out_dir", None)
-    if out_dir and os.path.exists(out_dir) and not os.path.isdir(out_dir):
-        raise ValueError(f"--out-dir {out_dir}: not a directory")
+            raise ValueError(f"{_flag(key)} {path}: no directory {folder}")
     if args.command in ("inject", "correct") and fasta_named(args.out):
         raise ValueError(f"--out {args.out}: {args.command} writes FASTQ, "
                          "but a file of this name is read as FASTA")
 
 
-def _check_min(cfg: dict, key: str, least: int) -> None:
-    """Exit before any work when a flag's value is below ``least``."""
-    if cfg[key] is not None and cfg[key] < least:
-        flag = "--" + key.replace("_", "-")
-        raise ValueError(f"{flag} must be >= {least}, got {cfg[key]}")
+def _check_k_range(cfg: dict) -> None:
+    """Exit before any work when --k-max is below --k-min."""
+    if cfg["k_max"] < cfg["k_min"]:
+        raise ValueError(f"--k-max must be >= {cfg['k_min']}, got {cfg['k_max']}")
 
 
 def _search_space(cfg: dict) -> tuner.SearchSpace:
-    """The tune search space, each bad value reported by its flag."""
-    for key, least in (("k_max", cfg["k_min"]), ("delta", 1), ("iter_max", 0)):
-        _check_min(cfg, key, least)
+    """The tune search space, each starting value inside the range."""
+    _check_k_range(cfg)
     initials = _int_list(cfg["initials"])
     lo, hi = cfg["k_min"], cfg["k_max"]
     for k in initials or ():
@@ -208,27 +221,8 @@ def _train_lm(cfg: dict, reads, note: bool = True):
             _say(f"warning: word length {cfg['word_len']} below 5 loses context")
         settings = {key: cfg[key] for key in _NGRAM_OPTIONS}
         return ngram.train_reads(reads, **settings), None
-    config = charrnn.TrainConfig(**{key: cfg[key] for key in _RNN_OPTIONS})
+    config = TrainConfig(**{key: cfg[key] for key in _RNN_OPTIONS})
     return charrnn.train(reads, config, seed=cfg["seed"])
-
-
-def _check_lm(cfg: dict) -> None:
-    """Exit before any work when a setting of the language model to be
-    trained (n-gram unless ``lm`` says charrnn) is out of range."""
-    kind = cfg.get("lm", "ngram")
-    if kind == "ngram":
-        if not 4 <= cfg["word_len"] <= 12:
-            raise ValueError(f"word length must be in 4..12, got {cfg['word_len']}")
-        if not 0 <= cfg["history"] <= 5:
-            raise ValueError(f"history must be in 0..5, got {cfg['history']}")
-        if not 0 <= cfg["p_floor"] < 1:
-            raise ValueError(f"--p-floor must be in [0, 1), got {cfg['p_floor']}")
-    elif kind == "charrnn":
-        for key in ("layers", "hidden", "epochs", "minibatch", "unroll"):
-            _check_min(cfg, key, 1)
-        rate = cfg["learning_rate"]
-        if not 0 < rate < math.inf:  # false for nan too
-            raise ValueError(f"--learning-rate must be finite and > 0, got {rate}")
 
 
 class Option(NamedTuple):
@@ -236,7 +230,10 @@ class Option(NamedTuple):
 
     ``type`` is int, float, str, list (comma-separated ints) or None for a
     file path.  Any other option that is not ``ignored`` is resolved from
-    its flag, its config file key or ``default``, which --help shows."""
+    its flag, its config file key or ``default``, which --help shows.  A
+    ranged option's ``valid`` is a test of its value and the text after
+    "must be" in the error of a value that fails it; ``main`` checks every
+    resolved value against it, before any read loads."""
 
     type: type | None
     help: str | None = None
@@ -244,34 +241,45 @@ class Option(NamedTuple):
     choices: tuple[str, ...] | None = None
     required: bool = False
     ignored: bool = False
+    valid: tuple[Callable[[object], bool], str] | None = None
+
+
+def _at_least(least: int) -> tuple[Callable[[object], bool], str]:
+    return (lambda value: value >= least), f">= {least}"
 
 
 _LM_OPTION = {"lm": Option(str, "language model", "ngram", ("ngram", "charrnn"))}
 
 _NGRAM_OPTIONS = {
-    "word_len": Option(int, "segment word length", ngram.DEFAULT_WORD_LEN),
-    "history": Option(int, "words of history", ngram.DEFAULT_HISTORY),
-    "p_floor": Option(float, "probability floor", ngram.DEFAULT_P_FLOOR),
+    "word_len": Option(int, "segment word length", ngram.DEFAULT_WORD_LEN,
+                       valid=((lambda value: 4 <= value <= 12), "in 4..12")),
+    "history": Option(int, "words of history", ngram.DEFAULT_HISTORY,
+                      valid=((lambda value: 0 <= value <= 5), "in 0..5")),
+    "p_floor": Option(float, "probability floor", ngram.DEFAULT_P_FLOOR,
+                      valid=((lambda value: 0 <= value < 1), "in [0, 1)")),
 }
 
 _RNN_OPTIONS = {
-    "layers": Option(int, "recurrent layers", charrnn.TrainConfig.layers),
-    "hidden": Option(int, "neurons per layer", charrnn.TrainConfig.hidden),
-    "epochs": Option(int, "training epochs", charrnn.TrainConfig.epochs),
-    "minibatch": Option(int, "reads per batch", charrnn.TrainConfig.minibatch),
-    "learning_rate": Option(float, "SGD learning rate",
-                            charrnn.TrainConfig.learning_rate),
-    "unroll": Option(int, "BPTT unroll length", charrnn.TrainConfig.unroll),
+    "layers": Option(int, "recurrent layers", TrainConfig.layers, valid=_at_least(1)),
+    "hidden": Option(int, "neurons per layer", TrainConfig.hidden, valid=_at_least(1)),
+    "epochs": Option(int, "training epochs", TrainConfig.epochs, valid=_at_least(1)),
+    "minibatch": Option(int, "reads per batch", TrainConfig.minibatch, valid=_at_least(1)),
+    "learning_rate": Option(float, "SGD learning rate", TrainConfig.learning_rate,
+                            valid=((lambda value: 0 < value < math.inf), "finite and > 0")),
+    "unroll": Option(int, "BPTT unroll length", TrainConfig.unroll, valid=_at_least(1)),
 }
 
 _CORRECTOR_OPTIONS = {
-    "solid_min": Option(int, "solid k-mer count threshold", ecsim.DEFAULT_SOLID_MIN),
-    "max_edits": Option(int, "edit budget per read", ecsim.DEFAULT_MAX_EDITS),
+    "solid_min": Option(int, "solid k-mer count threshold", ecsim.DEFAULT_SOLID_MIN,
+                        valid=_at_least(1)),
+    "max_edits": Option(int, "edit budget per read", ecsim.DEFAULT_MAX_EDITS,
+                        valid=_at_least(0)),
     "adapter_template": Option(
         str, "external tool command with {input} {output} and {k} or {GL}"),
     # the template's own placeholder is the one the tool takes
     "adapter_param": Option(str, "ignored; kept so old command lines run", ignored=True),
-    "timeout": Option(float, "external tool timeout in seconds"),
+    "timeout": Option(float, "external tool timeout in seconds",
+                      valid=((lambda value: value > 0), "> 0")),
 }
 
 
@@ -280,7 +288,7 @@ def _common(seeded: bool) -> dict[str, Option]:
     numbers takes --seed and ignores it."""
     return {
         "config": Option(None, "JSON file with default option values"),
-        "seed": Option(int, "PRNG seed", 0, ignored=not seeded),
+        "seed": Option(int, "PRNG seed", 0, ignored=not seeded, valid=_at_least(0)),
         "threads": Option(int, "ignored; kept so old command lines run", ignored=True),
     }
 
@@ -300,7 +308,8 @@ _OPTIONS = {
     "perplexity": {
         "model": Option(None, required=True),
         "reads": Option(None, required=True),
-        "sample_n": Option(int, "score a uniform sample of this many reads"),
+        "sample_n": Option(int, "score a uniform sample of this many reads",
+                           valid=_at_least(1)),
         **_common(seeded=True),
     },
     "inject": {
@@ -326,10 +335,10 @@ _OPTIONS = {
         **_LM_OPTION,
         "k_min": Option(int, "smallest value", _K_MIN),
         "k_max": Option(int, "largest value", _K_MAX),
-        "delta": Option(int, "neighbor step size", 2),
-        "iter_max": Option(int, "move budget per restart", 30),
+        "delta": Option(int, "neighbor step size", 2, valid=_at_least(1)),
+        "iter_max": Option(int, "move budget per restart", 30, valid=_at_least(0)),
         "initials": Option(list, "comma-separated starting values"),
-        "sample_n": Option(int, "search sample size", 2000),
+        "sample_n": Option(int, "search sample size", 2000, valid=_at_least(1)),
         **_NGRAM_OPTIONS,
         **_RNN_OPTIONS,
         **_CORRECTOR_OPTIONS,
@@ -343,7 +352,7 @@ _OPTIONS = {
         "values": Option(list, "comma-separated parameter values"),
         "k_min": Option(int, "smallest grid value", _K_MIN),
         "k_max": Option(int, "largest grid value", _K_MAX),
-        "k_step": Option(int, "grid step", 2),
+        "k_step": Option(int, "grid step", 2, valid=_at_least(1)),
         "tsv_out": Option(None),
         "json_out": Option(None),
         **_NGRAM_OPTIONS,
@@ -370,7 +379,6 @@ _KNOWN_KEYS = {key for options in _OPTIONS.values()
 
 
 def cmd_train(args: argparse.Namespace, cfg: dict) -> int:
-    _check_lm(cfg)
     reads = load_reads(args.reads)
     # the note after the model is saved reports this training
     model, history = _train_lm(cfg, reads, note=False)
@@ -399,7 +407,6 @@ def cmd_train(args: argparse.Namespace, cfg: dict) -> int:
 
 
 def cmd_perplexity(args: argparse.Namespace, cfg: dict) -> int:
-    _check_min(cfg, "sample_n", 1)
     model, _ = _load_model(args.model)
     reads = load_reads(args.reads)
     if cfg["sample_n"] is not None:
@@ -448,8 +455,6 @@ def cmd_correct(args: argparse.Namespace, cfg: dict) -> int:
 
 def cmd_tune(args: argparse.Namespace, cfg: dict) -> int:
     space = _search_space(cfg)
-    _check_min(cfg, "sample_n", 1)
-    _check_lm(cfg)
     corrector = _make_corrector(cfg)
     reads = load_reads(args.reads)
     _check_k_fits(cfg, reads, (cfg["k_min"], cfg["k_max"]))
@@ -469,15 +474,16 @@ def cmd_tune(args: argparse.Namespace, cfg: dict) -> int:
         sample_n=cfg["sample_n"],
         seed=cfg["seed"],
     )
-    corrected_path = os.path.join(args.out_dir, "corrected.fastq")
+    corrected_path, search_path, config_path = (
+        os.path.join(args.out_dir, name) for name in _TUNE_FILES)
     write_fastq(result.corrected, corrected_path)
     search_payload = {
         "best_value": result.best_value,
         "evaluations": result.evaluations,
         "searches": [s.to_dict() for s in result.searches],
     }
-    _write_json(search_payload, os.path.join(args.out_dir, "search.json"))
-    _write_json(cfg, os.path.join(args.out_dir, "config.json"))
+    _write_json(search_payload, search_path)
+    _write_json(cfg, config_path)
     _emit(
         {
             "best_value": result.best_value,
@@ -491,23 +497,12 @@ def cmd_tune(args: argparse.Namespace, cfg: dict) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
-    # a model file fixes its own n-gram settings, so none are kept, and a
-    # flag setting one would be ignored
-    if args.model:
-        for key in _NGRAM_OPTIONS:
-            del cfg[key]
-            if getattr(args, key) is not None:
-                flag = "--" + key.replace("_", "-")
-                raise ValueError(f"{flag} is fixed by the --model file")
     values = _int_list(cfg["values"])
     if values is None:
-        _check_min(cfg, "k_step", 1)
-        _check_min(cfg, "k_max", cfg["k_min"])
+        _check_k_range(cfg)
         values = range(cfg["k_min"], cfg["k_max"] + 1, cfg["k_step"])
     if not values:
         raise ValueError("--values lists no parameter values")
-    if not args.model:
-        _check_lm(cfg)
     corrector = _make_corrector(cfg)
     # each perplexity column's model, the --model file's by its kind
     models = {}
@@ -585,7 +580,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             text = option.help
             if option.default is not None and not option.ignored:
                 text = f"{text} (default {option.default})"
-            p.add_argument("--" + key.replace("_", "-"), dest=key,
+            p.add_argument(_flag(key), dest=key,
                            type=option.type if option.type in (int, float) else None,
                            choices=option.choices, required=option.required, help=text)
     return parser

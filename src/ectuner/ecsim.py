@@ -538,7 +538,7 @@ def run_external(adapter: ToolAdapter, value: int, readset: ReadSet) -> ReadSet:
         )
     try:
         corrected = load_reads(out_path)
-    except (ParseError, UnicodeDecodeError) as exc:
+    except ParseError as exc:
         raise AdapterError(
             f"external corrector output is unreadable (files kept in {tmpdir}): {exc}"
         ) from exc

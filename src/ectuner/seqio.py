@@ -284,13 +284,15 @@ def _open_text(path: str, mode: str):
 
 @contextmanager
 def _reading(path: str, exc: type[ParseError]):
-    """The text of ``path``; a ``.gz`` file that is cut short or not gzip
-    raises ``exc`` naming the file."""
+    """The text of ``path``; a ``.gz`` file that is cut short or not gzip,
+    and bytes that do not decode, raise ``exc`` naming the file."""
     try:
         with _open_text(path, "r") as fh:
             yield fh
     except (EOFError, zlib.error, gzip.BadGzipFile) as err:
         raise exc(f"{path}: broken gzip file: {err}") from None
+    except UnicodeDecodeError as err:
+        raise exc(f"{path}: not {err.encoding} text: {err.reason}") from None
 
 
 def _check_sequence(seq: str, read_id: str, lineno: int, exc: type[ParseError]) -> str:

@@ -55,7 +55,7 @@ def test_bad_option_value_exits_1(clean_fastq, tmp_path, capsys):
          "--word-len", "3"]
     )
     assert rc == 1
-    assert "word length" in capsys.readouterr().err
+    assert "--word-len" in capsys.readouterr().err
 
 
 def test_missing_required_flag_exits_2(clean_fastq):
@@ -516,6 +516,38 @@ def test_output_of_the_wrong_kind_exits_1_before_any_read_is_loaded(
 
 
 @pytest.mark.parametrize(
+    "command, flags, blocked",
+    [
+        ("train", ["--out", "{d}/m2"], "--out {d}/m2.config.json"),
+        ("inject", ["--out", "{d}/x.fastq"], "--out {d}/x.fastq.config.json"),
+        ("correct", ["--k", "9", "--out", "{d}/c.fastq"], "--out {d}/c.fastq.config.json"),
+        ("sweep", ["--values", "9", "--tsv-out", "{d}/s.tsv", "--json-out", "{d}/s.json"],
+         "--tsv-out {d}/s.tsv.config.json"),
+        ("sweep", ["--values", "9", "--json-out", "{d}/s.json"],
+         "--json-out {d}/s.json.config.json"),
+        ("tune", ["--out-dir", "{d}"], "--out-dir {d}/corrected.fastq"),
+        ("tune", ["--out-dir", "{d}"], "--out-dir {d}/search.json"),
+        ("tune", ["--out-dir", "{d}"], "--out-dir {d}/config.json"),
+    ],
+    ids=["train", "inject", "correct", "sweep-tsv", "sweep-json", "tune-corrected",
+         "tune-search", "tune-config"],
+)
+def test_a_file_written_beside_an_output_that_is_a_directory_exits_1_before_any_work(
+    clean_fastq, tmp_path, capsys, command, flags, blocked
+):
+    # the resolved config, or a file of tune's --out-dir, is a directory
+    flag, path = blocked.format(d=tmp_path).split(" ")
+    os.mkdir(path)
+    rc = main([command, "--reads", clean_fastq, *[f.format(d=tmp_path) for f in flags]])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"ectuner: {flag} {path}: is a directory\n"  # no training note
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == [os.path.basename(path)]
+    assert os.listdir(path) == []
+
+
+@pytest.mark.parametrize(
     "command, flags",
     [
         ("perplexity", ["--model", "{d}/adir", "--reads", "{reads}"]),
@@ -549,6 +581,17 @@ def test_a_cut_short_gzip_read_file_exits_1_naming_it(clean_fastq, tmp_path, cap
     )
     assert captured.out == ""
     assert [p.name for p in tmp_path.iterdir()] == ["cut.fastq.gz"]
+
+
+def test_a_read_file_that_is_not_utf8_exits_1_naming_it(tmp_path, capsys):
+    reads = tmp_path / "binary.fastq"
+    reads.write_bytes(b"@r1\nACGT\n+\nII\xffI\n")
+    rc = main(["tune", "--reads", str(reads), "--out-dir", str(tmp_path / "tune")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"ectuner: {reads}: not utf-8 text: invalid start byte\n"
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["binary.fastq"]
 
 
 @pytest.mark.parametrize(
@@ -710,9 +753,9 @@ def test_k_above_packing_limit_exits_1_before_any_output(
 _BAD_NGRAM_SETTINGS = pytest.mark.parametrize(
     "bad, message",
     [
-        (["--word-len", "13"], "word length must be in 4..12"),
-        (["--word-len", "3"], "word length must be in 4..12"),
-        (["--history", "7"], "history must be in 0..5"),
+        (["--word-len", "13"], "--word-len must be in 4..12, got 13"),
+        (["--word-len", "3"], "--word-len must be in 4..12, got 3"),
+        (["--history", "7"], "--history must be in 0..5, got 7"),
         (["--p-floor", "2"], "--p-floor must be in [0, 1), got 2.0"),
         (["--p-floor", "nan"], "--p-floor must be in [0, 1), got nan"),
     ],
@@ -758,17 +801,25 @@ def test_ngram_bounds_exit_1_before_any_read_is_loaded(
     assert list(out.iterdir()) == []
 
 
-def test_ngram_bounds_apply_only_where_an_ngram_is_trained(
-    clean_fastq, tmp_path, capsys
-):
-    # a char-RNN and a sweep's --model file leave the n-gram settings unused
-    model = str(tmp_path / "lm.rnn")
-    assert main(["train", "--reads", clean_fastq, "--out", model, "--lm", "charrnn",
-                 "--epochs", "1", "--hidden", "4", "--word-len", "13"]) == 0
+def test_ngram_bounds_apply_where_no_ngram_is_trained(clean_fastq, tmp_path, capsys):
+    # a char-RNN and a sweep's --model file leave the n-gram settings unused,
+    # and they are checked all the same
+    out = tmp_path / "out"
+    out.mkdir()
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"word_len": 13, "history": 7, "p_floor": 2}))
-    assert main(["sweep", "--reads", clean_fastq, "--model", model,
-                 "--values", "9,11", "--config", str(cfg_path)]) == 0
+    for argv in (
+        ["train", "--reads", clean_fastq, "--out", str(out / "lm.rnn"), "--lm", "charrnn",
+         "--epochs", "1", "--hidden", "4", "--word-len", "13"],
+        ["sweep", "--reads", clean_fastq, "--model", str(out / "missing.rnn"),
+         "--values", "9,11", "--json-out", str(out / "sweep.json"),
+         "--config", str(cfg_path)],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "ectuner: --word-len must be in 4..12, got 13\n"
+        assert captured.out == ""
+        assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -942,6 +993,84 @@ def test_bad_search_settings_exit_1_before_any_work(
     assert message in captured.err
     assert "training" not in captured.err
     assert captured.out == ""
+    assert list(out.iterdir()) == []
+
+
+def _refuse_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_every_resolved_config_is_strict_json(clean_fastq, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    runs = [
+        (["train", "--out", str(out / "lm.ngram")], out / "lm.ngram.config.json"),
+        (["inject", "--out", str(out / "bad.fastq")], out / "bad.fastq.config.json"),
+        (["correct", "--k", "9", "--out", str(out / "fixed.fastq")],
+         out / "fixed.fastq.config.json"),
+        (["tune", "--out-dir", str(out / "tune"), "--k-min", "9", "--k-max", "11",
+          "--sample-n", "50"], out / "tune" / "config.json"),
+        (["sweep", "--values", "9", "--json-out", str(out / "sweep.json")],
+         out / "sweep.json.config.json"),
+    ]
+    for argv, config in runs:
+        assert main([argv[0], "--reads", clean_fastq, *argv[1:]]) == 0
+        cfg = json.loads(config.read_text(), parse_constant=_refuse_constant)
+        assert cfg and isinstance(cfg, dict)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("tune", ["--learning-rate", "nan"],
+         "--learning-rate must be finite and > 0, got nan"),
+        ("correct", ["--adapter-template", _TOOL, "--param-value", "9", "--timeout", "inf"],
+         "--timeout must be finite, got inf"),
+        ("correct", ["--adapter-template", _TOOL, "--param-value", "9", "--timeout", "nan"],
+         "--timeout must be > 0, got nan"),
+        ("correct", ["--k", "9", "--timeout", "0"], "--timeout must be > 0, got 0.0"),
+        ("sweep", ["--values", "9,11", "--k-step", "0"], "--k-step must be >= 1, got 0"),
+        ("tune", ["--lm", "charrnn", "--p-floor", "1"], "--p-floor must be in [0, 1), got 1.0"),
+        ("train", ["--hidden", "0"], "--hidden must be >= 1, got 0"),
+    ],
+    ids=["tune-ngram-learning-rate-nan", "correct-timeout-inf", "correct-timeout-nan",
+         "correct-builtin-timeout-0", "sweep-values-k-step-0", "tune-charrnn-p-floor",
+         "train-ngram-hidden-0"],
+)
+def test_every_value_is_range_checked_before_any_read_is_loaded(
+    tmp_path, capsys, command, flags, message
+):
+    # whether or not the run uses the option; nothing non-finite is written
+    out = tmp_path / "out"
+    out.mkdir()
+    target = {"tune": ["--out-dir", str(out / "tune")],
+              "sweep": ["--json-out", str(out / "sweep.json")]}.get(
+                  command, ["--out", str(out / "result")])
+    # the reads do not exist, so loading them first would exit 2
+    rc = main([command, "--reads", str(tmp_path / "missing.fastq"), *flags, *target])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"ectuner: {message}\n"
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_config_value_exits_1_before_any_read_is_loaded(
+    tmp_path, capsys, value
+):
+    # json.dumps writes Infinity and NaN, which json.load reads back
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"timeout": value}))
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["correct", "--reads", str(tmp_path / "missing.fastq"), "--k", "9",
+               "--out", str(out / "fixed.fastq"), "--config", str(cfg_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ectuner: --timeout must be ")
+    assert err.endswith(f", got {value}\n")
     assert list(out.iterdir()) == []
 
 

@@ -180,6 +180,24 @@ def test_a_broken_gzip_read_file_is_a_parse_error_naming_it(tmp_path, name, writ
         assert str(exc.value).startswith(f"{broken}: broken gzip file: {reason}")
 
 
+@pytest.mark.parametrize(
+    "name, text, error, reason",
+    [("reads.fastq", b"@r1\nAC\xffGT\n+\nIIII\n", FastqParseError, "invalid start byte"),
+     ("reads.fa", b">r1\nAC\xffGT\n", FastaParseError, "invalid start byte"),
+     ("reads.fastq.gz", gzip.compress(b"@r\xe91\nACGT\n+\nIIII\n"), FastqParseError,
+      "invalid continuation byte")],
+    ids=["fastq", "fasta", "fastq-gz"],
+)
+def test_a_read_file_that_is_not_utf8_is_a_parse_error_naming_it(
+    tmp_path, name, text, error, reason
+):
+    path = tmp_path / name
+    path.write_bytes(text)
+    with pytest.raises(error) as exc:
+        load_reads(str(path))
+    assert str(exc.value) == f"{path}: not utf-8 text: {reason}"
+
+
 def test_load_reads_picks_format_from_extension(tmp_path):
     fq = tmp_path / "x.fastq"
     fq.write_text("@r1\nACGT\n+\nIIII\n")
