@@ -146,28 +146,46 @@ def _make_corrector(cfg: dict):
     return ecsim.builtin_corrector(cfg["solid_min"], cfg["max_edits"])
 
 
-# the files tune writes in its --out-dir
-_TUNE_FILES = ("corrected.fastq", "search.json", "config.json")
+# the files tune writes in its --out-dir besides its resolved config
+_TUNE_FILES = ("corrected.fastq", "search.json")
+
+
+def _config_path(args: argparse.Namespace) -> tuple[str, str] | None:
+    """The option whose output the resolved config goes with, and its path:
+    in tune's --out-dir, else beside the first output file, if there is one."""
+    if getattr(args, "out_dir", None):
+        return "out_dir", os.path.join(args.out_dir, "config.json")
+    for key in ("out", "tsv_out", "json_out"):
+        if getattr(args, key, None):
+            return key, getattr(args, key) + ".config.json"
+    return None
+
+
+def _write_config(args: argparse.Namespace, cfg: dict) -> None:
+    config = _config_path(args)
+    if config:
+        _write_json(cfg, config[1])
 
 
 def _check_outputs(args: argparse.Namespace) -> None:
-    """Exit before any work when a file to write (the resolved config beside
-    the first output, and tune's files in an existing ``--out-dir``, too) is
-    a directory or lies in a directory that does not exist, an ``--out-dir``
-    is a file, or a FASTQ ``--out`` has a name read back as FASTA."""
+    """Exit before any work when a file to write (tune's in its ``--out-dir``
+    and the resolved config, too) is a directory or lies in a directory that
+    does not exist (tune makes its ``--out-dir``), an ``--out-dir`` is a file,
+    or a FASTQ ``--out`` has a name read back as FASTA."""
     out_dir = getattr(args, "out_dir", None) or ""
     if os.path.exists(out_dir) and not os.path.isdir(out_dir):
         raise ValueError(f"--out-dir {out_dir}: not a directory")
     keys = ("out", "ledger", "tsv_out", "json_out")
     written = [(key, getattr(args, key)) for key in keys if getattr(args, key, None)]
-    written += [(key, path + ".config.json") for key, path in written if key != "ledger"][:1]
-    if os.path.isdir(out_dir):
+    if out_dir:
         written += [("out_dir", os.path.join(out_dir, name)) for name in _TUNE_FILES]
+    config = _config_path(args)
+    written += [config] if config else []
     for key, path in written:
         if os.path.isdir(path):
             raise ValueError(f"{_flag(key)} {path}: is a directory")
         folder = os.path.dirname(path)
-        if folder and not os.path.isdir(folder):
+        if key != "out_dir" and folder and not os.path.isdir(folder):
             raise ValueError(f"{_flag(key)} {path}: no directory {folder}")
     if args.command in ("inject", "correct") and fasta_named(args.out):
         raise ValueError(f"--out {args.out}: {args.command} writes FASTQ, "
@@ -400,7 +418,7 @@ def cmd_train(args: argparse.Namespace, cfg: dict) -> int:
             "final_train_loss": history[-1]["train_loss"],
             "best_val_loss": min(h["val_loss"] for h in history),
         }
-    _write_json(cfg, args.out + ".config.json")
+    _write_config(args, cfg)
     _emit(summary)
     _say(f"trained {cfg['lm']} model on {len(reads)} reads -> {args.out}")
     return 0
@@ -423,7 +441,7 @@ def cmd_inject(args: argparse.Namespace, cfg: dict) -> int:
     write_fastq(corrupted, args.out)
     if args.ledger:
         ledger.to_tsv(args.ledger)
-    _write_json(cfg, args.out + ".config.json")
+    _write_config(args, cfg)
     _emit({"reads": len(corrupted), "changes": len(ledger), "out": args.out})
     _say(
         f"injected {cfg['kind']}/{cfg['regime']} errors into {len(corrupted)} reads "
@@ -447,7 +465,7 @@ def cmd_correct(args: argparse.Namespace, cfg: dict) -> int:
     corrected = corrector(reads, value)
     write_fastq(corrected, args.out)
     changed = reads.changed_reads(corrected)
-    _write_json(cfg, args.out + ".config.json")
+    _write_config(args, cfg)
     _emit({"reads": len(corrected), "value": value, "changed_reads": changed})
     _say(f"corrected {changed}/{len(corrected)} reads at value {value}")
     return 0
@@ -458,40 +476,23 @@ def cmd_tune(args: argparse.Namespace, cfg: dict) -> int:
     corrector = _make_corrector(cfg)
     reads = load_reads(args.reads)
     _check_k_fits(cfg, reads, (cfg["k_min"], cfg["k_max"]))
-    # held only in this list, which tune's call empties, so that tune can
-    # free the model before it corrects the whole set
-    models = [_train_lm(cfg, reads)[0]]
-    os.makedirs(args.out_dir, exist_ok=True)
-    _say(
-        f"searching [{space.lower}, {space.upper}] step {space.step} "
-        f"from {space.start_points()}"
-    )
-    result = tuner.tune(
-        reads,
-        models.pop(),
-        corrector,
-        space,
-        sample_n=cfg["sample_n"],
-        seed=cfg["seed"],
-    )
-    corrected_path, search_path, config_path = (
-        os.path.join(args.out_dir, name) for name in _TUNE_FILES)
+
+    def train(dataset):
+        # a run whose training fails leaves no --out-dir behind
+        model, _ = _train_lm(cfg, dataset)
+        os.makedirs(args.out_dir, exist_ok=True)
+        _say(f"searching [{space.lower}, {space.upper}] step {space.step} "
+             f"from {space.start_points()}")
+        return model
+
+    result = tuner.tune(reads, train, corrector, space, cfg["sample_n"], cfg["seed"])
+    corrected_path, search_path = (os.path.join(args.out_dir, name) for name in _TUNE_FILES)
     write_fastq(result.corrected, corrected_path)
-    search_payload = {
-        "best_value": result.best_value,
-        "evaluations": result.evaluations,
-        "searches": [s.to_dict() for s in result.searches],
-    }
-    _write_json(search_payload, search_path)
-    _write_json(cfg, config_path)
-    _emit(
-        {
-            "best_value": result.best_value,
-            "evaluations": result.evaluations,
-            "terminations": [s.termination for s in result.searches],
-            "corrected": corrected_path,
-        }
-    )
+    _write_json(result.to_dict(), search_path)
+    _write_config(args, cfg)
+    _emit({"best_value": result.best_value, "evaluations": result.evaluations,
+           "terminations": [s.termination for s in result.searches],
+           "corrected": corrected_path})
     _say(f"best value {result.best_value} after {result.evaluations} evaluations")
     return 0
 
@@ -526,12 +527,10 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
     if args.tsv_out:
         with open(args.tsv_out, "w") as fh:
             fh.write(report.to_tsv())
-        _write_json(cfg, args.tsv_out + ".config.json")
     if args.json_out:
         with open(args.json_out, "w") as fh:
             fh.write(report.to_json())
-        if not args.tsv_out:
-            _write_json(cfg, args.json_out + ".config.json")
+    _write_config(args, cfg)
     for key, r in sorted(report.correlations.items()):
         _say(f"correlation {key}: {r:+.4f}")
     if report.failure is not None:

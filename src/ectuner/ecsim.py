@@ -49,6 +49,7 @@ overrides where those files live.
 
 from __future__ import annotations
 
+import math
 import os
 import shlex
 import shutil
@@ -464,7 +465,7 @@ class ToolAdapter:
 
     ``command_template`` must mention ``{input}``, ``{output}`` and exactly
     one tunable placeholder, ``{k}`` or ``{GL}``, which names the tool's
-    ``param_name``; a ``timeout``, in seconds, must be positive.
+    ``param_name``; a ``timeout``, in seconds, must be positive and finite.
     """
 
     command_template: str
@@ -476,8 +477,8 @@ class ToolAdapter:
                 raise ValueError(f"command template is missing {ph}")
         if ("{k}" in self.command_template) == ("{GL}" in self.command_template):
             raise ValueError("command template must hold exactly one of {k} and {GL}")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {self.timeout}")
+        if self.timeout is not None and not 0 < self.timeout < math.inf:
+            raise ValueError(f"timeout must be positive and finite, got {self.timeout}")
 
     @property
     def param_name(self) -> str:

@@ -145,16 +145,16 @@ class TuneResult:
     best_value: int
     corrected: ReadSet
     searches: tuple[SearchResult, ...]
+    evaluations: int
 
-    @property
-    def evaluations(self) -> int:
-        distinct = {v for s in self.searches for v, _ in s.trace}
-        return len(distinct)
+    def to_dict(self) -> dict:
+        return {"best_value": self.best_value, "evaluations": self.evaluations,
+                "searches": [s.to_dict() for s in self.searches]}
 
 
 def tune(
     dataset: ReadSet,
-    lm,
+    train: Callable[[ReadSet], object],
     corrector: Callable[[ReadSet, int], ReadSet],
     space: SearchSpace,
     sample_n: int,
@@ -162,13 +162,14 @@ def tune(
 ) -> TuneResult:
     """Find the parameter minimizing sample perplexity, then correct fully.
 
-    ``lm`` is a trained model exposing ``score_reads``.  One sample is drawn
-    up front and reused for every evaluated value; restarts share one memo
-    table.  The overall winner (ties to the smaller value) is applied to the
-    whole dataset, after ``tune`` has dropped its references to ``lm`` and
-    the sample.
+    One sample is drawn up front and reused for every evaluated value; then
+    ``train(dataset)`` returns the model that scores it, any object exposing
+    ``score_reads``.  Restarts share one memo table.  The overall winner
+    (ties to the smaller value) is applied to the whole dataset after the
+    model and the sample, whose only references ``tune`` holds, are dropped.
     """
     sample = sample_reads(dataset, sample_n, seed)
+    lm = train(dataset)
     memo: dict[int, float] = {}
 
     def objective(value: int) -> float:
@@ -178,11 +179,9 @@ def tune(
         climb(objective, start, space, memo) for start in space.start_points()
     )
     # the full correction needs neither the model (nor the sums it keeps of
-    # the scored sample) nor the sample: a caller that keeps no reference of
-    # its own lets them be freed first
+    # the scored sample) nor the sample
     del lm, objective, sample
     best = min(searches, key=lambda s: (s.best_perplexity, s.best_value))
     corrected = corrector(dataset, best.best_value)
-    return TuneResult(
-        best_value=best.best_value, corrected=corrected, searches=searches
-    )
+    return TuneResult(best_value=best.best_value, corrected=corrected,
+                      searches=searches, evaluations=len(memo))

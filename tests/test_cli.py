@@ -343,6 +343,29 @@ def test_tune_writes_search_trace_and_corrected_reads(tmp_path, capsys):
     assert cfg["k_min"] == 9 and cfg["k_max"] == 13 and cfg["delta"] == 2
 
 
+def test_tune_and_sweep_score_each_value_with_one_objective(tmp_path, capsys):
+    # a sample of every read: each perplexity in tune's trace is the one
+    # sweep reports for that value
+    genome = generate_genome(3000, seed=31)
+    clean, noisy = str(tmp_path / "clean.fastq"), str(tmp_path / "noisy.fastq")
+    write_fastq(sample_clean_reads(genome, n=1200, read_len=50, seed=32), clean)
+    assert main(["inject", "--reads", clean, "--out", noisy,
+                 "--kind", "substitution", "--regime", "low", "--seed", "33"]) == 0
+    assert main(["tune", "--reads", noisy, "--out-dir", str(tmp_path / "tune"),
+                 "--k-min", "9", "--k-max", "17", "--initials", "9,17",
+                 "--sample-n", "1200"]) == 0
+    with open(tmp_path / "tune" / "search.json") as fh:
+        traced = {v: p for s in json.load(fh)["searches"] for v, p in s["trace"]}
+    values = ",".join(str(v) for v in sorted(traced))
+    assert main(["sweep", "--reads", noisy, "--values", values,
+                 "--json-out", str(tmp_path / "sweep.json")]) == 0
+    with open(tmp_path / "sweep.json") as fh:
+        rows = json.load(fh)["rows"]
+    assert {row["value"]: row["perplexity_ngram"] for row in rows} == traced
+    assert len(traced) >= 4
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize(
     "k_min, k_max, start, values",
     [("3", "5", 3, {3, 5}), ("9", "23", 15, {9, 11, 13, 15, 17, 19, 21, 23})],
@@ -425,6 +448,9 @@ def test_sweep_keeps_rows_when_correlation_is_undefined(clean_fastq, tmp_path, c
     assert [row["value"] for row in payload["rows"]] == [9, 11]
     assert all("gain" in row for row in payload["rows"])
     assert payload["correlations"] == {}
+    # the resolved config is written before the failure, beside --tsv-out only
+    assert os.path.exists(tsv_out + ".config.json")
+    assert not os.path.exists(json_out + ".config.json")
 
 
 def test_sweep_scores_an_rnn_model_beside_the_trained_ngram(clean_fastq, tmp_path, capsys):
@@ -624,10 +650,6 @@ def test_tune_and_sweep_write_one_training_note(clean_fastq, tmp_path, capsys):
     assert capsys.readouterr().err.count(note) == 1
 
 
-@pytest.mark.skipif(
-    sys.version_info < (3, 11),
-    reason="the caller's stack holds a call's arguments until it returns",
-)
 def test_tune_frees_its_model_before_the_full_correction(
     clean_fastq, tmp_path, capsys, monkeypatch
 ):

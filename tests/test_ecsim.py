@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
 import sys
@@ -634,8 +635,8 @@ def test_adapter_template_validation():
             ToolAdapter(template)
     assert ToolAdapter("tool {input} {output} --gl {GL}").param_name == "GL"
     ToolAdapter("tool {input} {output} {k}", timeout=0.5)
-    for timeout in (0, -1.0):
-        with pytest.raises(ValueError, match="timeout must be positive"):
+    for timeout in (0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="timeout must be positive and finite"):
             ToolAdapter("tool {input} {output} {k}", timeout=timeout)
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import gc
 import random
-import sys
 import weakref
 
 import pytest
@@ -215,7 +214,7 @@ def test_tune_runs_restarts_with_shared_memo_and_corrects_fully():
     corrector = _tagging_corrector(log)
     lm = _LandscapeLm(lambda k: abs(k - 15) + 2.0)
     space = SearchSpace(lower=9, upper=25, step=2, iter_max=30, initials=(9, 25))
-    result = tune(dataset, lm, corrector, space, sample_n=10, seed=1)
+    result = tune(dataset, lambda reads: lm, corrector, space, sample_n=10, seed=1)
     assert result.best_value == 15
     assert len(result.searches) == 2
     assert {s.termination for s in result.searches} == {TERM_LOCAL_MINIMUM}
@@ -235,21 +234,39 @@ def test_tune_tie_between_restart_winners_prefers_smaller_value():
     # two symmetric basins with equal minima at 11 and 23
     lm = _LandscapeLm(lambda k: min(abs(k - 11), abs(k - 23)) + 1.0)
     space = SearchSpace(lower=9, upper=25, step=2, iter_max=30, initials=(9, 25))
-    result = tune(dataset, lm, corrector, space, sample_n=20, seed=1)
+    result = tune(dataset, lambda reads: lm, corrector, space, sample_n=20, seed=1)
     assert result.best_value == 11
 
 
-# from Python 3.11 a call hands its arguments over to the callee's frame
-@pytest.mark.skipif(
-    sys.version_info < (3, 11),
-    reason="the caller's stack holds a call's arguments until it returns",
-)
+def test_tune_draws_its_sample_then_trains_on_the_whole_set(monkeypatch):
+    dataset = ReadSet(tuple(Read(f"r{i}", "ACGT") for i in range(30)))
+    events = []
+    draw = tuner.sample_reads
+
+    def sample_reads(readset, n, seed):
+        events.append(("sample", len(readset), n, seed))
+        return draw(readset, n, seed)
+
+    def train(reads):
+        events.append(("train", len(reads)))
+        return _LandscapeLm(lambda k: abs(k - 13) + 1.0)
+
+    monkeypatch.setattr(tuner, "sample_reads", sample_reads)
+    result = tune(dataset, train, _tagging_corrector([]), SearchSpace(9, 17),
+                  sample_n=10, seed=4)
+    assert events == [("sample", 30, 10, 4), ("train", 30)]
+    assert result.best_value == 13
+
+
 def test_tune_frees_the_model_and_sample_before_the_full_correction():
     genome = generate_genome(3_000, seed=80)
     reads = sample_clean_reads(genome, 600, 50, seed=81)
-    models = [ngram.train_reads(reads)]
-    model = weakref.ref(models[0])
-    samples, alive = [], []
+    models, samples, alive = [], [], []
+
+    def train(readset):
+        model = ngram.train_reads(readset)
+        models.append(weakref.ref(model))
+        return model
 
     def corrector(readset, value):
         if len(readset) < len(reads):
@@ -257,10 +274,10 @@ def test_tune_frees_the_model_and_sample_before_the_full_correction():
         else:
             # the model's last scored sums hold a corrected sample
             gc.collect()
-            alive.append((model(), [s() for s in samples]))
+            alive.append((models[0](), [s() for s in samples]))
         return builtin_corrector()(readset, value)
 
-    result = tune(reads, models.pop(), corrector, SearchSpace(9, 13), sample_n=200)
+    result = tune(reads, train, corrector, SearchSpace(9, 13), sample_n=200)
     assert len(samples) == result.evaluations
     assert alive == [(None, [None] * len(samples))]
 
@@ -269,11 +286,10 @@ def test_tune_on_real_components_small_scale():
     genome = generate_genome(20_000, seed=70)
     clean = sample_clean_reads(genome, 8000, 50, seed=71)
     corrupted, _ = inject_readset(clean, InjectionSpec("substitution", "low", seed=72))
-    lm = ngram.train_reads(corrupted, word_len=7, history=3)
     space = SearchSpace(lower=9, upper=21, step=2, iter_max=10)
     result = tune(
         dataset=corrupted,
-        lm=lm,
+        train=lambda reads: ngram.train_reads(reads, word_len=7, history=3),
         corrector=builtin_corrector(solid_min=3, max_edits=2),
         space=space,
         sample_n=len(corrupted),
