@@ -170,11 +170,16 @@ def _write_config(args: argparse.Namespace, cfg: dict) -> None:
 def _check_outputs(args: argparse.Namespace) -> None:
     """Exit before any work when a file to write (tune's in its ``--out-dir``
     and the resolved config, too) is a directory or lies in a directory that
-    does not exist (tune makes its ``--out-dir``), an ``--out-dir`` is a file,
-    or a FASTQ ``--out`` has a name read back as FASTA."""
+    does not exist (tune makes its ``--out-dir``), an ``--out-dir`` or the
+    nearest of its parents that exists is a file, or a FASTQ ``--out`` has a
+    name read back as FASTA."""
     out_dir = getattr(args, "out_dir", None) or ""
-    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
-        raise ValueError(f"--out-dir {out_dir}: not a directory")
+    existing = out_dir
+    while existing and not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if existing and not os.path.isdir(existing):
+        where = "" if existing == out_dir else f"{existing} is "
+        raise ValueError(f"--out-dir {out_dir}: {where}not a directory")
     keys = ("out", "ledger", "tsv_out", "json_out")
     written = [(key, getattr(args, key)) for key in keys if getattr(args, key, None)]
     if out_dir:
@@ -366,7 +371,6 @@ _OPTIONS = {
         "reads": Option(None, required=True),
         "truth": Option(None, "clean reads for gain computation"),
         "model": Option(None, "trained model file (default: train n-gram)"),
-        "rnn_model": Option(None, "additional RNN model to score with"),
         "values": Option(list, "comma-separated parameter values"),
         "k_min": Option(int, "smallest grid value", _K_MIN),
         "k_max": Option(int, "largest grid value", _K_MAX),
@@ -505,24 +509,17 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
     if not values:
         raise ValueError("--values lists no parameter values")
     corrector = _make_corrector(cfg)
-    # each perplexity column's model, the --model file's by its kind
-    models = {}
-    if args.model:
-        model, column = _load_model(args.model)
-        models[column] = model
-    if args.rnn_model:
-        if "rnn" in models:
-            raise ValueError("--model and --rnn-model both give the RNN column a model")
-        models["rnn"] = charrnn.RnnLm.load(args.rnn_model)
+    # the --model file fills the column of its kind, else a trained n-gram
+    model, kind = _load_model(args.model) if args.model else (None, "ngram")
     reads = load_reads(args.reads)
     truth = load_reads(args.truth) if args.truth else None
     if truth is not None:
         # the gain of no correction fails, before any work, as every k's would
         ecsim.ec_gain(reads, reads, truth)
     _check_k_fits(cfg, reads, values)
-    if not args.model:
-        models["ngram"], _ = _train_lm(cfg, reads)
-    report = metrics.sweep(reads, corrector, values, models, truth=truth)
+    if model is None:
+        model, _ = _train_lm(cfg, reads)
+    report = metrics.sweep(reads, corrector, values, model, kind, truth=truth)
     sys.stdout.write(report.to_tsv())
     if args.tsv_out:
         with open(args.tsv_out, "w") as fh:

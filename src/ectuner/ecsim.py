@@ -101,7 +101,7 @@ def check_k(k: int) -> None:
 class KmerSpectrum:
     """The distinct ACGT k-mers of a read set as sorted ``uint64`` codes
     (``seqio.encode_word``'s), with their ``int64`` counts.  A spectrum may
-    hold only the k-mers counted at least some ``min_count`` times (see
+    hold only the k-mers counted at least ``min_count`` times (see
     ``kmer_spectrum``); the corrector takes a k-mer it lacks as weak.
 
     There is no ``==``: numpy arrays make dataclass equality ambiguous.
@@ -111,6 +111,7 @@ class KmerSpectrum:
     k: int
     codes: np.ndarray
     counts: np.ndarray
+    min_count: int = 1
 
     def __post_init__(self) -> None:
         check_k(self.k)
@@ -177,10 +178,10 @@ def kmer_spectrum(readset: ReadSet, k: int, min_count: int = 1) -> KmerSpectrum:
     if min_count > 1:
         # a kept run ends where its code ends in the sorted k-mers
         ends = np.searchsorted(kmers, codes, "right")
-        return KmerSpectrum(k, codes, ends - bounds[:-1])
+        return KmerSpectrum(k, codes, ends - bounds[:-1], min_count)
     # the sorted k-mers are spent: free them before the counts are formed
     del kmers
-    return KmerSpectrum(k, codes, np.diff(bounds))
+    return KmerSpectrum(k, codes, np.diff(bounds), min_count)
 
 
 # the narrowest unsigned type that holds the code of 2, 4, 8, 16, 32 bases
@@ -428,13 +429,17 @@ def kspectrum_correct(
     ones; pass one explicitly to correct a subsample against fuller counts.
     An explicit spectrum must be a well-formed ``KmerSpectrum`` of
     ``config.k``; it may hold every k-mer or only those counted at least
-    ``min_count`` times, and it corrects the same either way while
-    ``min_count`` is at most ``config.solid_min``.
+    its ``min_count`` times, and it corrects the same either way while
+    ``min_count`` is at most ``config.solid_min``; above that it lacks solid
+    k-mers and is refused.
     """
     if spectrum is None:
         spectrum = kmer_spectrum(readset, config.k, config.solid_min)
     elif not (isinstance(spectrum, KmerSpectrum) and spectrum.k == config.k):
         raise ValueError(f"spectrum must be a KmerSpectrum of k={config.k}")
+    elif spectrum.min_count > config.solid_min:
+        raise ValueError(f"spectrum counted at min_count {spectrum.min_count} "
+                         f"lacks k-mers solid at solid_min {config.solid_min}")
     else:
         spectrum.check()
     solid = _SolidCounts(spectrum.codes, spectrum.counts, config.solid_min, config.k)

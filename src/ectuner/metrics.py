@@ -1,17 +1,16 @@
 """Parameter sweeps and the perplexity/gain correlation.
 
-A sweep corrects the dataset at every requested parameter value, scores each
-result with one language model per perplexity column (``perplexity_ngram``,
-``perplexity_rnn`` or both), and, when ground truth is supplied, computes
-the per-base correction gain alongside.  A row is a dict of only the
-columns it has: JSON writes it as it is, TSV under ``COLUMNS`` with a blank
-cell for each column it lacks.  Pearson correlations between each perplexity
-column and the gain summarize how well perplexity tracks quality (strongly
-negative is the useful regime).  A correlation that is undefined is left
-out, and the report keeps the first such error as its ``failure``, so a
-caller can write every row before it fails.  Consecutive values score the
-dataset with one model, so an n-gram model rescores only the reads whose
-bases changed.
+A sweep runs ``tuner.evaluate_point`` on the dataset at every requested
+parameter value, with one language model that fills the perplexity column of
+its kind (``perplexity_ngram`` or ``perplexity_rnn``), and, when ground truth
+is supplied, computes the per-base correction gain alongside.  A row is a
+dict of only the columns it has: JSON writes it as it is, TSV under
+``COLUMNS`` with a blank cell for each column it lacks.  The Pearson
+correlation of perplexity with gain summarizes how well perplexity tracks
+quality (strongly negative is the useful regime); when it is undefined, the
+report keeps its error as its ``failure``, so a caller can write every row
+before it fails.  Consecutive values score the dataset with one model, so an
+n-gram model rescores only the reads whose bases changed.
 """
 
 from __future__ import annotations
@@ -19,10 +18,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from .ecsim import ec_gain
 from .seqio import ReadSet
+from .tuner import evaluate_point
 
 
 class CorrelationError(ValueError):
@@ -53,8 +53,8 @@ COLUMNS = ("value", "perplexity_ngram", "perplexity_rnn", "gain")
 
 @dataclass(frozen=True)
 class SweepReport:
-    """Every row, the correlations that are defined, and the first error of
-    one that is not (None when all are)."""
+    """Every row, the correlations that are defined, and the error of one
+    that is not (None when all are)."""
 
     rows: list[dict]
     correlations: dict[str, float]
@@ -75,36 +75,32 @@ def sweep(
     dataset: ReadSet,
     corrector: Callable[[ReadSet, int], ReadSet],
     values: Iterable[int],
-    models: Mapping[str, object],
+    lm,
+    kind: str = "ngram",
     truth: ReadSet | None = None,
 ) -> SweepReport:
     """Evaluate every value; one row per distinct value, sorted ascending.
 
-    ``models`` maps a perplexity column's kind, "ngram" or "rnn", to the
-    language model that fills it.
+    ``lm`` fills the perplexity column of its ``kind``, "ngram" or "rnn".
     """
-    if not models:
-        raise ValueError("sweep needs at least one language model")
     vals = sorted(set(int(v) for v in values))
     if not vals:
         raise ValueError("no parameter values to sweep")
+    column = f"perplexity_{kind}"
     rows = []
     for v in vals:
-        corrected = corrector(dataset, v)
-        row = {"value": v}
-        for kind, lm in models.items():
-            row[f"perplexity_{kind}"] = lm.score_reads(corrected).avg_perplexity
+        perplexity, corrected = evaluate_point(lm, corrector, dataset, v)
+        row = {"value": v, column: perplexity}
         if truth is not None:
             row["gain"] = ec_gain(dataset, corrected, truth)
         rows.append(row)
     correlations: dict[str, float] = {}
     failure: CorrelationError | None = None
     if truth is not None:
-        gains = [row["gain"] for row in rows]
-        for kind in sorted(models):
-            try:
-                pps = [row[f"perplexity_{kind}"] for row in rows]
-                correlations[f"{kind}_vs_gain"] = pearson(pps, gains)
-            except CorrelationError as exc:
-                failure = failure or exc
+        try:
+            correlations[f"{kind}_vs_gain"] = pearson(
+                [row[column] for row in rows], [row["gain"] for row in rows]
+            )
+        except CorrelationError as exc:
+            failure = exc
     return SweepReport(rows, correlations, failure)

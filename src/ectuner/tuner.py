@@ -92,16 +92,12 @@ def climb(
         )
     if memo is None:
         memo = {}
-    trace: list[tuple[int, float]] = []
-    seen: set[int] = set()
+    trace: dict[int, float] = {}  # in the order this climb first meets them
 
     def f(v: int) -> float:
         if v not in memo:
             memo[v] = objective(v)
-        if v not in seen:
-            seen.add(v)
-            trace.append((v, memo[v]))
-        return memo[v]
+        return trace.setdefault(v, memo[v])
 
     k = start
     budget = space.iter_max
@@ -115,15 +111,15 @@ def climb(
             return SearchResult(
                 best_value=k,
                 best_perplexity=fk,
-                trace=tuple(trace),
+                trace=tuple(trace.items()),
                 termination=TERM_BOUNDARY if at_edge else TERM_LOCAL_MINIMUM,
             )
         if budget <= 0:
-            best_v, best_f = min(trace, key=lambda e: (e[1], e[0]))
+            best_v, best_f = min(trace.items(), key=lambda e: (e[1], e[0]))
             return SearchResult(
                 best_value=best_v,
                 best_perplexity=best_f,
-                trace=tuple(trace),
+                trace=tuple(trace.items()),
                 termination=TERM_ITERATION_BUDGET,
             )
         budget -= 1
@@ -133,11 +129,13 @@ def climb(
 def evaluate_point(
     lm,
     corrector: Callable[[ReadSet, int], ReadSet],
-    sample: ReadSet,
+    reads: ReadSet,
     value: int,
-) -> float:
-    """Perplexity of the sample corrected at ``value``."""
-    return lm.score_reads(corrector(sample, value)).avg_perplexity
+) -> tuple[float, ReadSet]:
+    """One tuner evaluation, for ``tune`` and ``sweep`` alike: (perplexity
+    under ``lm``, reads) of ``reads`` corrected at ``value``."""
+    corrected = corrector(reads, value)
+    return lm.score_reads(corrected).avg_perplexity, corrected
 
 
 @dataclass(frozen=True)
@@ -173,7 +171,7 @@ def tune(
     memo: dict[int, float] = {}
 
     def objective(value: int) -> float:
-        return evaluate_point(lm, corrector, sample, value)
+        return evaluate_point(lm, corrector, sample, value)[0]
 
     searches = tuple(
         climb(objective, start, space, memo) for start in space.start_points()

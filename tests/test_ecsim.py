@@ -140,6 +140,12 @@ def test_correction_against_its_own_solid_spectrum_equals_the_full_one(k, monkey
             assert got.codes.tobytes() == want.codes.tobytes()
             assert got.lengths.tolist() == want.lengths.tolist()
             assert got.ids == want.ids
+            # an explicit spectrum counted at solid_min corrects the same too;
+            # one counted above it lacks solid k-mers and is refused
+            solid = kspectrum_correct(reads, config, kmer_spectrum(reads, k, m))
+            assert solid.codes.tobytes() == want.codes.tobytes()
+            with pytest.raises(ValueError, match=f"min_count {m + 1} lacks"):
+                kspectrum_correct(reads, config, kmer_spectrum(reads, k, m + 1))
 
 
 @pytest.fixture(scope="module")

@@ -78,7 +78,7 @@ def test_pearson_errors():
 def test_sweep_rows_sorted_and_deduplicated():
     dataset = ReadSet((Read("r", "ACGT"),))
     lm = _FixedLm({9: 30.0, 13: 10.0, 17: 20.0})
-    report = sweep(dataset, _tag_corrector, [17, 9, 13, 9], {"ngram": lm})
+    report = sweep(dataset, _tag_corrector, [17, 9, 13, 9], lm)
     assert report.rows == [
         {"value": 9, "perplexity_ngram": 30.0},
         {"value": 13, "perplexity_ngram": 10.0},
@@ -97,7 +97,7 @@ def test_sweep_computes_gain_and_correlation():
         return _Corrected((Read("r", fixed),), value)
 
     lm = _FixedLm({9: 50.0, 12: 8.0, 15: 7.0})
-    report = sweep(dataset, corrector, [9, 12, 15], {"ngram": lm}, truth=truth)
+    report = sweep(dataset, corrector, [9, 12, 15], lm, truth=truth)
     gains = [r["gain"] for r in report.rows]
     assert gains == [-1.0, 1.0, 1.0]
     assert report.correlations["ngram_vs_gain"] == pytest.approx(
@@ -115,24 +115,27 @@ def _gain_ladder(readset, value):
 def test_sweep_identity_corrector_zero_variance_is_the_reports_failure():
     truth = ReadSet((Read("r", "AAAA"),))
     dataset = ReadSet((Read("r", "AATA"),))
-    # each column comes from its own model; only the RNN's varies
-    models = {"rnn": _FixedLm({1: 3.0, 2: 2.0, 3: 1.0}),
-              "ngram": _FixedLm({1: 5.0, 2: 5.0, 3: 5.0})}
-    report = sweep(dataset, _gain_ladder, [1, 2, 3], models, truth=truth)
+    # a model that scores every value alike has no correlation, one that
+    # varies has one
+    flat = _FixedLm({1: 5.0, 2: 5.0, 3: 5.0})
+    report = sweep(dataset, _gain_ladder, [1, 2, 3], flat, truth=truth)
     assert [r["perplexity_ngram"] for r in report.rows] == [5.0, 5.0, 5.0]
+    assert [r["gain"] for r in report.rows] == [-1.0, 0.0, 1.0]
+    assert report.correlations == {}
+    assert isinstance(report.failure, CorrelationError)
+    assert "zero variance" in str(report.failure)
+    rising = _FixedLm({1: 3.0, 2: 2.0, 3: 1.0})
+    report = sweep(dataset, _gain_ladder, [1, 2, 3], rising, "rnn", truth=truth)
     assert [r["perplexity_rnn"] for r in report.rows] == [3.0, 2.0, 1.0]
     assert [r["gain"] for r in report.rows] == [-1.0, 0.0, 1.0]
     assert report.correlations == {"rnn_vs_gain": pytest.approx(-1.0)}
-    assert isinstance(report.failure, CorrelationError)
-    assert "zero variance" in str(report.failure)
+    assert report.failure is None
 
 
 def test_sweep_requires_model_and_values():
     dataset = ReadSet((Read("r", "ACGT"),))
     with pytest.raises(ValueError):
-        sweep(dataset, _tag_corrector, [1, 2, 3], {})
-    with pytest.raises(ValueError):
-        sweep(dataset, _tag_corrector, [], {"ngram": _FixedLm({})})
+        sweep(dataset, _tag_corrector, [], _FixedLm({}))
 
 
 def test_tsv_round_trip_preserves_float_precision():
@@ -164,8 +167,9 @@ def test_json_rows_are_the_reports_rows():
     dataset = ReadSet((Read("r", "AATA"),))
     models = {"ngram": _FixedLm({1: 5.0, 2: 4.5, 3: 1.0}),
               "rnn": _FixedLm({1: 3.0, 2: 2.0, 3: 1.0 / 3.0})}
-    report = sweep(dataset, _gain_ladder, [3, 1, 2], models, truth=truth)
-    payload = json.loads(report.to_json())
-    assert report.rows == payload["rows"]
-    assert set(payload["correlations"]) == {"ngram_vs_gain", "rnn_vs_gain"}
-    assert report.failure is None
+    for kind, lm in models.items():
+        report = sweep(dataset, _gain_ladder, [3, 1, 2], lm, kind, truth=truth)
+        payload = json.loads(report.to_json())
+        assert report.rows == payload["rows"]
+        assert set(payload["correlations"]) == {f"{kind}_vs_gain"}
+        assert report.failure is None
