@@ -17,13 +17,17 @@ before and after it, with ``--trace`` the tracemalloc peak inside it (MiB,
 tracing started with the step), and the first 16 hex digits of the sha256
 of the output (the model file for train, ``search.json`` and
 ``corrected.fastq`` for tune, the sweep JSON for sweep, the corrected codes
-for correct).  Peak RSS is per process, so run each measurement in a fresh
-one.  The 1 Mb / 600 000-read set needs about 1.6 GB of memory.
+for correct).  Next to ``maxrss_mb`` it says, for each of ``numpy.random``,
+``hashlib`` and ``subprocess``, whether the measured step loaded it (``yes``),
+did not (``no``), or found it loaded already (``before``).  For train, tune
+and sweep the reads are simulated in a forked child, before this process
+imports numpy, so neither the simulation's imports nor its peak count
+against the command.  Peak RSS is per process, so run each measurement in a
+fresh one.  The 1 Mb / 600 000-read set needs about 1.6 GB of memory.
 """
 
 import argparse
 import contextlib
-import hashlib
 import io
 import math
 import os
@@ -32,11 +36,10 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import traceback
 
-from ectuner.cli import main as cli_main
-from ectuner.ecsim import KSpectrumConfig, kmer_spectrum, kspectrum_correct
-from ectuner.injector import InjectionSpec, generate_genome, inject_readset, sample_clean_reads
-from ectuner.seqio import write_fastq
+# modules a command should load only when it needs them
+HEAVY = ("numpy.random", "hashlib", "subprocess")
 
 
 def maxrss_mib() -> float:
@@ -45,7 +48,9 @@ def maxrss_mib() -> float:
 
 def measure(step, trace: bool):
     """Run ``step``; its result, and its wall time, ``ru_maxrss`` before and
-    after it and tracemalloc peak (nan unless ``trace``)."""
+    after it, which of ``HEAVY`` it loaded and tracemalloc peak (nan unless
+    ``trace``)."""
+    loaded = [m in sys.modules for m in HEAVY]
     before = maxrss_mib()
     if trace:
         tracemalloc.start()
@@ -54,7 +59,46 @@ def measure(step, trace: bool):
     wall = time.perf_counter() - start
     peak = tracemalloc.get_traced_memory()[1] / 2**20 if trace else math.nan
     tracemalloc.stop()
-    return result, (wall, before, maxrss_mib(), peak)
+    imports = " ".join(
+        f"{m}={'before' if was else 'yes' if m in sys.modules else 'no'}"
+        for m, was in zip(HEAVY, loaded)
+    )
+    return result, (wall, before, maxrss_mib(), imports, peak)
+
+
+def simulate(args: argparse.Namespace):
+    """The clean reads and the reads with substitution/low errors."""
+    from ectuner.injector import (
+        InjectionSpec,
+        generate_genome,
+        inject_readset,
+        sample_clean_reads,
+    )
+
+    genome = generate_genome(args.genome, seed=101)
+    clean = sample_clean_reads(genome, args.reads, 100, seed=102)
+    return clean, inject_readset(clean, InjectionSpec("substitution", "low", seed=103))[0]
+
+
+def write_inputs(args: argparse.Namespace, reads_path: str, truth_path: str) -> bool:
+    """Simulate the reads and write them and their truth as FASTQ, in a
+    forked child; whether the child succeeded."""
+    pid = os.fork()
+    if pid == 0:
+        # the child never returns into main: it leaves through os._exit
+        code = 1
+        try:
+            from ectuner.seqio import write_fastq
+
+            clean, reads = simulate(args)
+            write_fastq(reads, reads_path)
+            write_fastq(clean, truth_path)
+            code = 0
+        except Exception:
+            traceback.print_exc()
+        finally:
+            os._exit(code)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
 
 
 def command_argv(
@@ -90,25 +134,25 @@ def main() -> int:
         parser.error("--values applies to --command sweep only")
     if (args.k is None) == (args.command == "correct"):
         parser.error("--k applies to, and is needed by, --command correct only")
-    digest = hashlib.sha256()
-    genome = generate_genome(args.genome, seed=101)
-    clean = sample_clean_reads(genome, args.reads, 100, seed=102)
-    reads = inject_readset(clean, InjectionSpec("substitution", "low", seed=103))[0]
-    del genome
+    chunks = []  # the output bytes, hashed after the step
     if args.command == "correct":
-        del clean
+        from ectuner.ecsim import KSpectrumConfig, kmer_spectrum, kspectrum_correct
+
+        reads = simulate(args)[1]
         spectrum = kmer_spectrum(reads, args.k)
         fixed, stats = measure(
             lambda: kspectrum_correct(reads, KSpectrumConfig(args.k), spectrum), args.trace
         )
-        digest.update(fixed.codes.tobytes())
+        chunks.append(fixed.codes.tobytes())
     else:
         with tempfile.TemporaryDirectory(prefix="ectuner-scale-") as work:
             reads_path = os.path.join(work, "reads.fastq")
             truth_path = os.path.join(work, "truth.fastq")
-            write_fastq(reads, reads_path)
-            write_fastq(clean, truth_path)
-            del clean, reads
+            if not write_inputs(args, reads_path, truth_path):
+                print("simulating the reads failed", file=sys.stderr)
+                return 1
+            from ectuner.cli import main as cli_main
+
             outputs, argv = command_argv(args, work, reads_path, truth_path)
             # stdout holds a summary or the sweep's TSV; the output files are hashed
             with contextlib.redirect_stdout(io.StringIO()):
@@ -118,11 +162,16 @@ def main() -> int:
                 return code
             for path in outputs:
                 with open(path, "rb") as fh:
-                    digest.update(fh.read())
+                    chunks.append(fh.read())
+    import hashlib  # only now, so that the measured step loads it itself or not at all
+
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
     k = f" k={args.k}" if args.k is not None else ""
     print(
         f"command={args.command}{k} genome={args.genome} reads={args.reads} "
-        "wall_s={:.2f} maxrss_before_mb={:.1f} maxrss_mb={:.1f} "
+        "wall_s={:.2f} maxrss_before_mb={:.1f} maxrss_mb={:.1f} {} "
         "tracemalloc_peak_mb={:.1f} ".format(*stats)
         + f"sha256={digest.hexdigest()[:16]}"
     )

@@ -1,22 +1,34 @@
 """Seeded random number generation helpers.
 
-All randomness in this package flows through NumPy's PCG64 bit generator so
-that every draw is reproducible from an integer seed, independent of
-platform.  Only ``Generator.integers`` is used for discrete draws;
-sampling and shuffling are built on top of it explicitly so the draw sequence
-is pinned by this module rather than by NumPy convenience-method internals.
+Every draw is reproducible from an integer seed, independent of platform,
+and equal to a draw of NumPy's ``Generator(PCG64(SeedSequence(entropy)))``,
+with ``entropy`` a seed or a ``(seed, index)`` pair.  This module reproduces
+the pieces of NumPy those draws are made of: SeedSequence's uint32 hash
+mixing, PCG64's 128-bit seeding and step with the XSL-RR output, the 32-bit
+halves of the 64-bit outputs handed out low half first, and the bounded
+integers of ``Generator.integers(low, high)``, which are Lemire's
+multiply-shift (Lemire 2019, "Fast random integer generation in an
+interval").  ``tests/test_rng.py`` pins each of them against the installed
+NumPy.
 
-``raw_words`` and ``StreamBlock`` give the draws of the per-item streams
-``spawn_rng(seed, i)`` for a whole block of indices at once, as arrays.  They
-reproduce three pieces of NumPy exactly: SeedSequence's uint32 hash mixing,
-PCG64's 128-bit seeding and step with the XSL-RR output, and the bounded
-integers of ``Generator.integers(0, span)`` for spans up to 2**32, which are
-Lemire's multiply-shift on the 32-bit halves of the 64-bit outputs, low half
-first (Lemire 2019, "Fast random integer generation in an interval").
-``tests/test_rng.py`` pins each of them against the installed NumPy.
+The commands draw only through this module's own code, so none of them
+imports ``numpy.random``, which costs a process megabytes of resident memory
+for a few draws:
+
+* ``Pcg64`` is one stream in Python ints.  ``sample_indices`` and
+  ``shuffled`` draw from it, and so do the read sample and the char-RNN's
+  initial weights, split and epoch orders.
+* ``raw_words`` and ``StreamBlock`` give the draws of the per-read streams
+  ``(seed, i)`` of a whole block of reads at once, as arrays, for the error
+  injector.
+
+``make_rng`` hands out a NumPy generator for the library's genome and read
+simulators, which no command calls.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -26,11 +38,15 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
-# PCG64's 128-bit LCG multiplier, split into 32-bit limbs for 64x64-bit products
-_MULT_HI = np.uint64(0x2360ED051FC65DA4)
-_MULT_LO = np.uint64(0x4385DF649FCCF645)
-_MULT_LO_0 = np.uint64(0x4385DF649FCCF645 & _MASK32)
-_MULT_LO_1 = np.uint64(0x4385DF649FCCF645 >> 32)
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+# PCG64's 128-bit LCG multiplier; for the arrays, its 64-bit halves and the
+# low half's 32-bit limbs, for 64x64-bit products
+_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MULT_HI = np.uint64(_MULT >> 64)
+_MULT_LO = np.uint64(_MULT & _MASK64)
+_MULT_LO_0 = np.uint64(_MULT & _MASK32)
+_MULT_LO_1 = np.uint64(_MULT >> 32 & _MASK32)
 _U32 = np.uint64(_MASK32)
 
 
@@ -46,36 +62,93 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
-def spawn_rng(seed: int, index: int) -> np.random.Generator:
-    """Return an independent per-item stream derived from (seed, index).
+class Pcg64:
+    """One stream of ``Generator(PCG64(SeedSequence(seed)))``, or of
+    ``SeedSequence((seed, index))`` when an index is given, in Python ints.
 
-    Streams for distinct indices never overlap, so an item's draws depend
-    only on (seed, index), never on which items came before it.
+    ``next32`` hands out the 32-bit halves of a 64-bit output, low half
+    first, and keeps the high half for its next call, as NumPy does; a
+    64-bit draw leaves a kept half in place.
     """
-    check_seed(seed)
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
+
+    def __init__(self, seed: int, index: int | None = None) -> None:
+        check_seed(seed)
+        words = _uint32_words(seed)
+        if index is not None:
+            if index < 0:
+                raise ValueError(f"stream index must be >= 0, got {index}")
+            words += _uint32_words(index)
+        init_hi, init_lo, seq_hi, seq_lo = (
+            int(w[0]) for w in _seed_state([np.array([w], np.uint32) for w in words])
+        )
+        # srandom: state 0, step (state becomes inc), add initstate, step
+        self._inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
+        state = (self._inc + (init_hi << 64 | init_lo)) & _MASK128
+        self._state = (state * _MULT + self._inc) & _MASK128
+        self._half: int | None = None
+
+    def next64(self) -> int:
+        """The next 64-bit output: one step, then XSL-RR (fold the halves,
+        rotate right by the top six bits)."""
+        self._state = state = (self._state * _MULT + self._inc) & _MASK128
+        x = (state >> 64 ^ state) & _MASK64
+        rot = state >> 122
+        return (x >> rot | x << (64 - rot)) & _MASK64
+
+    def next32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        word = self.next64()
+        self._half = word >> 32
+        return word & _MASK32
+
+    def integers(self, low: int, high: int) -> int:
+        """``Generator.integers(low, high)`` for a span up to 2**32: Lemire's
+        multiply-shift on a 32-bit half.  A span of 1 draws nothing."""
+        span = high - low
+        if not 1 <= span <= 1 << 32:
+            raise ValueError(f"span must lie in 1..2**32, got {span}")
+        if span == 1:
+            return low
+        m = self.next32() * span
+        if m & _MASK32 < span:
+            # reject a product whose low word falls below 2**32 % span
+            threshold = (1 << 32) % span
+            while m & _MASK32 < threshold:
+                m = self.next32() * span
+        return low + (m >> 32)
+
+    def random(self, shape) -> np.ndarray:
+        """``Generator.random(shape)``: the top 53 bits of each 64-bit
+        output, times 2**-53."""
+        n = math.prod(shape)
+        return np.array([(self.next64() >> 11) * 2.0**-53 for _ in range(n)]).reshape(shape)
 
 
-def sample_indices(rng: np.random.Generator, population: int, k: int) -> list[int]:
+def sample_indices(rng: Pcg64, population: int, k: int) -> list[int]:
     """Draw ``k`` distinct indices from ``range(population)``, sorted ascending.
 
-    Partial Fisher-Yates over an index array; consumes exactly ``k`` integer
-    draws from ``rng``, draw i uniform over ``range(i, population)``.
+    Partial Fisher-Yates over an index array; draw i is uniform over
+    ``range(i, population)``, as ``integers(np.arange(k), population)``.
     """
     if k > population:
         raise ValueError(f"cannot sample {k} items from population of {population}")
     idx = list(range(population))
-    for i, j in enumerate(rng.integers(np.arange(k), population).tolist()):
+    for i in range(k):
+        j = rng.integers(i, population)
         idx[i], idx[j] = idx[j], idx[i]
     return sorted(idx[:k])
 
 
-def shuffled(rng: np.random.Generator, n: int) -> list[int]:
+def shuffled(rng: Pcg64, n: int) -> list[int]:
     """Return a Fisher-Yates permutation of ``range(n)``; swap i (from n-1
-    down to 1) draws its partner uniformly from ``range(i + 1)``."""
+    down to 1) draws its partner uniformly from ``range(i + 1)``, as
+    ``integers(0, np.arange(n, 1, -1))``."""
     idx = list(range(n))
-    partners = rng.integers(0, np.arange(n, 1, -1)).tolist()
-    for i, j in zip(range(n - 1, 0, -1), partners):
+    for i in range(n - 1, 0, -1):
+        j = rng.integers(0, i + 1)
         idx[i], idx[j] = idx[j], idx[i]
     return idx
 
@@ -90,11 +163,10 @@ def _uint32_words(value: int) -> list[int]:
     return words
 
 
-def _seed_state(seed: int, indices: np.ndarray) -> list[np.ndarray]:
-    """``SeedSequence((seed, i)).generate_state(4, np.uint64)`` for every i,
-    as four uint64 columns."""
-    entropy = [np.full(len(indices), w, np.uint32) for w in _uint32_words(seed)]
-    entropy.append(indices.astype(np.uint32))
+def _seed_state(entropy: list[np.ndarray]) -> list[np.ndarray]:
+    """``SeedSequence(words).generate_state(4, np.uint64)`` for every row of
+    ``entropy``, a list of uint32 columns (word j of every row), as four
+    uint64 columns."""
     hash_const = _INIT_A
 
     def hashmix(value: np.ndarray) -> np.ndarray:
@@ -108,7 +180,7 @@ def _seed_state(seed: int, indices: np.ndarray) -> list[np.ndarray]:
         result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
         return result ^ (result >> np.uint32(16))
 
-    zero = np.zeros(len(indices), np.uint32)
+    zero = np.zeros_like(entropy[0])
     pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
     for i_src in range(_POOL_SIZE):
         for i_dst in range(_POOL_SIZE):
@@ -142,13 +214,14 @@ def _step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray
 
 def raw_words(seed: int, indices, n: int) -> np.ndarray:
     """The first ``n`` 64-bit outputs of ``PCG64(SeedSequence((seed, i)))``
-    for every i in ``indices`` (each in 0..2**32-1), one row per index: what
-    ``spawn_rng(seed, i).bit_generator.random_raw(n)`` returns."""
+    for every i in ``indices`` (each in 0..2**32-1), one row per index, as
+    its ``random_raw(n)`` returns them."""
     check_seed(seed)
     indices = np.asarray(indices, np.int64)
     if indices.size and (indices.min() < 0 or indices.max() > _MASK32):
         raise ValueError("stream indices must lie in 0..2**32-1")
-    init_hi, init_lo, seq_hi, seq_lo = _seed_state(seed, indices)
+    entropy = [np.full(len(indices), w, np.uint32) for w in _uint32_words(seed)]
+    init_hi, init_lo, seq_hi, seq_lo = _seed_state(entropy + [indices.astype(np.uint32)])
     inc_hi = seq_hi << np.uint64(1) | seq_lo >> np.uint64(63)
     inc_lo = seq_lo << np.uint64(1) | np.uint64(1)
     # srandom: state 0, step (state becomes inc), add initstate, step
@@ -165,7 +238,7 @@ def raw_words(seed: int, indices, n: int) -> np.ndarray:
 
 
 class StreamBlock:
-    """The streams ``spawn_rng(seed, i)`` for a block of indices, drawn from
+    """The streams ``(seed, i)`` for a block of indices, drawn from
     in lock-step: row r of every draw is the next draw of stream
     ``indices[r]``.  A row that uses up its pre-drawn words gets more."""
 

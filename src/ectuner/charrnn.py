@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import make_rng, shuffled, spawn_rng
+from ._rng import Pcg64, shuffled
 from .ngram import (
     ModelFormatError,
     PerplexityReport,
@@ -92,26 +92,21 @@ class RnnLm:
 
     @classmethod
     def init(cls, layers: int = 2, hidden: int = 32, seed: int = 0) -> "RnnLm":
-        """Uniform init in [-r, r] with r = sqrt(1/fan_in), per matrix."""
-        if layers < 1:
-            raise TrainingError(f"need at least one layer, got {layers}")
-        if hidden < 1:
-            raise TrainingError(f"need at least one hidden unit, got {hidden}")
-        rng = make_rng(seed)
+        """Uniform init in [-r, r] with r = sqrt(1/fan_in), per matrix; zero
+        biases."""
+        _check_size(layers, hidden)
+        rng = Pcg64(seed)
+        return cls._from_params([
+            (rng.random(shape) * 2.0 - 1.0) * math.sqrt(1.0 / shape[1])
+            if len(shape) == 2 else np.zeros(shape)
+            for shape in _shapes(layers, hidden)
+        ])
 
-        def uniform(rows: int, cols: int) -> np.ndarray:
-            r = math.sqrt(1.0 / cols)
-            return (rng.random((rows, cols)) * 2.0 - 1.0) * r
-
-        Us, Ws, bs = [], [], []
-        for l in range(layers):
-            fan_in = VOCAB_SIZE if l == 0 else hidden
-            Us.append(uniform(hidden, fan_in))
-            Ws.append(uniform(hidden, hidden))
-            bs.append(np.zeros(hidden))
-        V = uniform(VOCAB_SIZE, hidden)
-        c = np.zeros(VOCAB_SIZE)
-        return cls(Us, Ws, bs, V, c)
+    @classmethod
+    def _from_params(cls, params: list[np.ndarray]) -> "RnnLm":
+        """The model whose ``params()`` are ``params``."""
+        *per_layer, V, c = params
+        return cls(per_layer[0::3], per_layer[1::3], per_layer[2::3], V, c)
 
     def params(self) -> list[np.ndarray]:
         out: list[np.ndarray] = []
@@ -145,6 +140,7 @@ class RnnLm:
         (layers, hidden, vocab), body = _unseal(path, MAGIC, VERSION, "<IIII", "RNN")
         if vocab != VOCAB_SIZE:
             raise ModelFormatError(f"{path}: unsupported vocabulary size {vocab}")
+        # the size of _shapes, counted from the header so a huge one builds no list:
         # U_0 takes 4 inputs and each later U_l hidden; each layer's W_l and
         # b_l are hidden x hidden and hidden; V is 4 x hidden and c 4 long
         inputs = VOCAB_SIZE + (layers - 1) * hidden if layers else 0
@@ -154,15 +150,30 @@ class RnnLm:
         if len(body) > 8 * n:
             raise ModelFormatError(f"{path}: trailing bytes after weights")
         try:
-            model = cls.init(layers, hidden, seed=0)
+            _check_size(layers, hidden)
         except TrainingError as exc:
             raise ModelFormatError(f"{path}: {exc}") from None
-        flat = np.frombuffer(body, "<f8")
-        at = 0
-        for p in model.params():
-            p[...] = flat[at : at + p.size].reshape(p.shape)
-            at += p.size
-        return model
+        shapes = _shapes(layers, hidden)
+        flat = np.frombuffer(body, "<f8").astype(np.float64)
+        parts = np.split(flat, np.cumsum([math.prod(s) for s in shapes])[:-1])
+        return cls._from_params([p.reshape(s) for p, s in zip(parts, shapes)])
+
+
+def _check_size(layers: int, hidden: int) -> None:
+    if layers < 1:
+        raise TrainingError(f"need at least one layer, got {layers}")
+    if hidden < 1:
+        raise TrainingError(f"need at least one hidden unit, got {hidden}")
+
+
+def _shapes(layers: int, hidden: int) -> list[tuple[int, ...]]:
+    """The parameters' shapes in ``params()`` order: per layer U_l (hidden x
+    fan_in, fan_in 4 for layer 0 and hidden above it), W_l (hidden x hidden)
+    and b_l (hidden); then V (4 x hidden) and c (4)."""
+    shapes: list[tuple[int, ...]] = []
+    for l in range(layers):
+        shapes += [(hidden, VOCAB_SIZE if l == 0 else hidden), (hidden, hidden), (hidden,)]
+    return shapes + [(VOCAB_SIZE, hidden), (VOCAB_SIZE,)]
 
 
 def encode(seq: str) -> np.ndarray:
@@ -341,7 +352,7 @@ def train(
     if not len(rows):
         raise TrainingError("no reads of length >= 2 to train on")
     # the training reads in split order, then the validation reads
-    rows = rows[shuffled(spawn_rng(seed, 0), len(rows))]
+    rows = rows[shuffled(Pcg64(seed, 0), len(rows))]
     n_train = int(len(rows) * config.train_frac)
     n_val = int(len(rows) * config.val_frac)
     if n_train < config.minibatch:
@@ -352,7 +363,7 @@ def train(
     val_block = _block(readset, rows[n_train : n_train + n_val]) if n_val else None
 
     model = RnnLm.init(config.layers, config.hidden, seed=seed)
-    epoch_rng = spawn_rng(seed, 1)
+    epoch_rng = Pcg64(seed, 1)
     best: list[np.ndarray] | None = None
     best_val = math.inf
     history: list[dict] = []

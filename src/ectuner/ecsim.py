@@ -51,10 +51,6 @@ from __future__ import annotations
 
 import math
 import os
-import shlex
-import shutil
-import subprocess
-import tempfile
 from dataclasses import dataclass
 from typing import Callable
 
@@ -498,6 +494,12 @@ def run_external(adapter: ToolAdapter, value: int, readset: ReadSet) -> ReadSet:
     with captured stdout/stderr beside the files, and its path is included
     in the raised AdapterError.
     """
+    # only an external tool needs these, so no other command loads them
+    import shlex
+    import shutil
+    import subprocess
+    import tempfile
+
     base = os.environ.get(TMPDIR_ENV) or None
     tmpdir = tempfile.mkdtemp(prefix="ectuner-", dir=base)
     in_path = os.path.join(tmpdir, "input.fastq")

@@ -18,7 +18,7 @@ Draw order per read (for independent re-derivation): mixture kind first if
 applicable, then the count, then the kind's own draws as listed above; the
 insertion segment is drawn as one vector after its index, substitution draws
 alternate position then base.  Every draw is ``Generator.integers`` on the
-read's stream ``spawn_rng(seed, index)``.
+read's stream ``Generator(PCG64(SeedSequence((seed, index))))``.
 
 ``inject_readset`` follows this protocol for a whole block of reads at once:
 ``_rng.StreamBlock`` computes each read's draws from raw PCG64 words as

@@ -68,7 +68,6 @@ the preceding word is 16 T's.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import struct
 from dataclasses import dataclass
@@ -107,6 +106,8 @@ class ModelFormatError(ValueError):
 
 def _seal(path: str, payload: bytes) -> None:
     """Write a model file: ``payload``, then its sha256 digest."""
+    import hashlib  # here, not at the top: OpenSSL costs megabytes only model files need
+
     with open(path, "wb") as fh:
         fh.write(payload)
         fh.write(hashlib.sha256(payload).digest())
@@ -118,6 +119,8 @@ def _unseal(
     """The header fields after the version and the rest of a model file that
     ``_seal`` wrote: ``magic``, a header packed as ``header_fmt`` whose first
     field must be ``version``, then the rest; ``what`` names the kind in errors."""
+    import hashlib
+
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(magic) + 32 or blob[: len(magic)] != magic:

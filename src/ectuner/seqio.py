@@ -28,7 +28,7 @@ from typing import Iterable, Iterator
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._rng import make_rng, sample_indices
+from ._rng import Pcg64, sample_indices
 
 BASES = "ACGT"
 VALID_CHARS = frozenset(BASES + "N")
@@ -479,4 +479,4 @@ def sample_reads(readset: ReadSet, n: int, seed: int) -> ReadSet:
         raise ValueError(f"sample size must be >= 0, got {n}")
     if n >= len(readset):
         return readset
-    return readset.take(sample_indices(make_rng(seed), len(readset), n))
+    return readset.take(sample_indices(Pcg64(seed), len(readset), n))

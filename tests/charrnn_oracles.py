@@ -14,7 +14,6 @@ import math
 
 import numpy as np
 
-from ectuner._rng import shuffled, spawn_rng
 from ectuner.charrnn import (
     VOCAB_SIZE,
     PerplexityReport,
@@ -27,6 +26,7 @@ from ectuner.charrnn import (
     encode,
 )
 from ectuner.seqio import sample_reads
+from rng_oracles import shuffled, spawn_rng
 
 
 def _batch_arrays(seqs):

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ectuner._rng import make_rng, spawn_rng
+from ectuner._rng import make_rng
 from ectuner.injector import KINDS, REGIMES, InjectionSpec, LedgerEntry
 from ectuner.seqio import BASES, LETTERS, Read, ReadSet
+from rng_oracles import spawn_rng
 
 
 def sample_clean_reads(genome: str, n: int, read_len: int, seed: int) -> ReadSet:

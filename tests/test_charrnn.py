@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from ectuner import charrnn
-from ectuner._rng import shuffled, spawn_rng
 from ectuner.charrnn import (
     ModelFormatError,
     PerplexityUndefinedError,
@@ -27,6 +26,7 @@ from ectuner.charrnn import (
     train,
 )
 from ectuner.seqio import Read, ReadSet, sample_reads
+from rng_oracles import shuffled, spawn_rng
 
 
 def _uniform_reads(n, length, seed, prefix="u"):
@@ -284,6 +284,22 @@ def test_perplexity_undefined_without_transitions():
         perplexity(model, ReadSet(()))
 
 
+@pytest.mark.parametrize("layers,hidden,seed", [(1, 3, 0), (2, 5, 9), (3, 4, 2**40 + 1)])
+def test_init_draws_numpy_uniform_weights(layers, hidden, seed):
+    # U, W and V in that order, each from Generator.random, biases zero
+    gen = np.random.default_rng(seed)
+    want = []
+    for l in range(layers):
+        fan_in = 4 if l == 0 else hidden
+        want += [(gen.random((hidden, fan_in)) * 2.0 - 1.0) * math.sqrt(1.0 / fan_in),
+                 (gen.random((hidden, hidden)) * 2.0 - 1.0) * math.sqrt(1.0 / hidden),
+                 np.zeros(hidden)]
+    want += [(gen.random((4, hidden)) * 2.0 - 1.0) * math.sqrt(1.0 / hidden), np.zeros(4)]
+    got = RnnLm.init(layers, hidden, seed=seed).params()
+    assert [p.shape for p in got] == [w.shape for w in want]
+    assert all(p.dtype == np.float64 and p.tobytes() == w.tobytes() for p, w in zip(got, want))
+
+
 def test_save_load_round_trip(tmp_path):
     model = RnnLm.init(2, 6, seed=13)
     path = str(tmp_path / "m.athr")
@@ -294,6 +310,19 @@ def test_save_load_round_trip(tmp_path):
     for a, b in zip(model.params(), back.params()):
         np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(forward(model, "ACGTAC"), forward(back, "ACGTAC"))
+    # the loaded weights are the model's own, to train further
+    assert all(p.flags.writeable and p.dtype == np.float64 for p in back.params())
+
+
+def test_load_draws_no_weights(tmp_path, monkeypatch):
+    path = str(tmp_path / "m.athr")
+    RnnLm.init(2, 6, seed=13).save(path)
+
+    def no_stream(*args):
+        raise AssertionError("load drew from a stream")
+
+    monkeypatch.setattr(charrnn, "Pcg64", no_stream)
+    assert RnnLm.load(path).hidden == 6
 
 
 def test_load_rejects_corruption(tmp_path):

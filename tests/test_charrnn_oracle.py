@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from charrnn_oracles import _batch_arrays, oracle_perplexity, oracle_train
-from ectuner._rng import shuffled, spawn_rng
 from ectuner.charrnn import (
     PerplexityUndefinedError,
     RnnLm,
@@ -28,6 +27,7 @@ from ectuner.injector import (
     sample_clean_reads,
 )
 from ectuner.seqio import Read, ReadSet
+from rng_oracles import shuffled, spawn_rng
 
 # no transition, one transition, N as input, N as target, all N
 ODD_READS = ("", "A", "GT", "NA", "CN", "NNNN", "ACGNNTA", "N", "TN", "NG")

@@ -1592,13 +1592,13 @@ def test_train_charrnn_without_acgt_transitions_exits_1_and_writes_nothing(
     assert sorted(os.listdir(tmp_path)) == ["all-n.fastq"]
 
 
-def _run_python(*argv: str) -> subprocess.CompletedProcess:
+def _run_python(*argv: str, cwd: str | None = None) -> subprocess.CompletedProcess:
     # the child must import the same ectuner as this process, installed or not
     src = os.path.dirname(os.path.dirname(ectuner.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *argv], capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path}, cwd=cwd,
     )
 
 
@@ -1610,10 +1610,55 @@ def test_module_entry_point_runs(clean_fastq):
         assert name in proc.stdout
 
 
+# numpy.random, hashlib (OpenSSL) and subprocess each raise a process's peak
+# memory; no command draws through numpy.random, only a command that reads or
+# writes a model file hashes, and only an external tool needs subprocess
+_HEAVY = ("numpy.random", "hashlib", "subprocess")
+
+
 def test_importing_the_cli_loads_no_numpy_random():
-    # importing numpy.random raises a process's peak memory by megabytes, so
-    # only a command that draws a sample may import it
     proc = _run_python("-c", "import sys, ectuner.cli; "
-                       "print('numpy.random' in sys.modules)")
+                       f"print([m for m in {_HEAVY!r} if m in sys.modules])")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[]\n"
+
+
+_RNN = ["--lm", "charrnn", "--layers", "1", "--hidden", "4", "--epochs", "1"]
+# each command, in an order where every input exists when it runs, with the
+# heavy modules it may load
+_RUNS = [
+    (["train", "--reads", "clean.fq", "--out", "m.ngram"], ["hashlib"]),
+    (["train", "--reads", "clean.fq", "--out", "m.rnn", *_RNN], ["hashlib"]),
+    (["inject", "--reads", "clean.fq", "--out", "noisy.fq", "--ledger", "l.tsv",
+      "--kind", "substitution", "--regime", "low", "--seed", "1"], []),
+    (["correct", "--reads", "noisy.fq", "--out", "fixed.fq", "--k", "11"], []),
+    (["correct", "--reads", "noisy.fq", "--out", "tool.fq", "--adapter-template",
+      'sh -c "cp {input} {output}; : {k}"', "--param-value", "11"], ["subprocess"]),
+    (["perplexity", "--model", "m.ngram", "--reads", "noisy.fq"], ["hashlib"]),
+    (["perplexity", "--model", "m.ngram", "--reads", "noisy.fq", "--sample-n", "50"],
+     ["hashlib"]),
+    (["perplexity", "--model", "m.rnn", "--reads", "noisy.fq"], ["hashlib"]),
+    (["perplexity", "--model", "m.rnn", "--reads", "noisy.fq", "--sample-n", "50"],
+     ["hashlib"]),
+    (["tune", "--reads", "noisy.fq", "--out-dir", "t1", "--sample-n", "100"], []),
+    (["tune", "--reads", "noisy.fq", "--out-dir", "t2", "--sample-n", "100", *_RNN], []),
+    (["sweep", "--reads", "noisy.fq", "--truth", "clean.fq", "--values", "11,13,15",
+      "--json-out", "s1.json"], []),
+    (["sweep", "--reads", "noisy.fq", "--model", "m.rnn", "--values", "11,13,15",
+      "--json-out", "s2.json"], ["hashlib"]),
+    (["eval", "--original", "noisy.fq", "--corrected", "fixed.fq", "--truth", "clean.fq"],
+     []),
+]
+
+
+def test_each_command_loads_only_what_it_uses(clean_fastq, tmp_path):
+    # a fresh interpreter per command, so each one's imports are its own
+    os.symlink(clean_fastq, tmp_path / "clean.fq")
+    code = ("import sys; from ectuner.cli import main; rc = main(sys.argv[1:]); "
+            f"print(rc, [m for m in {_HEAVY!r} if m in sys.modules])")
+    got, want = [], []
+    for i, (argv, loads) in enumerate(_RUNS):
+        proc = _run_python("-c", code, *argv, cwd=str(tmp_path))
+        got.append((i, argv[0], proc.stdout.splitlines()[-1:]))
+        want.append((i, argv[0], [f"0 {loads!r}"]))
+    assert got == want

@@ -9,7 +9,7 @@ import pytest
 
 import injector_oracles as oracle
 from ectuner import injector
-from ectuner._rng import make_rng, spawn_rng
+from ectuner._rng import make_rng
 from ectuner.injector import (
     KINDS,
     REGIMES,
@@ -24,6 +24,7 @@ from ectuner.injector import (
     sample_clean_reads,
 )
 from ectuner.seqio import Read, ReadSet
+from rng_oracles import spawn_rng
 
 _BASES = "ACGT"
 
