@@ -1,8 +1,10 @@
-"""Report the time and peak memory of one train, tune, sweep or correction at scale.
+"""Report the time and peak memory of one train, tune, sweep, inject or correction at scale.
 
     PYTHONPATH=src python scripts/scale_memory.py --command sweep \\
         --genome 1000000 --reads 600000 --values 13,17,21
     PYTHONPATH=src python scripts/scale_memory.py --command correct --k 17 --trace
+    PYTHONPATH=src python scripts/scale_memory.py --command inject \\
+        --kind mixture --regime low
 
 Builds a genome (seed 101), samples 100 bp reads from it (seed 102) and
 injects substitution/low errors (seed 103).  ``correct`` keeps the reads in
@@ -10,17 +12,18 @@ memory, counts their full k-mer spectrum at ``--k``, then measures
 ``kspectrum_correct`` against it.  The other commands write the reads, and
 their clean truth, as FASTQ to a temporary directory and run in this
 process through ``ectuner.cli.main``: ``train`` of the default n-gram model,
-``tune`` at its defaults, or ``sweep --truth`` over ``--values`` (the default
-grid without it).  It prints one line: the wall time of the measured step
+``tune`` at its defaults, ``sweep --truth`` over ``--values`` (the default
+grid without it), or ``inject`` of ``--kind`` errors at ``--regime`` (the
+CLI's defaults without them) into the clean reads, with a ledger.  It prints one line: the wall time of the measured step
 (the whole command; the correction alone for correct), ``ru_maxrss`` (MiB)
 before and after it, with ``--trace`` the tracemalloc peak inside it (MiB,
 tracing started with the step), and the first 16 hex digits of the sha256
 of the output (the model file for train, ``search.json`` and
-``corrected.fastq`` for tune, the sweep JSON for sweep, the corrected codes
-for correct).  Next to ``maxrss_mb`` it says, for each of ``numpy.random``,
+``corrected.fastq`` for tune, the sweep JSON for sweep, the corrupted FASTQ
+and the ledger for inject, the corrected codes for correct).  Next to ``maxrss_mb`` it says, for each of ``numpy.random``,
 ``hashlib`` and ``subprocess``, whether the measured step loaded it (``yes``),
-did not (``no``), or found it loaded already (``before``).  For train, tune
-and sweep the reads are simulated in a forked child, before this process
+did not (``no``), or found it loaded already (``before``).  For train, tune,
+sweep and inject the reads are simulated in a forked child, before this process
 imports numpy, so neither the simulation's imports nor its peak count
 against the command.  Peak RSS is per process, so run each measurement in a
 fresh one.  The 1 Mb / 600 000-read set needs about 1.6 GB of memory.
@@ -104,7 +107,7 @@ def write_inputs(args: argparse.Namespace, reads_path: str, truth_path: str) -> 
 def command_argv(
     args: argparse.Namespace, work: str, reads_path: str, truth_path: str
 ) -> tuple[list[str], list[str]]:
-    """The output files and the argv of a train, tune or sweep run."""
+    """The output files and the argv of a train, tune, sweep or inject run."""
     if args.command == "train":
         model = os.path.join(work, "reads.ngram")
         return [model], ["train", "--reads", reads_path, "--out", model]
@@ -112,6 +115,13 @@ def command_argv(
         out_dir = os.path.join(work, "tune")
         argv = ["tune", "--reads", reads_path, "--out-dir", out_dir]
         return [os.path.join(out_dir, n) for n in ("search.json", "corrected.fastq")], argv
+    if args.command == "inject":
+        out, ledger = os.path.join(work, "inject.fastq"), os.path.join(work, "ledger.tsv")
+        argv = ["inject", "--reads", truth_path, "--out", out, "--ledger", ledger]
+        for flag in ("kind", "regime"):
+            if getattr(args, flag):
+                argv += [f"--{flag}", getattr(args, flag)]
+        return [out, ledger], argv
     sweep_json = os.path.join(work, "sweep.json")
     argv = ["sweep", "--reads", reads_path, "--truth", truth_path, "--json-out", sweep_json]
     if args.values:
@@ -122,16 +132,21 @@ def command_argv(
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--command", required=True,
-                        choices=("train", "tune", "sweep", "correct"))
+                        choices=("train", "tune", "sweep", "inject", "correct"))
     parser.add_argument("--genome", type=int, default=1_000_000)
     parser.add_argument("--reads", type=int, default=600_000)
     parser.add_argument("--values", help="sweep's comma-separated k values")
     parser.add_argument("--k", type=int, help="correct's k, which it needs")
+    parser.add_argument("--kind", choices=("deletion", "insertion", "substitution", "mixture"),
+                        help="inject's error kind")
+    parser.add_argument("--regime", choices=("low", "high"), help="inject's rate regime")
     parser.add_argument("--trace", action="store_true",
                         help="report the measured step's tracemalloc peak")
     args = parser.parse_args()
     if args.values and args.command != "sweep":
         parser.error("--values applies to --command sweep only")
+    if (args.kind or args.regime) and args.command != "inject":
+        parser.error("--kind and --regime apply to --command inject only")
     if (args.k is None) == (args.command == "correct"):
         parser.error("--k applies to, and is needed by, --command correct only")
     chunks = []  # the output bytes, hashed after the step
@@ -169,6 +184,8 @@ def main() -> int:
     for chunk in chunks:
         digest.update(chunk)
     k = f" k={args.k}" if args.k is not None else ""
+    if args.command == "inject":
+        k = f" kind={args.kind or 'substitution'} regime={args.regime or 'low'}"
     print(
         f"command={args.command}{k} genome={args.genome} reads={args.reads} "
         "wall_s={:.2f} maxrss_before_mb={:.1f} maxrss_mb={:.1f} {} "

@@ -588,12 +588,12 @@ def ec_gain(original: ReadSet, corrected: ReadSet, truth: ReadSet) -> float:
         )
     sets = (original, corrected, truth)
     if not (
-        original.ids == corrected.ids == truth.ids
+        original.names == corrected.names == truth.names
         and all(np.array_equal(original.lengths, s.lengths) for s in sets[1:])
     ):
         # walked read by read only to name the first mismatch
         lengths = zip(*(s.lengths.tolist() for s in sets))
-        for (a, b, c), (la, lb, lc) in zip(zip(*(s.ids for s in sets)), lengths):
+        for (a, b, c), (la, lb, lc) in zip(zip(*(s.names.strs() for s in sets)), lengths):
             if not a == b == c:
                 raise AlignmentError(f"read id mismatch: {a!r} / {b!r} / {c!r}")
             if not la == lb == lc:

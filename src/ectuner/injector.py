@@ -18,15 +18,17 @@ Draw order per read (for independent re-derivation): mixture kind first if
 applicable, then the count, then the kind's own draws as listed above; the
 insertion segment is drawn as one vector after its index, substitution draws
 alternate position then base.  Every draw is ``Generator.integers`` on the
-read's stream ``Generator(PCG64(SeedSequence((seed, index))))``.
+read's stream ``Generator(PCG64(SeedSequence((seed, index))))``.  An inserted
+base gets quality 'I'; a deleted base takes its quality with it.
 
 ``inject_readset`` follows this protocol for a whole block of reads at once:
 ``_rng.StreamBlock`` computes each read's draws from raw PCG64 words as
 NumPy would (SeedSequence, PCG64 XSL-RR, Lemire bounded integers on 32-bit
 halves, low half first), so every corrupted read and ledger change is the
 one the per-read calls would give.  It makes no object per read or per
-change: substitutions are written into a copy of the packed base codes,
-indels are spliced into it, and the ledger is kept as columns.
+change: each block's substitutions are written into a copy of its packed
+base codes, its indels are spliced into them and its qualities through one
+gather map, and the ledger is kept as columns.
 ``sample_clean_reads`` likewise gathers the genome's codes straight into the
 packed layout.  ``tests/injector_oracles.py`` keeps the per-read paths as
 the reference.
@@ -42,7 +44,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from ._rng import StreamBlock, check_seed, make_rng
-from .seqio import BASES, Read, ReadSet, decode, spans, substrings
+from .seqio import BASES, Ids, Read, ReadSet, decode, spans, substrings
 
 KINDS = ("deletion", "insertion", "substitution")
 REGIMES = {"low": (1, 5), "high": (6, 10)}
@@ -66,7 +68,7 @@ _ROWS = 4096  # changes written or made into entries at a time
 
 class ErrorLedger:
     """Applied changes in application order, kept as columns: change j is
-    to read ``read_ids[rows[j]]`` at ``positions[j]``, of kind
+    to read ``names[rows[j]]`` (``names`` an ``Ids``) at ``positions[j]``, of kind
     ``KINDS[kinds[j]]``, and replaced ``original[original_at[j]:
     original_at[j + 1]]`` with the ``observed`` text cut the same way.
     ``ErrorLedger(entries)`` takes ``LedgerEntry`` tuples; ``entries`` makes
@@ -76,16 +78,16 @@ class ErrorLedger:
         entries = tuple(entries)
         ids, positions, kinds, original, observed = tuple(zip(*entries)) or ((),) * 5
         self._set(
-            ids, np.arange(len(ids)), np.array(positions, np.int64),
+            Ids.of(list(ids)), np.arange(len(ids)), np.array(positions, np.int64),
             np.array([KINDS.index(k) for k in kinds], np.uint8),
             "".join(original), _offsets(list(map(len, original))),
             "".join(observed), _offsets(list(map(len, observed))),
         )
         self.__dict__["entries"] = entries
 
-    def _set(self, read_ids, rows, positions, kinds, original, original_at,
+    def _set(self, names, rows, positions, kinds, original, original_at,
              observed, observed_at) -> "ErrorLedger":
-        self.read_ids, self.rows = read_ids, rows
+        self.names, self.rows = names, rows
         self.positions, self.kinds = positions, kinds
         self.original, self.original_at = original, original_at
         self.observed, self.observed_at = observed, observed_at
@@ -98,7 +100,7 @@ class ErrorLedger:
         """The five TSV fields of changes ``first`` to ``first + _ROWS``."""
         block = slice(first, first + _ROWS)
         return (
-            list(map(self.read_ids.__getitem__, self.rows[block].tolist())),
+            self.names.take(self.rows[block]).strs(),
             self.positions[block].tolist(),
             list(map(KINDS.__getitem__, self.kinds[block].tolist())),
             _cut(self.original, self.original_at[first : first + _ROWS + 1]),
@@ -205,14 +207,6 @@ def _substitute(seq: str, n: int, rng: np.random.Generator) -> tuple[str, list]:
     return "".join(chars), edits
 
 
-def _adjust_quality(kind: str, quality: str | None, pos: int, n: int) -> str | None:
-    if quality is None or kind == "substitution":
-        return quality
-    if kind == "deletion":
-        return quality[:pos] + quality[pos + n :]
-    return quality[:pos] + "I" * n + quality[pos:]
-
-
 # reads per block: bounds the block's arrays to a few MB at any read count
 _BLOCK = 4096
 _DEL, _INS, _SUB = range(3)
@@ -227,53 +221,47 @@ def inject_readset(
     own stream as the module docstring lays out.  A read too short for its
     edit (an insertion longer than the read, a deletion of all its bases, or
     a substitution into an empty read) raises ``ValueError`` naming it.
-    Substitutions are written into a copy of the set's base codes, then the
-    indels are spliced into it; only a read with both an indel and a quality
-    string is edited on its own.
+    The new codes, and qualities when the reads have them and lengths
+    change, grow block by block, so they are never copied whole.
     """
     if not len(readset):
         return readset, ErrorLedger()
-    codes = readset.codes.copy()
-    changes, indels = zip(*(
-        _inject_block(readset, first, spec, codes)
-        for first in range(0, len(readset), _BLOCK)
-    ))
+    codes, quals, lengths, changes = bytearray(), bytearray(), [], []
+    for first in range(0, len(readset), _BLOCK):
+        block_codes, block_quals, block_lengths, block_changes = _inject_block(
+            readset, first, spec
+        )
+        codes += block_codes.data
+        quals += block_quals.data
+        lengths.append(block_lengths)
+        changes.append(block_changes)
     rows, positions, kinds, old, old_lengths, new, new_lengths = _join(changes)
     ledger = object.__new__(ErrorLedger)._set(
-        readset.ids, rows, positions, kinds,
+        readset.names, rows, positions, kinds,
         decode(old), _offsets(old_lengths), decode(new), _offsets(new_lengths),
     )
-    rows, kinds, at, counts, segments = _join(indels)
-    if not len(rows):
+    codes = np.frombuffer(codes, np.uint8)
+    if spec.kind == "substitution":
         return readset.with_codes(codes), ledger
-    where = readset.starts[rows] + at
-    cut = kinds == _DEL
-    # one insertion point per inserted code, which np.insert keeps in order;
-    # a dropped code moves up by the codes inserted before it
-    put = np.repeat(where[~cut], counts[~cut])
-    drop = spans(where[cut], counts[cut])
-    codes = np.insert(codes, put, segments)
-    codes = np.delete(codes, drop + np.searchsorted(put, drop))
-    lengths = readset.lengths.copy()
-    lengths[rows] += np.where(cut, -counts, counts)
-    qualities = list(readset.qualities)
-    for r, kind, i, c in zip(rows.tolist(), kinds.tolist(), at.tolist(), counts.tolist()):
-        qualities[r] = _adjust_quality(KINDS[kind], qualities[r], i, c)
-    return ReadSet.packed(codes, lengths, readset.ids, qualities), ledger
+    return ReadSet._packed(
+        codes, np.concatenate(lengths), readset.names,
+        None if readset.quals is None else np.frombuffer(quals, np.uint8),
+        readset.has_qual,
+    ), ledger
 
 
-def _inject_block(
-    readset: ReadSet, first: int, spec: InjectionSpec, codes: np.ndarray
-):
+def _inject_block(readset: ReadSet, first: int, spec: InjectionSpec):
     """Corrupt one block of reads from index ``first``, each draw of the
-    protocol taken for every read that makes it at once.  Substitutions go
-    into ``codes``.  Returns the block's ledger columns (rows, positions,
-    kinds, and the original and observed codes with each change's share of
-    them) and its indels (rows, kinds, positions, counts and the inserted
-    codes)."""
+    protocol taken for every read that makes it at once.  Returns the
+    block's new codes, its new qualities (empty when they do not change),
+    its new lengths and its ledger columns (rows, positions, kinds, and the
+    original and observed codes with each change's share of them)."""
     lo, hi = REGIMES[spec.regime]
     lengths = readset.lengths[first : first + _BLOCK]
     n = len(lengths)
+    span = readset._span(first, first + n)
+    starts = readset.starts[first : first + n] - span.start  # in the block
+    codes = readset.codes[span].copy()
     every = np.arange(n)
     # 2 + 2 * hi 32-bit draws cover every read unless Lemire rejects one
     streams = StreamBlock(spec.seed, every + first, hi + 1)
@@ -287,7 +275,7 @@ def _inject_block(
     if short.any():
         r = int(np.argmax(short))
         raise ValueError(
-            f"read {readset.ids[first + r]!r} of length {lengths[r]} is too short "
+            f"read {readset.names[first + r]!r} of length {lengths[r]} is too short "
             f"for {KINDS[kinds[r]]} count {counts[r]}"
         )
 
@@ -306,7 +294,7 @@ def _inject_block(
         rows = sub[counts[sub] > slot]
         pos = streams.integers(rows, lengths[rows])
         new = streams.integers(rows, 4).astype(np.uint8)
-        where = readset.starts[first + rows] + pos
+        where = starts[rows] + pos
         old = codes[where]
         hit = old != new
         # applied slot by slot, so a repeated position sees the earlier change
@@ -317,8 +305,7 @@ def _inject_block(
     # every change in application order: by read, a read's substitutions by slot
     indel_kinds, indel_counts = kinds[indel], counts[indel]
     cut = indel_kinds == _DEL
-    where = readset.starts[first + indel[cut]] + at[cut]
-    deleted = readset.codes[spans(where, indel_counts[cut])]
+    deleted = codes[spans(starts[indel[cut]] + at[cut], indel_counts[cut])]
     ones = np.ones(len(rows), np.int8)  # counts are at most 10
     old_lengths = np.concatenate((ones, np.where(cut, indel_counts, 0).astype(np.int8)))
     new_lengths = np.concatenate((ones, np.where(cut, 0, indel_counts).astype(np.int8)))
@@ -331,7 +318,26 @@ def _inject_block(
         *_regroup(np.concatenate((old, deleted)), old_lengths, order),
         *_regroup(np.concatenate((new, segments)), new_lengths, order),
     )
-    return changes, (first + indel, indel_kinds, at, indel_counts, segments)
+    if spec.kind == "substitution":
+        return codes, codes[:0], lengths, changes
+
+    # each read is its head, its inserted bases and its tail, whose first
+    # deleted bases are skipped: one gather map from the block's codes with
+    # the inserted bases after them, or its qualities with 'I's after them
+    head, dropped, added = (np.zeros(n, np.int64) for _ in range(3))
+    head[indel] = at
+    dropped[indel[cut]] = indel_counts[cut]
+    added[ins] = counts[ins]
+    tail = head + dropped
+    gather = spans(
+        np.stack((starts, len(codes) + np.cumsum(added) - added, starts + tail), 1).ravel(),
+        np.stack((head, added, lengths + 1 - tail), 1).ravel(),
+    )
+    quals = codes[:0]
+    if readset.quals is not None:
+        inserted = np.full(len(segments), ord("I"), np.uint8)
+        quals = np.concatenate((readset.quals[span], inserted))[gather]
+    return np.concatenate((codes, segments))[gather], quals, lengths + added - dropped, changes
 
 
 def _regroup(pieces: np.ndarray, lengths: np.ndarray, order: np.ndarray):

@@ -1,28 +1,32 @@
 """FASTQ/FASTA ingest, emission, seeded subsampling, and the packed read set.
 
 Sequences are normalized to upper case on ingest and validated against the
-alphabet {A, C, G, T, N}.  FASTQ is parsed a chunk of text at a time, every
-record of a chunk checked at once; an error still names the line of the
-first bad record.  Files whose name ends in ``.gz`` are read and
-written gzip-compressed (with a fixed mtime of 0 so identical content yields
-identical bytes).
+alphabet {A, C, G, T, N}, and qualities against Phred+33 ('!'..'~').  FASTQ
+is parsed a chunk of text at a time, every record of a chunk checked at
+once with whole-chunk string operations; an error still names the line of
+the first bad record.  It is written a block of reads at a time, the same
+way.  Files whose name ends in ``.gz`` are read and written gzip-compressed
+(with a fixed mtime of 0 so identical content yields identical bytes).
 
 A ``ReadSet`` keeps its reads packed: one flat ``uint8`` array of base codes
 (A=0, C=1, G=2, T=3, N=4), read after read, with a code-4 separator after
-each so no window spans two reads, and each read's start and length.  Other
-modules read these arrays; this one alone builds them or turns codes back
-into text.  A word of ACGT bases is the number its 2-bit codes spell, first
-base most significant, so numeric order is string order.
+each so no window spans two reads, and each read's start and length.  The
+quality bytes, when reads have them, lie in a second ``uint8`` array in the
+same layout, and the ids in one UTF-8 byte array with an offset per read
+(``Ids``), so a set holds no Python object per read.  Other modules read
+these arrays; this one alone builds them or turns them back into text.  A
+word of ACGT bases is the number its 2-bit codes spell, first base most
+significant, so numeric order is string order.
 """
 
 from __future__ import annotations
 
 import gzip
 import io
+import re
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -36,6 +40,7 @@ LETTERS = np.frombuffer(b"ACGTN", np.uint8)  # code -> letter
 # byte -> code, anything but ACGT 4; and code -> letter, with 5 a line break
 CODE_TABLE = bytes(BASES.find(chr(b)) if chr(b) in BASES else 4 for b in range(256))
 _TEXT = bytes.maketrans(bytes(range(6)), b"ACGTN\n")
+_NO_QUALITY = bytes.maketrans(b"ACGTN", b"IIIII")  # letters -> the written quality
 ACGT = frozenset(BASES)
 _ROW_BLOCK = 4096  # reads decoded or gathered at a time
 _CHUNK = 1 << 18  # characters of FASTQ text parsed at a time
@@ -45,6 +50,14 @@ _FASTQ_CODES = bytes(
     for b in range(256)
 )
 _BASE_DIGIT = str.maketrans(BASES, "0123")
+_PHRED_CHARS = frozenset(map(chr, range(33, 127)))  # what a FASTQ quality holds
+_PHRED_LINES = bytes(range(33, 127)) + b"\n"
+# every character str.split() splits at, but the line break; headers that
+# hold none of them and are ASCII are their ids
+_ASCII_BLANKS = b" \t\x0b\x0c\r\x1c\x1d\x1e\x1f"
+# in header lines without their "@": the blanks before an id, and the first
+# blank after it with the rest of its line, so what is left is the id
+_HEADER_TAIL = re.compile(r"^[^\S\n]+|[^\S\n][^\n]*", re.MULTILINE)
 
 
 class ParseError(ValueError):
@@ -83,13 +96,64 @@ class Read:
         return len(self.sequence)
 
 
+class Ids:
+    """Read ids packed as one UTF-8 byte array, ``text``: each id followed by
+    a line break, which no id holds.  ``at`` is where each id starts, and
+    where the last one's line break ends.  Ids are equal when their texts
+    are."""
+
+    __slots__ = ("text", "at")
+
+    def __init__(self, text=b"") -> None:
+        self.text = np.frombuffer(text, np.uint8)
+        self.at = np.concatenate(([0], np.flatnonzero(self.text == 10) + 1))
+
+    @classmethod
+    def of(cls, ids: list[str]) -> "Ids":
+        """``ids`` packed; an id that holds a line break, which FASTQ cannot
+        carry, raises ``ValueError`` naming it."""
+        text = "\n".join(ids) + "\n" if ids else ""
+        if text.count("\n") != len(ids) or "\r" in text:
+            bad = next(i for i in ids if "\n" in i or "\r" in i)
+            raise ValueError(f"read id {bad!r} holds a line break")
+        return cls(text.encode())
+
+    def __len__(self) -> int:
+        return len(self.at) - 1
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Ids) and np.array_equal(self.text, other.text)
+
+    __hash__ = None
+
+    def __getitem__(self, i: int) -> str:
+        return self.text[self.at[i] : self.at[i + 1] - 1].tobytes().decode()
+
+    def take(self, rows) -> "Ids":
+        """The ids at ``rows``: an array of indices, or a slice of step 1."""
+        if isinstance(rows, slice):
+            first, last, _ = rows.indices(len(self))
+            return Ids(self.text[self.at[first] : self.at[max(first, last)]])
+        rows = np.asarray(rows, np.intp)
+        return Ids(self.text[spans(self.at[rows], self.at[rows + 1] - self.at[rows])])
+
+    def strs(self) -> list[str]:
+        return self.text.tobytes().decode().split("\n")[:-1]
+
+
 class ReadSet:
     """Reads packed as the module docstring lays out: ``codes``, ``starts``
-    and ``lengths``, with each read's ``ids`` and ``qualities`` (None for a
-    read without one).  ``ReadSet(reads)`` packs ``Read`` objects once and
-    refuses any character outside ACGTN; ``ReadSet.packed`` takes codes
-    already packed.  Iterating, indexing and ``reads`` make ``Read`` objects
-    back from the arrays."""
+    and ``lengths``, with the reads' ``names`` (``Ids``) and ``quals``, the
+    quality bytes in the codes' layout, each read's followed by a line
+    break.  ``quals`` is None when no read has a quality.  When some reads
+    have one and some do not, ``has_qual`` flags those that do (it is None
+    otherwise), and the others hold the 'I's the writer gives them.
+
+    ``ReadSet(reads)`` packs ``Read`` objects once; ``ReadSet.packed`` takes
+    codes already packed.  Both refuse a base outside ACGTN, an id holding a
+    line break and a quality character outside '!'..'~' (Phred+33), naming
+    the read.  Iterating, indexing and ``reads`` make ``Read`` objects back
+    from the arrays; ``ids`` and ``qualities`` make the tuples."""
 
     def __init__(self, reads: Iterable[Read] = ()) -> None:
         ids, seqs, quals = [], [], []
@@ -103,36 +167,55 @@ class ReadSet:
         if text.translate(None, b"ACGTN"):
             _refuse_letters(ids, seqs)
         codes = np.frombuffer(text.translate(CODE_TABLE), np.uint8)
-        self._set(codes, _starts(lengths), lengths, tuple(ids), tuple(quals))
+        self._set(
+            codes, _starts(lengths), lengths, Ids.of(ids),
+            *_pack_qualities(ids, quals, lengths),
+        )
 
     @classmethod
     def packed(cls, codes, lengths, ids, qualities=None) -> "ReadSet":
         """Reads from their codes in the packed layout, each read followed by
         its code-4 separator: flat, or one row per read when all reads have
         the same length.  ``qualities`` None gives every read none."""
+        ids = list(ids)
+        lengths = np.asarray(lengths, np.int64)
+        quals = (None, None)
+        if qualities is not None:
+            quals = _pack_qualities(ids, list(qualities), lengths)
+        return cls._packed(codes, lengths, Ids.of(ids), *quals)
+
+    @classmethod
+    def _packed(cls, codes, lengths, names, quals=None, has_qual=None) -> "ReadSet":
+        """``packed`` of ids and qualities packed already."""
         codes = np.ascontiguousarray(codes, np.uint8).reshape(-1)
         lengths = np.asarray(lengths, np.int64)
-        ids = tuple(ids)
         starts = _starts(lengths)
+        ends = starts + lengths
         if (
-            len(ids) != len(lengths)
+            len(names) != len(lengths)
             or len(codes) != int(lengths.sum()) + len(lengths)
             or codes.max(initial=0) > 4
-            or (codes[starts + lengths] != 4).any()
+            or (codes[ends] != 4).any()
+            # no quality byte is a line break, so these are each read's own
+            or quals is not None and (len(quals) != len(codes) or (quals[ends] != 10).any())
         ):
-            raise ValueError("codes, lengths and ids do not describe packed reads")
-        qualities = (None,) * len(ids) if qualities is None else tuple(qualities)
-        return object.__new__(cls)._set(codes, starts, lengths, ids, qualities)
+            raise ValueError("codes, lengths, ids and qualities do not describe packed reads")
+        return object.__new__(cls)._set(codes, starts, lengths, names, quals, has_qual)
 
-    def _set(self, codes, starts, lengths, ids, qualities) -> "ReadSet":
-        for array in (codes, starts, lengths):
-            array.flags.writeable = False  # shared between sets
+    def _set(self, codes, starts, lengths, names, quals, has_qual) -> "ReadSet":
+        if has_qual is not None and has_qual.all():
+            has_qual = None
+        elif has_qual is not None and not has_qual.any():
+            quals = has_qual = None
+        for array in (codes, starts, lengths, names.text, names.at, quals, has_qual):
+            if array is not None:
+                array.flags.writeable = False  # shared between sets
         self.codes, self.starts, self.lengths = codes, starts, lengths
-        self.ids, self.qualities = ids, qualities
+        self.names, self.quals, self.has_qual = names, quals, has_qual
         return self
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.lengths)
 
     def __getitem__(self, i: int) -> Read:
         return self.take([range(len(self))[i]]).reads[0]
@@ -144,16 +227,60 @@ class ReadSet:
     def reads(self) -> tuple[Read, ...]:
         return tuple(self)
 
-    def _blocks(self) -> Iterator[tuple[tuple, list[str], tuple]]:
+    @property
+    def ids(self) -> tuple[str, ...]:
+        """Each read's id, made from ``names`` on every call."""
+        return tuple(self.names.strs())
+
+    @property
+    def qualities(self) -> tuple[str | None, ...]:
+        """Each read's quality (None for a read without one), made from
+        ``quals`` on every call."""
+        return tuple(self._qualities(0, len(self)))
+
+    def _span(self, first: int, last: int) -> slice:
+        """Where reads ``first`` to ``last`` (not empty) lie in ``codes``,
+        separators included."""
+        return slice(self.starts[first], self.starts[last - 1] + self.lengths[last - 1] + 1)
+
+    def _qualities(self, first: int, last: int) -> list[str | None]:
+        """The qualities of reads ``first`` to ``last``."""
+        if self.quals is None or first >= last:
+            return [None] * max(0, last - first)
+        quals = self.quals[self._span(first, last)].tobytes().decode("ascii").split("\n")
+        if self.has_qual is None:
+            return quals[:-1]
+        return [q if h else None for q, h in zip(quals, self.has_qual[first:last].tolist())]
+
+    def _letters(self, first: int, last: int) -> bytes:
+        """The letters of reads ``first`` to ``last`` (not empty), each
+        read's followed by a line break."""
+        span = self._span(first, last)
+        chars = self.codes[span].copy()
+        chars[self.starts[first:last] + self.lengths[first:last] - span.start] = 5
+        return chars.tobytes().translate(_TEXT)
+
+    def _blocks(self) -> Iterator[tuple[list[str], list[str], list]]:
         """Ids, sequences and qualities, decoded ``_ROW_BLOCK`` reads at a time."""
         for first in range(0, len(self), _ROW_BLOCK):
-            rows = slice(first, first + _ROW_BLOCK)
-            start = self.starts[first]
-            ends = self.starts[rows] + self.lengths[rows]  # the separators
-            chars = self.codes[start : ends[-1] + 1].copy()
-            chars[ends - start] = 5
-            seqs = chars.tobytes().translate(_TEXT).decode("ascii").split("\n")
-            yield self.ids[rows], seqs[:-1], self.qualities[rows]
+            last = min(first + _ROW_BLOCK, len(self))
+            seqs = self._letters(first, last).decode("ascii").split("\n")[:-1]
+            yield self.names.take(slice(first, last)).strs(), seqs, self._qualities(first, last)
+
+    def _fastq(self, first: int, last: int) -> bytes:
+        """The FASTQ records of reads ``first`` to ``last`` (not empty); a
+        read without a quality gets 'I's."""
+        seqs = self._letters(first, last)
+        if self.quals is None:
+            quals = seqs.translate(_NO_QUALITY)
+        else:
+            quals = self.quals[self._span(first, last)].tobytes()
+        names = self.names.take(slice(first, last)).text.tobytes()
+        lines = [b"+"] * (4 * (last - first))
+        lines[0::4] = (b"@" + names[:-1].replace(b"\n", b"\n@")).split(b"\n")
+        lines[1::4] = seqs[:-1].split(b"\n")
+        lines[3::4] = quals[:-1].split(b"\n")
+        return b"\n".join(lines) + b"\n"
 
     def take(self, rows) -> "ReadSet":
         """The reads at ``rows``, in that order, gathered ``_ROW_BLOCK`` at
@@ -162,24 +289,27 @@ class ReadSet:
         lengths = self.lengths[rows]
         starts = _starts(lengths)
         codes = np.empty(int(lengths.sum()) + len(rows), np.uint8)
-        ids, quals = [], []
+        quals = None if self.quals is None else np.empty_like(codes)
+        names = [self.names.text[:0]]
         for first in range(0, len(rows), _ROW_BLOCK):
             block = slice(first, first + _ROW_BLOCK)
             picked = rows[block]
             # each read's codes and its separator, from its old start
             at = spans(self.starts[picked], lengths[block] + 1)
-            codes[starts[first] : starts[first] + len(at)] = self.codes[at]
-            picked = picked.tolist()
-            ids += map(self.ids.__getitem__, picked)
-            quals += map(self.qualities.__getitem__, picked)
+            out = slice(starts[first], starts[first] + len(at))
+            codes[out] = self.codes[at]
+            if quals is not None:
+                quals[out] = self.quals[at]
+            names.append(self.names.take(picked).text)
+        has_qual = None if self.has_qual is None else self.has_qual[rows]
         return object.__new__(ReadSet)._set(
-            codes, starts, lengths, tuple(ids), tuple(quals)
+            codes, starts, lengths, Ids(np.concatenate(names)), quals, has_qual
         )
 
     def with_codes(self, codes: np.ndarray) -> "ReadSet":
         """These reads with ``codes``, in the same layout, as their bases."""
         return object.__new__(ReadSet)._set(
-            codes, self.starts, self.lengths, self.ids, self.qualities
+            codes, self.starts, self.lengths, self.names, self.quals, self.has_qual
         )
 
     def differing(self, other: "ReadSet") -> np.ndarray:
@@ -213,6 +343,26 @@ def _refuse_letters(ids: Iterable[str], seqs: Iterable[str]) -> None:
             raise ValueError(
                 f"read {read_id!r} contains characters outside ACGTN: {sorted(bad)}"
             )
+
+
+def _pack_qualities(ids: list[str], quals: list, lengths: np.ndarray):
+    """The ``quals`` and ``has_qual`` arrays of reads with ``ids``,
+    ``lengths`` and qualities ``quals`` (None for a read without one)."""
+    has_qual = np.fromiter((q is not None for q in quals), bool, len(quals))
+    if not has_qual.any():
+        return None, None
+    text = "\n".join([
+        "I" * n if q is None else q for q, n in zip(quals, lengths.tolist())
+    ]) + "\n"
+    raw = text.encode()
+    if len(raw) != len(text) or raw.translate(None, _PHRED_LINES):  # not ASCII, or not Phred
+        for read_id, qual in zip(ids, quals):
+            bad = set(qual or "") - _PHRED_CHARS
+            if bad:
+                raise ValueError(
+                    f"read {read_id!r} has quality characters outside '!'..'~': {sorted(bad)}"
+                )
+    return np.frombuffer(raw, np.uint8), has_qual
 
 
 def substrings(text: str, starts: np.ndarray, length: int, ids) -> ReadSet:
@@ -269,17 +419,20 @@ def decode(codes: np.ndarray) -> str:
     return LETTERS[codes].tobytes().decode("ascii")
 
 
-def _open_text(path: str, mode: str):
-    if path.endswith(".gz"):
-        if "r" in mode:
-            return io.TextIOWrapper(gzip.open(path, "rb"))
-        # mtime pinned to 0 and FNAME suppressed so identical content always
-        # yields identical bytes, independent of write time and path
-        raw = open(path, "wb")
-        return io.TextIOWrapper(
-            gzip.GzipFile(filename="", fileobj=raw, mode="wb", mtime=0)
-        )
-    return open(path, mode)
+@contextmanager
+def _writing(path: str):
+    """A binary file to write ``path``; a ``.gz`` one is gzip-compressed
+    with the mtime pinned to 0 and no file name, so identical content
+    always yields identical bytes, whenever and wherever it is written."""
+    with open(path, "wb") as raw:
+        if not path.endswith(".gz"):
+            yield raw
+            return
+        with gzip.GzipFile(filename="", fileobj=raw, mode="wb", mtime=0) as fh:
+            yield fh
+            # the sync flush that closing a text wrapper around it made: the
+            # files keep the bytes they had when they were written as text
+            fh.flush()
 
 
 @contextmanager
@@ -287,7 +440,8 @@ def _reading(path: str, exc: type[ParseError]):
     """The text of ``path``; a ``.gz`` file that is cut short or not gzip,
     and bytes that do not decode, raise ``exc`` naming the file."""
     try:
-        with _open_text(path, "r") as fh:
+        opened = io.TextIOWrapper(gzip.open(path, "rb")) if path.endswith(".gz") else open(path)
+        with opened as fh:
             yield fh
     except (EOFError, zlib.error, gzip.BadGzipFile) as err:
         raise exc(f"{path}: broken gzip file: {err}") from None
@@ -311,8 +465,9 @@ def _check_sequence(seq: str, read_id: str, lineno: int, exc: type[ParseError]) 
 def read_fastq(path: str) -> ReadSet:
     """Parse a 4-line-per-record FASTQ file ``_CHUNK`` characters at a time,
     packing each chunk's whole records straight into the set's arrays."""
-    codes = bytearray()  # grows in place, so the codes are never copied whole
-    chunks = []  # lengths, ids and qualities of each chunk's records
+    # these grow in place, so they are never copied whole
+    codes, names, quals = bytearray(), bytearray(), bytearray()
+    lengths = []
     lineno, rest = 0, ""
     with _reading(path, FastqParseError) as fh:
         while True:
@@ -325,44 +480,57 @@ def read_fastq(path: str) -> ReadSet:
             # before the end, the last line may be cut short: keep it for later
             whole = (len(lines) - 1) // 4 * 4 if text else len(lines)
             if whole:
-                chunk_codes, lengths, ids, quals = _fastq_chunk(lines[:whole], lineno)
-                codes += chunk_codes
-                chunks.append((lengths, ids, quals))
+                chunk = _fastq_chunk(lines[:whole], lineno)
+                codes += chunk[0]
+                names += chunk[1]
+                quals += chunk[2]
+                lengths.append(chunk[3])
                 lineno += whole
             if not text:
                 break
             rest = "\n".join(lines[whole:])
-    if not chunks:
+    if not lengths:
         return ReadSet()
-    lengths, ids, quals = zip(*chunks)
-    return ReadSet.packed(
-        np.frombuffer(codes, np.uint8), np.concatenate(lengths),
-        chain.from_iterable(ids), chain.from_iterable(quals),
+    return ReadSet._packed(
+        np.frombuffer(codes, np.uint8), np.concatenate(lengths), Ids(names),
+        np.frombuffer(quals, np.uint8),
     )
 
 
 def _fastq_chunk(lines: list[str], lineno: int):
-    """The codes, lengths, ids and qualities of the records in ``lines``,
-    which start at line ``lineno + 1``.  Each check runs on the whole chunk
-    at once; a chunk that fails one is walked record by record to raise for
-    the first bad record."""
+    """The codes, ids, qualities (as bytes, each read followed by its
+    separator) and lengths of the records in ``lines``, which start at line
+    ``lineno + 1``.  Each check runs on the whole chunk at once; a chunk
+    that fails one is walked record by record to raise for the first bad
+    record."""
     heads, seqs, pluses, quals = (lines[i::4] for i in range(4))
-    ids = [(h[1:].split(maxsplit=1) or [""])[0] for h in heads]
+    # no line holds a "\n", so each "\n@" starts a header
+    text = "\n" + "\n".join(heads)
+    headers = text.count("\n@")
+    text = text.replace("\n@", "\n")[1:] + "\n"
+    names = text.encode()
+    if len(names) != len(text) or len(names.translate(None, _ASCII_BLANKS)) != len(names):
+        names = _HEADER_TAIL.sub("", text).encode()  # non-ASCII, or with blanks
     # one code-4 separator after each read; a non-ASCII letter becomes "?"
     text = ("N".join(seqs) + "N").encode("ascii", "replace")
     codes = text.translate(_FASTQ_CODES)
     lengths = np.fromiter(map(len, seqs), np.int64, len(seqs))
+    qual_text = "\n".join(quals) + "\n"
+    qual_bytes = qual_text.encode()
     if (
         len(lines) % 4
-        or not all(ids)
-        or not _all_start_with(heads, "@")
+        or names.startswith(b"\n")
+        or b"\n\n" in names  # an empty id
+        or headers != len(heads)
         or not _all_start_with(pluses, "+")
         or np.frombuffer(codes, np.uint8).max() > 4
         or not lengths.all()
         or not np.array_equal(lengths, np.fromiter(map(len, quals), np.int64))
+        or len(qual_bytes) != len(qual_text)  # not ASCII
+        or qual_bytes.translate(None, _PHRED_LINES)
     ):
         _check_fastq_records(lines, lineno)
-    return codes, lengths, ids, quals
+    return codes, names, qual_bytes, lengths
 
 
 def _all_start_with(lines: list[str], prefix: str) -> bool:
@@ -400,6 +568,12 @@ def _check_fastq_records(lines: list[str], lineno: int) -> None:
             raise FastqParseError(
                 f"line {at + 3}: read {read_id!r} quality length {len(qual)} "
                 f"!= sequence length {len(seq)}"
+            )
+        bad = set(qual) - _PHRED_CHARS
+        if bad:
+            raise FastqParseError(
+                f"line {at + 3}: read {read_id!r} has quality characters "
+                f"outside '!'..'~': {sorted(bad)}"
             )
 
 
@@ -454,20 +628,16 @@ def load_reads(path: str) -> ReadSet:
 def write_fastq(reads: Iterable[Read], path: str) -> None:
     """Write FASTQ; reads without quality get a constant 'I' string."""
     readset = reads if isinstance(reads, ReadSet) else ReadSet(reads)
-    with _open_text(path, "w") as fh:
-        for ids, seqs, quals in readset._blocks():
-            fh.write("".join([
-                f"@{read_id}\n{seq}\n+\n{'I' * len(seq) if qual is None else qual}\n"
-                for read_id, seq, qual in zip(ids, seqs, quals)
-            ]))
+    with _writing(path) as fh:
+        for first in range(0, len(readset), _ROW_BLOCK):
+            fh.write(readset._fastq(first, min(first + _ROW_BLOCK, len(readset))))
 
 
 def write_fasta(reads: Iterable[Read], path: str, width: int = 70) -> None:
-    with _open_text(path, "w") as fh:
+    with _writing(path) as fh:
         for r in reads:
-            fh.write(f">{r.id}\n")
-            for i in range(0, len(r.sequence), width):
-                fh.write(r.sequence[i : i + width] + "\n")
+            lines = [r.sequence[i : i + width] for i in range(0, len(r.sequence), width)]
+            fh.write("\n".join([f">{r.id}", *lines, ""]).encode())
 
 
 def sample_reads(readset: ReadSet, n: int, seed: int) -> ReadSet:

@@ -2,7 +2,7 @@
 ``ectuner.seqio.read_fastq`` replaced with chunked parsing.
 
 It reads four lines per record, upper-cases each sequence and checks every
-record on its own, so its ids, sequences, qualities and the type, message
+record on its own, its quality characters last, so its ids, sequences, qualities and the type, message
 and line number of each error are what the chunked parser must give.
 ``decode_words`` turns word codes back into text for the tests.
 """
@@ -17,6 +17,7 @@ import numpy as np
 from ectuner.seqio import LETTERS, FastqParseError, Read
 
 _VALID = frozenset("ACGTN")
+_PHRED = frozenset(map(chr, range(33, 127)))
 
 
 def _open(path: str):
@@ -69,6 +70,12 @@ def iter_fastq(path: str) -> Iterator[Read]:
                 raise FastqParseError(
                     f"line {lineno}: read {read_id!r} quality length {len(qual)} "
                     f"!= sequence length {len(seq)}"
+                )
+            bad = set(qual) - _PHRED
+            if bad:
+                raise FastqParseError(
+                    f"line {lineno}: read {read_id!r} has quality characters "
+                    f"outside '!'..'~': {sorted(bad)}"
                 )
             yield Read(read_id, seq, qual)
 

@@ -373,7 +373,9 @@ def test_take_and_with_codes_share_ids_and_qualities():
     edited[0] = 3
     changed = reads.with_codes(edited)
     assert changed.reads == (Read("a", "TCG", "III"), reads[1], reads[2])
-    assert changed.ids is reads.ids and changed.qualities is reads.qualities
+    # the packed ids and qualities are shared, not copied
+    assert changed.names is reads.names and changed.quals is reads.quals
+    assert changed.ids == reads.ids and changed.qualities == reads.qualities
     assert reads.changed_reads(changed) == 1
     assert reads.changed_reads(reads) == 0
     # sets of other shapes compare the reads at shared positions; a read of

@@ -29,6 +29,7 @@ MALFORMED = (
     ("non-ascii", "invalid characters"),
     ("empty sequence", "empty sequence"),
     ("quality length", "quality length"),
+    ("quality", "quality characters outside"),
 )
 
 
@@ -66,6 +67,10 @@ def _corrupt(rng, records, kind):
         rec[3] += "I"
     elif kind == "empty sequence":
         rec[1] = rec[3] = ""
+    elif kind == "quality":
+        bad = " \t\x7fé☃\x00"
+        at = int(rng.integers(len(rec[3])))
+        rec[3] = rec[3][:at] + bad[int(rng.integers(len(bad)))] + rec[3][at + 1 :]
     else:
         rec[3] = rec[3][:-1] if rng.integers(2) else rec[3] + "I"
     return records

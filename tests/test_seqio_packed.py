@@ -1,0 +1,260 @@
+"""Packed ids and qualities: round trips, the operations that carry them,
+what FASTQ cannot carry, and what a loaded set holds.
+
+``ReadSet.ids`` and ``.qualities`` are made from the packed arrays on each
+call; every case here compares them with the tuples the ``Read`` objects
+give, which is what a set that kept them as tuples held.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ectuner._rng import Pcg64, sample_indices
+from ectuner.injector import (
+    KINDS,
+    InjectionSpec,
+    generate_genome,
+    inject_readset,
+    sample_clean_reads,
+)
+from ectuner.seqio import (
+    FastqParseError,
+    Ids,
+    Read,
+    ReadSet,
+    read_fastq,
+    sample_reads,
+    write_fastq,
+)
+from seqio_oracles import iter_fastq
+import injector_oracles as oracle
+
+# ids FASTQ carries whole: no whitespace, so no comment is cut off them
+_ID = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"), min_size=1
+).filter(lambda s: not any(c.isspace() for c in s))
+_SEQ = st.text("ACGTN", min_size=1, max_size=30)
+_PHRED = "".join(map(chr, range(33, 127)))
+
+
+@st.composite
+def _fastq_reads(draw, max_size=12):
+    """Reads FASTQ round-trips: non-empty, each with a quality."""
+    reads = []
+    for read_id, seq in draw(st.lists(st.tuples(_ID, _SEQ), max_size=max_size)):
+        qual = draw(st.text(_PHRED, min_size=len(seq), max_size=len(seq)))
+        reads.append(Read(read_id, seq, qual))
+    return tuple(reads)
+
+
+@st.composite
+def _any_reads(draw, max_size=12):
+    """Reads a ``ReadSet`` holds: empty ones too, ids with blanks, and a
+    quality or none, so most sets mix the two."""
+    reads = []
+    ids = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"))
+    for read_id, seq, has in draw(st.lists(
+        st.tuples(ids, st.text("ACGTN", max_size=12), st.booleans()), max_size=max_size
+    )):
+        qual = draw(st.text(_PHRED, min_size=len(seq), max_size=len(seq))) if has else None
+        reads.append(Read(read_id, seq, qual))
+    return tuple(reads)
+
+
+def _same(readset: ReadSet, reads) -> None:
+    assert readset.reads == tuple(reads)
+    assert readset.ids == tuple(r.id for r in reads)
+    assert readset.qualities == tuple(r.quality for r in reads)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fastq_reads())
+def test_fastq_round_trips_ids_and_qualities(tmp_path_factory, reads):
+    path = str(tmp_path_factory.mktemp("rt") / "reads.fastq")
+    write_fastq(ReadSet(reads), path)
+    assert tuple(iter_fastq(path)) == reads
+    loaded = read_fastq(path)
+    _same(loaded, reads)
+    again = str(tmp_path_factory.mktemp("rt") / "again.fastq")
+    write_fastq(loaded, again)
+    with open(path, "rb") as a, open(again, "rb") as b:
+        assert a.read() == b.read()
+
+
+def test_non_ascii_ids_round_trip(tmp_path):
+    reads = (Read("réad-1", "ACGT", "IIII"), Read("読み☃", "GG", "#!"),
+             Read("\U0001f600", "N", "~"))
+    path = str(tmp_path / "r.fastq")
+    write_fastq(reads, path)
+    _same(read_fastq(path), reads)
+    assert ReadSet(reads).names.text.tobytes() == "réad-1\n読み☃\n\U0001f600\n".encode()
+
+
+def test_header_comments_and_plus_text_are_dropped(tmp_path):
+    path = tmp_path / "r.fastq"
+    path.write_text(
+        "@r1 first comment\nACGT\n+r1 first comment\nIIII\n"
+        "@  r2\tsecond\nGG\n+anything\n#!\n"
+        "@r3　x y\nN\n+\n~\n"
+        "@r4 \nT\n+ \n5\n"
+    )
+    reads = (Read("r1", "ACGT", "IIII"), Read("r2", "GG", "#!"), Read("r3", "N", "~"),
+             Read("r4", "T", "5"))
+    _same(read_fastq(str(path)), reads)
+    out = tmp_path / "out.fastq"
+    write_fastq(read_fastq(str(path)), str(out))
+    assert out.read_text() == "".join(
+        f"@{r.id}\n{r.sequence}\n+\n{r.quality}\n" for r in reads
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(_any_reads())
+def test_readsets_of_any_reads_keep_ids_and_qualities(reads):
+    readset = ReadSet(reads)
+    _same(readset, reads)
+    _same(ReadSet.packed(readset.codes, readset.lengths, readset.ids,
+                         readset.qualities), reads)
+    has = [r.quality is not None for r in reads]
+    assert (readset.quals is None) == (not any(has))
+    assert (readset.has_qual is None) == (all(has) or not any(has))
+
+
+def test_empty_reads_and_the_empty_set(tmp_path):
+    reads = (Read("e", ""), Read("q", "", ""), Read("x", "AC", "!!"), Read("e2", ""))
+    _same(ReadSet(reads), reads)
+    _same(ReadSet(reads).take([3, 1, 0]), (reads[3], reads[1], reads[0]))
+    empty = ReadSet()
+    _same(empty, ())
+    _same(empty.take([]), ())
+    path = tmp_path / "empty.fastq"
+    write_fastq(empty, str(path))
+    assert path.read_bytes() == b""
+    _same(read_fastq(str(path)), ())
+
+
+def test_mixed_qualities_write_i_for_the_reads_without_one(tmp_path):
+    reads = (Read("a", "ACG", "!#%"), Read("b", "TT"), Read("c", "N", "~"))
+    readset = ReadSet(reads)
+    assert readset.has_qual.tolist() == [True, False, True]
+    path = tmp_path / "mixed.fastq"
+    write_fastq(readset, str(path))
+    assert path.read_text() == "@a\nACG\n+\n!#%\n@b\nTT\n+\nII\n@c\nN\n+\n~\n"
+    # a subset with no quality left has no quality array
+    assert readset.take([1]).quals is None
+    assert readset.take([0, 2]).has_qual is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(_any_reads(max_size=20), st.data())
+def test_take_with_codes_sample_and_changed_reads_keep_ids_and_qualities(reads, data):
+    readset = ReadSet(reads)
+    rows = data.draw(st.lists(st.integers(0, max(len(reads) - 1, 0)),
+                              max_size=25 if reads else 0))
+    taken = readset.take(rows)
+    _same(taken, [reads[r] for r in rows])
+    _same(readset.with_codes(readset.codes.copy()), reads)
+    n, seed = data.draw(st.integers(0, len(reads))), data.draw(st.integers(0, 2**32))
+    picked = sample_indices(Pcg64(seed), len(reads), n) if n < len(reads) else range(n)
+    _same(sample_reads(readset, n, seed), [reads[i] for i in picked])
+    assert readset.changed_reads(taken) == sum(
+        a.sequence != b.sequence for a, b in zip(reads, [reads[r] for r in rows])
+    )
+    _same(readset, reads)
+
+
+def _mixed_quality_reads() -> ReadSet:
+    genome = generate_genome(3000, seed=60)
+    quals = "".join(map(chr, range(33, 127))) * 2
+    return ReadSet(tuple(
+        Read(f"m{i}-é" if i % 7 == 0 else f"m{i}", genome[9 * i : 9 * i + 12 + i % 40],
+             quals[i % 90 : i % 90 + 12 + i % 40] if i % 3 else None)
+        for i in range(300)
+    ))
+
+
+@pytest.mark.parametrize("kind", KINDS + ("mixture",))
+@pytest.mark.parametrize("regime", ["low", "high"])
+def test_injection_keeps_ids_and_qualities_of_every_kind(kind, regime):
+    readset = _mixed_quality_reads()
+    spec = InjectionSpec(kind, regime, seed=61)
+    corrupted, ledger = inject_readset(readset, spec)
+    want, entries = oracle.inject_readset(readset, spec)
+    _same(corrupted, want)
+    assert corrupted.names is readset.names
+    assert [e.read_id for e in ledger.entries] == [e.read_id for e in entries]
+
+
+# -- what FASTQ cannot carry ---------------------------------------------------
+
+
+@pytest.mark.parametrize("read_id", ["a\nb", "a\rb", "ab\n"])
+def test_an_id_holding_a_line_break_is_refused(tmp_path, read_id):
+    with pytest.raises(ValueError, match="holds a line break") as err:
+        write_fastq(ReadSet([Read("ok", "ACGT", "IIII"), Read(read_id, "ACGT", "IIII")]),
+                    str(tmp_path / "out.fastq"))
+    assert repr(read_id) in str(err.value)
+    with pytest.raises(ValueError, match="holds a line break"):
+        ReadSet.packed([0, 4], [1], [read_id])
+    assert not (tmp_path / "out.fastq").exists()
+
+
+@pytest.mark.parametrize("quality, bad", [("IIÉI", "['É']"), ("II I", "[' ']"),
+                                          ("I\x7fII", "['\\x7f']"), ("I\x00II", "['\\x00']")])
+def test_a_quality_outside_phred33_is_refused_naming_the_read(quality, bad):
+    reads = [Read("fine", "ACGT", "IIII"), Read("bad", "ACGT", quality)]
+    with pytest.raises(ValueError, match="quality characters outside '!'..'~'") as err:
+        ReadSet(reads)
+    assert str(err.value).startswith("read 'bad' has quality")
+    assert str(err.value).endswith(bad)
+    with pytest.raises(ValueError, match="read 'bad' has quality characters"):
+        ReadSet.packed([0, 1, 2, 3, 4], [4], ["bad"], [quality])
+
+
+@pytest.mark.parametrize("quality", ["IIÉI", "II I", "I\x01II"])
+def test_the_parser_refuses_a_quality_outside_phred33_naming_the_line(tmp_path, quality):
+    path = tmp_path / "bad.fastq"
+    path.write_text(f"@r1\nACGT\n+\nIIII\n@r2\nACGT\n+\n{quality}\n")
+    with pytest.raises(FastqParseError, match=r"^line 8: read 'r2' has quality characters"):
+        read_fastq(str(path))
+    with pytest.raises(FastqParseError, match=r"^line 8: read 'r2' has quality characters"):
+        list(iter_fastq(str(path)))
+
+
+def test_ids_compare_by_their_text():
+    assert Ids.of(["a", "b"]) == Ids.of(["a", "b"]) != Ids.of(["a", "c"])
+    assert Ids.of(["ab"]) != Ids.of(["a", "b"])
+    assert Ids.of([]) == Ids() and len(Ids()) == 0
+    assert Ids.of(["x", "", "ÿ"]).strs() == ["x", "", "ÿ"]
+    assert Ids.of(["x", "", "ÿ"])[2] == "ÿ"
+
+
+# -- memory --------------------------------------------------------------------
+
+
+def test_a_loaded_set_holds_its_packed_arrays_only(tmp_path):
+    # 12 000 x 50 bp reads, the tune-default benchmark's input.  With ids and
+    # qualities kept as tuples of str a loaded set held 2.91 MB (4.19 MB
+    # peak); packed, it holds 1.75 MB (3.49 MB peak): 0.61 MB each of codes
+    # and qualities, 0.08 MB of ids and 8 bytes a read for each of the ids'
+    # offsets, the starts and the lengths
+    clean = sample_clean_reads(generate_genome(10_000, seed=1), 12_000, 50, seed=2)
+    noisy = inject_readset(clean, InjectionSpec("substitution", "low", seed=3))[0]
+    path = str(tmp_path / "reads.fastq")
+    write_fastq(noisy, path)
+    tracemalloc.start()
+    try:
+        loaded = read_fastq(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.85e6
+    assert peak <= 3.7e6
+    assert loaded.names == noisy.names
+    assert np.array_equal(loaded.codes, noisy.codes)
