@@ -1,4 +1,4 @@
-"""Report the time and peak memory of one train, tune, sweep, inject or correction at scale.
+"""Report the time and peak memory of one train, perplexity, tune, sweep, inject or correction at scale.
 
     PYTHONPATH=src python scripts/scale_memory.py --command sweep \\
         --genome 1000000 --reads 600000 --values 13,17,21
@@ -11,22 +11,26 @@ injects substitution/low errors (seed 103).  ``correct`` keeps the reads in
 memory, counts their full k-mer spectrum at ``--k``, then measures
 ``kspectrum_correct`` against it.  The other commands write the reads, and
 their clean truth, as FASTQ to a temporary directory and run in this
-process through ``ectuner.cli.main``: ``train`` of the default n-gram model,
-``tune`` at its defaults, ``sweep --truth`` over ``--values`` (the default
-grid without it), or ``inject`` of ``--kind`` errors at ``--regime`` (the
-CLI's defaults without them) into the clean reads, with a ledger.  It prints one line: the wall time of the measured step
-(the whole command; the correction alone for correct), ``ru_maxrss`` (MiB)
-before and after it, with ``--trace`` the tracemalloc peak inside it (MiB,
-tracing started with the step), and the first 16 hex digits of the sha256
-of the output (the model file for train, ``search.json`` and
+process through ``ectuner.cli.main``: ``train`` of the default n-gram
+model, ``perplexity`` of the reads under that model, ``tune`` at its
+defaults, ``sweep --truth`` over ``--values`` (the default grid without it),
+or ``inject`` of ``--kind`` errors at ``--regime`` (the CLI's defaults
+without them) into the clean reads, with a ledger.  It prints one line: the
+wall time of the measured step (the whole command; the correction alone for
+correct), ``ru_maxrss`` (MiB) before and after it, with ``--trace`` the
+tracemalloc peak inside it (MiB, tracing started with the step), and the
+first 16 hex digits of the sha256 of the output (the model file for train,
+the JSON report on stdout for perplexity, ``search.json`` and
 ``corrected.fastq`` for tune, the sweep JSON for sweep, the corrupted FASTQ
-and the ledger for inject, the corrected codes for correct).  Next to ``maxrss_mb`` it says, for each of ``numpy.random``,
-``hashlib`` and ``subprocess``, whether the measured step loaded it (``yes``),
-did not (``no``), or found it loaded already (``before``).  For train, tune,
-sweep and inject the reads are simulated in a forked child, before this process
+and the ledger for inject, the corrected codes for correct).  Next to
+``maxrss_mb`` it says, for each of ``numpy.random``, ``hashlib`` and
+``subprocess``, whether the measured step loaded it (``yes``), did not
+(``no``), or found it loaded already (``before``).  For every command but
+correct the reads are simulated in a forked child, before this process
 imports numpy, so neither the simulation's imports nor its peak count
-against the command.  Peak RSS is per process, so run each measurement in a
-fresh one.  The 1 Mb / 600 000-read set needs about 1.6 GB of memory.
+against the command; for perplexity the child also trains and saves the
+model.  Peak RSS is per process, so run each measurement in a fresh one.
+The 1 Mb / 600 000-read set needs about 1.6 GB of memory.
 """
 
 import argparse
@@ -83,8 +87,9 @@ def simulate(args: argparse.Namespace):
     return clean, inject_readset(clean, InjectionSpec("substitution", "low", seed=103))[0]
 
 
-def write_inputs(args: argparse.Namespace, reads_path: str, truth_path: str) -> bool:
-    """Simulate the reads and write them and their truth as FASTQ, in a
+def write_inputs(args: argparse.Namespace, reads_path: str, truth_path: str, model: str) -> bool:
+    """Simulate the reads and write them and their truth as FASTQ, and for
+    perplexity save the default n-gram model of the reads as ``model``, in a
     forked child; whether the child succeeded."""
     pid = os.fork()
     if pid == 0:
@@ -96,6 +101,10 @@ def write_inputs(args: argparse.Namespace, reads_path: str, truth_path: str) -> 
             clean, reads = simulate(args)
             write_fastq(reads, reads_path)
             write_fastq(clean, truth_path)
+            if args.command == "perplexity":
+                from ectuner.ngram import train_reads
+
+                train_reads(reads).save(model)
             code = 0
         except Exception:
             traceback.print_exc()
@@ -105,12 +114,14 @@ def write_inputs(args: argparse.Namespace, reads_path: str, truth_path: str) -> 
 
 
 def command_argv(
-    args: argparse.Namespace, work: str, reads_path: str, truth_path: str
+    args: argparse.Namespace, work: str, reads_path: str, truth_path: str, model: str
 ) -> tuple[list[str], list[str]]:
-    """The output files and the argv of a train, tune, sweep or inject run."""
+    """The output files and the argv of a train, perplexity, tune, sweep or
+    inject run."""
     if args.command == "train":
-        model = os.path.join(work, "reads.ngram")
         return [model], ["train", "--reads", reads_path, "--out", model]
+    if args.command == "perplexity":
+        return [], ["perplexity", "--model", model, "--reads", reads_path]
     if args.command == "tune":
         out_dir = os.path.join(work, "tune")
         argv = ["tune", "--reads", reads_path, "--out-dir", out_dir]
@@ -132,7 +143,7 @@ def command_argv(
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--command", required=True,
-                        choices=("train", "tune", "sweep", "inject", "correct"))
+                        choices=("train", "perplexity", "tune", "sweep", "inject", "correct"))
     parser.add_argument("--genome", type=int, default=1_000_000)
     parser.add_argument("--reads", type=int, default=600_000)
     parser.add_argument("--values", help="sweep's comma-separated k values")
@@ -163,18 +174,23 @@ def main() -> int:
         with tempfile.TemporaryDirectory(prefix="ectuner-scale-") as work:
             reads_path = os.path.join(work, "reads.fastq")
             truth_path = os.path.join(work, "truth.fastq")
-            if not write_inputs(args, reads_path, truth_path):
+            model = os.path.join(work, "reads.ngram")
+            if not write_inputs(args, reads_path, truth_path, model):
                 print("simulating the reads failed", file=sys.stderr)
                 return 1
             from ectuner.cli import main as cli_main
 
-            outputs, argv = command_argv(args, work, reads_path, truth_path)
-            # stdout holds a summary or the sweep's TSV; the output files are hashed
-            with contextlib.redirect_stdout(io.StringIO()):
+            outputs, argv = command_argv(args, work, reads_path, truth_path, model)
+            # stdout holds a summary, the sweep's TSV or perplexity's report,
+            # the one output hashed where there are no output files
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
                 code, stats = measure(lambda: cli_main(argv), args.trace)
             if code != 0:
                 print(f"{args.command} exited with {code}", file=sys.stderr)
                 return code
+            if not outputs:
+                chunks.append(stdout.getvalue().encode())
             for path in outputs:
                 with open(path, "rb") as fh:
                     chunks.append(fh.read())

@@ -76,11 +76,7 @@ class TrainConfig:
 
 class RnnLm:
     def __init__(self, Us, Ws, bs, V, c) -> None:
-        self.Us = Us
-        self.Ws = Ws
-        self.bs = bs
-        self.V = V
-        self.c = c
+        self.Us, self.Ws, self.bs, self.V, self.c = Us, Ws, bs, V, c
 
     @property
     def n_layers(self) -> int:
@@ -109,11 +105,7 @@ class RnnLm:
         return cls(per_layer[0::3], per_layer[1::3], per_layer[2::3], V, c)
 
     def params(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for l in range(self.n_layers):
-            out += [self.Us[l], self.Ws[l], self.bs[l]]
-        out += [self.V, self.c]
-        return out
+        return [p for layer in zip(self.Us, self.Ws, self.bs) for p in layer] + [self.V, self.c]
 
     def copy_params(self) -> list[np.ndarray]:
         return [p.copy() for p in self.params()]
@@ -131,9 +123,8 @@ class RnnLm:
     # -- persistence ------------------------------------------------------
 
     def save(self, path: str) -> None:
-        header = struct.pack("<IIII", VERSION, self.n_layers, self.hidden, VOCAB_SIZE)
-        weights = (np.ascontiguousarray(p, dtype="<f8").tobytes() for p in self.params())
-        _seal(path, MAGIC + header + b"".join(weights))
+        header = MAGIC + struct.pack("<IIII", VERSION, self.n_layers, self.hidden, VOCAB_SIZE)
+        _seal(path, [header, *(np.ascontiguousarray(p, "<f8") for p in self.params())])
 
     @classmethod
     def load(cls, path: str) -> "RnnLm":

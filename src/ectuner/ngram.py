@@ -56,9 +56,12 @@ can interoperate:
             per continuation (sorted by word value): word u32, count u64
     sha256 digest (32 bytes) of everything before it
 
-``_seal`` and ``_unseal`` write and check the magic, version, header size and
-digest, for the char-RNN's model files too.  A file holds only histories that
-occur in the training reads.  Files from older versions also hold start-marker
+``save`` builds, writes and hashes the file an order at a time, sorting each
+order's histories once, by (oldest word, the suffix's rank in the order
+below); ``load`` holds the body once, as aligned ``uint32``.  ``_seal`` and
+``_unseal`` write and check the magic, version, header size and digest, for
+the char-RNN's model files too.  A file holds only histories that occur in
+the training reads.  Files from older versions also hold start-marker
 histories (token 0xFFFFFFFF); they load as plain tokens, so such files score
 and re-save exactly as they did.  Below word_len 16 no lookup matches a
 marker, because word codes stay below 4**word_len; at word_len 16, 0xFFFFFFFF
@@ -71,7 +74,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -104,13 +107,17 @@ class ModelFormatError(ValueError):
     pass
 
 
-def _seal(path: str, payload: bytes) -> None:
-    """Write a model file: ``payload``, then its sha256 digest."""
+def _seal(path: str, parts: Iterable) -> None:
+    """Write a model file: the bytes-like ``parts`` in turn, then their sha256 digest."""
     import hashlib  # here, not at the top: OpenSSL costs megabytes only model files need
 
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(payload)
-        fh.write(hashlib.sha256(payload).digest())
+        for part in parts:
+            fh.write(part)
+            digest.update(part)
+            del part  # before the next part is made
+        fh.write(digest.digest())
 
 
 def _unseal(
@@ -246,13 +253,12 @@ def _runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, np.bincount(key)
 
 
-def _token_rows(tables: list[_Order]) -> list[np.ndarray]:
-    """Every history of each order as a row of word codes, oldest first."""
-    rows = [np.zeros((1, 0), np.int64)]
-    for t in tables[1:]:
-        suffix = rows[-1][t.hist >> 32]
-        rows.append(np.column_stack([t.hist & _LOW, suffix]))
-    return rows
+def _tokens(tables: list[_Order], o: int, ids: np.ndarray) -> Iterator[np.ndarray]:
+    """Order ``o``'s histories ``ids`` as word codes, an array a token, oldest first."""
+    for t in tables[o:0:-1]:
+        hist = t.hist[ids]
+        yield hist & _LOW
+        ids = hist >> 32
 
 
 @dataclass
@@ -390,15 +396,16 @@ class NgramModel:
         """The dict view; from here on the dicts are the model."""
         if self._dicts is None:
             counts, totals = [], []
-            for t, rows in zip(self._tables, _token_rows(self._tables)):
-                ids = np.flatnonzero(t.distinct).tolist()
-                keys = [tuple(row) for row in rows[ids].tolist()]
+            for o, t in enumerate(self._tables):
+                ids = np.flatnonzero(t.distinct)
+                tokens = (c.tolist() for c in _tokens(self._tables, o, ids))
+                keys = list(zip(*tokens)) or [()] * len(ids)  # order 0's is ()
                 owner = (t.events >> 32).tolist()
                 words = (t.events & _LOW).tolist()
-                conts = {i: {} for i in ids}
+                conts = {i: {} for i in ids.tolist()}
                 for i, w, c in zip(owner, words, t.count.tolist()):
                     conts[i][w] = c
-                counts.append({g: conts[i] for g, i in zip(keys, ids)})
+                counts.append(dict(zip(keys, conts.values())))
                 totals.append(dict(zip(keys, t.total[ids].tolist())))
             self._dicts = (counts, totals)
             self._tables = None
@@ -526,38 +533,38 @@ class NgramModel:
     # -- persistence ------------------------------------------------------
 
     def save(self, path: str) -> None:
-        """Write the file format above.  Records are laid out in 32-bit
-        units: a history is its o tokens and a u64 word count, each of its
-        words a u32 word and a u64 count."""
+        """Write the file format above, an order at a time (``_records``)."""
+        _seal(path, self._records())
+
+    def _records(self) -> Iterator:
+        """The header, then each order's history count and records in 32-bit units."""
         tables = self._current()
-        buf = bytearray(MAGIC + struct.pack(
-            "<III B d Q", VERSION, self.word_len, self.history, 1, self.p_floor,
-            self.m_train,
-        ))
-        for o, (t, rows) in enumerate(zip(tables, _token_rows(tables))):
-            ids = np.flatnonzero(t.distinct)
-            # token order, oldest word first, by ranks (not np.lexsort, see _count)
-            rank = np.zeros(len(ids), np.int64)
-            for c in range(o):
-                rank = np.unique((rank << 32) | rows[ids, c], return_inverse=True)[1]
-            ids = ids[np.argsort(rank)]
+        yield MAGIC + struct.pack("<III B d Q", VERSION, self.word_len, self.history, 1,
+                                  self.p_floor, self.m_train)
+        rank = np.zeros(1, np.int64)  # each history's place in token order
+        for o, t in enumerate(tables):
+            # by (oldest word, suffix's rank), the word offset to sort as an int64
+            ids = (((t.hist & _LOW) - (1 << 31)) << 32 | rank[t.hist >> 32]).argsort()
+            rank = np.empty_like(ids)
+            rank[ids] = np.arange(len(ids))
+            ids = ids[t.distinct[ids] > 0]
             n = t.distinct[ids]
-            # each history's words lie together in ``events``, in word order
-            ev = spans((np.cumsum(t.distinct) - t.distinct)[ids], n)
             size = o + 2 + 3 * n
-            starts = np.cumsum(size) - size
-            out = np.zeros(int(size.sum()), "<u4")
-            out[starts[:, None] + np.arange(o + 2)] = np.column_stack(
-                [rows[ids], n & _LOW, n >> 32]
-            )
+            starts = np.cumsum(size) - size + 2
+            out = np.empty(int(size.sum()) + 2, "<u4")
+            out[:2] = len(ids) & _LOW, len(ids) >> 32
+            for c, tokens in enumerate(_tokens(tables, o, ids)):
+                out[starts + c] = tokens
+            out[starts + o], out[starts + o + 1] = n & _LOW, n >> 32
+            # a history's words lie together in ``events`` and follow its count
+            ev = spans((np.cumsum(t.distinct) - t.distinct)[ids], n)
+            at = spans(starts + o + 2, n, 3)
+            out[at] = t.events[ev] & _LOW
             count = t.count[ev]
-            # a record's words follow its o tokens and u64 count, 3 units each
-            out[spans(starts + o + 2, n, 3)[:, None] + np.arange(3)] = np.column_stack(
-                [t.events[ev] & _LOW, count & _LOW, count >> 32]
-            )
-            buf += struct.pack("<Q", len(ids))
-            buf += out.tobytes()
-        _seal(path, buf)
+            out[at + 1], out[at + 2] = count & _LOW, count >> 32
+            del ev, at, count  # no order's arrays outlive its write
+            yield out
+            del out
 
     @classmethod
     def load(cls, path: str) -> "NgramModel":
@@ -569,10 +576,11 @@ class NgramModel:
         # 32-bit units, at least each order's u64 count of histories
         if len(body) % 4 or len(body) < 8 * (history + 1):
             raise ModelFormatError(f"{path}: truncated model file")
-        units = np.frombuffer(body, "<u4").astype(np.int64)
-        # the one sequential step: each record's length is in its header,
-        # read through a native-order view that indexes as Python ints
-        head = memoryview(units.astype(np.uint32))
+        # one aligned native copy of the body, cast where gathered; each record's
+        # length is in its header, read through a view that indexes as Python ints
+        units = np.frombuffer(body, "<u4").astype(np.uint32)
+        del body
+        head = memoryview(units)
         at = 0
         levels = []
         try:
@@ -586,15 +594,16 @@ class NgramModel:
                 if at > len(units):  # a count that runs past the end
                     raise IndexError
                 starts = np.array(starts, np.int64)
-                rows = units[starts[:, None] + np.arange(o)]
-                n = units[starts + o] | units[starts + o + 1] << 32
+                rows = units[starts[:, None] + np.arange(o)].astype(np.int64)
+                n = units[starts + o + 1].astype(np.int64) << 32 | units[starts + o]
                 ev = spans(starts + o + 2, n, 3)
-                counts = units[ev + 1] | units[ev + 2] << 32
+                counts = units[ev + 2].astype(np.int64) << 32 | units[ev + 1]
                 levels.append((rows, None, n, units[ev], counts))
         except IndexError as exc:
             raise ModelFormatError(f"{path}: truncated model file") from exc
         if at != len(units):
             raise ModelFormatError(f"{path}: trailing bytes after count tables")
+        del units, head  # the levels hold copies of what they need
         try:
             model = cls(word_len=word_len, history=history, p_floor=p_floor)
             model._tables, model._dicts = _index(levels), None

@@ -5,8 +5,11 @@ alphabet {A, C, G, T, N}, and qualities against Phred+33 ('!'..'~').  FASTQ
 is parsed a chunk of text at a time, every record of a chunk checked at
 once with whole-chunk string operations; an error still names the line of
 the first bad record.  It is written a block of reads at a time, the same
-way.  Files whose name ends in ``.gz`` are read and written gzip-compressed
-(with a fixed mtime of 0 so identical content yields identical bytes).
+way.  The writers refuse, before opening the file, a read that the readers
+would refuse or read back otherwise: an empty id, an id holding whitespace,
+or an empty sequence.  Files whose name ends in ``.gz`` are read and written
+gzip-compressed (with a fixed mtime of 0 so identical content yields
+identical bytes).
 
 A ``ReadSet`` keeps its reads packed: one flat ``uint8`` array of base codes
 (A=0, C=1, G=2, T=3, N=4), read after read, with a code-4 separator after
@@ -625,17 +628,40 @@ def load_reads(path: str) -> ReadSet:
     return read_fasta(path) if fasta_named(path) else read_fastq(path)
 
 
+def _writable(reads: Iterable[Read]) -> ReadSet:
+    """``reads`` packed, once each read is one the readers take back as it
+    is: a read with an empty id, an id holding whitespace (the readers keep
+    an id's first word) or no bases raises ``ValueError`` naming it."""
+    readset = reads if isinstance(reads, ReadSet) else ReadSet(reads)
+    names = readset.names
+    text = names.text.tobytes()
+    # ASCII ids, none empty and none holding whitespace, need no look one by
+    # one; each check is a pass of memchr or numpy over the packed ids
+    if (not text.isascii() or any(blank in text for blank in _ASCII_BLANKS)
+            or (np.diff(names.at) == 1).any()):
+        for i, read_id in enumerate(names.strs()):
+            if not read_id:
+                raise ValueError(f"read {i} has an empty id")
+            if read_id.split() != [read_id]:
+                raise ValueError(f"read id {read_id!r} holds whitespace")
+    if not readset.lengths.all():
+        read_id = names[int(np.argmin(readset.lengths))]
+        raise ValueError(f"read {read_id!r} has an empty sequence")
+    return readset
+
+
 def write_fastq(reads: Iterable[Read], path: str) -> None:
     """Write FASTQ; reads without quality get a constant 'I' string."""
-    readset = reads if isinstance(reads, ReadSet) else ReadSet(reads)
+    readset = _writable(reads)
     with _writing(path) as fh:
         for first in range(0, len(readset), _ROW_BLOCK):
             fh.write(readset._fastq(first, min(first + _ROW_BLOCK, len(readset))))
 
 
 def write_fasta(reads: Iterable[Read], path: str, width: int = 70) -> None:
+    readset = _writable(reads)
     with _writing(path) as fh:
-        for r in reads:
+        for r in readset:
             lines = [r.sequence[i : i + width] for i in range(0, len(r.sequence), width)]
             fh.write("\n".join([f">{r.id}", *lines, ""]).encode())
 

@@ -215,6 +215,44 @@ def test_ngram_training_peak_memory(tune_default_reads):
     assert peak <= 7.5e6
 
 
+@pytest.fixture(scope="module")
+def saved_model(tune_default_reads, tmp_path_factory):
+    """The default model of the tune-default reads, and its 3.27 MB file."""
+    model = ngram.train_reads(tune_default_reads)
+    path = str(tmp_path_factory.mktemp("model") / "reads.ngram")
+    model.save(path)  # which also imports hashlib before any tracing
+    return model, path
+
+
+def test_ngram_save_peak_memory(saved_model):
+    # written and hashed an order at a time, each order's arrays dropped
+    # before the next is built, the file peaks at 5.21 MB; with every
+    # order's token rows built at once, a np.unique per token column and
+    # the whole file joined into one bytearray, at 10.31 MB
+    model, path = saved_model
+    tracemalloc.start()
+    try:
+        model.save(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5e6
+
+
+def test_ngram_load_peak_memory(saved_model):
+    # one aligned uint32 copy of the body, dropped with the file's bytes
+    # before the tables are indexed, peaks at 12.24 MB; the body held as
+    # int64 and again as uint32, with the file, while indexing, at 25.91 MB
+    path = saved_model[1]
+    tracemalloc.start()
+    try:
+        ngram.NgramModel.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 15e6
+
+
 # tracemalloc peaks of the correction alone, in bytes, before the neighbour
 # search took runs (tune_default_reads, explicit spectrum); the margin is
 # about one block of candidates, 2**14 at some 120 bytes each

@@ -30,6 +30,7 @@ from ectuner.seqio import (
     ReadSet,
     read_fastq,
     sample_reads,
+    write_fasta,
     write_fastq,
 )
 from seqio_oracles import iter_fastq
@@ -225,6 +226,38 @@ def test_the_parser_refuses_a_quality_outside_phred33_naming_the_line(tmp_path, 
         read_fastq(str(path))
     with pytest.raises(FastqParseError, match=r"^line 8: read 'r2' has quality characters"):
         list(iter_fastq(str(path)))
+
+
+# each writer wrote the reads below whole, and the readers then refused them
+# or read them back otherwise
+_WRITERS = pytest.mark.parametrize(
+    "write, name", [(write_fastq, "out.fastq"), (write_fasta, "out.fa")], ids=["fastq", "fasta"]
+)
+
+
+@_WRITERS
+def test_a_writer_refuses_an_empty_id(tmp_path, write, name):
+    with pytest.raises(ValueError, match=r"^read 1 has an empty id$"):
+        write([Read("ok", "ACGT", "IIII"), Read("", "ACGT", "IIII")], str(tmp_path / name))
+    assert not (tmp_path / name).exists()
+
+
+@_WRITERS
+@pytest.mark.parametrize("read_id", ["a b", "a\tb", " a", "a ", "a\x1cb", "a\xa0b", "a\u3000b"])
+def test_a_writer_refuses_an_id_holding_whitespace(tmp_path, write, name, read_id):
+    # the readers keep only an id's first word
+    with pytest.raises(ValueError, match="holds whitespace") as err:
+        write(ReadSet([Read("ok", "ACGT", "IIII"), Read(read_id, "ACGT", "IIII")]),
+              str(tmp_path / name))
+    assert str(err.value) == f"read id {read_id!r} holds whitespace"
+    assert not (tmp_path / name).exists()
+
+
+@_WRITERS
+def test_a_writer_refuses_a_read_without_bases(tmp_path, write, name):
+    with pytest.raises(ValueError, match=r"^read 'a' has an empty sequence$"):
+        write([Read("ok", "ACGT", "IIII"), Read("a", "", "")], str(tmp_path / name))
+    assert not (tmp_path / name).exists()
 
 
 def test_ids_compare_by_their_text():
