@@ -507,6 +507,7 @@ def run_external(adapter: ToolAdapter, value: int, readset: ReadSet) -> ReadSet:
     stdout_path = os.path.join(tmpdir, "stdout.txt")
     stderr_path = os.path.join(tmpdir, "stderr.txt")
     write_fastq(readset, in_path)
+    at, kept = f"at {adapter.param_name}={value}", f"(files kept in {tmpdir})"
     subs = {
         "{input}": in_path,
         "{output}": out_path,
@@ -527,29 +528,19 @@ def run_external(adapter: ToolAdapter, value: int, readset: ReadSet) -> ReadSet:
                 timeout=adapter.timeout,
             )
     except subprocess.TimeoutExpired:
-        raise AdapterError(
-            f"external corrector timed out after {adapter.timeout}s "
-            f"(files kept in {tmpdir})"
-        ) from None
+        timeout = f"external corrector timed out after {adapter.timeout}s {at} {kept}"
+        raise AdapterError(timeout) from None
     except OSError as exc:
-        msg = f"could not launch {argv[0]!r} (files kept in {tmpdir}): {exc}"
-        raise AdapterError(msg) from exc
+        raise AdapterError(f"could not launch {argv[0]!r} {at} {kept}: {exc}") from exc
     if proc.returncode != 0:
-        tail = _tail(stderr_path)
-        raise AdapterError(
-            f"external corrector exited with {proc.returncode} "
-            f"(files kept in {tmpdir}); stderr: {tail}"
-        )
+        raise AdapterError(f"external corrector exited with {proc.returncode} {at} {kept}; "
+                           f"stderr: {_tail(stderr_path)}")
     if not os.path.exists(out_path):
-        raise AdapterError(
-            f"external corrector produced no output file (files kept in {tmpdir})"
-        )
+        raise AdapterError(f"external corrector produced no output file {at} {kept}")
     try:
         corrected = load_reads(out_path)
     except ParseError as exc:
-        raise AdapterError(
-            f"external corrector output is unreadable (files kept in {tmpdir}): {exc}"
-        ) from exc
+        raise AdapterError(f"external corrector output {at} is unreadable {kept}: {exc}") from exc
     shutil.rmtree(tmpdir, ignore_errors=True)
     return corrected
 

@@ -62,7 +62,6 @@ class LedgerEntry(NamedTuple):
     observed: str
 
 
-_HEADER = "read_id\tposition\tkind\toriginal\tobserved"
 _ROWS = 4096  # changes written or made into entries at a time
 
 
@@ -115,28 +114,11 @@ class ErrorLedger:
 
     def to_tsv(self, path: str) -> None:
         with open(path, "w") as fh:
-            fh.write(_HEADER + "\n")
+            fh.write("read_id\tposition\tkind\toriginal\tobserved\n")
             for first in range(0, len(self), _ROWS):
                 ids, positions, kinds, original, observed = self._fields(first)
                 lines = zip(ids, map(str, positions), kinds, original, observed)
                 fh.write("\n".join(map("\t".join, lines)) + "\n")
-
-    @classmethod
-    def from_tsv(cls, path: str) -> "ErrorLedger":
-        entries = []
-        with open(path) as fh:
-            header = fh.readline().rstrip("\n")
-            if header != _HEADER:
-                raise ValueError(f"{path}: unexpected ledger header {header!r}")
-            for lineno, line in enumerate(fh, start=2):
-                fields = line.rstrip("\n").split("\t")
-                if len(fields) != 5:
-                    raise ValueError(f"{path}:{lineno}: expected 5 fields")
-                rid, pos, kind, orig, obs = fields
-                if kind not in KINDS:
-                    raise ValueError(f"{path}:{lineno}: unknown kind {kind!r}")
-                entries.append(LedgerEntry(rid, int(pos), kind, orig, obs))
-        return cls(entries)
 
 
 def _offsets(lengths) -> np.ndarray:
@@ -243,10 +225,9 @@ def inject_readset(
     codes = np.frombuffer(codes, np.uint8)
     if spec.kind == "substitution":
         return readset.with_codes(codes), ledger
-    return ReadSet._packed(
+    return ReadSet.packed(
         codes, np.concatenate(lengths), readset.names,
         None if readset.quals is None else np.frombuffer(quals, np.uint8),
-        readset.has_qual,
     ), ledger
 
 

@@ -30,11 +30,6 @@ class WordSequence:
     def words(self) -> tuple[str, ...]:
         return tuple(w for run in self.runs for w in run)
 
-    @staticmethod
-    def from_words(words, read_id: str = "", skipped: int = 0) -> "WordSequence":
-        """Build a single-run sequence, for corpora assembled by hand."""
-        return WordSequence(read_id=read_id, runs=(tuple(words),), skipped=skipped)
-
 
 class Words(NamedTuple):
     """The kept words of a read set, flat and in read order: each word's

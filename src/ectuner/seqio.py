@@ -1,23 +1,25 @@
-"""FASTQ/FASTA ingest, emission, seeded subsampling, and the packed read set.
+"""FASTQ/FASTA ingest, FASTQ emission, seeded subsampling, and the packed read set.
 
 Sequences are normalized to upper case on ingest and validated against the
 alphabet {A, C, G, T, N}, and qualities against Phred+33 ('!'..'~').  FASTQ
 is parsed a chunk of text at a time, every record of a chunk checked at
 once with whole-chunk string operations; an error still names the line of
 the first bad record.  It is written a block of reads at a time, the same
-way.  The writers refuse, before opening the file, a read that the readers
-would refuse or read back otherwise: an empty id, an id holding whitespace,
-or an empty sequence.  Files whose name ends in ``.gz`` are read and written
+way.  FASTA is read, a record at a time, but not written.  The writer
+refuses, before opening the file, a read that the readers would refuse or
+read back otherwise: an empty id, an id holding whitespace, or an empty
+sequence.  Files whose name ends in ``.gz`` are read and written
 gzip-compressed (with a fixed mtime of 0 so identical content yields
 identical bytes).
 
 A ``ReadSet`` keeps its reads packed: one flat ``uint8`` array of base codes
 (A=0, C=1, G=2, T=3, N=4), read after read, with a code-4 separator after
 each so no window spans two reads, and each read's start and length.  The
-quality bytes, when reads have them, lie in a second ``uint8`` array in the
-same layout, and the ids in one UTF-8 byte array with an offset per read
-(``Ids``), so a set holds no Python object per read.  Other modules read
-these arrays; this one alone builds them or turns them back into text.  A
+quality bytes lie in a second ``uint8`` array in the same layout, one for
+every read or none at all, and the ids in one UTF-8 byte array with an
+offset per read (``Ids``), so a set holds no Python object per read.
+``ReadSet.packed`` is the one constructor from these arrays.  Other modules
+read them; this one alone builds them or turns them back into text.  A
 word of ACGT bases is the number its 2-bit codes spell, first base most
 significant, so numeric order is string order.
 """
@@ -148,15 +150,15 @@ class ReadSet:
     """Reads packed as the module docstring lays out: ``codes``, ``starts``
     and ``lengths``, with the reads' ``names`` (``Ids``) and ``quals``, the
     quality bytes in the codes' layout, each read's followed by a line
-    break.  ``quals`` is None when no read has a quality.  When some reads
-    have one and some do not, ``has_qual`` flags those that do (it is None
-    otherwise), and the others hold the 'I's the writer gives them.
+    break.  Every read has a quality, or ``quals`` is None: packed beside
+    reads that have one, a read without one holds the 'I's the writer gives
+    it.
 
     ``ReadSet(reads)`` packs ``Read`` objects once; ``ReadSet.packed`` takes
-    codes already packed.  Both refuse a base outside ACGTN, an id holding a
-    line break and a quality character outside '!'..'~' (Phred+33), naming
-    the read.  Iterating, indexing and ``reads`` make ``Read`` objects back
-    from the arrays; ``ids`` and ``qualities`` make the tuples."""
+    the arrays packed already.  Both refuse a base outside ACGTN and a
+    quality character outside '!'..'~' (Phred+33), naming the read, and
+    ``Ids.of`` an id holding a line break.  Iterating, indexing and
+    ``reads`` make ``Read`` objects back from the arrays."""
 
     def __init__(self, reads: Iterable[Read] = ()) -> None:
         ids, seqs, quals = [], [], []
@@ -168,53 +170,38 @@ class ReadSet:
         # N is code 4, so it serves as the separator
         text = ("N".join(seqs) + "N" if seqs else "").encode("ascii", "replace")
         if text.translate(None, b"ACGTN"):
-            _refuse_letters(ids, seqs)
+            _refuse(ids, seqs)
         codes = np.frombuffer(text.translate(CODE_TABLE), np.uint8)
-        self._set(
-            codes, _starts(lengths), lengths, Ids.of(ids),
-            *_pack_qualities(ids, quals, lengths),
-        )
+        packed = None
+        if any(q is not None for q in quals):
+            text = "\n".join(["I" * len(s) if q is None else q for s, q in zip(seqs, quals)])
+            if not text.isascii():
+                _refuse(ids, quals, quality=True)
+            packed = np.frombuffer((text + "\n").encode("ascii"), np.uint8)
+        starts, names = _starts(lengths), Ids.of(ids)
+        _check(codes, starts, lengths, names, packed)
+        self._set(codes, starts, lengths, names, packed)
 
     @classmethod
-    def packed(cls, codes, lengths, ids, qualities=None) -> "ReadSet":
+    def packed(cls, codes, lengths, names: Ids, quals=None) -> "ReadSet":
         """Reads from their codes in the packed layout, each read followed by
         its code-4 separator: flat, or one row per read when all reads have
-        the same length.  ``qualities`` None gives every read none."""
-        ids = list(ids)
-        lengths = np.asarray(lengths, np.int64)
-        quals = (None, None)
-        if qualities is not None:
-            quals = _pack_qualities(ids, list(qualities), lengths)
-        return cls._packed(codes, lengths, Ids.of(ids), *quals)
-
-    @classmethod
-    def _packed(cls, codes, lengths, names, quals=None, has_qual=None) -> "ReadSet":
-        """``packed`` of ids and qualities packed already."""
+        the same length.  ``names`` are their ids, and ``quals``, if not
+        None, their quality bytes in the same layout, each read's followed by
+        a line break.  Arrays that do not hold packed reads raise
+        ``ValueError`` naming the first read that is not (``_check``)."""
         codes = np.ascontiguousarray(codes, np.uint8).reshape(-1)
         lengths = np.asarray(lengths, np.int64)
         starts = _starts(lengths)
-        ends = starts + lengths
-        if (
-            len(names) != len(lengths)
-            or len(codes) != int(lengths.sum()) + len(lengths)
-            or codes.max(initial=0) > 4
-            or (codes[ends] != 4).any()
-            # no quality byte is a line break, so these are each read's own
-            or quals is not None and (len(quals) != len(codes) or (quals[ends] != 10).any())
-        ):
-            raise ValueError("codes, lengths, ids and qualities do not describe packed reads")
-        return object.__new__(cls)._set(codes, starts, lengths, names, quals, has_qual)
+        _check(codes, starts, lengths, names, quals)
+        return object.__new__(cls)._set(codes, starts, lengths, names, quals)
 
-    def _set(self, codes, starts, lengths, names, quals, has_qual) -> "ReadSet":
-        if has_qual is not None and has_qual.all():
-            has_qual = None
-        elif has_qual is not None and not has_qual.any():
-            quals = has_qual = None
-        for array in (codes, starts, lengths, names.text, names.at, quals, has_qual):
+    def _set(self, codes, starts, lengths, names, quals) -> "ReadSet":
+        for array in (codes, starts, lengths, names.text, names.at, quals):
             if array is not None:
                 array.flags.writeable = False  # shared between sets
         self.codes, self.starts, self.lengths = codes, starts, lengths
-        self.names, self.quals, self.has_qual = names, quals, has_qual
+        self.names, self.quals = names, quals
         return self
 
     def __len__(self) -> int:
@@ -230,30 +217,10 @@ class ReadSet:
     def reads(self) -> tuple[Read, ...]:
         return tuple(self)
 
-    @property
-    def ids(self) -> tuple[str, ...]:
-        """Each read's id, made from ``names`` on every call."""
-        return tuple(self.names.strs())
-
-    @property
-    def qualities(self) -> tuple[str | None, ...]:
-        """Each read's quality (None for a read without one), made from
-        ``quals`` on every call."""
-        return tuple(self._qualities(0, len(self)))
-
     def _span(self, first: int, last: int) -> slice:
         """Where reads ``first`` to ``last`` (not empty) lie in ``codes``,
         separators included."""
         return slice(self.starts[first], self.starts[last - 1] + self.lengths[last - 1] + 1)
-
-    def _qualities(self, first: int, last: int) -> list[str | None]:
-        """The qualities of reads ``first`` to ``last``."""
-        if self.quals is None or first >= last:
-            return [None] * max(0, last - first)
-        quals = self.quals[self._span(first, last)].tobytes().decode("ascii").split("\n")
-        if self.has_qual is None:
-            return quals[:-1]
-        return [q if h else None for q, h in zip(quals, self.has_qual[first:last].tolist())]
 
     def _letters(self, first: int, last: int) -> bytes:
         """The letters of reads ``first`` to ``last`` (not empty), each
@@ -268,7 +235,10 @@ class ReadSet:
         for first in range(0, len(self), _ROW_BLOCK):
             last = min(first + _ROW_BLOCK, len(self))
             seqs = self._letters(first, last).decode("ascii").split("\n")[:-1]
-            yield self.names.take(slice(first, last)).strs(), seqs, self._qualities(first, last)
+            quals = [None] * len(seqs)
+            if self.quals is not None:
+                quals = self.quals[self._span(first, last)].tobytes().decode().split("\n")[:-1]
+            yield self.names.take(slice(first, last)).strs(), seqs, quals
 
     def _fastq(self, first: int, last: int) -> bytes:
         """The FASTQ records of reads ``first`` to ``last`` (not empty); a
@@ -304,15 +274,14 @@ class ReadSet:
             if quals is not None:
                 quals[out] = self.quals[at]
             names.append(self.names.take(picked).text)
-        has_qual = None if self.has_qual is None else self.has_qual[rows]
         return object.__new__(ReadSet)._set(
-            codes, starts, lengths, Ids(np.concatenate(names)), quals, has_qual
+            codes, starts, lengths, Ids(np.concatenate(names)), quals
         )
 
     def with_codes(self, codes: np.ndarray) -> "ReadSet":
         """These reads with ``codes``, in the same layout, as their bases."""
         return object.__new__(ReadSet)._set(
-            codes, self.starts, self.lengths, self.names, self.quals, self.has_qual
+            codes, self.starts, self.lengths, self.names, self.quals
         )
 
     def differing(self, other: "ReadSet") -> np.ndarray:
@@ -338,34 +307,59 @@ def _starts(lengths: np.ndarray) -> np.ndarray:
     return np.cumsum(lengths + 1) - lengths - 1
 
 
-def _refuse_letters(ids: Iterable[str], seqs: Iterable[str]) -> None:
-    """Raise for the first of ``seqs`` holding a character outside ACGTN."""
-    for read_id, seq in zip(ids, seqs):
-        bad = set(seq) - VALID_CHARS
+def _refuse(ids: Iterable[str], texts: Iterable, quality: bool = False) -> None:
+    """Raise for the first of ``texts`` holding a character outside ACGTN,
+    or with ``quality`` outside '!'..'~' (a None text holds none)."""
+    for read_id, text in zip(ids, texts):
+        bad = set(text or "") - (_PHRED_CHARS if quality else VALID_CHARS)
         if bad:
-            raise ValueError(
-                f"read {read_id!r} contains characters outside ACGTN: {sorted(bad)}"
-            )
+            what = "has quality" if quality else "contains"
+            outside = "'!'..'~'" if quality else "ACGTN"
+            raise ValueError(f"read {read_id!r} {what} characters outside {outside}: "
+                             f"{sorted(bad)}")
 
 
-def _pack_qualities(ids: list[str], quals: list, lengths: np.ndarray):
-    """The ``quals`` and ``has_qual`` arrays of reads with ``ids``,
-    ``lengths`` and qualities ``quals`` (None for a read without one)."""
-    has_qual = np.fromiter((q is not None for q in quals), bool, len(quals))
-    if not has_qual.any():
-        return None, None
-    text = "\n".join([
-        "I" * n if q is None else q for q, n in zip(quals, lengths.tolist())
-    ]) + "\n"
-    raw = text.encode()
-    if len(raw) != len(text) or raw.translate(None, _PHRED_LINES):  # not ASCII, or not Phred
-        for read_id, qual in zip(ids, quals):
-            bad = set(qual or "") - _PHRED_CHARS
-            if bad:
-                raise ValueError(
-                    f"read {read_id!r} has quality characters outside '!'..'~': {sorted(bad)}"
-                )
-    return np.frombuffer(raw, np.uint8), has_qual
+def _check(codes, starts, lengths, names: Ids, quals) -> None:
+    """Raise ``ValueError`` naming the first read that these arrays do not
+    hold as packed reads: one without an id or of negative length, without
+    a separator or a line break where its bases or its quality bytes end,
+    or holding a code above 4 or a quality byte outside '!'..'~'.  Checked
+    ``_ROW_BLOCK`` reads at a time, so no temporary grows with the set."""
+    n = len(lengths)
+    if len(names) != n:
+        raise ValueError(f"read {len(names)} has no id" if len(names) < n
+                         else f"id {names[n]!r} names no read")
+    if lengths.min(initial=0) < 0:
+        raise ValueError(f"read {names[int(np.argmin(lengths))]!r} has a negative length")
+    ends = starts + lengths
+    total = int(ends[-1]) + 1 if n else 0
+    if len(codes) < total:
+        i = int(np.searchsorted(ends, len(codes)))
+        raise ValueError(f"read {names[i]!r} runs past the end of the codes")
+    if len(codes) > total:
+        raise ValueError(f"{len(codes) - total} codes follow the last read")
+    if quals is not None and len(quals) != total:
+        raise ValueError(f"{len(quals)} quality bytes for {total} codes")
+    for first in range(0, n, _ROW_BLOCK):
+        last = min(first + _ROW_BLOCK, n)
+        span = slice(starts[first], ends[last - 1] + 1)
+        block, seps = codes[span], ends[first:last] - span.start
+        fine = block.max() <= 4 and (block[seps] == 4).all()
+        if fine and quals is not None:
+            qual = quals[span]
+            # line breaks at the separators, and no byte outside 33..126 besides
+            fine = (qual[seps] == 10).all() and np.count_nonzero(qual - 33 > 93) == len(seps)
+        if fine:
+            continue
+        for i in range(first, last):
+            s, e = starts[i], ends[i]
+            if codes[e] != 4 or quals is not None and quals[e] != 10:
+                raise ValueError(f"read {names[i]!r} is not followed by a separator")
+            if codes[s:e].max(initial=0) > 4:
+                raise ValueError(f"read {names[i]!r} holds codes above 4: "
+                                 f"{sorted(set(codes[s:e].tolist()) - set(range(5)))}")
+            if quals is not None:
+                _refuse([names[i]], [quals[s:e].tobytes().decode("latin-1")], quality=True)
 
 
 def substrings(text: str, starts: np.ndarray, length: int, ids) -> ReadSet:
@@ -374,12 +368,12 @@ def substrings(text: str, starts: np.ndarray, length: int, ids) -> ReadSet:
     character outside ACGTN is refused as ``ReadSet(reads)`` refuses it."""
     raw = text.encode("ascii", "replace")  # one byte per character
     if raw.translate(None, b"ACGTN"):
-        _refuse_letters(ids, (text[s : s + length] for s in starts.tolist()))
+        _refuse(ids, (text[s : s + length] for s in starts.tolist()))
     # one spare code, so the window at the last start has room for a separator
     codes = np.frombuffer(raw.translate(CODE_TABLE) + b"\4", np.uint8)
     block = sliding_window_view(codes, length + 1)[starts]
     block[:, length] = 4
-    return ReadSet.packed(block, np.full(len(starts), length), ids)
+    return ReadSet.packed(block, np.full(len(starts), length), Ids.of(ids))
 
 
 def encode_word(word: str) -> int:
@@ -494,7 +488,7 @@ def read_fastq(path: str) -> ReadSet:
             rest = "\n".join(lines[whole:])
     if not lengths:
         return ReadSet()
-    return ReadSet._packed(
+    return ReadSet.packed(
         np.frombuffer(codes, np.uint8), np.concatenate(lengths), Ids(names),
         np.frombuffer(quals, np.uint8),
     )
@@ -613,10 +607,6 @@ def iter_fasta(path: str) -> Iterator[Read]:
             yield Read(read_id, seq)
 
 
-def read_fasta(path: str) -> ReadSet:
-    return ReadSet(iter_fasta(path))
-
-
 def fasta_named(path: str) -> bool:
     """Whether ``load_reads`` reads ``path`` as FASTA, by its name."""
     base = path[:-3] if path.endswith(".gz") else path
@@ -625,7 +615,7 @@ def fasta_named(path: str) -> bool:
 
 def load_reads(path: str) -> ReadSet:
     """Load a read file, picking the format from the file name."""
-    return read_fasta(path) if fasta_named(path) else read_fastq(path)
+    return ReadSet(iter_fasta(path)) if fasta_named(path) else read_fastq(path)
 
 
 def _writable(reads: Iterable[Read]) -> ReadSet:
@@ -656,14 +646,6 @@ def write_fastq(reads: Iterable[Read], path: str) -> None:
     with _writing(path) as fh:
         for first in range(0, len(readset), _ROW_BLOCK):
             fh.write(readset._fastq(first, min(first + _ROW_BLOCK, len(readset))))
-
-
-def write_fasta(reads: Iterable[Read], path: str, width: int = 70) -> None:
-    readset = _writable(reads)
-    with _writing(path) as fh:
-        for r in readset:
-            lines = [r.sequence[i : i + width] for i in range(0, len(r.sequence), width)]
-            fh.write("\n".join([f">{r.id}", *lines, ""]).encode())
 
 
 def sample_reads(readset: ReadSet, n: int, seed: int) -> ReadSet:

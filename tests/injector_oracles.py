@@ -5,7 +5,8 @@ paths that ``ectuner.injector`` replaced with packed ones.
 ``ReadSet(reads)``.  ``inject_readset`` gives each read its own
 ``spawn_rng(seed, index)`` generator, makes one ``integers`` call per draw,
 in the order the injector's module docstring documents, and assembles the
-ledger entry by entry; ``write_ledger`` writes those entries line by line.
+ledger entry by entry; ``write_ledger`` writes those entries line by line,
+and ``read_ledger`` reads a ledger TSV back into an ``ErrorLedger``.
 Tests compare the packed paths to these with exact ``==``.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ectuner._rng import make_rng
-from ectuner.injector import KINDS, REGIMES, InjectionSpec, LedgerEntry
+from ectuner.injector import KINDS, REGIMES, ErrorLedger, InjectionSpec, LedgerEntry
 from ectuner.seqio import BASES, LETTERS, Read, ReadSet
 from rng_oracles import spawn_rng
 
@@ -112,3 +113,12 @@ def write_ledger(entries, path: str) -> None:
         fh.write("read_id\tposition\tkind\toriginal\tobserved\n")
         for e in entries:
             fh.write(f"{e.read_id}\t{e.position}\t{e.kind}\t{e.original}\t{e.observed}\n")
+
+
+def read_ledger(path: str) -> ErrorLedger:
+    """The ledger in a TSV file that ``ErrorLedger.to_tsv`` wrote."""
+    with open(path) as fh:
+        assert fh.readline() == "read_id\tposition\tkind\toriginal\tobserved\n"
+        rows = [line.rstrip("\n").split("\t") for line in fh]
+    return ErrorLedger(LedgerEntry(rid, int(pos), kind, orig, obs)
+                       for rid, pos, kind, orig, obs in rows)

@@ -175,7 +175,7 @@ def product_form_perplexity(model, score_seqs):
 
 
 def seq(*words):
-    return WordSequence.from_words(words)
+    return WordSequence("", (tuple(words),))
 
 
 # Toy training corpus used for the hand-evaluated smoothing constants:

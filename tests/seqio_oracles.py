@@ -4,7 +4,10 @@
 It reads four lines per record, upper-cases each sequence and checks every
 record on its own, its quality characters last, so its ids, sequences, qualities and the type, message
 and line number of each error are what the chunked parser must give.
-``decode_words`` turns word codes back into text for the tests.
+``as_packed`` gives the reads a ``ReadSet`` of them holds, ``decode_words``
+turns word codes back into text for the tests, and
+``write_fasta`` writes the FASTA files they read, which ``ectuner`` itself
+does not write.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
+from ectuner import seqio
 from ectuner.seqio import LETTERS, FastqParseError, Read
 
 _VALID = frozenset("ACGTN")
@@ -80,6 +84,15 @@ def iter_fastq(path: str) -> Iterator[Read]:
             yield Read(read_id, seq, qual)
 
 
+def as_packed(reads) -> tuple[Read, ...]:
+    """``reads`` as a ``ReadSet`` of them gives them back: when any has a
+    quality, each without one has the 'I's it is written with."""
+    if all(r.quality is None for r in reads):
+        return tuple(reads)
+    return tuple(Read(r.id, r.sequence, "I" * len(r)) if r.quality is None else r
+                 for r in reads)
+
+
 def decode_words(codes, length: int) -> Iterator[str]:
     """The words of ``length`` bases that ``codes`` encode, in order."""
     shifts = np.arange(2 * length - 2, -1, -2, dtype=np.uint64)
@@ -88,3 +101,15 @@ def decode_words(codes, length: int) -> Iterator[str]:
         chunk = (codes[start : start + 4096, None] >> shifts) & 3
         text = LETTERS[chunk].tobytes().decode("ascii")
         yield from (text[i : i + length] for i in range(0, len(text), length))
+
+
+def write_fasta(reads, path: str, width: int = 70) -> None:
+    """FASTA of ``reads``, each sequence wrapped at ``width`` columns; a
+    ``.gz`` path is gzip-compressed as ``write_fastq`` compresses it.  Reads
+    the readers would not take back as they are are refused, before the
+    file is opened, by the rule ``write_fastq`` applies."""
+    readset = seqio._writable(reads)
+    with seqio._writing(path) as fh:
+        for r in readset:
+            lines = [r.sequence[i : i + width] for i in range(0, len(r.sequence), width)]
+            fh.write("\n".join([f">{r.id}", *lines, ""]).encode())

@@ -21,8 +21,9 @@ import pytest
 import ectuner
 from ectuner import charrnn, ecsim, ngram
 from ectuner.cli import build_parser, main
-from ectuner.injector import ErrorLedger, generate_genome, sample_clean_reads
+from ectuner.injector import generate_genome, sample_clean_reads
 from ectuner.seqio import Read, load_reads, write_fastq
+from injector_oracles import read_ledger
 
 
 @pytest.fixture(scope="module")
@@ -188,7 +189,7 @@ def test_inject_writes_fastq_ledger_and_config(clean_fastq, tmp_path, capsys):
     summary = _stdout_json(capsys)
     corrupted = load_reads(out)
     assert len(corrupted) == 300
-    ledger = ErrorLedger.from_tsv(ledger_path)
+    ledger = read_ledger(ledger_path)
     assert summary["changes"] == len(ledger)
     assert len(ledger) > 0
     with open(out + ".config.json") as fh:
@@ -306,6 +307,18 @@ def test_correct_via_external_tool(clean_fastq, tmp_path, capsys, monkeypatch):
     original = load_reads(clean_fastq)
     copied = load_reads(out)
     assert [r.sequence for r in copied] == [r.sequence for r in original]
+
+
+def test_sweep_names_the_value_an_external_tool_failed_at(
+    clean_fastq, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setenv("ATHENA_TMPDIR", str(tmp_path))
+    rc = main(["sweep", "--reads", clean_fastq, "--values", "9,11,13",
+               "--adapter-template", 'sh -c "test {k} != 11 && cp {input} {output}"'])
+    assert rc == 1
+    err = capsys.readouterr().err
+    (kept,) = [d for d in os.listdir(tmp_path) if d.startswith("ectuner-")]
+    assert f"exited with 1 at k=11 (files kept in {tmp_path / kept})" in err
 
 
 def test_tune_writes_search_trace_and_corrected_reads(tmp_path, capsys):

@@ -139,7 +139,7 @@ def test_correction_against_its_own_solid_spectrum_equals_the_full_one(k, monkey
             want = kspectrum_correct(reads, config, full)
             assert got.codes.tobytes() == want.codes.tobytes()
             assert got.lengths.tolist() == want.lengths.tolist()
-            assert got.ids == want.ids
+            assert got.names == want.names
             # an explicit spectrum counted at solid_min corrects the same too;
             # one counted above it lacks solid k-mers and is refused
             solid = kspectrum_correct(reads, config, kmer_spectrum(reads, k, m))

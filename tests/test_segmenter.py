@@ -98,10 +98,9 @@ def test_segment_word_length_equal_to_read_length():
     assert runs == (("ACGTACG",),)
 
 
-def test_from_words_builds_single_run():
-    ws = WordSequence.from_words(["AAA", "CCC"], read_id="x")
-    assert ws.runs == (("AAA", "CCC"),)
-    assert ws.words == ("AAA", "CCC")
+def test_words_joins_every_run():
+    ws = WordSequence("x", (("AAA", "CCC"), ("GGG",)))
+    assert ws.words == ("AAA", "CCC", "GGG")
 
 
 def test_segment_corpus_skips_short_reads_and_tallies():

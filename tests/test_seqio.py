@@ -12,6 +12,7 @@ from ectuner import seqio
 from ectuner.seqio import (
     FastaParseError,
     FastqParseError,
+    Ids,
     Read,
     ReadSet,
     base_codes,
@@ -20,11 +21,10 @@ from ectuner.seqio import (
     load_reads,
     read_fastq,
     sample_reads,
-    write_fasta,
     write_fastq,
 )
 
-from seqio_oracles import decode_words
+from seqio_oracles import as_packed, decode_words, write_fasta
 
 
 def _fastq_text(records):
@@ -291,31 +291,38 @@ def test_readset_packs_codes_with_a_separator_after_each_read():
     assert reads.lengths.tolist() == [3, 0, 2]
     assert (reads.codes.dtype, reads.starts.dtype, reads.lengths.dtype) == (
         np.uint8, np.int64, np.int64)
-    assert reads.ids == ("a", "b", "c")
+    assert reads.names.strs() == ["a", "b", "c"] and reads.quals is None
     empty = ReadSet(())
-    assert len(empty.codes) == len(empty.starts) == len(empty.lengths) == 0
-    assert empty.reads == () and empty.ids == empty.qualities == ()
+    assert len(empty.codes) == len(empty.starts) == len(empty.lengths) == len(empty.names) == 0
+    assert empty.reads == () and empty.quals is None
 
 
 def test_packed_takes_flat_codes_or_one_row_per_read():
     reads = ReadSet((Read("a", "ACN", "!!#"), Read("b", ""), Read("c", "TG")))
-    flat = ReadSet.packed(reads.codes, reads.lengths, reads.ids, reads.qualities)
+    flat = ReadSet.packed(reads.codes, reads.lengths, reads.names, reads.quals)
     assert flat.reads == reads.reads
     assert flat.starts.tolist() == reads.starts.tolist()
-    rows = ReadSet.packed(np.array([[0, 1, 4], [3, 2, 4]]), [2, 2], ["x", "y"])
+    rows = ReadSet.packed(np.array([[0, 1, 4], [3, 2, 4]]), [2, 2], Ids.of(["x", "y"]))
     assert rows.reads == (Read("x", "AC"), Read("y", "TG"))
-    assert ReadSet.packed([], [], []).reads == ()
+    assert ReadSet.packed([], [], Ids()).reads == ()
 
 
 @pytest.mark.parametrize(
-    "codes, lengths, ids",
-    [([0, 1, 4], [2, 1], ["x"]), ([0, 1, 2], [2], ["x"]), ([0, 4, 1, 4], [1], ["x"]),
-     ([0, 5, 4], [2], ["x"])],
-    ids=["ids-short", "no-separator", "wrong-total", "not-a-code"],
+    "codes, lengths, ids, message",
+    [([0, 1, 4, 3, 4], [2, 1], ["x"], "read 1 has no id"),
+     ([0, 4], [1], ["x", "y"], "id 'y' names no read"),
+     ([0, 1, 4, 4], [3, -1], ["x", "y"], "read 'y' has a negative length"),
+     ([0, 1, 2], [2], ["x"], "read 'x' is not followed by a separator"),
+     ([0, 4, 1, 4], [1], ["x"], "2 codes follow the last read"),
+     ([0, 1, 4, 3], [2, 1], ["x", "y"], "read 'y' runs past the end of the codes"),
+     ([0, 5, 4, 7, 9, 4], [2, 2], ["x", "y"], "read 'x' holds codes above 4: [5]")],
+    ids=["ids-short", "ids-long", "negative-length", "no-separator", "wrong-total", "cut-short",
+         "not-a-code"],
 )
-def test_packed_refuses_codes_that_are_not_packed_reads(codes, lengths, ids):
-    with pytest.raises(ValueError, match="do not describe packed reads"):
-        ReadSet.packed(codes, lengths, ids)
+def test_packed_refuses_codes_that_are_not_packed_reads(codes, lengths, ids, message):
+    with pytest.raises(ValueError) as err:
+        ReadSet.packed(codes, lengths, Ids.of(ids))
+    assert str(err.value) == message
 
 
 def test_base_codes_send_everything_but_acgt_to_4():
@@ -337,13 +344,14 @@ def test_base_codes_send_everything_but_acgt_to_4():
     ],
 )
 def test_reads_round_trip_through_a_readset(reads):
-    rs = ReadSet(reads)
-    assert rs.reads == tuple(rs) == reads
-    assert tuple(rs[i] for i in range(len(rs))) == reads
+    # a read without a quality, packed beside reads that have one, has 'I's
+    rs, want = ReadSet(reads), as_packed(reads)
+    assert rs.reads == tuple(rs) == want
+    assert tuple(rs[i] for i in range(len(rs))) == want
     if reads:
-        assert rs[-1] == reads[-1]
-    assert rs.qualities == tuple(r.quality for r in reads)
-    assert ReadSet(rs).reads == reads
+        assert rs[-1] == want[-1]
+    assert (rs.quals is None) == all(r.quality is None for r in reads)
+    assert ReadSet(rs).reads == want
 
 
 def test_readset_iterates_across_decoding_blocks(monkeypatch):
@@ -375,7 +383,6 @@ def test_take_and_with_codes_share_ids_and_qualities():
     assert changed.reads == (Read("a", "TCG", "III"), reads[1], reads[2])
     # the packed ids and qualities are shared, not copied
     assert changed.names is reads.names and changed.quals is reads.quals
-    assert changed.ids == reads.ids and changed.qualities == reads.qualities
     assert reads.changed_reads(changed) == 1
     assert reads.changed_reads(reads) == 0
     # sets of other shapes compare the reads at shared positions; a read of
@@ -405,7 +412,7 @@ def test_take_of_every_row_peaks_under_four_times_the_codes():
     assert peak < 4 * reads.codes.nbytes
     assert np.array_equal(taken.codes, reads.codes)
     assert np.array_equal(taken.starts, reads.starts)
-    assert taken.ids == reads.ids and taken.qualities == reads.qualities
+    assert taken.names == reads.names and taken.quals is reads.quals is None
 
 
 def test_changed_reads_counts_what_comparing_sequences_counts():

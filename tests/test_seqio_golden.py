@@ -22,7 +22,8 @@ from ectuner.injector import (
     inject_readset,
     sample_clean_reads,
 )
-from ectuner.seqio import Read, write_fasta, write_fastq
+from ectuner.seqio import Read, write_fastq
+from seqio_oracles import write_fasta
 
 CORRECT_SHA256 = "bf49aa5bbf8bc9e870b5af2c3b26b2ac804760a1368db16329fdcc52e4137e90"
 PERPLEXITY_SHA256 = {

@@ -111,7 +111,7 @@ def test_read_fastq_gives_the_oracles_reads(tmp_path, monkeypatch, chunk):
         for name in ("codes", "starts", "lengths"):
             assert np.array_equal(getattr(got, name), getattr(packed, name))
             assert getattr(got, name).dtype == getattr(packed, name).dtype
-        assert got.ids == packed.ids and got.qualities == packed.qualities
+        assert got.names == packed.names and np.array_equal(got.quals, packed.quals)
 
 
 @pytest.mark.parametrize("chunk", (1, 5, 64, 1 << 18))

@@ -1,9 +1,11 @@
 """Packed ids and qualities: round trips, the operations that carry them,
 what FASTQ cannot carry, and what a loaded set holds.
 
-``ReadSet.ids`` and ``.qualities`` are made from the packed arrays on each
-call; every case here compares them with the tuples the ``Read`` objects
-give, which is what a set that kept them as tuples held.
+A set holds a quality for every read or for none, and ``ReadSet.packed`` is
+its one constructor from packed arrays.  Every case here compares the
+``Read`` objects a set gives back with those it was built from, each read
+without a quality given the 'I's it is written with when another read has
+one (``as_packed``), and its packed ids with theirs.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ectuner import seqio
 from ectuner._rng import Pcg64, sample_indices
 from ectuner.injector import (
     KINDS,
@@ -30,10 +33,9 @@ from ectuner.seqio import (
     ReadSet,
     read_fastq,
     sample_reads,
-    write_fasta,
     write_fastq,
 )
-from seqio_oracles import iter_fastq
+from seqio_oracles import as_packed, iter_fastq, write_fasta
 import injector_oracles as oracle
 
 # ids FASTQ carries whole: no whitespace, so no comment is cut off them
@@ -69,9 +71,8 @@ def _any_reads(draw, max_size=12):
 
 
 def _same(readset: ReadSet, reads) -> None:
-    assert readset.reads == tuple(reads)
-    assert readset.ids == tuple(r.id for r in reads)
-    assert readset.qualities == tuple(r.quality for r in reads)
+    assert readset.reads == as_packed(reads)
+    assert readset.names == Ids.of([r.id for r in reads])
 
 
 @settings(max_examples=60, deadline=None)
@@ -120,11 +121,28 @@ def test_header_comments_and_plus_text_are_dropped(tmp_path):
 def test_readsets_of_any_reads_keep_ids_and_qualities(reads):
     readset = ReadSet(reads)
     _same(readset, reads)
-    _same(ReadSet.packed(readset.codes, readset.lengths, readset.ids,
-                         readset.qualities), reads)
-    has = [r.quality is not None for r in reads]
-    assert (readset.quals is None) == (not any(has))
-    assert (readset.has_qual is None) == (all(has) or not any(has))
+    assert (readset.quals is None) == all(r.quality is None for r in reads)
+
+
+def _written(readset: ReadSet, path) -> bytes | str:
+    """The FASTQ bytes ``readset`` writes to ``path``, or the refusal."""
+    try:
+        write_fastq(readset, str(path))
+    except ValueError as err:
+        return str(err)
+    return path.read_bytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(_any_reads())
+def test_packed_of_a_sets_own_arrays_is_that_set(tmp_path_factory, reads):
+    readset = ReadSet(reads)
+    again = ReadSet.packed(readset.codes, readset.lengths, readset.names, readset.quals)
+    assert again.reads == readset.reads
+    assert again.names == readset.names
+    assert np.array_equal(again.starts, readset.starts)
+    path = tmp_path_factory.mktemp("packed")
+    assert _written(again, path / "again.fastq") == _written(readset, path / "set.fastq")
 
 
 def test_empty_reads_and_the_empty_set(tmp_path):
@@ -143,19 +161,18 @@ def test_empty_reads_and_the_empty_set(tmp_path):
 def test_mixed_qualities_write_i_for_the_reads_without_one(tmp_path):
     reads = (Read("a", "ACG", "!#%"), Read("b", "TT"), Read("c", "N", "~"))
     readset = ReadSet(reads)
-    assert readset.has_qual.tolist() == [True, False, True]
+    assert readset[1] == Read("b", "TT", "II")
     path = tmp_path / "mixed.fastq"
     write_fastq(readset, str(path))
     assert path.read_text() == "@a\nACG\n+\n!#%\n@b\nTT\n+\nII\n@c\nN\n+\n~\n"
-    # a subset with no quality left has no quality array
-    assert readset.take([1]).quals is None
-    assert readset.take([0, 2]).has_qual is None
+    # a subset keeps the 'I's
+    assert readset.take([1]).reads == (Read("b", "TT", "II"),)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_any_reads(max_size=20), st.data())
 def test_take_with_codes_sample_and_changed_reads_keep_ids_and_qualities(reads, data):
-    readset = ReadSet(reads)
+    readset, reads = ReadSet(reads), as_packed(reads)
     rows = data.draw(st.lists(st.integers(0, max(len(reads) - 1, 0)),
                               max_size=25 if reads else 0))
     taken = readset.take(rows)
@@ -202,7 +219,7 @@ def test_an_id_holding_a_line_break_is_refused(tmp_path, read_id):
                     str(tmp_path / "out.fastq"))
     assert repr(read_id) in str(err.value)
     with pytest.raises(ValueError, match="holds a line break"):
-        ReadSet.packed([0, 4], [1], [read_id])
+        Ids.of([read_id])
     assert not (tmp_path / "out.fastq").exists()
 
 
@@ -214,8 +231,44 @@ def test_a_quality_outside_phred33_is_refused_naming_the_read(quality, bad):
         ReadSet(reads)
     assert str(err.value).startswith("read 'bad' has quality")
     assert str(err.value).endswith(bad)
-    with pytest.raises(ValueError, match="read 'bad' has quality characters"):
-        ReadSet.packed([0, 1, 2, 3, 4], [4], ["bad"], [quality])
+    # packed, each character one byte
+    quals = np.frombuffer(quality.encode("latin-1") + b"\n", np.uint8)
+    with pytest.raises(ValueError) as packed:
+        ReadSet.packed([0, 1, 2, 3, 4], [4], Ids.of(["bad"]), quals)
+    assert str(packed.value) == str(err.value)
+
+
+@pytest.mark.parametrize("block", [3, 4096])
+@pytest.mark.parametrize(
+    "edit, message",
+    [("quality", "read 'r7' has quality characters outside '!'..'~': [' ']"),
+     ("quality-break", "read 'r7' is not followed by a separator"),
+     ("separator", "read 'r7' is not followed by a separator"),
+     ("code", "read 'r7' holds codes above 4: [6]"),
+     ("names", "read 9 has no id")],
+    ids=["quality", "quality-break", "separator", "code", "names"],
+)
+def test_packed_refuses_arrays_that_are_not_packed_reads_naming_the_read(
+    monkeypatch, block, edit, message
+):
+    monkeypatch.setattr(seqio, "_ROW_BLOCK", block)
+    readset = ReadSet(Read(f"r{i}", "ACGT"[: i % 4 + 1], "!5I~"[: i % 4 + 1]) for i in range(10))
+    ReadSet.packed(readset.codes, readset.lengths, readset.names, readset.quals)
+    codes, quals, names = readset.codes.copy(), readset.quals.copy(), readset.names
+    end = readset.starts[7] + readset.lengths[7]
+    if edit == "quality":
+        quals[end - 1] = ord(" ")
+    elif edit == "quality-break":
+        quals[end] = ord("I")
+    elif edit == "separator":  # one base early
+        codes[end - 1], codes[end] = 4, 0
+    elif edit == "code":
+        codes[end - 1] = 6
+    else:
+        names = names.take(slice(0, 9))
+    with pytest.raises(ValueError) as err:
+        ReadSet.packed(codes, readset.lengths, names, quals)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("quality", ["IIÉI", "II I", "I\x01II"])
